@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check bench benchjson figs
+.PHONY: all build test check bench figs
 
 all: build
 
@@ -16,10 +16,6 @@ check:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# Hot-path microbenchmarks -> BENCH_pr3.json (measured vs baseline).
-benchjson:
-	./scripts/bench.sh
 
 figs:
 	$(GO) run ./cmd/paperfigs -out results

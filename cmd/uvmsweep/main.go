@@ -1,7 +1,8 @@
 // Command uvmsweep runs a driver-policy parameter grid over one workload
 // and emits a CSV of outcomes — the bulk-experimentation companion to
 // uvmsim. Sweeps cover batch size, prefetching, capacity (oversubscription
-// ratio), and eviction policy.
+// ratio), and eviction policy. The grid is expanded by sweepd.JobSpec.Points,
+// the same expansion the sweep daemon admits jobs through.
 //
 // Grid points run on a worker pool (-jobs, default GOMAXPROCS); each
 // point drives its own simulation engine and rows are emitted in grid
@@ -29,6 +30,7 @@ import (
 	"guvm/internal/experiments"
 	"guvm/internal/obs"
 	"guvm/internal/sim"
+	"guvm/internal/sweepd"
 	"guvm/internal/uvm"
 	"guvm/internal/workloads"
 )
@@ -74,11 +76,6 @@ func main() {
 		return
 	}
 
-	mk, err := workloads.ByName(*name, *mb, *n, *seed)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "uvmsweep: %v\n", err)
-		os.Exit(2)
-	}
 	batchList, err := parseIntList(*batches)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "uvmsweep: %v\n", err)
@@ -89,27 +86,27 @@ func main() {
 		fmt.Fprintf(os.Stderr, "uvmsweep: %v\n", err)
 		os.Exit(2)
 	}
-	// Expand the grid up front (Selections validates every policy name
-	// against the registry before any simulation runs — an unknown name is
-	// rejected with the valid options), then fan the independent points
-	// out on the pool. Each point carries a named PolicySelection that
-	// NewSimulator resolves onto the driver config.
-	type point struct {
-		bs, capMB int
-		pols      uvm.PolicySelection
+	// Expand the grid up front through the same JobSpec the sweep daemon
+	// admits: it validates the workload, every batch size and capacity,
+	// and every policy name against the registry (an unknown name is
+	// rejected with the valid options) before any simulation runs. The
+	// independent points then fan out on the pool.
+	spec := sweepd.JobSpec{
+		Workload: *name,
+		MB:       *mb,
+		N:        *n,
+		Seed:     *seed,
+		Batches:  batchList,
+		CapsMB:   capList,
+		Evict:    strings.Split(plf.Eviction, ","),
+		Prefetch: strings.Split(plf.Prefetch, ","),
+		Sizing:   strings.Split(plf.BatchSizing, ","),
+		Arch:     strings.Split(plf.Architecture, ","),
 	}
-	sels, err := plf.Selections()
+	grid, err := spec.Points()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "uvmsweep: %v\n", err)
 		os.Exit(2)
-	}
-	var grid []point
-	for _, bs := range batchList {
-		for _, capMB := range capList {
-			for _, sel := range sels {
-				grid = append(grid, point{bs, capMB, sel})
-			}
-		}
 	}
 
 	// Opt-in live progress endpoint and sampled progress series. Counters
@@ -164,10 +161,11 @@ func main() {
 	runErr := experiments.ForEachOrdered(ctx, len(grid), *jobs, func(i int) outcome {
 		pointStart := time.Now()
 		p := grid[i]
-		cfg := guvm.DefaultConfig()
-		cfg.Driver.BatchSize = p.bs
-		cfg.Driver.GPUMemBytes = uint64(p.capMB) << 20
-		cfg.Policies = p.pols
+		mk, err := workloads.ByName(p.Workload, p.MB, p.N, p.Seed)
+		if err != nil {
+			return outcome{err: err}
+		}
+		cfg := p.SystemConfig()
 		cfg.Audit.Enabled = *auditOn
 		cfg.Audit.Interval = 1
 		s, err := guvm.NewSimulator(cfg)
@@ -176,10 +174,10 @@ func main() {
 		}
 		res, err := s.Run(mk())
 		if err != nil {
-			return outcome{err: fmt.Errorf("%s bs=%d cap=%d: %w", *name, p.bs, p.capMB, err)}
+			return outcome{err: fmt.Errorf("%s bs=%d cap=%d: %w", p.Workload, p.BatchSize, p.CapMB, err)}
 		}
 		return outcome{row: fmt.Sprintf("%s,%d,%d,%s,%s,%s,%s,%.3f,%.3f,%d,%d,%d,%.1f,%d",
-			res.Workload, p.bs, p.capMB, p.pols.Prefetch, p.pols.Eviction, p.pols.BatchSizing, p.pols.Architecture,
+			res.Workload, p.BatchSize, p.CapMB, p.Prefetch, p.Evict, p.Sizing, p.Arch,
 			res.KernelTime.Millis(), res.BatchTime().Millis(),
 			len(res.Batches), res.DriverStats.TotalFaults,
 			res.DriverStats.Evictions,
@@ -203,7 +201,7 @@ func main() {
 			}
 			p := grid[i]
 			harness.Add(1, "point", fmt.Sprintf("bs=%d cap=%d %s/%s/%s/%s",
-				p.bs, p.capMB, p.pols.Prefetch, p.pols.Eviction, p.pols.BatchSizing, p.pols.Architecture),
+				p.BatchSize, p.CapMB, p.Prefetch, p.Evict, p.Sizing, p.Arch),
 				start, end-start, i)
 		}
 		if prog != nil {

@@ -14,7 +14,9 @@
 //	res, err := sim.Run(workloads.NewStream(64<<20, 128))
 //	// res.Batches holds per-batch telemetry; res.KernelTime the GPU time.
 //
-// One Simulator runs one workload; create a fresh Simulator per run.
+// A Simulator models N GPUs sharing one host (NewMultiSimulator); the
+// single-GPU system is N=1. One Simulator runs once; create a fresh
+// Simulator per run.
 package guvm
 
 import (
@@ -41,7 +43,7 @@ import (
 var ErrStalled = errors.New("guvm: simulation stalled")
 
 // ErrSimulatorReused is the sentinel matched by errors.Is when a
-// single-shot Simulator or MultiSimulator is run a second time.
+// single-shot Simulator is run a second time.
 var ErrSimulatorReused = errors.New("guvm: simulator is single-shot; create a new one per run")
 
 // SystemConfig assembles the configuration of every modeled component.
@@ -167,19 +169,31 @@ func (r *Result) BytesMigrated() uint64 {
 	return n
 }
 
-// Simulator wires one GPU, one driver, the host OS and the link onto a
-// shared discrete-event engine.
+// Simulator wires N GPUs onto one host: each device has its own driver
+// state, memory and PCIe link, while the host VM, the injectors and the one
+// host fault-servicing slot (the Arbiter) are shared — the paper's
+// client-server architecture (§2.1), where the serial host driver services
+// every client. The single-GPU system is the N=1 case.
 type Simulator struct {
-	Config   SystemConfig
-	Engine   *sim.Engine
-	Device   *gpu.Device
-	Driver   *uvm.Driver
-	HostVM   *hostos.VM
+	Config SystemConfig
+	Engine *sim.Engine
+	// Devices and Drivers hold one entry per device; Auditors likewise
+	// when SystemConfig.Audit is active, and is empty otherwise.
+	Devices  []*gpu.Device
+	Drivers  []*uvm.Driver
+	Auditors []*audit.Auditor
+	// Device and Driver are Devices[0] and Drivers[0].
+	Device *gpu.Device
+	Driver *uvm.Driver
+	HostVM *hostos.VM
+	// Arbiter serializes batch servicing across the drivers and records
+	// device-loss recoveries.
+	Arbiter  *uvm.Arbiter
 	Injector *faultinject.Injector
-	// HW is the hardware fault-domain injector (nil unless
-	// SystemConfig.HW enables a fault regime).
-	HW      *faultinject.HardwareInjector
-	Auditor *audit.Auditor
+	// HW is the shared hardware fault-domain injector (nil unless
+	// SystemConfig.HW enables a fault regime). Link-health draws stay
+	// independent per device: each decision folds in the link index.
+	HW *faultinject.HardwareInjector
 	// Obs is the attached observer (nil unless SystemConfig.Obs is
 	// active). A nil observer is safe to call everywhere.
 	Obs *obs.Observer
@@ -187,40 +201,41 @@ type Simulator struct {
 	used bool
 }
 
-// NewSimulator builds a simulator. An invalid component or injection
-// configuration is an error.
+// NewSimulator builds a single-GPU simulator. An invalid component or
+// injection configuration is an error.
 func NewSimulator(cfg SystemConfig) (*Simulator, error) {
+	return NewMultiSimulator(cfg, 1)
+}
+
+// NewMultiSimulator builds an n-device simulator. The host VM is shared
+// (one OS); links are per-device (separate PCIe slots). All devices share
+// one injector, so injection decisions stay deterministic under the
+// engine's global event order. The observability layer attaches to a
+// single device only, so an active SystemConfig.Obs with n > 1 is an
+// error.
+func NewMultiSimulator(cfg SystemConfig, n int) (*Simulator, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("guvm: %d devices, need at least one", n)
+	}
 	if err := cfg.Policies.Apply(&cfg.Driver); err != nil {
 		return nil, err
+	}
+	if n > 1 && cfg.Obs.Active() {
+		return nil, fmt.Errorf("guvm: observability attaches to one device, system has %d", n)
 	}
 	eng := sim.NewEngine()
 	eng.MaxEvents = cfg.MaxEvents
 	eng.MaxStallEvents = cfg.MaxStallEvents
 	vm := hostos.NewVM(cfg.Host)
-	link := interconnect.NewLink(cfg.Link)
-	drv, err := uvm.NewDriver(cfg.Driver, eng, vm, link)
-	if err != nil {
-		return nil, err
-	}
-	drv.Collector.KeepFaults = cfg.KeepFaults
-	drv.Collector.KeepSpans = cfg.KeepSpans
-	dev, err := gpu.NewDevice(cfg.GPU, eng, drv)
-	if err != nil {
-		return nil, err
-	}
-	drv.Attach(dev)
 	inj, err := faultinject.New(cfg.Inject)
 	if err != nil {
 		return nil, err
 	}
-	drv.SetInjector(inj)
-	dev.SetInjector(inj)
 	s := &Simulator{
 		Config:   cfg,
 		Engine:   eng,
-		Device:   dev,
-		Driver:   drv,
 		HostVM:   vm,
+		Arbiter:  uvm.NewArbiter(eng),
 		Injector: inj,
 	}
 	if cfg.HW.Enabled() {
@@ -228,25 +243,56 @@ func NewSimulator(cfg SystemConfig) (*Simulator, error) {
 		if err != nil {
 			return nil, err
 		}
-		if cfg.HW.KillBatch > 0 && cfg.HW.KillDevice != 0 {
-			return nil, fmt.Errorf("guvm: HW.KillDevice = %d, single-GPU system has only device 0",
-				cfg.HW.KillDevice)
+		if cfg.HW.KillBatch > 0 && cfg.HW.KillDevice >= n {
+			return nil, fmt.Errorf("guvm: HW.KillDevice = %d, system has %d devices",
+				cfg.HW.KillDevice, n)
 		}
 		s.HW = hw
-		link.SetHardware(hw, 0, eng.Now)
-		drv.SetHardware(hw)
 	}
-	if cfg.Audit.Active() {
-		s.Auditor = audit.New(cfg.Audit, audit.Options{}, eng, drv, dev, vm, inj)
-		s.Auditor.SetHardware(s.HW)
-		s.Auditor.Attach()
+	// With several drivers aliasing the one host VM, injector and hardware
+	// domain, the per-device audit checks that reconcile against them are
+	// disabled.
+	shared := n > 1
+	for i := 0; i < n; i++ {
+		link := interconnect.NewLink(cfg.Link)
+		drv, err := uvm.NewDriver(cfg.Driver, eng, vm, link)
+		if err != nil {
+			return nil, err
+		}
+		drv.Collector.KeepFaults = cfg.KeepFaults
+		drv.Collector.KeepSpans = cfg.KeepSpans
+		dev, err := gpu.NewDevice(cfg.GPU, eng, drv)
+		if err != nil {
+			return nil, err
+		}
+		drv.Attach(dev)
+		drv.SetArbiter(s.Arbiter)
+		drv.SetInjector(inj)
+		dev.SetInjector(inj)
+		if s.HW != nil {
+			link.SetHardware(s.HW, i, eng.Now)
+			drv.SetHardware(s.HW)
+		}
+		if cfg.Audit.Active() {
+			a := audit.New(cfg.Audit,
+				audit.Options{SharedHost: shared, SharedInjector: shared, SharedHardware: shared},
+				eng, drv, dev, vm, inj)
+			a.SetHardware(s.HW)
+			a.Attach()
+			s.Auditors = append(s.Auditors, a)
+		}
+		s.Drivers = append(s.Drivers, drv)
+		s.Devices = append(s.Devices, dev)
 	}
+	s.Driver, s.Device = s.Drivers[0], s.Devices[0]
 	if s.HW != nil && cfg.HW.KillBatch > 0 {
-		// Device-death schedule: after the configured batch completes
-		// (observers run with the service slot released), kill the
-		// device, re-home its pages, then declare the link dead. The
-		// drain cost is scheduled so total time covers the recovery.
-		kill := cfg.HW.KillBatch
+		// Device-death schedule: after the victim completes the configured
+		// batch (observers run with the service slot released), kill it,
+		// re-home its pages, then declare its link dead. Surviving devices
+		// keep running; the arbiter ledger records the recovery and the
+		// drain cost is scheduled so total time covers it.
+		victim, kill := cfg.HW.KillDevice, cfg.HW.KillBatch
+		drv, dev := s.Drivers[victim], s.Devices[victim]
 		drv.AddBatchObserver(func(id int, _ *trace.BatchRecord) {
 			if id+1 != kill {
 				return
@@ -255,10 +301,19 @@ func NewSimulator(cfg SystemConfig) (*Simulator, error) {
 			rep := drv.RehomeToHost()
 			s.HW.NoteDeviceKilled()
 			drv.Link().Kill()
+			s.Arbiter.NoteRehome(uvm.RehomeRecord{
+				Device: victim,
+				Batch:  kill,
+				Blocks: rep.Blocks,
+				Pages:  rep.Pages,
+				Bytes:  rep.Bytes,
+				At:     eng.Now(),
+			})
 			eng.Schedule(rep.Cost, func() {})
 		})
 	}
 	if cfg.Obs.Active() {
+		drv := s.Driver
 		s.Obs = obs.New(cfg.Obs)
 		// The driver's effective costs can differ from cfg.Driver (the
 		// selected architecture may rewrite its cost model).
@@ -391,47 +446,76 @@ func (s *Simulator) registerMetrics() {
 // Run executes the workload under UVM demand paging and returns its
 // telemetry. A Simulator is single-shot: a second Run returns an error.
 func (s *Simulator) Run(w workloads.Workload) (*Result, error) {
-	return s.run(w, false)
+	return first(s.run([]workloads.Workload{w}, false))
 }
 
 // RunExplicit executes the workload under explicit (cudaMemcpy-style)
 // management: every allocation is bulk-copied to the GPU before the first
 // kernel, so no faults occur. This is the Figure 1 baseline.
 func (s *Simulator) RunExplicit(w workloads.Workload) (*Result, error) {
-	return s.run(w, true)
+	return first(s.run([]workloads.Workload{w}, true))
 }
 
-func (s *Simulator) run(w workloads.Workload, explicit bool) (*Result, error) {
+// RunConcurrent executes workload i on device i, all starting at virtual
+// time zero, and returns one Result per device.
+func (s *Simulator) RunConcurrent(ws []workloads.Workload) ([]*Result, error) {
+	return s.run(ws, false)
+}
+
+func first(rs []*Result, err error) (*Result, error) {
+	if rs == nil {
+		return nil, err
+	}
+	return rs[0], err
+}
+
+// run drives workload i on device i. Every input is validated before the
+// first allocation, so a rejected call leaves the simulator unused.
+func (s *Simulator) run(ws []workloads.Workload, explicit bool) ([]*Result, error) {
 	if s.used {
 		return nil, fmt.Errorf("guvm: Simulator already ran: %w", ErrSimulatorReused)
 	}
+	if len(ws) != len(s.Devices) {
+		return nil, fmt.Errorf("guvm: %d workloads for %d devices", len(ws), len(s.Devices))
+	}
+	allocs := make([][]workloads.Alloc, len(ws))
+	for i, w := range ws {
+		allocs[i] = w.Allocs()
+		var totalBytes uint64
+		for j, a := range allocs[i] {
+			if a.Bytes == 0 {
+				return nil, fmt.Errorf("guvm: workload %q allocation %d is empty", w.Name(), j)
+			}
+			totalBytes += a.Bytes
+		}
+		if explicit && totalBytes > s.Config.Driver.GPUMemBytes {
+			return nil, fmt.Errorf("guvm: explicit management cannot oversubscribe: need %d bytes, capacity %d",
+				totalBytes, s.Config.Driver.GPUMemBytes)
+		}
+	}
 	s.used = true
 
-	allocs := w.Allocs()
-	bases := make([]mem.Addr, len(allocs))
-	var totalBytes uint64
-	for i, a := range allocs {
-		if a.Bytes == 0 {
-			return nil, fmt.Errorf("guvm: workload %q allocation %d is empty", w.Name(), i)
+	// Error messages name the device only when there is more than one.
+	where := func(i int) string {
+		if len(ws) == 1 {
+			return ""
 		}
-		var opts []uvm.AllocOption
-		if a.HostInit && !explicit {
-			opts = append(opts, uvm.WithHostInit(a.HostThreads))
+		return fmt.Sprintf("device %d ", i)
+	}
+	bases := make([][]mem.Addr, len(ws))
+	for i := range ws {
+		bases[i] = make([]mem.Addr, len(allocs[i]))
+		for j, a := range allocs[i] {
+			var opts []uvm.AllocOption
+			if a.HostInit && !explicit {
+				opts = append(opts, uvm.WithHostInit(a.HostThreads))
+			}
+			bases[i][j] = s.Drivers[i].Alloc(a.Bytes, opts...)
 		}
-		bases[i] = s.Driver.Alloc(a.Bytes, opts...)
-		totalBytes += a.Bytes
 	}
-	if explicit && totalBytes > s.Config.Driver.GPUMemBytes {
-		return nil, fmt.Errorf("guvm: explicit management cannot oversubscribe: need %d bytes, capacity %d",
-			totalBytes, s.Config.Driver.GPUMemBytes)
-	}
-
-	phases := w.Phases(bases)
-	var kernelTime sim.Time
-	var runErr error
 
 	if s.Obs != nil {
-		name := w.Name()
+		name := ws[0].Name()
 		s.Obs.SetStatusFunc(func() any {
 			return map[string]any{
 				"workload":    name,
@@ -443,77 +527,79 @@ func (s *Simulator) run(w workloads.Workload, explicit bool) (*Result, error) {
 		})
 	}
 
-	var runPhase func(i int)
-	runPhase = func(i int) {
-		if i >= len(phases) {
-			return
-		}
-		ph := phases[i]
-		for _, ht := range ph.HostTouches {
-			if !explicit {
-				s.Driver.TouchHost(ht.Base, ht.Bytes, ht.Threads)
+	kernelTimes := make([]sim.Time, len(ws))
+	for i, w := range ws {
+		drv, dev := s.Drivers[i], s.Devices[i]
+		phases := w.Phases(bases[i])
+		var runPhase func(p int)
+		runPhase = func(p int) {
+			if p >= len(phases) {
+				return
+			}
+			ph := phases[p]
+			for _, ht := range ph.HostTouches {
+				if !explicit {
+					drv.TouchHost(ht.Base, ht.Bytes, ht.Threads)
+				}
+			}
+			if ph.Kernel.NumBlocks == 0 {
+				runPhase(p + 1)
+				return
+			}
+			if s.Config.Driver.AsyncUnmap && !explicit {
+				// §6 extension: unmap CPU mappings preemptively as the
+				// application shifts to GPU compute, overlapping launch.
+				drv.PreUnmapAllocations()
+			}
+			start := s.Engine.Now()
+			err := dev.LaunchKernel(ph.Kernel, func() {
+				kernelTimes[i] += s.Engine.Now() - start
+				s.Obs.OnKernel(p, start, s.Engine.Now()-start)
+				runPhase(p + 1)
+			})
+			if err != nil {
+				s.Engine.Fail(fmt.Errorf("guvm: %sphase %d: %w", where(i), p, err))
 			}
 		}
-		if ph.Kernel.NumBlocks == 0 {
-			runPhase(i + 1)
-			return
-		}
-		if s.Config.Driver.AsyncUnmap && !explicit {
-			// §6 extension: unmap CPU mappings preemptively as the
-			// application shifts to GPU compute, overlapping launch.
-			s.Driver.PreUnmapAllocations()
-		}
-		start := s.Engine.Now()
-		err := s.Device.LaunchKernel(ph.Kernel, func() {
-			kernelTime += s.Engine.Now() - start
-			s.Obs.OnKernel(i, start, s.Engine.Now()-start)
-			runPhase(i + 1)
-		})
-		if err != nil {
-			s.Engine.Fail(fmt.Errorf("guvm: phase %d: %w", i, err))
-		}
-	}
-
-	s.Engine.Schedule(0, func() {
-		if explicit {
+		s.Engine.Schedule(0, func() {
+			if !explicit {
+				runPhase(0)
+				return
+			}
 			var copyCost sim.Time
-			for i, a := range allocs {
-				c, err := s.Driver.ExplicitCopyToGPU(bases[i], a.Bytes)
+			for j, a := range allocs[i] {
+				c, err := drv.ExplicitCopyToGPU(bases[i][j], a.Bytes)
 				if err != nil {
-					s.Engine.Fail(fmt.Errorf("guvm: allocation %d: %w", i, err))
+					s.Engine.Fail(fmt.Errorf("guvm: %sallocation %d: %w", where(i), j, err))
 					return
 				}
 				copyCost += c
 			}
 			s.Engine.Schedule(copyCost, func() { runPhase(0) })
-			return
-		}
-		runPhase(0)
-	})
+		})
+	}
 
-	var engErr error
+	var failure error
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
-				runErr = fmt.Errorf("guvm: simulation panicked: %v", r)
+				failure = fmt.Errorf("guvm: simulation panicked: %v", r)
 			}
 		}()
-		_, engErr = s.Engine.Run()
+		_, failure = s.Engine.Run()
 	}()
-	failure := runErr
-	if failure == nil {
-		failure = engErr
+	for i, dev := range s.Devices {
+		if failure == nil && dev.Running() {
+			// The event queue drained with the kernel incomplete: a fault
+			// was lost for good (injected drops past their retry budget
+			// with no later replay). Surface a typed diagnostic, not a hang.
+			failure = fmt.Errorf("guvm: %skernel incomplete at virtual time %d ns with no pending events: %w",
+				where(i), s.Engine.Now(), ErrStalled)
+		}
 	}
-	if failure == nil && s.Device.Running() {
-		// The event queue drained with the kernel incomplete: a fault
-		// was lost for good (injected drops past their retry budget with
-		// no later replay). Surface a typed diagnostic, not a hang.
-		failure = fmt.Errorf("guvm: kernel incomplete at virtual time %d ns with no pending events: %w",
-			s.Engine.Now(), ErrStalled)
-	}
-	var auditRep *audit.Report
-	if s.Auditor != nil {
-		auditRep = s.Auditor.Finish(failure)
+	auditReps := make([]*audit.Report, len(ws))
+	for i, a := range s.Auditors {
+		auditReps[i] = a.Finish(failure)
 	}
 	// Final publish so live endpoints and exports see end-of-run state
 	// even when the run finished between sample points.
@@ -522,29 +608,33 @@ func (s *Simulator) run(w workloads.Workload, explicit bool) (*Result, error) {
 		return nil, failure
 	}
 
-	col := s.Driver.Collector
-	res := &Result{
-		Workload:     w.Name(),
-		KernelTime:   kernelTime,
-		TotalTime:    s.Engine.Now(),
-		Batches:      col.Batches,
-		Faults:       col.Faults,
-		FaultBatch:   col.FaultBatch,
-		Bases:        bases,
-		DriverStats:  s.Driver.Stats(),
-		DeviceStats:  s.Device.Stats(),
-		HostStats:    s.HostVM.Stats(),
-		LinkStats:    s.Driver.Link().Stats(),
-		InjectStats:  s.Injector.Stats(),
-		HWStats:      s.HW.Stats(),
-		DeviceFailed: s.Driver.Dead(),
-		Audit:        auditRep,
+	results := make([]*Result, len(ws))
+	var auditErr error
+	for i, drv := range s.Drivers {
+		col := drv.Collector
+		results[i] = &Result{
+			Workload:     ws[i].Name(),
+			KernelTime:   kernelTimes[i],
+			TotalTime:    s.Engine.Now(),
+			Batches:      col.Batches,
+			Faults:       col.Faults,
+			FaultBatch:   col.FaultBatch,
+			Bases:        bases[i],
+			DriverStats:  drv.Stats(),
+			DeviceStats:  s.Devices[i].Stats(),
+			HostStats:    s.HostVM.Stats(),
+			LinkStats:    drv.Link().Stats(),
+			InjectStats:  s.Injector.Stats(),
+			HWStats:      s.HW.Stats(),
+			DeviceFailed: drv.Dead(),
+			Audit:        auditReps[i],
+		}
+		if err := auditReps[i].Err(); err != nil && auditErr == nil {
+			// End-of-run checks failed on an otherwise clean run: hand
+			// back the telemetry (the report pinpoints the violation) plus
+			// the typed error.
+			auditErr = fmt.Errorf("guvm: %srun completed but failed its audit: %w", where(i), err)
+		}
 	}
-	if err := auditRep.Err(); err != nil {
-		// End-of-run checks failed on an otherwise clean run: hand back
-		// the telemetry (the report pinpoints the violation) plus the
-		// typed error.
-		return res, fmt.Errorf("guvm: run completed but failed its audit: %w", err)
-	}
-	return res, nil
+	return results, auditErr
 }

@@ -150,7 +150,7 @@ func TestMultiGPUDeviceDeathDrill(t *testing.T) {
 		}
 	}
 
-	run := func() (*MultiSimulator, []*Result) {
+	run := func() (*Simulator, []*Result) {
 		t.Helper()
 		m := mustMulti(t, mkCfg(), 2)
 		results, err := m.RunConcurrent(mkWs())

@@ -105,8 +105,7 @@ var policyOverride uvm.PolicySelection
 // names against the registry so callers (paperfigs) can reject an unknown
 // policy with the valid options before any experiment runs.
 func SetPolicies(p uvm.PolicySelection) error {
-	var probe uvm.Config
-	if err := p.Apply(&probe); err != nil {
+	if err := p.Validate(); err != nil {
 		return err
 	}
 	policyOverride = p

@@ -42,8 +42,7 @@ var defaultPolicies uvm.PolicySelection
 // the daemon rejects a bad default — with the valid options — at
 // startup, never at job admission.
 func SetDefaultPolicies(p uvm.PolicySelection) error {
-	var probe uvm.Config
-	if err := p.Apply(&probe); err != nil {
+	if err := p.Validate(); err != nil {
 		return err
 	}
 	defaultPolicies = p
@@ -91,7 +90,8 @@ func (js *JobSpec) normalize() {
 }
 
 // Points validates the spec and expands its grid in deterministic order
-// (batches x caps x prefetch x evict x sizing, matching uvmsweep). Every
+// (batches x caps x prefetch x evict x sizing x arch); it is the one grid
+// expander, serving both the daemon and uvmsweep. Every
 // policy name is checked against the registry and the workload against
 // the catalog before any simulation runs, so a bad spec is rejected at
 // admission with a client error, never mid-sweep.
@@ -114,7 +114,7 @@ func (js JobSpec) Points() ([]PointConfig, error) {
 	for _, bs := range js.Batches {
 		for _, capMB := range js.CapsMB {
 			for _, pf := range js.Prefetch {
-				// Legacy aliases (on/off), as in uvmsweep.
+				// Legacy aliases (on/off).
 				pfName := uvm.NormalizePrefetch(pf)
 				for _, ev := range js.Evict {
 					for _, sz := range js.Sizing {
@@ -125,8 +125,7 @@ func (js JobSpec) Points() ([]PointConfig, error) {
 								BatchSizing:  strings.TrimSpace(sz),
 								Architecture: strings.TrimSpace(ar),
 							}
-							var probe uvm.Config
-							if err := sel.Apply(&probe); err != nil {
+							if err := sel.Validate(); err != nil {
 								return nil, err
 							}
 							pts = append(pts, PointConfig{
@@ -216,6 +215,22 @@ type PointRow struct {
 	Error string `json:"error,omitempty"`
 }
 
+// SystemConfig is the simulator configuration of this point: the default
+// profile with the point's batch size, capacity and named policies. Audit
+// settings are left to the caller.
+func (p PointConfig) SystemConfig() guvm.SystemConfig {
+	cfg := guvm.DefaultConfig()
+	cfg.Driver.BatchSize = p.BatchSize
+	cfg.Driver.GPUMemBytes = uint64(p.CapMB) << 20
+	cfg.Policies = uvm.PolicySelection{
+		Eviction:     p.Evict,
+		Prefetch:     p.Prefetch,
+		BatchSizing:  p.Sizing,
+		Architecture: p.Arch,
+	}
+	return cfg
+}
+
 // SimulatePoint runs one grid point to completion and returns its result
 // row plus the simulator's final state digest. The invariant auditor is
 // always on so the digest exists; it is the bit-identity witness cached
@@ -225,15 +240,7 @@ func SimulatePoint(pc PointConfig) (PointRow, uint64, error) {
 	if err != nil {
 		return PointRow{}, 0, err
 	}
-	cfg := guvm.DefaultConfig()
-	cfg.Driver.BatchSize = pc.BatchSize
-	cfg.Driver.GPUMemBytes = uint64(pc.CapMB) << 20
-	cfg.Policies = uvm.PolicySelection{
-		Eviction:     pc.Evict,
-		Prefetch:     pc.Prefetch,
-		BatchSizing:  pc.Sizing,
-		Architecture: pc.Arch,
-	}
+	cfg := pc.SystemConfig()
 	cfg.Audit.Enabled = true
 	cfg.Audit.Interval = 8
 	s, err := guvm.NewSimulator(cfg)

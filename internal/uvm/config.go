@@ -222,21 +222,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// PrefetchPolicyName derives the registry name matching the prefetch
-// knobs: "off" (no prefetching), "tree" (the shipped density prefetcher),
-// or "cross-block" (density prefetching plus eager whole-block migration
-// beyond the faulting VABlock).
-func (c Config) PrefetchPolicyName() string {
-	switch {
-	case c.CrossBlockPrefetch > 0:
-		return "cross-block"
-	case c.PrefetchEnabled:
-		return "tree"
-	default:
-		return "off"
-	}
-}
-
 // BatchSizingName derives the registry name matching the batch-sizing
 // knobs: the explicit BatchSizing override when set, else "adaptive"
 // (duplicate-driven resizing) or "fixed".

@@ -4,9 +4,9 @@ package uvm
 // faultviz, paperfigs, sweepd, uvmsweep) selects driver policies along
 // the same registry dimensions; this file is the single definition of
 // those flags, mirroring obs.RegisterFlags for the observability block.
-// Single-choice tools register PolicyFlags; grid tools (uvmsweep, the
-// sweepd defaults) register PolicyListFlags, whose comma lists expand to
-// a deterministic cross product of selections.
+// Single-choice tools (sweepd's defaults included) register PolicyFlags;
+// the grid tool uvmsweep registers PolicyListFlags, whose comma lists
+// become a sweepd.JobSpec that expands them into the grid.
 
 import (
 	"flag"
@@ -131,33 +131,4 @@ func NormalizePrefetch(name string) string {
 		return "off"
 	}
 	return name
-}
-
-// Selections expands the comma lists into the full cross product in
-// deterministic order (prefetch outermost, then eviction, batch sizing,
-// architecture innermost), validating every name against the registry so
-// an unknown policy is rejected — with the valid options — before any
-// simulation runs.
-func (pf *PolicyListFlags) Selections() ([]PolicySelection, error) {
-	var out []PolicySelection
-	for _, p := range strings.Split(pf.Prefetch, ",") {
-		for _, ev := range strings.Split(pf.Eviction, ",") {
-			for _, sz := range strings.Split(pf.BatchSizing, ",") {
-				for _, ar := range strings.Split(pf.Architecture, ",") {
-					sel := PolicySelection{
-						Eviction:     strings.TrimSpace(ev),
-						Prefetch:     NormalizePrefetch(p),
-						BatchSizing:  strings.TrimSpace(sz),
-						Architecture: strings.TrimSpace(ar),
-					}
-					var probe Config
-					if err := sel.Apply(&probe); err != nil {
-						return nil, err
-					}
-					out = append(out, sel)
-				}
-			}
-		}
-	}
-	return out, nil
 }

@@ -2,7 +2,6 @@ package uvm
 
 import (
 	"errors"
-	"flag"
 	"reflect"
 	"sort"
 	"strings"
@@ -92,38 +91,5 @@ func TestArchitectureLabelContract(t *testing.T) {
 	}
 	if len(ac.BlockSteps) > maxBlockSteps {
 		t.Fatalf("access-counter declares %d block steps, cap is %d", len(ac.BlockSteps), maxBlockSteps)
-	}
-}
-
-// TestPolicyListFlagsSelections covers the sweep flag expansion: alias
-// normalization, deterministic cross-product order with the architecture
-// innermost, and rejection of unknown names with the valid options.
-func TestPolicyListFlagsSelections(t *testing.T) {
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	pf := RegisterPolicyListFlags(fs)
-	if err := fs.Parse([]string{"-prefetch", "on,off", "-evict", "lru", "-arch", "host-driven,gpu-driven"}); err != nil {
-		t.Fatal(err)
-	}
-	sels, err := pf.Selections()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sels) != 4 {
-		t.Fatalf("got %d selections, want 4 (2 prefetch x 2 arch)", len(sels))
-	}
-	if sels[0].Prefetch != "tree" {
-		t.Fatalf("alias 'on' not normalized to tree: %+v", sels[0])
-	}
-	if sels[0].Architecture != "host-driven" || sels[1].Architecture != "gpu-driven" {
-		t.Fatalf("architecture is not the innermost dimension: %+v", sels[:2])
-	}
-
-	fs = flag.NewFlagSet("test", flag.ContinueOnError)
-	pf = RegisterPolicyListFlags(fs)
-	if err := fs.Parse([]string{"-arch", "warp-speed"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pf.Selections(); err == nil || !strings.Contains(err.Error(), "host-driven") {
-		t.Fatalf("unknown architecture not rejected with options: %v", err)
 	}
 }

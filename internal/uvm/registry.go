@@ -324,6 +324,13 @@ func (s PolicySelection) Apply(c *Config) error {
 	return nil
 }
 
+// Validate checks every named policy against its registry without
+// touching a live config: the error is Apply's, naming the valid options.
+func (s PolicySelection) Validate() error {
+	var probe Config
+	return s.Apply(&probe)
+}
+
 // resolveEvictionStrategy returns the runtime strategy for a validated
 // config ("" defaults to LRU).
 func resolveEvictionStrategy(p EvictionPolicy) EvictionStrategy {

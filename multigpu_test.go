@@ -2,13 +2,15 @@ package guvm
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
+	"guvm/internal/mem"
 	"guvm/internal/uvm"
 	"guvm/internal/workloads"
 )
 
-func mustMulti(t *testing.T, cfg SystemConfig, n int) *MultiSimulator {
+func mustMulti(t *testing.T, cfg SystemConfig, n int) *Simulator {
 	t.Helper()
 	m, err := NewMultiSimulator(cfg, n)
 	if err != nil {
@@ -19,6 +21,7 @@ func mustMulti(t *testing.T, cfg SystemConfig, n int) *MultiSimulator {
 
 func TestMultiSimulatorSingleDeviceMatchesSolo(t *testing.T) {
 	cfg := testConfig()
+	cfg.Audit.Enabled = true
 	mk := func() workloads.Workload { return workloads.NewStream(8<<20, 16) }
 
 	solo := mustRun(t, cfg, mk())
@@ -27,12 +30,20 @@ func TestMultiSimulatorSingleDeviceMatchesSolo(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One device behind an uncontended arbiter behaves like the solo
-	// simulator.
+	// simulator, batch for batch and down to the final state digest.
 	if multi[0].KernelTime != solo.KernelTime {
 		t.Fatalf("1-device multi kernel %v != solo %v", multi[0].KernelTime, solo.KernelTime)
 	}
 	if len(multi[0].Batches) != len(solo.Batches) {
 		t.Fatalf("batch count %d != %d", len(multi[0].Batches), len(solo.Batches))
+	}
+	for i := range solo.Batches {
+		if !reflect.DeepEqual(multi[0].Batches[i], solo.Batches[i]) {
+			t.Fatalf("batch %d differs:\nmulti: %+v\nsolo:  %+v", i, multi[0].Batches[i], solo.Batches[i])
+		}
+	}
+	if multi[0].Audit.FinalDigest != solo.Audit.FinalDigest {
+		t.Fatalf("final digest %016x != solo %016x", multi[0].Audit.FinalDigest, solo.Audit.FinalDigest)
 	}
 }
 
@@ -104,6 +115,41 @@ func TestMultiSimulatorValidation(t *testing.T) {
 	}
 	if _, err := NewMultiSimulator(cfg, 0); err == nil {
 		t.Fatal("0 devices accepted")
+	}
+	obsCfg := cfg
+	obsCfg.Obs.Trace = true
+	if _, err := NewMultiSimulator(obsCfg, 2); err == nil {
+		t.Fatal("observability on a 2-device system accepted")
+	}
+}
+
+// TestRejectedRunLeavesSimulatorUnused requires every run-input check to
+// fire before the simulator allocates or marks itself used: after a
+// rejected call, a correct call on the same simulator succeeds.
+func TestRejectedRunLeavesSimulatorUnused(t *testing.T) {
+	cfg := testConfig()
+	m := mustMulti(t, cfg, 2)
+	if _, err := m.RunConcurrent([]workloads.Workload{workloads.NewStream(4<<20, 8)}); err == nil {
+		t.Fatal("mismatched workload count accepted")
+	}
+	rs, err := m.RunConcurrent([]workloads.Workload{
+		workloads.NewStream(4<<20, 8),
+		workloads.NewStream(4<<20, 8),
+	})
+	if err != nil {
+		t.Fatalf("correct call after a rejected one: %v", err)
+	}
+	if rs[0].Bases[0] != mem.VABlockSize || rs[1].Bases[0] != mem.VABlockSize {
+		t.Fatalf("rejected call left allocations behind: bases %#x, %#x", rs[0].Bases[0], rs[1].Bases[0])
+	}
+
+	cfg.Driver.GPUMemBytes = 8 << 20
+	s := mustSim(t, cfg)
+	if _, err := s.RunExplicit(workloads.NewStream(8<<20, 16)); err == nil {
+		t.Fatal("explicit oversubscription accepted")
+	}
+	if _, err := s.Run(workloads.NewStream(2<<20, 4)); err != nil {
+		t.Fatalf("demand run after a rejected explicit run: %v", err)
 	}
 }
 

@@ -114,6 +114,18 @@ for cli in uvmsim uvmsweep faultviz paperfigs sweepd; do
   fi
 done
 
+# 8. One simulator, N devices: the single-GPU system is the N=1 case of
+#    the multi-GPU one, so the root package keeps a single construction
+#    path (one driver constructor call, one engine) and no separate
+#    multi-GPU copy.
+[ -f multigpu.go ] && fail "multigpu.go is back; multi-GPU is Simulator with N devices (guvm.go)"
+for call in 'uvm.NewDriver(' 'sim.NewEngine()'; do
+  n=$(cat $(ls *.go | grep -v '_test\.go$') | grep -cF "$call" || true)
+  if [ "$n" -ne 1 ]; then
+    fail "root non-test files contain $n $call calls, want exactly 1 (one construction path)"
+  fi
+done
+
 if [ "$status" -ne 0 ]; then
   exit 1
 fi
