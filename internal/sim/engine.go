@@ -57,7 +57,7 @@ const maxFreeEvents = 1024
 // Engine is a discrete-event simulation executive. The zero value is ready
 // to use at virtual time zero.
 type Engine struct {
-	q       calQueue
+	q       laneQueue
 	now     Time
 	seq     uint64
 	stopped bool
@@ -139,7 +139,7 @@ func (e *Engine) deadline(delay Time) Time {
 func (e *Engine) At(t Time, fn func()) {
 	ev := e.newEvent(t)
 	ev.fn = fn
-	e.q.Push(ev)
+	e.q.Push(ev, e.now)
 }
 
 // AtArg enqueues fn(arg) to run at absolute virtual time t, clamped like At.
@@ -147,7 +147,7 @@ func (e *Engine) AtArg(t Time, fn func(any), arg any) {
 	ev := e.newEvent(t)
 	ev.afn = fn
 	ev.arg = arg
-	e.q.Push(ev)
+	e.q.Push(ev, e.now)
 }
 
 // newEvent takes an event struct from the free list (or allocates one)
@@ -285,6 +285,7 @@ func (e *Engine) Run() (Time, error) {
 		}
 	}
 	e.trimFree()
+	e.q.trim()
 	return e.now, e.err
 }
 
@@ -310,6 +311,7 @@ func (e *Engine) RunUntil(deadline Time) (Time, error) {
 		}
 	}
 	e.trimFree()
+	e.q.trim()
 	if e.err == nil && e.now < deadline {
 		e.now = deadline
 	}

@@ -127,6 +127,7 @@ func (dedupStage) run(d *Driver, bc *batchCtx) error {
 		}
 		if b := p.VABlock(); len(sc.blockOrder) == 0 || sc.blockOrder[len(sc.blockOrder)-1] != b {
 			sc.blockOrder = append(sc.blockOrder, b)
+			d.markInBatch(b)
 		}
 		sc.nonStale = append(sc.nonStale, p)
 	}
@@ -152,10 +153,21 @@ func (dedupStage) run(d *Driver, bc *batchCtx) error {
 	return nil
 }
 
-// inBatch reports whether bid is being serviced by the current batch —
-// eviction's "don't immediately re-fault the victim" check. Serviced
-// blocks live in two places: blockOrder (sorted ascending, from dedup)
-// and inBatchExtra (the handful the cross-block stage adds afterwards).
+// markInBatch stamps bid's state, if it has one yet, as serviced by the
+// current batch. Dedup and the cross-block stage call it as they add a
+// block to inBatch's set; blockFor stamps a block created later.
+func (d *Driver) markInBatch(bid mem.VABlockID) {
+	if b := d.blocks.Lookup(bid); b != nil {
+		b.batch = d.scratch.stamp
+	}
+}
+
+// inBatch reports whether bid is being serviced by the current batch.
+// Serviced blocks live in two places: blockOrder (sorted ascending, from
+// dedup) and inBatchExtra (the handful the cross-block stage adds
+// afterwards). Eviction reads the same answer from blockState.batch;
+// this search serves the cross-block planner and blockFor, which probe
+// blocks that may have no state yet.
 func (sc *batchScratch) inBatch(bid mem.VABlockID) bool {
 	if _, ok := slices.BinarySearch(sc.blockOrder, bid); ok {
 		return true

@@ -43,6 +43,9 @@ type blockState struct {
 	// remoteMapped marks pages mapped for GPU access while staying in
 	// host memory (access-counter architecture); always empty elsewhere.
 	remoteMapped mem.PageSet
+	// batch equals batchScratch.stamp while the current batch services
+	// the block: it answers eviction's inBatch question without a search.
+	batch uint64
 }
 
 // Stats aggregates driver-level counters beyond per-batch records.
@@ -123,9 +126,10 @@ type allocSpan struct {
 //
 // Ownership across the stage pipeline: keys/uniq/nonStale/blockOrder
 // are written by the dedup stage and read-only afterwards; inBatchExtra
-// is appended by the cross-block stage, and inBatch() (blockOrder plus
-// inBatchExtra) is read by eviction; blockCosts accumulates across the
-// service and cross-block stages and is consumed by replay; spans is the
+// is appended by the cross-block stage; inBatch() (blockOrder plus
+// inBatchExtra) is mirrored into the blocks' batch stamps, which
+// eviction reads; blockCosts accumulates across the service and
+// cross-block stages and is consumed by replay; spans is the
 // transfer step's migration staging, and candidates/evictSpans are
 // evictOne's (a separate buffer because an eviction firing while a
 // block's migration spans are staged is impossible today, but the split
@@ -140,11 +144,15 @@ type batchScratch struct {
 	uniq     []mem.PageID
 	nonStale []mem.PageID
 	// blockOrder lists serviced VABlocks in ascending order; it doubles
-	// as the eviction-avoidance set (inBatch), with inBatchExtra holding
-	// the blocks the cross-block stage adds after dedup.
+	// as the eviction-avoidance set (inBatch, mirrored by the stamps),
+	// with inBatchExtra holding the blocks the cross-block stage adds
+	// after dedup.
 	blockOrder   []mem.VABlockID
 	inBatchExtra []mem.VABlockID
-	blockCosts   []sim.Time
+	// stamp identifies the current batch; every block inBatch reports
+	// carries it in blockState.batch (see markInBatch).
+	stamp      uint64
+	blockCosts []sim.Time
 	// spans holds the transfer step's migration spans. candidates is
 	// evictOne's victim list, handed to EvictionStrategy.Pick, and
 	// evictSpans its writeback spans.
@@ -160,6 +168,7 @@ func (sc *batchScratch) reset(faults int) {
 	sc.nonStale = sc.nonStale[:0]
 	sc.blockOrder = sc.blockOrder[:0]
 	sc.inBatchExtra = sc.inBatchExtra[:0]
+	sc.stamp++
 	sc.blockCosts = sc.blockCosts[:0]
 }
 
@@ -432,11 +441,7 @@ func (d *Driver) ExplicitCopyToGPU(base mem.Addr, bytes uint64) (sim.Time, error
 	first := mem.VABlockOf(base)
 	for i := 0; i < nblocks; i++ {
 		bid := first + mem.VABlockID(i)
-		b := d.blocks.Lookup(bid)
-		if b == nil {
-			b = &blockState{id: bid}
-			d.blocks.Set(bid, b)
-		}
+		b := d.blockFor(bid)
 		if !b.hasChunk {
 			id, ok := d.pmm.Alloc(bid)
 			if !ok {

@@ -104,6 +104,7 @@ func (crossBlockStage) run(d *Driver, bc *batchCtx) error {
 			}
 			sc.blockCosts = append(sc.blockCosts, c)
 			sc.inBatchExtra = append(sc.inBatchExtra, next)
+			d.markInBatch(next)
 		}
 	}
 	return nil

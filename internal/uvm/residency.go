@@ -27,11 +27,7 @@ type residencyStep struct{}
 func (residencyStep) name() string { return "residency" }
 
 func (residencyStep) run(d *Driver, bc *batchCtx, blk *blockCtx) error {
-	b := d.blocks.Lookup(blk.bid)
-	if b == nil {
-		b = &blockState{id: blk.bid}
-		d.blocks.Set(blk.bid, b)
-	}
+	b := d.blockFor(blk.bid)
 	blk.b = b
 
 	// Backing chunk: allocate, evicting if device memory is full.
@@ -73,6 +69,20 @@ func (residencyStep) run(d *Driver, bc *batchCtx, blk *blockCtx) error {
 	return nil
 }
 
+// blockFor returns bid's state, creating it on first touch. A block
+// created while the current batch services it gets the batch's stamp.
+func (d *Driver) blockFor(bid mem.VABlockID) *blockState {
+	b := d.blocks.Lookup(bid)
+	if b == nil {
+		b = &blockState{id: bid}
+		if d.scratch.inBatch(bid) {
+			b.batch = d.scratch.stamp
+		}
+		d.blocks.Set(bid, b)
+	}
+	return b
+}
+
 // counterGateStep is the access-counter architecture's delayed-migration
 // gate, run before the standard steps. A faulting block below the access
 // threshold is serviced by remote mapping: the pages stay in host memory
@@ -89,11 +99,7 @@ func (counterGateStep) run(d *Driver, bc *batchCtx, blk *blockCtx) error {
 	if blk.eager {
 		return nil // cross-block migrations bypass the gate
 	}
-	b := d.blocks.Lookup(blk.bid)
-	if b == nil {
-		b = &blockState{id: blk.bid}
-		d.blocks.Set(blk.bid, b)
-	}
+	b := d.blockFor(blk.bid)
 	blk.b = b
 
 	if d.dev.Counters.Read(blk.bid) >= uint64(d.cfg.AccessCounterThreshold) {
@@ -170,7 +176,7 @@ func (d *Driver) evictOne(current mem.VABlockID, bc *batchCtx) (sim.Time, error)
 			if b.id == current {
 				continue
 			}
-			if avoidBatch && sc.inBatch(b.id) {
+			if avoidBatch && b.batch == sc.stamp {
 				continue
 			}
 			sc.candidates = append(sc.candidates, i)

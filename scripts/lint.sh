@@ -41,21 +41,31 @@ grep -q 'hostBatchStages' internal/uvm/arch.go || fail "arch.go lost the hostBat
 grep -q 'hostBlockSteps' internal/uvm/arch.go || fail "arch.go lost the hostBlockSteps stage graph"
 grep -q 'registerArchitecture' internal/uvm/arch.go || fail "arch.go lost registerArchitecture"
 
-# 4. Hot-path structural guards (PR 8). The calendar-queue engine swap
-#    and the struct-of-arrays batch stages are load-bearing perf work;
-#    these greps keep the two easiest regressions from creeping back in.
+# 4. Hot-path structural guards. The delay-lane event queue and
+#    the struct-of-arrays batch stages are load-bearing perf work; these
+#    greps keep the easiest regressions from creeping back in.
 #
 #    4a. No non-test file under the engine or driver hot paths may
-#    import container/heap — the binary heap survives only as the test
-#    oracle (internal/sim/calqueue_test.go, the fuzz target).
+#    import container/heap — the lane queue's heap holds a few lanes,
+#    not events, and is hand-rolled; the binary heap of events survives
+#    only as the test oracle (internal/sim/lanequeue_test.go, the fuzz
+#    target).
 for pkg in internal/sim internal/uvm; do
   for f in "$pkg"/*.go; do
     case "$f" in *_test.go) continue ;; esac
     if grep -q '"container/heap"' "$f"; then
-      fail "$f imports container/heap; the heap is test-oracle-only since the calendar-queue swap"
+      fail "$f imports container/heap; the heap of events is test-oracle-only"
     fi
   done
 done
+
+#    4a2. The queue never sorts: pop order comes from the lanes, each
+#    already sorted by (at, seq) because the clock only moves forward
+#    (DESIGN.md §13). A sort or slices import in the queue file means
+#    ordering work is creeping back in.
+if grep -nE '"(sort|slices)"' internal/sim/lanequeue.go; then
+  fail "internal/sim/lanequeue.go imports sort or slices; pop order comes from the lanes, never from sorting"
+fi
 
 #    4b. The per-batch stage files must not allocate maps: the dedup
 #    rewrite replaced the per-batch map churn with sorted-key scans, and
