@@ -46,10 +46,8 @@ func (g *graphWalk) Phases(bases []mem.Addr) []workloads.Phase {
 				// Each hop's load feeds the next hop's address:
 				// a true dependent chain.
 				page := first + mem.PageID(rng.Uint64n(totalPages))
-				prog = append(prog,
-					gpu.Read(0, page),
-					gpu.Compute(2*sim.Microsecond, 0),
-				)
+				prog.Read(0, page, 1)
+				prog.Compute(2*sim.Microsecond, gpu.Regs(0))
 			}
 			return []gpu.Program{prog}
 		},

@@ -56,12 +56,16 @@ func (d *Device) AuditState() AuditState {
 		Stats:      d.stats,
 	}
 	for _, u := range d.utlbs {
-		st.PendingPerUTLB = append(st.PendingPerUTLB, len(u.pending))
-		st.PrefetchPerUTLB = append(st.PrefetchPerUTLB, len(u.prefetchPending))
+		st.PendingPerUTLB = append(st.PendingPerUTLB, u.pending.len())
+		st.PrefetchPerUTLB = append(st.PrefetchPerUTLB, u.prefetchPending.len())
 		st.DeferredPerUTLB = append(st.DeferredPerUTLB, len(u.deferred))
 		st.StalledPerUTLB = append(st.StalledPerUTLB, len(u.stalled))
-		st.PendingPages = append(st.PendingPages, u.order...)
-		st.PendingPages = append(st.PendingPages, u.prefetchOrder...)
+		for _, e := range u.pending.entries {
+			st.PendingPages = append(st.PendingPages, e.page)
+		}
+		for _, e := range u.prefetchPending.entries {
+			st.PendingPages = append(st.PendingPages, e.page)
+		}
 	}
 	return st
 }

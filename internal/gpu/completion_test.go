@@ -38,7 +38,7 @@ func TestResidentOpIsOneEvent(t *testing.T) {
 			f.resident[p] = true
 		}
 		done := false
-		dev.LaunchKernel(oneWarp(Program{Read(0, PageRange(0, n)...)}), func() { done = true })
+		dev.LaunchKernel(oneWarp(readProg(0, n)), func() { done = true })
 		if got := eventsAt(t, eng, dev.Config().MemLatency); got != 1 {
 			t.Fatalf("%d resident pages: %d events at the completion instant, want 1", n, got)
 		}
@@ -62,7 +62,7 @@ func TestMixedOpSplitsGroup(t *testing.T) {
 		f.resident[p] = p != 4
 	}
 	done := false
-	dev.LaunchKernel(oneWarp(Program{Read(0, PageRange(0, 8)...)}), func() { done = true })
+	dev.LaunchKernel(oneWarp(readProg(0, 8)), func() { done = true })
 	if got := eventsAt(t, eng, dev.Config().MemLatency); got != 2 {
 		t.Fatalf("%d events at the completion instant, want 2 (pages 0-3, then 5-7)", got)
 	}
@@ -100,7 +100,7 @@ func TestCounterNotifySplitsGroup(t *testing.T) {
 		dev.Counters.Enable()
 		dev.Counters.SetThreshold(tc.threshold)
 		done := false
-		dev.LaunchKernel(oneWarp(Program{Read(0, PageRange(0, 8)...)}), func() { done = true })
+		dev.LaunchKernel(oneWarp(readProg(0, 8)), func() { done = true })
 		if got := eventsAt(t, eng, dev.Config().RemoteAccessLatency); got != tc.groups {
 			t.Fatalf("threshold %d: %d events at the completion instant, want %d", tc.threshold, got, tc.groups)
 		}
@@ -130,7 +130,7 @@ func TestFailInGroupStopsRemainingMembers(t *testing.T) {
 		if b == 2 {
 			eng.Fail(errStop)
 		}
-		return []Program{{Read(0, mem.PageID(b))}}
+		return []Program{readProg(mem.PageID(b), 1)}
 	}}, func() {})
 	if _, err := eng.Run(); !errors.Is(err, errStop) {
 		t.Fatalf("run err = %v, want %v", err, errStop)
@@ -162,10 +162,10 @@ func TestZeroMemLatency(t *testing.T) {
 			f.resident[p] = true
 		}
 		done := false
-		dev.LaunchKernel(oneWarp(Program{
-			Read(0, PageRange(0, n)...),
-			Write([]int{0}, PageRange(0, n)...),
-		}), func() { done = true })
+		var prog Program
+		prog.Read(0, 0, n)
+		prog.Write(Regs(0), 0, n)
+		dev.LaunchKernel(oneWarp(prog), func() { done = true })
 		run(t, eng)
 		if !done {
 			t.Fatalf("%d resident pages: kernel incomplete with MemLatency 0", n)

@@ -10,7 +10,7 @@ import "guvm/internal/mem"
 // block's counter on every *resident* (non-faulting) access; the driver
 // may read and clear them to make hit-aware policy decisions.
 type AccessCounters struct {
-	counts map[mem.VABlockID]uint64
+	counts mem.BlockDir[uint64]
 	// Granularity rounds page accesses to counter buckets; the paper's
 	// hardware aggregates at large granularity. We count per VABlock.
 	enabled bool
@@ -23,7 +23,7 @@ type AccessCounters struct {
 // NewAccessCounters returns a disabled counter bank (matching the real
 // driver, which leaves the feature off by default).
 func NewAccessCounters() *AccessCounters {
-	return &AccessCounters{counts: make(map[mem.VABlockID]uint64)}
+	return &AccessCounters{}
 }
 
 // Enable turns counting on.
@@ -37,7 +37,15 @@ func (c *AccessCounters) record(p mem.PageID) {
 	if !c.enabled {
 		return
 	}
-	c.counts[p.VABlock()]++
+	c.add(p.VABlock())
+}
+
+// add increments block b's counter and returns the new count.
+func (c *AccessCounters) add(b mem.VABlockID) uint64 {
+	n, _ := c.counts.Get(b)
+	n++
+	c.counts.Set(b, n)
+	return n
 }
 
 // SetThreshold arms the crossing signal recordRemote reports (0 disarms).
@@ -50,22 +58,22 @@ func (c *AccessCounters) recordRemote(p mem.PageID) bool {
 	if !c.enabled {
 		return false
 	}
-	b := p.VABlock()
-	c.counts[b]++
-	return c.threshold > 0 && c.counts[b] == c.threshold
+	n := c.add(p.VABlock())
+	return c.threshold > 0 && n == c.threshold
 }
 
 // Read returns the counter for a block.
-func (c *AccessCounters) Read(b mem.VABlockID) uint64 { return c.counts[b] }
+func (c *AccessCounters) Read(b mem.VABlockID) uint64 { return c.counts.Lookup(b) }
 
 // Clear zeroes one block's counter (the driver clears on eviction).
-func (c *AccessCounters) Clear(b mem.VABlockID) { delete(c.counts, b) }
+func (c *AccessCounters) Clear(b mem.VABlockID) { c.counts.Delete(b) }
 
 // Total returns the summed counters (diagnostics).
 func (c *AccessCounters) Total() uint64 {
 	var t uint64
-	for _, v := range c.counts {
+	c.counts.Range(func(_ mem.VABlockID, v uint64) bool {
 		t += v
-	}
+		return true
+	})
 	return t
 }

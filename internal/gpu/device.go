@@ -128,7 +128,7 @@ type access struct {
 	warp *warp
 	page mem.PageID
 	kind AccessKind
-	reg  int // destination scoreboard register for reads, else -1
+	reg  int8 // destination scoreboard register for reads, else -1
 }
 
 // completionGroup is one engine event that completes a run of accesses.
@@ -243,24 +243,13 @@ type utlb struct {
 	id  int
 	dev *Device
 	// pending are replayable fault entries, capped at MaxFaultsPerUTLB.
-	pending map[mem.PageID]*faultEntry
-	order   []mem.PageID // insertion order of pending, for determinism
+	pending faultTable
 	// prefetchPending tracks prefetch faults, which bypass the cap.
-	prefetchPending map[mem.PageID]*faultEntry
-	prefetchOrder   []mem.PageID
+	prefetchPending faultTable
 	// stalled warps wait for µTLB capacity.
 	stalled []*warp
 	// deferred accesses re-fault after a replay found no capacity.
 	deferred []*access
-}
-
-func newUTLB(id int, dev *Device) *utlb {
-	return &utlb{
-		id:              id,
-		dev:             dev,
-		pending:         make(map[mem.PageID]*faultEntry),
-		prefetchPending: make(map[mem.PageID]*faultEntry),
-	}
 }
 
 // smState models one streaming multiprocessor.
@@ -288,12 +277,19 @@ type warp struct {
 	block *blockRun
 	id    int
 
-	prog   Program
-	pc     int
-	opPage int // progress within the current op's page list
+	prog Program
+	pc   int
+	// ri and off are the progress within the current op: the index of
+	// the run being issued within the op's span, and the page offset
+	// within that run.
+	ri  int
+	off uint32
 
-	regOut      []int // register -> outstanding loads, grown on demand
-	outstanding int   // unsatisfied accesses in flight
+	// regOut counts outstanding loads per scoreboard register; busy has
+	// bit r set while regOut[r] > 0.
+	regOut      [NumRegs]int32
+	busy        RegMask
+	outstanding int // unsatisfied accesses in flight
 
 	waitingRegs   bool
 	inFlight      bool // a continuation event is scheduled
@@ -418,7 +414,7 @@ func NewDevice(cfg Config, eng *sim.Engine, res ResidencyChecker) (*Device, erro
 	numUTLBs := (cfg.NumSMs + cfg.SMsPerUTLB - 1) / cfg.SMsPerUTLB
 	d.utlbs = make([]*utlb, numUTLBs)
 	for i := range d.utlbs {
-		d.utlbs[i] = newUTLB(i, d)
+		d.utlbs[i] = &utlb{id: i, dev: d}
 	}
 	d.sms = make([]*smState, cfg.NumSMs)
 	for i := range d.sms {
@@ -490,8 +486,14 @@ func (d *Device) startBlock(s *smState) {
 	d.liveBlocks++
 	s.live++
 	progs := d.kernel.BlockProgram(idx)
-	br := &blockRun{index: idx, sm: s, remaining: len(progs)}
+	br := &blockRun{index: idx, sm: s, remaining: len(progs), warps: make([]*warp, 0, len(progs))}
 	for _, p := range progs {
+		if err := p.validate(); err != nil {
+			// Reachable through user-supplied custom workloads, so a
+			// malformed program is the run's terminal error, not a panic.
+			d.eng.Fail(fmt.Errorf("gpu: warp %d: %w", d.nextWarpID, err))
+			return
+		}
 		w := &warp{
 			dev:   d,
 			sm:    s,
@@ -558,10 +560,8 @@ func (d *Device) Kill() {
 	d.liveBlocks = 0
 	d.Buffer.Flush()
 	for _, u := range d.utlbs {
-		clear(u.pending)
-		u.order = u.order[:0]
-		clear(u.prefetchPending)
-		u.prefetchOrder = u.prefetchOrder[:0]
+		u.pending.reset()
+		u.prefetchPending.reset()
 		u.stalled = nil
 		u.deferred = nil
 	}
@@ -651,20 +651,16 @@ func (d *Device) Replay() {
 	}
 	rechecks := d.recheckBuf[:0]
 	for _, u := range d.utlbs {
-		for _, page := range u.order {
-			e := u.pending[page]
+		for _, e := range u.pending.entries {
 			rechecks = append(rechecks, e.waiters...)
 			d.freeFaultEntry(e)
 		}
-		for _, page := range u.prefetchOrder {
-			e := u.prefetchPending[page]
+		for _, e := range u.prefetchPending.entries {
 			rechecks = append(rechecks, e.waiters...)
 			d.freeFaultEntry(e)
 		}
-		clear(u.pending)
-		u.order = u.order[:0]
-		clear(u.prefetchPending)
-		u.prefetchOrder = u.prefetchOrder[:0]
+		u.pending.reset()
+		u.prefetchPending.reset()
 		// Deferred re-faults from the previous replay go first.
 		rechecks = append(rechecks, u.deferred...)
 		u.deferred = u.deferred[:0]
@@ -723,25 +719,23 @@ func (d *Device) refault(acc *access) {
 	u := acc.warp.sm.utlb
 	w := acc.warp
 	if acc.kind == AccessPrefetch {
-		if e, ok := u.prefetchPending[acc.page]; ok {
+		if e := u.prefetchPending.find(acc.page); e != nil {
 			e.waiters = append(e.waiters, acc)
 			return
 		}
-		u.prefetchPending[acc.page] = d.pendFaultEntry(acc, w)
-		u.prefetchOrder = append(u.prefetchOrder, acc.page)
+		u.prefetchPending.add(d.pendFaultEntry(acc, w))
 		d.emitFault(acc.page, w, acc.kind, false)
 		return
 	}
-	if e, ok := u.pending[acc.page]; ok {
+	if e := u.pending.find(acc.page); e != nil {
 		e.waiters = append(e.waiters, acc)
 		return
 	}
-	if len(u.pending) >= d.cfg.MaxFaultsPerUTLB {
+	if u.pending.len() >= d.cfg.MaxFaultsPerUTLB {
 		u.deferred = append(u.deferred, acc)
 		return
 	}
-	u.pending[acc.page] = d.pendFaultEntry(acc, w)
-	u.order = append(u.order, acc.page)
+	u.pending.add(d.pendFaultEntry(acc, w))
 	delay := w.sm.reserveThrottleSlot()
 	if delay == 0 {
 		d.emitFault(acc.page, w, acc.kind, false)
@@ -775,32 +769,7 @@ func (w *warp) wake() {
 	}
 }
 
-func (w *warp) depsReady(deps []int) bool {
-	for _, r := range deps {
-		if r < len(w.regOut) && w.regOut[r] > 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// negativeRegister returns a negative scoreboard register op uses, if
-// any: Dst for reads, Deps for the ops that wait on them. Register -1
-// marks "no register" on an access, so a read into it would never be
-// released and a dependent op would wait forever.
-func negativeRegister(op *Op) (int, bool) {
-	if op.Kind == OpRead && op.Dst < 0 {
-		return op.Dst, true
-	}
-	if op.Kind == OpWrite || op.Kind == OpCompute {
-		for _, r := range op.Deps {
-			if r < 0 {
-				return r, true
-			}
-		}
-	}
-	return 0, false
-}
+func (w *warp) depsReady(deps RegMask) bool { return w.busy&deps == 0 }
 
 type issueResult uint8
 
@@ -815,15 +784,9 @@ func (w *warp) run() {
 	if w.inFlight || w.finishedIssue || w.dev.killed {
 		return
 	}
-	for w.pc < len(w.prog) {
-		op := &w.prog[w.pc]
-		if reg, bad := negativeRegister(op); bad {
-			w.dev.eng.Fail(fmt.Errorf("gpu: warp %d pc %d: negative scoreboard register %d: %w",
-				w.id, w.pc, reg, ErrBadProgram))
-			return
-		}
-		switch op.Kind {
-		case OpCompute:
+	for w.pc < len(w.prog.Ops) {
+		op := &w.prog.Ops[w.pc]
+		if op.Kind == OpCompute {
 			if !w.depsReady(op.Deps) {
 				w.waitingRegs = true
 				return
@@ -831,33 +794,31 @@ func (w *warp) run() {
 			w.pc++
 			w.schedule(op.Dur)
 			return
-		case OpRead, OpWrite, OpPrefetch:
-			if op.Kind == OpWrite && !w.depsReady(op.Deps) {
-				// Scoreboard stall: the STG cannot issue (and so
-				// cannot fault) until its operand loads complete.
-				w.waitingRegs = true
-				return
-			}
-			for w.opPage < len(op.Pages) {
-				switch w.issue(op.Pages[w.opPage], op) {
+		}
+		// A memory op: the block's start validated the kind and span.
+		if op.Kind == OpWrite && !w.depsReady(op.Deps) {
+			// Scoreboard stall: the STG cannot issue (and so cannot
+			// fault) until its operand loads complete.
+			w.waitingRegs = true
+			return
+		}
+		runs := w.prog.Runs[op.Lo:op.Hi]
+		for ; w.ri < len(runs); w.ri++ {
+			r := runs[w.ri]
+			for ; w.off < r.N; w.off++ {
+				switch w.issue(r.First+mem.PageID(w.off), op) {
 				case issueStallUTLB:
 					return // resumed by wake() at replay
 				case issueThrottled:
 					return // retry already scheduled
 				}
-				w.opPage++
 			}
-			w.opPage = 0
-			w.pc++
-			w.schedule(w.dev.cfg.OpIssueTime)
-			return
-		default:
-			// Reachable through user-supplied custom workloads, so this
-			// surfaces as the run's terminal error instead of a panic.
-			w.dev.eng.Fail(fmt.Errorf("gpu: warp %d pc %d: unknown op kind %d: %w",
-				w.id, w.pc, op.Kind, ErrBadProgram))
-			return
+			w.off = 0
 		}
+		w.ri = 0
+		w.pc++
+		w.schedule(w.dev.cfg.OpIssueTime)
+		return
 	}
 	w.finishedIssue = true
 	w.maybeComplete()
@@ -883,19 +844,18 @@ func (w *warp) issue(page mem.PageID, op *Op) issueResult {
 	if kind == AccessPrefetch {
 		// Prefetch faults bypass the µTLB cap and the throttle.
 		acc := w.track(page, kind, op)
-		if e, ok := u.prefetchPending[page]; ok {
+		if e := u.prefetchPending.find(page); e != nil {
 			e.waiters = append(e.waiters, acc)
 			if e.firstWarp != w.id {
 				d.emitFault(page, w, kind, true)
 			}
 			return issueOK
 		}
-		u.prefetchPending[page] = d.pendFaultEntry(acc, w)
-		u.prefetchOrder = append(u.prefetchOrder, page)
+		u.prefetchPending.add(d.pendFaultEntry(acc, w))
 		d.emitFault(page, w, kind, false)
 		return issueOK
 	}
-	if e, ok := u.pending[page]; ok {
+	if e := u.pending.find(page); e != nil {
 		// Same page already pending in this µTLB: join the entry. A
 		// different warp issuing the same fault writes a duplicate
 		// record (type-1 duplicate, §4.2).
@@ -906,7 +866,7 @@ func (w *warp) issue(page mem.PageID, op *Op) issueResult {
 		}
 		return issueOK
 	}
-	if len(u.pending) >= d.cfg.MaxFaultsPerUTLB {
+	if u.pending.len() >= d.cfg.MaxFaultsPerUTLB {
 		d.stats.UTLBFullStalls++
 		u.stalled = append(u.stalled, w)
 		return issueStallUTLB
@@ -917,8 +877,7 @@ func (w *warp) issue(page mem.PageID, op *Op) issueResult {
 		return issueThrottled
 	}
 	acc := w.track(page, kind, op)
-	u.pending[page] = d.pendFaultEntry(acc, w)
-	u.order = append(u.order, page)
+	u.pending.add(d.pendFaultEntry(acc, w))
 	w.sm.chargeThrottle()
 	d.emitFault(page, w, kind, false)
 	return issueOK
@@ -938,13 +897,11 @@ func accessKindOf(k OpKind) AccessKind {
 
 // track registers an outstanding access on a pooled record.
 func (w *warp) track(page mem.PageID, kind AccessKind, op *Op) *access {
-	reg := -1
+	reg := int8(-1)
 	if op.Kind == OpRead {
 		reg = op.Dst
-		if n := reg + 1; n > len(w.regOut) {
-			w.regOut = append(w.regOut, make([]int, n-len(w.regOut))...)
-		}
 		w.regOut[reg]++
+		w.busy |= 1 << reg
 	}
 	w.outstanding++
 	acc := w.dev.newAccess()
@@ -966,9 +923,12 @@ func (w *warp) satisfy(acc *access) {
 	w.dev.accFree = append(w.dev.accFree, acc)
 	if reg >= 0 {
 		w.regOut[reg]--
-		if w.regOut[reg] == 0 && w.waitingRegs {
-			w.waitingRegs = false
-			w.dev.eng.Schedule(0, w.wakeFn)
+		if w.regOut[reg] == 0 {
+			w.busy &^= 1 << reg
+			if w.waitingRegs {
+				w.waitingRegs = false
+				w.dev.eng.Schedule(0, w.wakeFn)
+			}
 		}
 	}
 	w.maybeComplete()

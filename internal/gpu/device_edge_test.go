@@ -21,7 +21,7 @@ func TestHWBufferOverflowRecovers(t *testing.T) {
 	done := false
 	// 2 blocks x 40 pages: far beyond the 16-entry buffer.
 	dev.LaunchKernel(Kernel{NumBlocks: 2, BlockProgram: func(b int) []Program {
-		return []Program{{Read(0, PageRange(mem.PageID(b*1000), 40)...)}}
+		return []Program{readProg(mem.PageID(b*1000), 40)}
 	}}, func() { done = true })
 	run(t, eng)
 	if !done {
@@ -52,7 +52,7 @@ func TestDeferredRefaultPath(t *testing.T) {
 	f.batchSize = 2
 	done := false
 	dev.LaunchKernel(Kernel{NumBlocks: 2, BlockProgram: func(b int) []Program {
-		return []Program{{Read(0, PageRange(mem.PageID(b*100), 8)...)}}
+		return []Program{readProg(mem.PageID(b*100), 8)}
 	}}, func() { done = true })
 	run(t, eng)
 	if !done {
@@ -74,7 +74,7 @@ func TestMaxBlocksPerSMScheduling(t *testing.T) {
 	const nblocks = 7
 	done := false
 	dev.LaunchKernel(Kernel{NumBlocks: nblocks, BlockProgram: func(b int) []Program {
-		return []Program{{Compute(10 * sim.Microsecond)}}
+		return []Program{computeProg(10 * sim.Microsecond)}
 	}}, func() { done = true })
 	// Every block computes 10us on one SM with 2 slots: makespan is
 	// ceil(7/2)*10us = 40us if exactly 2 run concurrently.
@@ -95,12 +95,10 @@ func TestMaxBlocksPerSMScheduling(t *testing.T) {
 func TestPrefetchFaultJoinsAreDups(t *testing.T) {
 	eng := sim.NewEngine()
 	f, dev := newFakeDriver(eng, smallConfig())
-	shared := PageRange(0, 16)
+	var shared Program
+	shared.Prefetch(0, 16)
 	dev.LaunchKernel(Kernel{NumBlocks: 1, BlockProgram: func(int) []Program {
-		return []Program{
-			{Prefetch(shared...)},
-			{Prefetch(shared...)},
-		}
+		return []Program{shared, shared}
 	}}, func() {})
 	run(t, eng)
 	dups := 0
@@ -119,17 +117,17 @@ func TestPrefetchFaultJoinsAreDups(t *testing.T) {
 	}
 }
 
-// TestWarpWriteWithoutDepsDoesNotStall confirms Write(nil, ...) issues
+// TestWarpWriteWithoutDepsDoesNotStall confirms Write(0, ...) issues
 // immediately (stores without operand dependencies).
 func TestWarpWriteWithoutDepsDoesNotStall(t *testing.T) {
 	eng := sim.NewEngine()
 	f, dev := newFakeDriver(eng, smallConfig())
 	f.serviceTime = 10 * sim.Millisecond
 	dev.LaunchKernel(Kernel{NumBlocks: 1, BlockProgram: func(int) []Program {
-		return []Program{{
-			Read(0, PageRange(0, 4)...),
-			Write(nil, PageRange(100, 4)...), // no deps: issues with reads outstanding
-		}}
+		var prog Program
+		prog.Read(0, 0, 4)
+		prog.Write(0, 100, 4) // no deps: issues with reads outstanding
+		return []Program{prog}
 	}}, func() {})
 	run(t, eng)
 	if len(f.batches) == 0 {
@@ -151,7 +149,7 @@ func TestLaunchWhileRunningFails(t *testing.T) {
 	eng := sim.NewEngine()
 	_, dev := newFakeDriver(eng, smallConfig())
 	if err := dev.LaunchKernel(Kernel{NumBlocks: 1, BlockProgram: func(int) []Program {
-		return []Program{{Compute(sim.Millisecond)}}
+		return []Program{computeProg(sim.Millisecond)}
 	}}, func() {}); err != nil {
 		t.Fatalf("first launch: %v", err)
 	}
@@ -180,7 +178,7 @@ func TestBadProgramFailsRun(t *testing.T) {
 	eng := sim.NewEngine()
 	_, dev := newFakeDriver(eng, smallConfig())
 	if err := dev.LaunchKernel(Kernel{NumBlocks: 1, BlockProgram: func(int) []Program {
-		return []Program{{Op{Kind: OpKind(99)}}}
+		return []Program{{Ops: []Op{{Kind: OpKind(99)}}}}
 	}}, func() {}); err != nil {
 		t.Fatalf("launch: %v", err)
 	}
@@ -191,14 +189,30 @@ func TestBadProgramFailsRun(t *testing.T) {
 
 // TestNegativeRegisterFailsRun: register -1 marks "no register" on an
 // access, so a read into it would never be released and a dependent op
-// would wait forever. Such programs are rejected as malformed instead of
-// hanging the warp until the run reports a stall.
+// would wait forever; a register past 63 has no scoreboard bit. Such
+// programs are rejected as malformed when their block starts, instead of
+// hanging the warp until the run reports a stall. A dependency set cannot
+// name such a register at all: Regs panics on one.
 func TestNegativeRegisterFailsRun(t *testing.T) {
-	for name, prog := range map[string]Program{
-		"read dst":     {Read(-1, 0), Write([]int{-1}, 1)},
-		"write deps":   {Write([]int{0, -2}, 1)},
-		"compute deps": {Compute(sim.Microsecond, -1)},
-	} {
+	for _, r := range []int{-1, NumRegs} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("Regs(%d) did not panic", r)
+				}
+			}()
+			Regs(r)
+		}()
+	}
+	progs := map[string]Program{}
+	for name, dst := range map[string]int{"read dst -1": -1, "read dst 64": NumRegs, "read dst 300": 300} {
+		var p Program
+		p.Compute(sim.Microsecond, 0)
+		p.Read(dst, 0, 1)
+		progs[name] = p
+	}
+	progs["span past runs"] = Program{Ops: []Op{{Kind: OpWrite, Lo: 0, Hi: 1}}}
+	for name, prog := range progs {
 		eng := sim.NewEngine()
 		_, dev := newFakeDriver(eng, smallConfig())
 		if err := dev.LaunchKernel(Kernel{NumBlocks: 1, BlockProgram: func(int) []Program {
@@ -206,8 +220,12 @@ func TestNegativeRegisterFailsRun(t *testing.T) {
 		}}, func() {}); err != nil {
 			t.Fatalf("%s: launch: %v", name, err)
 		}
-		if _, err := eng.Run(); !errors.Is(err, ErrBadProgram) {
+		end, err := eng.Run()
+		if !errors.Is(err, ErrBadProgram) {
 			t.Fatalf("%s: run err = %v, want ErrBadProgram", name, err)
+		}
+		if end != 0 {
+			t.Fatalf("%s: run failed at %v, want 0 (validated before any op runs)", name, end)
 		}
 	}
 }
@@ -228,7 +246,7 @@ func TestInjectedDropRecoversByRetry(t *testing.T) {
 	dev.SetInjector(in)
 	done := false
 	if err := dev.LaunchKernel(Kernel{NumBlocks: 2, BlockProgram: func(b int) []Program {
-		return []Program{{Read(0, PageRange(mem.PageID(b*1000), 40)...)}}
+		return []Program{readProg(mem.PageID(b*1000), 40)}
 	}}, func() { done = true }); err != nil {
 		t.Fatal(err)
 	}

@@ -87,17 +87,30 @@ func run(t *testing.T, eng *sim.Engine) sim.Time {
 	return end
 }
 
+// readProg is a one-op program reading pages [first, first+n) into
+// register 0.
+func readProg(first mem.PageID, n int) Program {
+	var p Program
+	p.Read(0, first, n)
+	return p
+}
+
+// computeProg is a one-op program computing for dur.
+func computeProg(dur sim.Time) Program {
+	var p Program
+	p.Compute(dur, 0)
+	return p
+}
+
 // listing1Kernel reproduces the paper's Listing 1: one 32-thread warp,
 // each thread touching a distinct page, three iterations of c = a + b.
 func listing1Kernel(aBase, bBase, cBase mem.PageID) Kernel {
 	var prog Program
 	for iter := 0; iter < 3; iter++ {
 		off := mem.PageID(iter * 32)
-		prog = append(prog,
-			Read(0, PageRange(aBase+off, 32)...),
-			Read(1, PageRange(bBase+off, 32)...),
-			Write([]int{0, 1}, PageRange(cBase+off, 32)...),
-		)
+		prog.Read(0, aBase+off, 32)
+		prog.Read(1, bBase+off, 32)
+		prog.Write(Regs(0, 1), cBase+off, 32)
 	}
 	return Kernel{NumBlocks: 1, BlockProgram: func(int) []Program { return []Program{prog} }}
 }
@@ -172,11 +185,10 @@ func TestPrefetchFillsFullBatch(t *testing.T) {
 	// throttle; a single warp fills the 256-fault batch limit.
 	eng := sim.NewEngine()
 	f, dev := newFakeDriver(eng, smallConfig())
-	prog := Program{
-		Prefetch(PageRange(0, 256)...),
-		Prefetch(PageRange(1000, 256)...),
-		Prefetch(PageRange(2000, 256)...),
-	}
+	var prog Program
+	prog.Prefetch(0, 256)
+	prog.Prefetch(1000, 256)
+	prog.Prefetch(2000, 256)
 	dev.LaunchKernel(Kernel{NumBlocks: 1, BlockProgram: func(int) []Program {
 		return []Program{prog}
 	}}, func() {})
@@ -200,10 +212,9 @@ func TestReadsDontBlockWithoutDependency(t *testing.T) {
 	eng := sim.NewEngine()
 	f, dev := newFakeDriver(eng, smallConfig())
 	f.serviceTime = 10 * sim.Millisecond // let all faults accumulate
-	prog := Program{
-		Read(0, PageRange(0, 20)...),
-		Read(1, PageRange(100, 20)...),
-	}
+	var prog Program
+	prog.Read(0, 0, 20)
+	prog.Read(1, 100, 20)
 	dev.LaunchKernel(Kernel{NumBlocks: 1, BlockProgram: func(int) []Program {
 		return []Program{prog}
 	}}, func() {})
@@ -217,7 +228,7 @@ func TestUTLBCapacityStallsWarp(t *testing.T) {
 	eng := sim.NewEngine()
 	f, dev := newFakeDriver(eng, smallConfig())
 	// One warp reading 100 distinct pages: 56 fault, then stall.
-	prog := Program{Read(0, PageRange(0, 100)...)}
+	prog := readProg(0, 100)
 	dev.LaunchKernel(Kernel{NumBlocks: 1, BlockProgram: func(int) []Program {
 		return []Program{prog}
 	}}, func() {})
@@ -240,7 +251,7 @@ func TestThrottleSpacesFaults(t *testing.T) {
 	eng := sim.NewEngine()
 	f, dev := newFakeDriver(eng, cfg)
 	f.serviceTime = sim.Millisecond
-	prog := Program{Read(0, PageRange(0, 10)...)}
+	prog := readProg(0, 10)
 	dev.LaunchKernel(Kernel{NumBlocks: 1, BlockProgram: func(int) []Program {
 		return []Program{prog}
 	}}, func() {})
@@ -265,11 +276,11 @@ func TestDuplicateFaultsAcrossWarpsSameUTLB(t *testing.T) {
 	f, dev := newFakeDriver(eng, smallConfig())
 	// Two warps in one block read the same pages: second warp's faults
 	// are hardware-visible duplicates.
-	shared := PageRange(0, 8)
+	shared := readProg(0, 8)
 	dev.LaunchKernel(Kernel{NumBlocks: 1, BlockProgram: func(int) []Program {
 		return []Program{
-			{Read(0, shared...)},
-			{Read(0, shared...)},
+			shared,
+			shared,
 		}
 	}}, func() {})
 	run(t, eng)
@@ -299,9 +310,9 @@ func TestCrossUTLBDuplicatesAreSeparateEntries(t *testing.T) {
 	cfg.SMsPerUTLB = 1 // 2 SMs, 2 µTLBs
 	eng := sim.NewEngine()
 	f, dev := newFakeDriver(eng, cfg)
-	shared := PageRange(0, 4)
+	shared := readProg(0, 4)
 	dev.LaunchKernel(Kernel{NumBlocks: 2, BlockProgram: func(int) []Program {
-		return []Program{{Read(0, shared...)}}
+		return []Program{shared}
 	}}, func() {})
 	run(t, eng)
 	perPage := map[mem.PageID]int{}
@@ -313,7 +324,7 @@ func TestCrossUTLBDuplicatesAreSeparateEntries(t *testing.T) {
 			perPage[ft.Page]++
 		}
 	}
-	for _, p := range shared {
+	for p := mem.PageID(0); p < 4; p++ {
 		if perPage[p] != 2 {
 			t.Fatalf("page %d seen %d times, want 2 (one per µTLB)", p, perPage[p])
 		}
@@ -326,7 +337,7 @@ func TestKernelCompletesAllBlocks(t *testing.T) {
 	done := false
 	nblocks := 17
 	dev.LaunchKernel(Kernel{NumBlocks: nblocks, BlockProgram: func(b int) []Program {
-		return []Program{{Read(0, PageRange(mem.PageID(b*64), 16)...)}}
+		return []Program{readProg(mem.PageID(b*64), 16)}
 	}}, func() { done = true })
 	run(t, eng)
 	if !done {
@@ -358,7 +369,9 @@ func TestResidentAccessesNeverFault(t *testing.T) {
 	}
 	done := false
 	dev.LaunchKernel(Kernel{NumBlocks: 1, BlockProgram: func(int) []Program {
-		return []Program{{Read(0, PageRange(0, 64)...), Write([]int{0}, PageRange(0, 64)...)}}
+		prog := readProg(0, 64)
+		prog.Write(Regs(0), 0, 64)
+		return []Program{prog}
 	}}, func() { done = true })
 	end := run(t, eng)
 	if !done {
@@ -377,7 +390,7 @@ func TestComputeOpDelaysCompletion(t *testing.T) {
 	_, dev := newFakeDriver(eng, smallConfig())
 	var finish sim.Time
 	dev.LaunchKernel(Kernel{NumBlocks: 1, BlockProgram: func(int) []Program {
-		return []Program{{Compute(3 * sim.Millisecond)}}
+		return []Program{computeProg(3 * sim.Millisecond)}
 	}}, func() { finish = eng.Now() })
 	run(t, eng)
 	if finish < 3*sim.Millisecond {
@@ -412,7 +425,7 @@ func TestFaultsRecordSMOfOrigin(t *testing.T) {
 	f, dev := newFakeDriver(eng, cfg)
 	// 80 blocks, one per SM, each faulting distinct pages.
 	dev.LaunchKernel(Kernel{NumBlocks: 80, BlockProgram: func(b int) []Program {
-		return []Program{{Read(0, PageRange(mem.PageID(b*1000), 4)...)}}
+		return []Program{readProg(mem.PageID(b*1000), 4)}
 	}}, func() {})
 	run(t, eng)
 	sms := map[int]bool{}

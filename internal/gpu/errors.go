@@ -14,7 +14,8 @@ var ErrBadKernel = errors.New("gpu: invalid kernel")
 // accepts no more work.
 var ErrDeviceDead = errors.New("gpu: device is dead")
 
-// ErrBadProgram is the sentinel for a malformed warp program discovered
-// during execution (an unknown op kind). It surfaces through the engine's
-// terminal error, since warps run inside event callbacks.
+// ErrBadProgram is the sentinel for a malformed warp program, found when
+// its block starts: an unknown op kind, a read register outside
+// 0..NumRegs-1, or a span outside the program's runs. It surfaces through
+// the engine's terminal error, since blocks start inside event callbacks.
 var ErrBadProgram = errors.New("gpu: invalid warp program")

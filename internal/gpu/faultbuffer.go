@@ -62,19 +62,22 @@ func (b *FaultBuffer) Push(f Fault) bool {
 	return true
 }
 
-// Fetch removes and returns up to max faults in arrival order. This is the
-// driver's batch-formation read: "read faults until the batch size limit
-// is reached or no faults remain" (§2.2).
-func (b *FaultBuffer) Fetch(max int) []Fault {
-	n := len(b.entries)
-	if n > max {
-		n = max
+// FetchInto removes up to max faults in arrival order and appends them to
+// dst. This is the driver's batch-formation read: "read faults until the
+// batch size limit is reached or no faults remain" (§2.2). A driver that
+// reuses one batch slice across batches copies each record once.
+func (b *FaultBuffer) FetchInto(dst []Fault, max int) []Fault {
+	n := min(len(b.entries), max)
+	if n <= 0 {
+		return dst
 	}
-	out := make([]Fault, n)
-	copy(out, b.entries[:n])
+	dst = append(dst, b.entries[:n]...)
 	b.entries = append(b.entries[:0], b.entries[n:]...)
-	return out
+	return dst
 }
+
+// Fetch is FetchInto on a fresh slice.
+func (b *FaultBuffer) Fetch(max int) []Fault { return b.FetchInto(nil, max) }
 
 // Flush discards all buffered faults, returning how many were dropped. The
 // driver flushes before each replay; dropped non-duplicates re-fault.

@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -25,9 +26,13 @@ func TestFaultBufferPushFetch(t *testing.T) {
 	if b.Len() != 2 {
 		t.Fatalf("len after fetch = %d", b.Len())
 	}
-	rest := b.Fetch(100)
-	if len(rest) != 2 || rest[0].Page != 3 {
+	// FetchInto appends the rest behind what the batch already holds.
+	rest := b.FetchInto(got, 100)
+	if len(rest) != 5 || rest[2].Page != 2 || rest[3].Page != 3 || rest[4].Page != 4 {
 		t.Fatalf("rest = %v", rest)
+	}
+	if b.Len() != 0 || len(b.FetchInto(rest, 10)) != 5 {
+		t.Fatal("fetch from an empty buffer changed the batch")
 	}
 }
 
@@ -130,31 +135,43 @@ func TestAccessKindString(t *testing.T) {
 	}
 }
 
-func TestPageRange(t *testing.T) {
-	pr := PageRange(10, 3)
-	if len(pr) != 3 || pr[0] != 10 || pr[2] != 12 {
-		t.Fatalf("PageRange = %v", pr)
+// TestPageRuns: a contiguous op is one run, and a page list coalesces
+// into runs in order with duplicates kept.
+func TestPageRuns(t *testing.T) {
+	var p Program
+	p.Read(0, 10, 3)
+	p.Read(0, 0, 0)
+	p.ReadPages(0, []mem.PageID{4, 5, 5, 6, 2, 3})
+	want := []PageRun{{10, 3}, {4, 2}, {5, 2}, {2, 2}}
+	if !slices.Equal(p.Runs, want) {
+		t.Fatalf("runs = %v, want %v", p.Runs, want)
 	}
-	if len(PageRange(0, 0)) != 0 {
-		t.Fatal("empty PageRange not empty")
+	if n := p.NumPages(p.Ops[1]); n != 0 {
+		t.Fatalf("empty op touches %d pages", n)
+	}
+	got := p.AppendPages(nil, p.Ops[2])
+	if !slices.Equal(got, []mem.PageID{4, 5, 5, 6, 2, 3}) || p.NumPages(p.Ops[2]) != 6 {
+		t.Fatalf("page-list op expands to %v", got)
 	}
 }
 
 func TestOpConstructors(t *testing.T) {
-	r := Read(2, 5, 6)
-	if r.Kind != OpRead || r.Dst != 2 || len(r.Pages) != 2 {
+	var p Program
+	p.Read(2, 5, 2)
+	p.WritePages(Regs(1, 2), []mem.PageID{9})
+	p.Prefetch(1, 3)
+	p.Compute(100, Regs(1))
+	r, w, pf, c := p.Ops[0], p.Ops[1], p.Ops[2], p.Ops[3]
+	if r.Kind != OpRead || r.Dst != 2 || p.NumPages(r) != 2 {
 		t.Fatalf("Read = %+v", r)
 	}
-	w := Write([]int{1, 2}, 9)
-	if w.Kind != OpWrite || len(w.Deps) != 2 || w.Pages[0] != 9 {
+	if w.Kind != OpWrite || w.Deps != 0b110 || p.AppendPages(nil, w)[0] != 9 {
 		t.Fatalf("Write = %+v", w)
 	}
-	p := Prefetch(1, 2, 3)
-	if p.Kind != OpPrefetch || len(p.Pages) != 3 {
-		t.Fatalf("Prefetch = %+v", p)
+	if pf.Kind != OpPrefetch || p.NumPages(pf) != 3 {
+		t.Fatalf("Prefetch = %+v", pf)
 	}
-	c := Compute(100, 1)
-	if c.Kind != OpCompute || c.Dur != 100 || c.Deps[0] != 1 {
+	if c.Kind != OpCompute || c.Dur != 100 || c.Deps != 0b10 || c.Lo != c.Hi {
 		t.Fatalf("Compute = %+v", c)
 	}
 }
@@ -189,7 +206,9 @@ func TestDeviceCountsResidentAccesses(t *testing.T) {
 		f.resident[i] = true
 	}
 	dev.LaunchKernel(Kernel{NumBlocks: 1, BlockProgram: func(int) []Program {
-		return []Program{{Read(0, PageRange(0, 8)...), Read(1, PageRange(0, 8)...)}}
+		prog := readProg(0, 8)
+		prog.Read(1, 0, 8)
+		return []Program{prog}
 	}}, func() {})
 	run(t, eng)
 	if got := dev.Counters.Read(0); got != 16 {
@@ -202,7 +221,7 @@ func TestDeviceCountsExcludeFaults(t *testing.T) {
 	_, dev := newFakeDriver(eng, smallConfig())
 	dev.Counters.Enable()
 	dev.LaunchKernel(Kernel{NumBlocks: 1, BlockProgram: func(int) []Program {
-		return []Program{{Read(0, PageRange(0, 8)...)}}
+		return []Program{readProg(0, 8)}
 	}}, func() {})
 	run(t, eng)
 	// First touches fault; the only counted accesses would be re-reads,

@@ -8,6 +8,9 @@
 package gpu
 
 import (
+	"fmt"
+	"math"
+
 	"guvm/internal/mem"
 	"guvm/internal/sim"
 )
@@ -52,57 +55,194 @@ func (k AccessKind) String() string {
 type OpKind uint8
 
 const (
-	// OpRead loads the given pages, setting scoreboard register Dst.
+	// OpRead loads the op's pages, setting scoreboard register Dst.
 	OpRead OpKind = iota
-	// OpWrite stores to the given pages after registers Deps are ready.
+	// OpWrite stores to the op's pages after registers Deps are ready.
 	OpWrite
-	// OpPrefetch prefetches the given pages with no scoreboard use.
+	// OpPrefetch prefetches the op's pages with no scoreboard use.
 	OpPrefetch
 	// OpCompute occupies the warp for Dur after Deps are ready.
 	OpCompute
 )
 
-// Op is one operation of a warp program. Memory operations are modeled at
-// page granularity: Pages lists the distinct pages the warp's (coalesced)
-// lanes touch in this instruction.
-type Op struct {
-	Kind  OpKind
-	Pages []mem.PageID
-	Dst   int   // scoreboard register written by OpRead; ignored otherwise
-	Deps  []int // registers that must be ready before OpWrite/OpCompute issue
-	Dur   sim.Time
-}
+// NumRegs is the number of scoreboard registers a warp program may use:
+// registers are 0..NumRegs-1, so a register set fits one RegMask.
+const NumRegs = 64
 
-// Program is the instruction stream of one warp.
-type Program []Op
+// RegMask is a set of scoreboard registers, bit r for register r.
+type RegMask uint64
 
-// Read builds an OpRead touching pages, writing scoreboard register dst.
-func Read(dst int, pages ...mem.PageID) Op {
-	return Op{Kind: OpRead, Dst: dst, Pages: pages}
-}
-
-// Write builds an OpWrite touching pages after deps are ready.
-func Write(deps []int, pages ...mem.PageID) Op {
-	return Op{Kind: OpWrite, Deps: deps, Pages: pages}
-}
-
-// Prefetch builds an OpPrefetch touching pages.
-func Prefetch(pages ...mem.PageID) Op {
-	return Op{Kind: OpPrefetch, Pages: pages}
-}
-
-// Compute builds an OpCompute lasting dur after deps are ready.
-func Compute(dur sim.Time, deps ...int) Op {
-	return Op{Kind: OpCompute, Dur: dur, Deps: deps}
-}
-
-// PageRange returns the pages [first, first+n).
-func PageRange(first mem.PageID, n int) []mem.PageID {
-	pages := make([]mem.PageID, n)
-	for i := range pages {
-		pages[i] = first + mem.PageID(i)
+// Regs returns the set of the given registers. A register outside
+// 0..NumRegs-1 has no bit, so Regs panics on one.
+func Regs(regs ...int) RegMask {
+	var m RegMask
+	for _, r := range regs {
+		if r < 0 || r >= NumRegs {
+			panic(fmt.Sprintf("gpu: scoreboard register %d outside 0..%d", r, NumRegs-1))
+		}
+		m |= 1 << r
 	}
-	return pages
+	return m
+}
+
+// PageRun is N consecutive pages starting at First.
+type PageRun struct {
+	First mem.PageID
+	N     uint32
+}
+
+// Op is one operation of a warp program. Memory operations are modeled at
+// page granularity: the op touches the pages of its program's
+// Runs[Lo:Hi] in order, the distinct pages the warp's (coalesced) lanes
+// touch in this instruction. Op holds no pointers, so program storage is
+// never scanned by the garbage collector.
+type Op struct {
+	Kind OpKind
+	// Dst is the scoreboard register written by OpRead; ignored otherwise.
+	Dst int8
+	// Lo and Hi bound the op's span of Runs (memory ops only).
+	Lo, Hi uint32
+	// Deps are the registers that must be ready before OpWrite/OpCompute
+	// issue.
+	Deps RegMask
+	Dur  sim.Time
+}
+
+// Program is the instruction stream of one warp: its ops in program order
+// and the page runs their memory ops name. The zero value is an empty
+// program; the builder methods append to it.
+type Program struct {
+	Ops  []Op
+	Runs []PageRun
+}
+
+// NewProgram returns an empty program with room for ops operations over
+// runs page runs, so a generator that knows its size appends without
+// growing.
+func NewProgram(ops, runs int) Program {
+	return Program{Ops: make([]Op, 0, ops), Runs: make([]PageRun, 0, runs)}
+}
+
+// Read appends an OpRead of pages [first, first+n), writing scoreboard
+// register dst.
+func (p *Program) Read(dst int, first mem.PageID, n int) {
+	p.span(Op{Kind: OpRead, Dst: regOf(dst)}, first, n)
+}
+
+// ReadPages appends an OpRead of an arbitrary page list, writing
+// scoreboard register dst. The pages are coalesced into runs in the
+// given order, duplicates kept.
+func (p *Program) ReadPages(dst int, pages []mem.PageID) {
+	p.pages(Op{Kind: OpRead, Dst: regOf(dst)}, pages)
+}
+
+// Write appends an OpWrite of pages [first, first+n), issued once deps
+// are ready.
+func (p *Program) Write(deps RegMask, first mem.PageID, n int) {
+	p.span(Op{Kind: OpWrite, Deps: deps}, first, n)
+}
+
+// WritePages appends an OpWrite of an arbitrary page list, coalesced as
+// ReadPages does, issued once deps are ready.
+func (p *Program) WritePages(deps RegMask, pages []mem.PageID) {
+	p.pages(Op{Kind: OpWrite, Deps: deps}, pages)
+}
+
+// Prefetch appends an OpPrefetch of pages [first, first+n).
+func (p *Program) Prefetch(first mem.PageID, n int) {
+	p.span(Op{Kind: OpPrefetch}, first, n)
+}
+
+// Compute appends an OpCompute lasting dur once deps are ready.
+func (p *Program) Compute(dur sim.Time, deps RegMask) {
+	p.Ops = append(p.Ops, Op{Kind: OpCompute, Dur: dur, Deps: deps})
+}
+
+// span appends op over pages [first, first+n); n <= 0 is an op touching
+// no page.
+func (p *Program) span(op Op, first mem.PageID, n int) {
+	op.Lo = uint32(len(p.Runs))
+	for n > 0 {
+		k := min(n, math.MaxUint32)
+		p.Runs = append(p.Runs, PageRun{First: first, N: uint32(k)})
+		first += mem.PageID(k)
+		n -= k
+	}
+	op.Hi = uint32(len(p.Runs))
+	p.Ops = append(p.Ops, op)
+}
+
+// pages appends op over an arbitrary page list, coalesced into runs in
+// order: each page that directly follows the previous one extends its
+// run. Pages out of order or repeated start a new run, so expanding the
+// runs gives back exactly the list.
+func (p *Program) pages(op Op, pages []mem.PageID) {
+	op.Lo = uint32(len(p.Runs))
+	for i := 0; i < len(pages); {
+		j := i + 1
+		for j < len(pages) && pages[j] == pages[j-1]+1 && j-i < math.MaxUint32 {
+			j++
+		}
+		p.Runs = append(p.Runs, PageRun{First: pages[i], N: uint32(j - i)})
+		i = j
+	}
+	op.Hi = uint32(len(p.Runs))
+	p.Ops = append(p.Ops, op)
+}
+
+// NumPages returns how many page accesses op makes: the summed length of
+// its runs.
+func (p *Program) NumPages(op Op) int {
+	n := 0
+	for _, r := range p.Runs[op.Lo:op.Hi] {
+		n += int(r.N)
+	}
+	return n
+}
+
+// AppendPages appends op's pages, in access order, to dst.
+func (p *Program) AppendPages(dst []mem.PageID, op Op) []mem.PageID {
+	for _, r := range p.Runs[op.Lo:op.Hi] {
+		for k := uint32(0); k < r.N; k++ {
+			dst = append(dst, r.First+mem.PageID(k))
+		}
+	}
+	return dst
+}
+
+// regOf narrows a register index for Op.Dst. An index no int8 holds
+// becomes -1, which validate rejects like every register outside
+// 0..NumRegs-1.
+func regOf(r int) int8 {
+	if r < math.MinInt8 || r > math.MaxInt8 {
+		return -1
+	}
+	return int8(r)
+}
+
+// validate checks p once, before its warp runs: every op has a known
+// kind, every read writes a register in 0..NumRegs-1, and every memory
+// op's span lies within Runs. It returns the first fault found, wrapping
+// ErrBadProgram.
+func (p *Program) validate() error {
+	for pc := range p.Ops {
+		op := &p.Ops[pc]
+		switch op.Kind {
+		case OpCompute:
+		case OpRead, OpWrite, OpPrefetch:
+			if op.Kind == OpRead && (op.Dst < 0 || op.Dst >= NumRegs) {
+				return fmt.Errorf("pc %d: scoreboard register %d outside 0..%d: %w",
+					pc, op.Dst, NumRegs-1, ErrBadProgram)
+			}
+			if op.Lo > op.Hi || int(op.Hi) > len(p.Runs) {
+				return fmt.Errorf("pc %d: runs [%d,%d) outside the program's %d: %w",
+					pc, op.Lo, op.Hi, len(p.Runs), ErrBadProgram)
+			}
+		default:
+			return fmt.Errorf("pc %d: unknown op kind %d: %w", pc, op.Kind, ErrBadProgram)
+		}
+	}
+	return nil
 }
 
 // Kernel is a grid of thread blocks. BlockProgram is called lazily, once

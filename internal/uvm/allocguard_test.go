@@ -4,16 +4,20 @@ import "testing"
 
 // batchServiceAllocsPerOp is BenchmarkBatchService's allocs/op as
 // measured after the allocation diet (the struct-of-arrays dedup stage,
-// the pooled GPU event path) and the delay-lane event queue, whose lanes
+// the pooled GPU event path), the delay-lane event queue, whose lanes
 // are recycled where the calendar queue it replaced reallocated its
-// bucket ring on every resize (6988 before it).
-const batchServiceAllocsPerOp = 5667
+// bucket ring on every resize (6988 before it), and the run-encoded warp
+// programs with map-free µTLB tables and a reused fault-batch buffer
+// (5667 before them).
+const batchServiceAllocsPerOp = 5512
 
 // oversubAllocsPerOp is BenchmarkBatchServiceOversub's allocs/op as
 // measured once migration spans came straight from the residency sets,
-// the eviction victim list was pooled in the batch scratch, and the
-// engine ran on the delay-lane queue (14100 before it).
-const oversubAllocsPerOp = 12656
+// the eviction victim list was pooled in the batch scratch, the engine
+// ran on the delay-lane queue (14100 before it), and warp programs,
+// µTLB tables and the fault-batch buffer stopped allocating per op,
+// entry and batch (12656 before them).
+const oversubAllocsPerOp = 10499
 
 // TestBatchServiceAllocGuard pins the hot-path allocation diet: with no
 // batch observers attached (the default), BenchmarkBatchService must

@@ -130,7 +130,9 @@ func BenchmarkLargeWorkingSet(b *testing.B) {
 				for j := range pages {
 					pages[j] = first + mem.PageID((bi*perSMBlock+j)*mem.PagesPerVABlock)
 				}
-				return []gpu.Program{{gpu.Read(0, pages...)}}
+				var prog gpu.Program
+				prog.ReadPages(0, pages)
+				return []gpu.Program{prog}
 			},
 		}
 		done := false
@@ -173,9 +175,9 @@ func BenchmarkBatchServiceOversub(b *testing.B) {
 			NumBlocks: blocks,
 			BlockProgram: func(bi int) []gpu.Program {
 				rng := sim.NewRNG(uint64(bi) + 1)
-				prog := make(gpu.Program, accesses)
-				for j := range prog {
-					prog[j] = gpu.Read(0, first+mem.PageID(rng.Uint64n(nPages)))
+				prog := gpu.NewProgram(accesses, accesses)
+				for j := 0; j < accesses; j++ {
+					prog.Read(0, first+mem.PageID(rng.Uint64n(nPages)), 1)
 				}
 				return []gpu.Program{prog}
 			},

@@ -248,6 +248,10 @@ type Driver struct {
 	scratch batchScratch
 	batch   batchCtx
 	block   blockCtx
+	// faultBuf backs each batch's fault records, from the first fetch
+	// installment to the replay completion callback. The consumers that
+	// outlive a batch (Collector.AddFaults, the pipeline profiler) copy.
+	faultBuf []gpu.Fault
 
 	Collector *trace.Collector
 	stats     Stats

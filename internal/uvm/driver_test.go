@@ -65,7 +65,9 @@ func streamKernel(base mem.Addr, nPages int) gpu.Kernel {
 			if hi > nPages {
 				hi = nPages
 			}
-			return []gpu.Program{{gpu.Read(0, gpu.PageRange(first+mem.PageID(lo), hi-lo)...)}}
+			var prog gpu.Program
+			prog.Read(0, first+mem.PageID(lo), hi-lo)
+			return []gpu.Program{prog}
 		},
 	}
 }
@@ -308,11 +310,12 @@ func TestDuplicateClassification(t *testing.T) {
 	eng, drv, dev := newSystem(smallGPU(), noPrefetch())
 	base := drv.Alloc(mem.VABlockSize)
 	first := mem.PageOf(base)
-	shared := gpu.PageRange(first, 32)
+	var shared gpu.Program
+	shared.Read(0, first, 32)
 	runKernel(t, eng, dev, gpu.Kernel{
 		NumBlocks: 4,
 		BlockProgram: func(int) []gpu.Program {
-			return []gpu.Program{{gpu.Read(0, shared...)}}
+			return []gpu.Program{shared}
 		},
 	})
 	t1, t2 := 0, 0

@@ -33,12 +33,12 @@ func (s *stampCheck) Pick(d *Driver, candidates []int) int {
 func randomKernel(rng *rand.Rand, first mem.PageID, n, blocks int) gpu.Kernel {
 	progs := make([][]gpu.Program, blocks)
 	for b := range progs {
-		var pages []mem.PageID
+		var prog gpu.Program
 		for i := 0; i < 8; i++ {
 			p := first + mem.PageID(rng.Intn(n-16))
-			pages = append(pages, gpu.PageRange(p, 1+rng.Intn(16))...)
+			prog.Read(0, p, 1+rng.Intn(16))
 		}
-		progs[b] = []gpu.Program{{gpu.Read(0, pages...)}}
+		progs[b] = []gpu.Program{prog}
 	}
 	return gpu.Kernel{NumBlocks: blocks, BlockProgram: func(b int) []gpu.Program { return progs[b] }}
 }

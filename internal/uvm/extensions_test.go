@@ -97,7 +97,7 @@ func TestParallelServicingSpeedsUpScatteredBatches(t *testing.T) {
 			BlockProgram: func(int) []gpu.Program {
 				var prog gpu.Program
 				for i := 0; i < 100; i++ {
-					prog = append(prog, gpu.Read(0, first+mem.PageID(rng.Uint64n(16*512))))
+					prog.Read(0, first+mem.PageID(rng.Uint64n(16*512)), 1)
 				}
 				return []gpu.Program{prog}
 			},
@@ -121,12 +121,13 @@ func TestAdaptiveBatchShrinksOnDuplicates(t *testing.T) {
 	ucfg.AdaptiveMin = 32
 	eng, drv, dev := newSystem(smallGPU(), ucfg)
 	base := drv.Alloc(mem.VABlockSize)
-	shared := gpu.PageRange(mem.PageOf(base), 16)
+	var shared gpu.Program
+	shared.Read(0, mem.PageOf(base), 16)
 	// Many blocks hammering the same pages -> dup-heavy batches.
 	runKernel(t, eng, dev, gpu.Kernel{
 		NumBlocks: 16,
 		BlockProgram: func(int) []gpu.Program {
-			return []gpu.Program{{gpu.Read(0, shared...)}}
+			return []gpu.Program{shared}
 		},
 	})
 	if got := drv.EffectiveBatchSize(); got >= drv.Config().BatchSize {
@@ -283,20 +284,17 @@ func TestLFUKeepsHotBlock(t *testing.T) {
 
 	// Dependent computes serialize the sequence, so hot-block re-reads
 	// hit (and count) before each cold stream forces an eviction.
-	prog := gpu.Program{
-		gpu.Read(0, gpu.PageRange(hot, 32)...),
-		gpu.Compute(sim.Microsecond, 0),
-	}
+	var prog gpu.Program
+	prog.Read(0, hot, 32)
+	prog.Compute(sim.Microsecond, gpu.Regs(0))
 	for c := 1; c <= 3; c++ {
 		cold := hot + mem.PageID(c*mem.PagesPerVABlock)
-		prog = append(prog,
-			gpu.Read(0, gpu.PageRange(hot, 32)...), // hits
-			gpu.Compute(sim.Microsecond, 0),
-			gpu.Read(1, gpu.PageRange(cold, 64)...),
-			gpu.Compute(sim.Microsecond, 1),
-			gpu.Read(0, gpu.PageRange(hot, 32)...), // more hits
-			gpu.Compute(sim.Microsecond, 0),
-		)
+		prog.Read(0, hot, 32) // hits
+		prog.Compute(sim.Microsecond, gpu.Regs(0))
+		prog.Read(1, cold, 64)
+		prog.Compute(sim.Microsecond, gpu.Regs(1))
+		prog.Read(0, hot, 32) // more hits
+		prog.Compute(sim.Microsecond, gpu.Regs(0))
 	}
 	runKernel(t, eng, dev, gpu.Kernel{NumBlocks: 1, BlockProgram: func(int) []gpu.Program {
 		return []gpu.Program{prog}

@@ -48,7 +48,7 @@ func (d *Driver) startBatch() {
 func (d *Driver) beginBatch() {
 	start := d.eng.Now()
 	d.eng.Schedule(d.cfg.Costs.BatchSetup, func() {
-		d.fetchLoop(start, nil, 0)
+		d.fetchLoop(start, d.faultBuf[:0], 0)
 	})
 }
 
@@ -57,8 +57,10 @@ func (d *Driver) beginBatch() {
 // the loop re-checks the buffer after each drain installment and hands
 // the completed batch to the stage pipeline.
 func (d *Driver) fetchLoop(start sim.Time, faults []gpu.Fault, tFetch sim.Time) {
-	got := d.dev.Buffer.Fetch(d.effBatch - len(faults))
-	faults = append(faults, got...)
+	n0 := len(faults)
+	faults = d.dev.Buffer.FetchInto(faults, d.effBatch-n0)
+	d.faultBuf = faults
+	got := faults[n0:]
 	cost := sim.Time(len(got)) * d.cfg.Costs.FetchPerFault
 	tFetch += cost
 	if d.prof != nil && len(got) > 0 {

@@ -84,13 +84,11 @@ func (w *FFT) Phases(bases []mem.Addr) []Phase {
 					}
 					loIdx := mem.PageID(i % stride)
 					base := mem.PageID(i/stride) * mem.PageID(stride) * 2
-					prog = append(prog,
-						gpu.Read(0, gpu.PageRange(src+base+loIdx, n)...),
-						gpu.Read(1, gpu.PageRange(src+base+loIdx+mem.PageID(stride), n)...),
-						gpu.Compute(w.ComputePerChunk, 0, 1),
-						gpu.Write(nil, gpu.PageRange(dst+mem.PageID(2*i), n)...),
-						gpu.Write(nil, gpu.PageRange(dst+mem.PageID(2*i)+mem.PageID(n), n)...),
-					)
+					prog.Read(0, src+base+loIdx, n)
+					prog.Read(1, src+base+loIdx+mem.PageID(stride), n)
+					prog.Compute(w.ComputePerChunk, gpu.Regs(0, 1))
+					prog.Write(0, dst+mem.PageID(2*i), n)
+					prog.Write(0, dst+mem.PageID(2*i)+mem.PageID(n), n)
 				}
 				return []gpu.Program{prog}
 			}},

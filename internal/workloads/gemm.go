@@ -61,14 +61,18 @@ func (w *GEMM) Allocs() []Alloc {
 	}
 }
 
-// panelPages returns the distinct pages of the sub-matrix
-// rows [r0, r0+nr) x cols [c0, c0+nc) of the row-major matrix at base.
-func (w *GEMM) panelPages(base mem.Addr, r0, nr, c0, nc int) []mem.PageID {
+// panelPages returns the distinct pages, ascending, of the sub-matrix
+// rows [r0, r0+nr) x cols [c0, c0+nc) of the row-major matrix at base,
+// built in buf's storage.
+func (w *GEMM) panelPages(buf []mem.PageID, base mem.Addr, r0, nr, c0, nc int) []mem.PageID {
 	rowBytes := uint64(w.N) * uint64(w.Elem)
-	var pages []mem.PageID
+	pages := buf[:0]
 	for r := r0; r < r0+nr; r++ {
 		off := uint64(r)*rowBytes + uint64(c0)*uint64(w.Elem)
-		pages = append(pages, pagesIn(base, off, uint64(nc)*uint64(w.Elem))...)
+		first, n := spanIn(base, off, uint64(nc)*uint64(w.Elem))
+		for i := 0; i < n; i++ {
+			pages = append(pages, first+mem.PageID(i))
+		}
 	}
 	return dedupPages(pages)
 }
@@ -87,9 +91,10 @@ func (w *GEMM) Phases(bases []mem.Addr) []Phase {
 			ti := blk / tiles // tile row
 			tj := blk % tiles // tile col
 			var prog gpu.Program
+			var aPages, bPages []mem.PageID
 			for k := 0; k < tiles; k++ {
-				aPages := w.panelPages(a, ti*w.Tile, w.Tile, k*w.Tile, w.Tile)
-				bPages := w.panelPages(b, k*w.Tile, w.Tile, tj*w.Tile, w.Tile)
+				aPages = w.panelPages(aPages, a, ti*w.Tile, w.Tile, k*w.Tile, w.Tile)
+				bPages = w.panelPages(bPages, b, k*w.Tile, w.Tile, tj*w.Tile, w.Tile)
 				// Stage the panels chunk by chunk: each chunk's loads
 				// must land before the dependent math lets the next
 				// chunk issue (shared-memory double-buffer pacing).
@@ -99,28 +104,21 @@ func (w *GEMM) Phases(bases []mem.Addr) []Phase {
 				}
 				for lo := 0; lo < n; lo += w.ChunkPages {
 					hi := lo + w.ChunkPages
-					op := gpu.Compute(w.ComputePerChunk)
+					var deps gpu.RegMask
 					if lo < len(aPages) {
-						ha := hi
-						if ha > len(aPages) {
-							ha = len(aPages)
-						}
-						prog = append(prog, gpu.Read(0, aPages[lo:ha]...))
-						op.Deps = append(op.Deps, 0)
+						prog.ReadPages(0, aPages[lo:min(hi, len(aPages))])
+						deps |= gpu.Regs(0)
 					}
 					if lo < len(bPages) {
-						hb := hi
-						if hb > len(bPages) {
-							hb = len(bPages)
-						}
-						prog = append(prog, gpu.Read(1, bPages[lo:hb]...))
-						op.Deps = append(op.Deps, 1)
+						prog.ReadPages(1, bPages[lo:min(hi, len(bPages))])
+						deps |= gpu.Regs(1)
 					}
-					prog = append(prog, op)
+					prog.Compute(w.ComputePerChunk, deps)
 				}
 			}
-			cPages := w.panelPages(c, ti*w.Tile, w.Tile, tj*w.Tile, w.Tile)
-			prog = append(prog, gpu.Write(nil, cPages...))
+			// The C panel reuses the A panel's buffer: the ops already
+			// hold their own runs.
+			prog.WritePages(0, w.panelPages(aPages, c, ti*w.Tile, w.Tile, tj*w.Tile, w.Tile))
 			return []gpu.Program{prog}
 		}},
 	}}

@@ -78,23 +78,21 @@ func (w *Replay) Phases(bases []mem.Addr) []Phase {
 		Kernel: gpu.Kernel{NumBlocks: maxBlock + 1, BlockProgram: func(blk int) []gpu.Program {
 			var prog gpu.Program
 			for _, op := range perBlock[blk] {
-				switch op.Kind {
-				case "c":
-					prog = append(prog, gpu.Compute(sim.Time(op.Count), 0))
+				if op.Kind == "c" {
+					prog.Compute(sim.Time(op.Count), gpu.Regs(0))
 					continue
 				}
-				base := mem.PageOf(bases[op.Alloc]) + mem.PageID(op.Page)
-				pages := gpu.PageRange(base, int(op.Count))
+				first := mem.PageOf(bases[op.Alloc]) + mem.PageID(op.Page)
 				switch op.Kind {
 				case "r":
-					prog = append(prog, gpu.Read(0, pages...))
+					prog.Read(0, first, int(op.Count))
 				case "w":
-					prog = append(prog, gpu.Write(nil, pages...))
+					prog.Write(0, first, int(op.Count))
 				case "p":
-					prog = append(prog, gpu.Prefetch(pages...))
+					prog.Prefetch(first, int(op.Count))
 				}
 			}
-			if len(prog) == 0 {
+			if len(prog.Ops) == 0 {
 				return nil
 			}
 			return []gpu.Program{prog}

@@ -56,17 +56,18 @@ func TestReplayPhases(t *testing.T) {
 	}
 	// Block 0: read(8), compute, write(4).
 	prog := k.BlockProgram(0)[0]
-	if len(prog) != 3 || prog[0].Kind != gpu.OpRead || prog[1].Kind != gpu.OpCompute ||
-		prog[2].Kind != gpu.OpWrite {
+	ops := prog.Ops
+	if len(ops) != 3 || ops[0].Kind != gpu.OpRead || ops[1].Kind != gpu.OpCompute ||
+		ops[2].Kind != gpu.OpWrite {
 		t.Fatalf("block 0 prog = %+v", prog)
 	}
-	if prog[2].Pages[0] != mem.PageOf(bases[1]) {
-		t.Fatalf("write targets page %d, want alloc-1 base", prog[2].Pages[0])
+	if got := prog.AppendPages(nil, ops[2])[0]; got != mem.PageOf(bases[1]) {
+		t.Fatalf("write targets page %d, want alloc-1 base", got)
 	}
 	// Block 1 prefetch op present.
 	prog1 := k.BlockProgram(1)[0]
-	if prog1[1].Kind != gpu.OpPrefetch || len(prog1[1].Pages) != 32 {
-		t.Fatalf("block 1 prefetch = %+v", prog1[1])
+	if op := prog1.Ops[1]; op.Kind != gpu.OpPrefetch || prog1.NumPages(op) != 32 {
+		t.Fatalf("block 1 prefetch = %+v", op)
 	}
 }
 

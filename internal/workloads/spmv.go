@@ -87,6 +87,7 @@ func (w *SpMV) Phases(bases []mem.Addr) []Phase {
 				r1 = w.Rows
 			}
 			var prog gpu.Program
+			var xps []mem.PageID
 			for r := r0; r < r1; r += w.ChunkRows {
 				rows := w.ChunkRows
 				if r+rows > r1 {
@@ -95,8 +96,8 @@ func (w *SpMV) Phases(bases []mem.Addr) []Phase {
 				nnzOff := uint64(r) * uint64(w.NnzPerRow) * spmvValBytes
 				nnzLen := uint64(rows) * uint64(w.NnzPerRow) * spmvValBytes
 				// Streaming reads: values and column indices.
-				valPages := pagesIn(vals, nnzOff, nnzLen)
-				colPages := pagesIn(cols, nnzOff, nnzLen)
+				valFirst, valN := spanIn(vals, nnzOff, nnzLen)
+				colFirst, colN := spanIn(cols, nnzOff, nnzLen)
 				// Data-dependent gathers into x: a handful of
 				// distinct pages per chunk.
 				gathers := rows * w.NnzPerRow / 16
@@ -106,18 +107,16 @@ func (w *SpMV) Phases(bases []mem.Addr) []Phase {
 				if gathers > 8 {
 					gathers = 8
 				}
-				var xps []mem.PageID
+				xps = xps[:0]
 				for g := 0; g < gathers; g++ {
 					xps = append(xps, w.gatherPage(rng, mem.PageOf(x), xPages))
 				}
-				xps = dedupPages(xps)
-				prog = append(prog,
-					gpu.Read(0, valPages...),
-					gpu.Read(1, colPages...),
-					gpu.Read(2, xps...),
-					gpu.Compute(w.ComputePerChunk, 0, 1, 2),
-					gpu.Write(nil, pagesIn(y, uint64(r)*spmvVecBytes, uint64(rows)*spmvVecBytes)...),
-				)
+				prog.Read(0, valFirst, valN)
+				prog.Read(1, colFirst, colN)
+				prog.ReadPages(2, dedupPages(xps))
+				prog.Compute(w.ComputePerChunk, gpu.Regs(0, 1, 2))
+				yFirst, yN := spanIn(y, uint64(r)*spmvVecBytes, uint64(rows)*spmvVecBytes)
+				prog.Write(0, yFirst, yN)
 			}
 			return []gpu.Program{prog}
 		}},

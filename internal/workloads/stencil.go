@@ -76,26 +76,16 @@ func (w *GaussSeidel) Phases(bases []mem.Addr) []Phase {
 					if h1 > w.Rows {
 						h1 = w.Rows
 					}
-					readPages := dedupPages(pagesIn(base, uint64(h0)*rowBytes, uint64(h1-h0)*rowBytes))
-					writePages := dedupPages(pagesIn(base, uint64(r0)*rowBytes, uint64(r1-r0)*rowBytes))
+					readFirst, readN := spanIn(base, uint64(h0)*rowBytes, uint64(h1-h0)*rowBytes)
+					writeFirst, writeN := spanIn(base, uint64(r0)*rowBytes, uint64(r1-r0)*rowBytes)
 					// Row-order dependence: each chunk's loads feed
 					// the stencil math before the next chunk issues.
-					for lo := 0; lo < len(readPages); lo += w.ChunkPages {
-						hi := lo + w.ChunkPages
-						if hi > len(readPages) {
-							hi = len(readPages)
-						}
-						prog = append(prog,
-							gpu.Read(0, readPages[lo:hi]...),
-							gpu.Compute(w.ComputePerChunk, 0),
-						)
+					for lo := 0; lo < readN; lo += w.ChunkPages {
+						prog.Read(0, readFirst+mem.PageID(lo), min(w.ChunkPages, readN-lo))
+						prog.Compute(w.ComputePerChunk, gpu.Regs(0))
 					}
-					for lo := 0; lo < len(writePages); lo += w.ChunkPages {
-						hi := lo + w.ChunkPages
-						if hi > len(writePages) {
-							hi = len(writePages)
-						}
-						prog = append(prog, gpu.Write([]int{0}, writePages[lo:hi]...))
+					for lo := 0; lo < writeN; lo += w.ChunkPages {
+						prog.Write(gpu.Regs(0), writeFirst+mem.PageID(lo), min(w.ChunkPages, writeN-lo))
 					}
 				}
 				return []gpu.Program{prog}
@@ -195,18 +185,13 @@ func (w *HPGMG) smoothKernel(base mem.Addr, bytes uint64, blocks int) gpu.Kernel
 		if lo >= hi {
 			return nil
 		}
-		var prog gpu.Program
+		chunks := (hi - lo + w.ChunkPages - 1) / w.ChunkPages
+		prog := gpu.NewProgram(3*chunks, 2*chunks)
 		for p := lo; p < hi; p += w.ChunkPages {
-			n := w.ChunkPages
-			if p+n > hi {
-				n = hi - p
-			}
-			pages := gpu.PageRange(first+mem.PageID(p), n)
-			prog = append(prog,
-				gpu.Read(0, pages...),
-				gpu.Compute(w.ComputePerChunk, 0),
-				gpu.Write(nil, pages...),
-			)
+			n := min(w.ChunkPages, hi-p)
+			prog.Read(0, first+mem.PageID(p), n)
+			prog.Compute(w.ComputePerChunk, gpu.Regs(0))
+			prog.Write(0, first+mem.PageID(p), n)
 		}
 		return []gpu.Program{prog}
 	}}
@@ -234,24 +219,17 @@ func (w *HPGMG) transferKernel(src, dst mem.Addr, srcBytes, dstBytes uint64, blo
 		if lo >= hi {
 			return nil
 		}
-		var prog gpu.Program
+		chunks := (hi - lo + w.ChunkPages - 1) / w.ChunkPages
+		prog := gpu.NewProgram(3*chunks, 2*chunks)
 		for p := lo; p < hi; p += w.ChunkPages {
-			n := w.ChunkPages
-			if p+n > hi {
-				n = hi - p
-			}
+			n := min(w.ChunkPages, hi-p)
 			srcLo := p * ratio
-			srcN := n * ratio
-			if srcLo+srcN > srcPages {
-				srcN = srcPages - srcLo
-			}
+			srcN := min(n*ratio, srcPages-srcLo)
 			if srcN > 0 {
-				prog = append(prog,
-					gpu.Read(0, gpu.PageRange(s+mem.PageID(srcLo), srcN)...),
-					gpu.Compute(w.ComputePerChunk, 0),
-				)
+				prog.Read(0, s+mem.PageID(srcLo), srcN)
+				prog.Compute(w.ComputePerChunk, gpu.Regs(0))
 			}
-			prog = append(prog, gpu.Write([]int{0}, gpu.PageRange(d+mem.PageID(p), n)...))
+			prog.Write(gpu.Regs(0), d+mem.PageID(p), n)
 		}
 		return []gpu.Program{prog}
 	}}

@@ -40,13 +40,11 @@ func (w *VecAddPaper) Phases(bases []mem.Addr) []Phase {
 	var prog gpu.Program
 	for it := 0; it < w.Iterations; it++ {
 		off := mem.PageID(it * w.Threads)
-		prog = append(prog,
-			gpu.Read(0, gpu.PageRange(a+off, w.Threads)...),
-			gpu.Read(1, gpu.PageRange(b+off, w.Threads)...),
-			// The FADD's scoreboard stall: the store cannot issue
-			// until both loads complete (Listing 2).
-			gpu.Write([]int{0, 1}, gpu.PageRange(c+off, w.Threads)...),
-		)
+		prog.Read(0, a+off, w.Threads)
+		prog.Read(1, b+off, w.Threads)
+		// The FADD's scoreboard stall: the store cannot issue until both
+		// loads complete (Listing 2).
+		prog.Write(gpu.Regs(0, 1), c+off, w.Threads)
 	}
 	return []Phase{{
 		Name: "vecadd",
@@ -84,12 +82,11 @@ func (w *VecAddPrefetch) Allocs() []Alloc {
 // Phases implements Workload.
 func (w *VecAddPrefetch) Phases(bases []mem.Addr) []Phase {
 	a, b, c := mem.PageOf(bases[0]), mem.PageOf(bases[1]), mem.PageOf(bases[2])
-	prog := gpu.Program{
-		gpu.Prefetch(gpu.PageRange(a, w.PagesPerVector)...),
-		gpu.Prefetch(gpu.PageRange(b, w.PagesPerVector)...),
-		gpu.Prefetch(gpu.PageRange(c, w.PagesPerVector)...),
-		gpu.Compute(10 * sim.Microsecond),
-	}
+	var prog gpu.Program
+	prog.Prefetch(a, w.PagesPerVector)
+	prog.Prefetch(b, w.PagesPerVector)
+	prog.Prefetch(c, w.PagesPerVector)
+	prog.Compute(10*sim.Microsecond, 0)
 	return []Phase{{
 		Name: "prefetch-vecadd",
 		Kernel: gpu.Kernel{NumBlocks: 1, BlockProgram: func(int) []gpu.Program {
@@ -136,7 +133,10 @@ func (w *Regular) Phases(bases []mem.Addr) []Phase {
 			if lo >= hi {
 				return nil
 			}
-			prog := chunked(nil, gpu.PageRange(first+mem.PageID(lo), hi-lo), chunk, false)
+			var prog gpu.Program
+			for p := lo; p < hi; p += chunk {
+				prog.Read(0, first+mem.PageID(p), min(chunk, hi-p))
+			}
 			return []gpu.Program{prog}
 		}},
 	}}
@@ -174,10 +174,9 @@ func (w *Random) Phases(bases []mem.Addr) []Phase {
 		Name: "random-read",
 		Kernel: gpu.Kernel{NumBlocks: w.Blocks, BlockProgram: func(b int) []gpu.Program {
 			rng := sim.NewRNG(seed + uint64(b)*0x9e37)
-			var prog gpu.Program
+			prog := gpu.NewProgram(w.AccessesPerBlk, w.AccessesPerBlk)
 			for i := 0; i < w.AccessesPerBlk; i++ {
-				p := first + mem.PageID(rng.Uint64n(totalPages))
-				prog = append(prog, gpu.Read(0, p))
+				prog.Read(0, first+mem.PageID(rng.Uint64n(totalPages)), 1)
 			}
 			return []gpu.Program{prog}
 		}},
@@ -242,30 +241,29 @@ func (w *Stream) Phases(bases []mem.Addr) []Phase {
 		phases = append(phases, Phase{
 			Name: "triad",
 			Kernel: gpu.Kernel{NumBlocks: w.Blocks, BlockProgram: func(blk int) []gpu.Program {
-				var prog, shadow gpu.Program
+				chunks := 0
+				if start := blk * chunk; start < total {
+					chunks = (total - start + stride - 1) / stride
+				}
+				prog := gpu.NewProgram(4*chunks, 3*chunks)
+				shadow := gpu.NewProgram(3*chunks, 2*chunks)
 				// Grid-stride: block blk handles chunks blk, blk+B,
 				// blk+2B, ... so all blocks advance one frontier.
 				for p := blk * chunk; p < total; p += stride {
-					n := chunk
-					if p+n > total {
-						n = total - p
-					}
+					n := min(chunk, total-p)
 					off := mem.PageID(p)
-					prog = append(prog,
-						gpu.Read(0, gpu.PageRange(b+off, n)...),
-						gpu.Read(1, gpu.PageRange(c+off, n)...),
-						gpu.Compute(w.ComputePerChunk, 0, 1),
-						gpu.Write(nil, gpu.PageRange(a+off, n)...),
-					)
+					prog.Read(0, b+off, n)
+					prog.Read(1, c+off, n)
+					prog.Compute(w.ComputePerChunk, gpu.Regs(0, 1))
+					prog.Write(0, a+off, n)
 					// Sibling warps coalesce onto the chunk's lead
 					// pages, re-issuing the same faults.
-					shadow = append(shadow,
-						gpu.Read(0, b+off),
-						gpu.Read(1, c+off),
-						gpu.Compute(w.ComputePerChunk, 0, 1),
-					)
+					shadow.Read(0, b+off, 1)
+					shadow.Read(1, c+off, 1)
+					shadow.Compute(w.ComputePerChunk, gpu.Regs(0, 1))
 				}
-				progs := []gpu.Program{prog}
+				progs := make([]gpu.Program, 0, 1+w.ShadowWarps)
+				progs = append(progs, prog)
 				for s := 0; s < w.ShadowWarps; s++ {
 					progs = append(progs, shadow)
 				}
@@ -314,13 +312,11 @@ func (w *VecAddCoalesced) Phases(bases []mem.Addr) []Phase {
 		Name: "vecadd-coalesced",
 		Kernel: gpu.Kernel{NumBlocks: 1, BlockProgram: func(int) []gpu.Program {
 			progs := make([]gpu.Program, w.Warps)
-			for wi := 0; wi < w.Warps; wi++ {
+			for wi := range progs {
 				off := mem.PageID(wi * per)
-				progs[wi] = gpu.Program{
-					gpu.Read(0, gpu.PageRange(a+off, per)...),
-					gpu.Read(1, gpu.PageRange(b+off, per)...),
-					gpu.Write([]int{0, 1}, gpu.PageRange(c+off, per)...),
-				}
+				progs[wi].Read(0, a+off, per)
+				progs[wi].Read(1, b+off, per)
+				progs[wi].Write(gpu.Regs(0, 1), c+off, per)
 			}
 			return progs
 		}},

@@ -7,7 +7,7 @@
 package workloads
 
 import (
-	"sort"
+	"slices"
 
 	"guvm/internal/gpu"
 	"guvm/internal/mem"
@@ -50,15 +50,15 @@ type Workload interface {
 	Phases(bases []mem.Addr) []Phase
 }
 
-// pagesIn returns the distinct pages covering bytes [off, off+length) of
-// the allocation at base.
-func pagesIn(base mem.Addr, off, length uint64) []mem.PageID {
+// spanIn returns the first page and the page count covering bytes
+// [off, off+length) of the allocation at base (count 0 for no bytes).
+func spanIn(base mem.Addr, off, length uint64) (mem.PageID, int) {
 	if length == 0 {
-		return nil
+		return 0, 0
 	}
 	first := mem.PageOf(base + mem.Addr(off))
 	last := mem.PageOf(base + mem.Addr(off+length-1))
-	return gpu.PageRange(first, int(last-first)+1)
+	return first, int(last-first) + 1
 }
 
 // dedupPages sorts and deduplicates a page list in place.
@@ -66,29 +66,6 @@ func dedupPages(pages []mem.PageID) []mem.PageID {
 	if len(pages) < 2 {
 		return pages
 	}
-	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
-	out := pages[:1]
-	for _, p := range pages[1:] {
-		if p != out[len(out)-1] {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// chunked appends ops reading (and optionally writing) pages in chunks of
-// chunk pages, alternating registers so reads stay non-blocking.
-func chunked(prog gpu.Program, pages []mem.PageID, chunk int, write bool) gpu.Program {
-	for lo := 0; lo < len(pages); lo += chunk {
-		hi := lo + chunk
-		if hi > len(pages) {
-			hi = len(pages)
-		}
-		if write {
-			prog = append(prog, gpu.Write(nil, pages[lo:hi]...))
-		} else {
-			prog = append(prog, gpu.Read(0, pages[lo:hi]...))
-		}
-	}
-	return prog
+	slices.Sort(pages)
+	return slices.Compact(pages)
 }

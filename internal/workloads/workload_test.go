@@ -40,16 +40,22 @@ func collectPages(t *testing.T, w Workload, bases []mem.Addr) []mem.PageID {
 	t.Helper()
 	var pages []mem.PageID
 	for _, ph := range w.Phases(bases) {
-		k := ph.Kernel
-		for b := 0; b < k.NumBlocks; b++ {
-			for _, prog := range k.BlockProgram(b) {
-				for _, op := range prog {
-					pages = append(pages, op.Pages...)
-				}
+		pages = appendKernelPages(pages, ph.Kernel)
+	}
+	return pages
+}
+
+// appendKernelPages appends every page a kernel's ops touch, in program
+// order, to dst.
+func appendKernelPages(dst []mem.PageID, k gpu.Kernel) []mem.PageID {
+	for b := 0; b < k.NumBlocks; b++ {
+		for _, prog := range k.BlockProgram(b) {
+			for _, op := range prog.Ops {
+				dst = prog.AppendPages(dst, op)
 			}
 		}
 	}
-	return pages
+	return dst
 }
 
 func TestAllWorkloadsWellFormed(t *testing.T) {
@@ -116,12 +122,12 @@ func TestVecAddPaperShape(t *testing.T) {
 		t.Fatalf("warps = %d, want 1", len(progs))
 	}
 	prog := progs[0]
-	if len(prog) != 9 { // 3 iterations x (read, read, write)
-		t.Fatalf("ops = %d, want 9", len(prog))
+	if len(prog.Ops) != 9 { // 3 iterations x (read, read, write)
+		t.Fatalf("ops = %d, want 9", len(prog.Ops))
 	}
-	for i, op := range prog {
-		if len(op.Pages) != 32 {
-			t.Fatalf("op %d touches %d pages, want 32", i, len(op.Pages))
+	for i, op := range prog.Ops {
+		if n := prog.NumPages(op); n != 32 {
+			t.Fatalf("op %d touches %d pages, want 32", i, n)
 		}
 		switch i % 3 {
 		case 0, 1:
@@ -129,14 +135,14 @@ func TestVecAddPaperShape(t *testing.T) {
 				t.Fatalf("op %d kind = %v, want read", i, op.Kind)
 			}
 		case 2:
-			if op.Kind != gpu.OpWrite || len(op.Deps) != 2 {
+			if op.Kind != gpu.OpWrite || op.Deps != gpu.Regs(0, 1) {
 				t.Fatalf("op %d not a 2-dep write", i)
 			}
 		}
 	}
 	// Each op's pages are all distinct (one page per thread).
 	seen := map[mem.PageID]bool{}
-	for _, p := range prog[0].Pages {
+	for _, p := range prog.AppendPages(nil, prog.Ops[0]) {
 		if seen[p] {
 			t.Fatal("duplicate page within warp op")
 		}
@@ -149,11 +155,11 @@ func TestVecAddPrefetchShape(t *testing.T) {
 	bases := fakeBases(w.Allocs())
 	prog := w.Phases(bases)[0].Kernel.BlockProgram(0)[0]
 	npf := 0
-	for _, op := range prog {
+	for _, op := range prog.Ops {
 		if op.Kind == gpu.OpPrefetch {
 			npf++
-			if len(op.Pages) != 256 {
-				t.Fatalf("prefetch op touches %d pages, want 256", len(op.Pages))
+			if n := prog.NumPages(op); n != 256 {
+				t.Fatalf("prefetch op touches %d pages, want 256", n)
 			}
 		}
 	}
@@ -205,10 +211,10 @@ func TestGEMMPanelSharing(t *testing.T) {
 	aPages := func(b int) map[mem.PageID]bool {
 		set := map[mem.PageID]bool{}
 		prog := k.BlockProgram(b)[0]
-		if prog[0].Kind != gpu.OpRead {
+		if prog.Ops[0].Kind != gpu.OpRead {
 			t.Fatal("first op not a read")
 		}
-		for _, p := range prog[0].Pages {
+		for _, p := range prog.AppendPages(nil, prog.Ops[0]) {
 			set[p] = true
 		}
 		return set
@@ -231,9 +237,10 @@ func TestGEMMWritesCoverC(t *testing.T) {
 	k := w.Phases(bases)[0].Kernel
 	writes := map[mem.PageID]bool{}
 	for b := 0; b < k.NumBlocks; b++ {
-		for _, op := range k.BlockProgram(b)[0] {
+		prog := k.BlockProgram(b)[0]
+		for _, op := range prog.Ops {
 			if op.Kind == gpu.OpWrite {
-				for _, p := range op.Pages {
+				for _, p := range prog.AppendPages(nil, op) {
 					writes[p] = true
 				}
 			}
@@ -269,7 +276,7 @@ func TestFFTPassesAlternateBuffers(t *testing.T) {
 	// Pass 0 reads src (alloc 0), pass 1 reads dst (alloc 1).
 	srcOf := func(ph Phase) mem.VABlockID {
 		prog := ph.Kernel.BlockProgram(0)[0]
-		return prog[0].Pages[0].VABlock()
+		return prog.Runs[prog.Ops[0].Lo].First.VABlock()
 	}
 	a0 := mem.VABlockOf(bases[0])
 	a1 := mem.VABlockOf(bases[1])
@@ -293,20 +300,12 @@ func TestGaussSeidelReusesGrid(t *testing.T) {
 	}
 	// Same pages each sweep.
 	p0 := map[mem.PageID]bool{}
-	for b := 0; b < phases[0].Kernel.NumBlocks; b++ {
-		for _, op := range phases[0].Kernel.BlockProgram(b)[0] {
-			for _, p := range op.Pages {
-				p0[p] = true
-			}
-		}
+	for _, p := range appendKernelPages(nil, phases[0].Kernel) {
+		p0[p] = true
 	}
-	for b := 0; b < phases[1].Kernel.NumBlocks; b++ {
-		for _, op := range phases[1].Kernel.BlockProgram(b)[0] {
-			for _, p := range op.Pages {
-				if !p0[p] {
-					t.Fatalf("sweep 2 touches new page %d", p)
-				}
-			}
+	for _, p := range appendKernelPages(nil, phases[1].Kernel) {
+		if !p0[p] {
+			t.Fatalf("sweep 2 touches new page %d", p)
 		}
 	}
 }
@@ -347,16 +346,15 @@ func TestHPGMGLevelsShrink(t *testing.T) {
 
 func TestPagesInHelper(t *testing.T) {
 	base := mem.Addr(mem.VABlockSize)
-	if got := pagesIn(base, 0, 0); got != nil {
+	if _, n := spanIn(base, 0, 0); n != 0 {
 		t.Fatal("zero-length range returned pages")
 	}
-	got := pagesIn(base, 100, 10) // within one page
-	if len(got) != 1 || got[0] != mem.PageOf(base) {
-		t.Fatalf("single-page range = %v", got)
+	first, n := spanIn(base, 100, 10) // within one page
+	if n != 1 || first != mem.PageOf(base) {
+		t.Fatalf("single-page range = %d pages from %d", n, first)
 	}
-	got = pagesIn(base, mem.PageSize-1, 2) // crosses a page boundary
-	if len(got) != 2 {
-		t.Fatalf("boundary range = %v", got)
+	if _, n = spanIn(base, mem.PageSize-1, 2); n != 2 { // crosses a page boundary
+		t.Fatalf("boundary range = %d pages", n)
 	}
 }
 
@@ -448,8 +446,27 @@ func TestVecAddCoalescedShape(t *testing.T) {
 		t.Fatalf("warps = %d, want 4", len(progs))
 	}
 	for _, prog := range progs {
-		if len(prog) != 3 || prog[2].Kind != gpu.OpWrite || len(prog[2].Deps) != 2 {
+		if len(prog.Ops) != 3 || prog.Ops[2].Kind != gpu.OpWrite || prog.Ops[2].Deps != gpu.Regs(0, 1) {
 			t.Fatalf("warp prog shape wrong: %+v", prog)
+		}
+	}
+}
+
+// TestBlockProgramAllocs pins kernel program generation at one allocation
+// per program slice: each program's ops and runs are sized up front and
+// hold no per-op page lists, so a block costs the same few allocations
+// however many chunks it sweeps.
+func TestBlockProgramAllocs(t *testing.T) {
+	for _, c := range []struct {
+		w    Workload
+		want float64 // ops + runs per program, plus the []Program
+	}{
+		{NewStream(64<<20, 24), 5}, // lead warp and shared shadow program
+		{NewHPGMG(64<<20, 32), 3},  // one smoothing warp
+	} {
+		k := c.w.Phases(fakeBases(c.w.Allocs()))[0].Kernel
+		if got := testing.AllocsPerRun(20, func() { k.BlockProgram(0) }); got != c.want {
+			t.Errorf("%s: BlockProgram(0) makes %v allocations, want %v", c.w.Name(), got, c.want)
 		}
 	}
 }

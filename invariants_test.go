@@ -48,16 +48,15 @@ func (f *fuzzWorkload) Phases(bases []mem.Addr) []workloads.Phase {
 				if first+mem.PageID(n) > base+total {
 					n = int(base + total - first)
 				}
-				pages := gpu.PageRange(first, n)
 				switch rng.Intn(4) {
 				case 0:
-					prog = append(prog, gpu.Read(rng.Intn(3), pages...))
+					prog.Read(rng.Intn(3), first, n)
 				case 1:
-					prog = append(prog, gpu.Write(nil, pages...))
+					prog.Write(0, first, n)
 				case 2:
-					prog = append(prog, gpu.Prefetch(pages...))
+					prog.Prefetch(first, n)
 				case 3:
-					prog = append(prog, gpu.Compute(sim.Time(rng.Intn(2000)), rng.Intn(3)))
+					prog.Compute(sim.Time(rng.Intn(2000)), gpu.Regs(rng.Intn(3)))
 				}
 			}
 			return []gpu.Program{prog}

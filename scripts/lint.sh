@@ -158,6 +158,17 @@ if grep -nE '(var[[:space:]]+candidates([^[:alnum:]_]|$)|candidates[[:space:]]*:
   fail "internal/uvm/residency.go declares a local candidates slice; victim lists are pooled in batchScratch.candidates (DESIGN.md §13.2)"
 fi
 
+# 11. The GPU event path holds no maps (DESIGN.md §13.3): pending faults
+#     live in per-µTLB insertion-ordered tables with an open-addressed
+#     page index, and the access counters in a mem.BlockDir. The map+order
+#     table survives only as the test oracle (internal/gpu/program_test.go).
+for f in internal/gpu/*.go; do
+  case "$f" in *_test.go) continue ;; esac
+  if grep -nF 'map[' "$f"; then
+    fail "$f uses a map; the GPU event path is map-free (DESIGN.md §13.3)"
+  fi
+done
+
 if [ "$status" -ne 0 ]; then
   exit 1
 fi
