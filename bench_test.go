@@ -88,7 +88,6 @@ func BenchmarkAblationBatchSize(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := guvm.DefaultConfig()
 				cfg.Driver.PrefetchEnabled = false
-				cfg.Driver.Upgrade64K = false
 				cfg.Driver.BatchSize = bs
 				w := workloads.NewSGEMM(1024)
 				w.Tile = 512
@@ -150,7 +149,6 @@ func BenchmarkAblationEvictionExclusion(b *testing.B) {
 		cfg := guvm.DefaultConfig()
 		cfg.Driver.GPUMemBytes = 16 << 20
 		cfg.Driver.PrefetchEnabled = false
-		cfg.Driver.Upgrade64K = false
 		s := workloads.NewStream(16<<20, 24)
 		s.Iterations = 2
 		res, err := mustBenchSim(b, cfg).Run(s)

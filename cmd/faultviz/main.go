@@ -40,7 +40,6 @@ func main() {
 
 	cfg := guvm.DefaultConfig()
 	cfg.Driver.PrefetchEnabled = false // expose raw fault mechanics
-	cfg.Driver.Upgrade64K = false
 	cfg.KeepFaults = true
 	cfg.Audit.Enabled = *auditOn
 	cfg.Audit.Interval = 1

@@ -83,14 +83,13 @@ func main() {
 		// §6-proposal driver extensions.
 		workers    = flag.Int("workers", 1, "parallel VABlock service workers")
 		lpt        = flag.Bool("lpt", false, "LPT load balancing across workers")
-		adaptive   = flag.Bool("adaptive-batch", false, "duplicate-adaptive batch sizing")
 		asyncUnmap = flag.Bool("async-unmap", false, "preemptive CPU unmapping at kernel launch")
 		xblock     = flag.Int("xblock-prefetch", 0, "cross-VABlock prefetch scope (blocks ahead)")
 
 		// Named policy selection (the registry in internal/uvm): the shared
 		// -evict/-prefetch-policy/-batch-sizing/-arch/-list-policies block.
-		// Empty prefetch/batch-sizing selections defer to the individual
-		// knobs above; non-empty ones override them.
+		// An empty -prefetch-policy keeps -prefetch and -xblock-prefetch;
+		// a named one overrides them.
 		pol       = uvm.RegisterPolicyFlags(flag.CommandLine)
 		analyze   = flag.Bool("analyze", false, "print post-run telemetry analysis")
 		traceFile = flag.String("trace", "", "replay a recorded access trace instead of a named workload")
@@ -163,16 +162,14 @@ func main() {
 	cfg.Driver.GPUMemBytes = *gpuMB << 20
 	cfg.Driver.BatchSize = *batch
 	cfg.Driver.PrefetchEnabled = *prefetch
-	cfg.Driver.Upgrade64K = *prefetch
 	cfg.Driver.ServiceWorkers = *workers
 	cfg.Driver.LoadBalanceLPT = *lpt
-	cfg.Driver.AdaptiveBatch = *adaptive
 	cfg.Driver.AsyncUnmap = *asyncUnmap
 	cfg.Driver.CrossBlockPrefetch = *xblock
 	cfg.Policies = pol.Selection()
-	// Resolve eagerly so an unregistered name is rejected (with the valid
-	// options) before any workload work happens, for every run mode.
-	if err := cfg.Policies.Apply(&cfg.Driver); err != nil {
+	// Validate eagerly so an unregistered name is rejected (with the valid
+	// options) before any simulation runs, for every run mode.
+	if err := cfg.Policies.Validate(); err != nil {
 		fmt.Fprintf(os.Stderr, "uvmsim: %v\n", err)
 		os.Exit(2)
 	}

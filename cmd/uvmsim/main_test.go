@@ -42,11 +42,10 @@ func TestPrintPolicies(t *testing.T) {
 // an unregistered name must fail with an UnknownPolicyError that names the
 // valid options.
 func TestUnknownPolicyRejected(t *testing.T) {
-	var cfg uvm.Config
 	sel := uvm.PolicySelection{Eviction: "clock"}
-	err := sel.Apply(&cfg)
+	err := sel.Validate()
 	if err == nil {
-		t.Fatal("Apply accepted unregistered eviction policy \"clock\"")
+		t.Fatal("Validate accepted unregistered eviction policy \"clock\"")
 	}
 	if !errors.Is(err, uvm.ErrUnknownPolicy) {
 		t.Fatalf("error %v does not wrap ErrUnknownPolicy", err)

@@ -13,7 +13,6 @@ import (
 func Example() {
 	cfg := guvm.DefaultConfig()
 	cfg.Driver.PrefetchEnabled = false
-	cfg.Driver.Upgrade64K = false
 
 	s, err := guvm.NewSimulator(cfg)
 	if err != nil {

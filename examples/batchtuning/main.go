@@ -26,7 +26,6 @@ func main() {
 	for _, bs := range []int{64, 128, 256, 512, 1024, 2048} {
 		cfg := guvm.DefaultConfig()
 		cfg.Driver.PrefetchEnabled = false
-		cfg.Driver.Upgrade64K = false
 		cfg.Driver.BatchSize = bs
 		s, err := guvm.NewSimulator(cfg)
 		if err != nil {

@@ -71,7 +71,6 @@ func main() {
 	runCase := func(label string, pf bool, capMB uint64) *guvm.Result {
 		cfg := guvm.DefaultConfig()
 		cfg.Driver.PrefetchEnabled = pf
-		cfg.Driver.Upgrade64K = pf
 		cfg.Driver.GPUMemBytes = capMB << 20
 		s, err := guvm.NewSimulator(cfg)
 		if err != nil {

@@ -83,12 +83,13 @@ type SystemConfig struct {
 	// sampling). The zero value attaches nothing: no observer hooks, no
 	// instrumentation, zero cost on the fault-service path.
 	Obs obs.Config
-	// Policies selects the driver's eviction/prefetch/batch-sizing
-	// policies and its architecture (the stage graph itself) by registry
-	// name (see uvm.Policies for the catalog), overriding the
-	// corresponding Driver knobs. Empty fields leave the knobs untouched;
-	// an unregistered name makes NewSimulator return an error wrapping
-	// uvm.ErrUnknownPolicy.
+	// Policies names the driver's eviction, prefetch and batch-sizing
+	// policies and its architecture (the stage graph itself), one
+	// registry name each (see uvm.Policies for the catalog). It is the
+	// only place a policy is chosen; Driver holds parameters. An empty
+	// field selects the default (see uvm.PolicySelection); an
+	// unregistered name makes NewSimulator return an error wrapping
+	// uvm.ErrUnknownPolicy before anything is built.
 	Policies uvm.PolicySelection
 }
 
@@ -220,7 +221,7 @@ func NewMultiSimulator(cfg SystemConfig, n int) (*Simulator, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("guvm: %d devices, need at least one", n)
 	}
-	if err := cfg.Policies.Apply(&cfg.Driver); err != nil {
+	if err := cfg.Policies.Validate(); err != nil {
 		return nil, err
 	}
 	if n > 1 && cfg.Obs.Active() {
@@ -258,7 +259,7 @@ func NewMultiSimulator(cfg SystemConfig, n int) (*Simulator, error) {
 	shared := n > 1
 	for i := 0; i < n; i++ {
 		link := interconnect.NewLink(cfg.Link)
-		drv, err := uvm.NewDriver(cfg.Driver, eng, vm, link)
+		drv, err := uvm.NewDriver(cfg.Driver, cfg.Policies, eng, vm, link)
 		if err != nil {
 			return nil, err
 		}

@@ -142,7 +142,6 @@ func TestPrefetchSpeedsUpStream(t *testing.T) {
 	on := mustRun(t, cfg, mk())
 	cfgOff := testConfig()
 	cfgOff.Driver.PrefetchEnabled = false
-	cfgOff.Driver.Upgrade64K = false
 	off := mustRun(t, cfgOff, mk())
 	if on.KernelTime >= off.KernelTime {
 		t.Fatalf("prefetch kernel %v not faster than no-prefetch %v",
@@ -256,7 +255,6 @@ func TestCoalescedVecaddNeedsTwoFaultRounds(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.KeepFaults = true
 	cfg.Driver.PrefetchEnabled = false
-	cfg.Driver.Upgrade64K = false
 	res := mustRun(t, cfg, workloads.NewVecAddCoalesced())
 	if len(res.Batches) < 2 {
 		t.Fatalf("only %d batches; coalesced vecadd needs >= 2 rounds", len(res.Batches))

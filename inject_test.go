@@ -18,7 +18,6 @@ func TestFaultBufferOverflowReplayRecovers(t *testing.T) {
 		cfg := testConfig()
 		cfg.GPU.FaultBufferEntries = 24 // tiny: guaranteed overflow
 		cfg.Driver.PrefetchEnabled = false
-		cfg.Driver.Upgrade64K = false
 		s := mustSim(t, cfg)
 		res, err := s.Run(workloads.NewStream(8<<20, 16))
 		if err != nil {

@@ -202,7 +202,7 @@ func testSystem(t *testing.T) *Auditor {
 	eng := sim.NewEngine()
 	vm := hostos.NewVM(hostos.DefaultCostModel())
 	link := interconnect.NewLink(interconnect.DefaultPCIe3x16())
-	drv, err := uvm.NewDriver(uvm.DefaultConfig(), eng, vm, link)
+	drv, err := uvm.NewDriver(uvm.DefaultConfig(), uvm.PolicySelection{}, eng, vm, link)
 	if err != nil {
 		t.Fatal(err)
 	}

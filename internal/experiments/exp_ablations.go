@@ -208,8 +208,8 @@ func AblEvictionPolicy() (*Artifact, error) {
 		Headers: []string{"policy", "kernel_ms", "evictions", "bytes_rewritten_MB"},
 	}
 	// Sweep every registered eviction policy by name (registration order:
-	// lru, fifo, random, lfu), so policies added via RegisterEvictionPolicy
-	// join the ablation automatically.
+	// lru, fifo, random, lfu), so a policy added to the registry joins the
+	// ablation automatically.
 	for _, pol := range uvm.PoliciesOf(uvm.KindEviction) {
 		cfg := baseConfig()
 		cfg.Driver.GPUMemBytes = 32 << 20

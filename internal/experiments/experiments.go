@@ -125,10 +125,9 @@ func baseConfig() guvm.SystemConfig {
 	return cfg
 }
 
-// noPrefetch disables the prefetcher and the 64K upgrade.
+// noPrefetch disables the prefetcher (and with it the 64K upgrade).
 func noPrefetch(cfg guvm.SystemConfig) guvm.SystemConfig {
 	cfg.Driver.PrefetchEnabled = false
-	cfg.Driver.Upgrade64K = false
 	return cfg
 }
 

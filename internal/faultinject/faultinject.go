@@ -189,11 +189,6 @@ func (s Stats) Of(c Category) Counters {
 	return Counters{}
 }
 
-// TotalInjected sums injections across categories.
-func (s Stats) TotalInjected() uint64 {
-	return s.BufferDrop.Injected + s.Migrate.Injected + s.HostAlloc.Injected
-}
-
 // counterCell is the internal atomic representation of one category's
 // counters. The RNG-drawing decision methods stay simulation-goroutine
 // only (they consume a deterministic stream), but outcome reporting

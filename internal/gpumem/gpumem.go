@@ -35,11 +35,6 @@ type Allocator struct {
 	owner []mem.VABlockID // backing VABlock per chunk, valid while live
 	live  []uint64        // liveness bitmap, one bit per chunk
 	stats Stats
-	// manager tags which layer owns the mapping state over this pool
-	// (ArchitectureInfo.MappingOwner): "host-driver" for the paper's
-	// design, "device" for on-device page management. Accounting only —
-	// the pool mechanics are identical either way.
-	manager string
 }
 
 func (a *Allocator) isLive(id ChunkID) bool {
@@ -64,17 +59,6 @@ func New(capacityBytes uint64) *Allocator {
 		a.free = append(a.free, ChunkID(i))
 	}
 	return a
-}
-
-// SetManager tags the layer that owns mapping state over this pool.
-func (a *Allocator) SetManager(m string) { a.manager = m }
-
-// Manager returns the mapping-state owner tag ("host-driver" when unset).
-func (a *Allocator) Manager() string {
-	if a.manager == "" {
-		return "host-driver"
-	}
-	return a.manager
 }
 
 // Capacity returns the total chunk count.

@@ -189,6 +189,3 @@ func (vm *VM) HasDMA(p mem.PageID) bool {
 	_, ok := vm.dma.Lookup(uint64(p))
 	return ok
 }
-
-// DMATreeNodes returns the current radix-tree node count.
-func (vm *VM) DMATreeNodes() int { return vm.dma.Nodes() }

@@ -48,12 +48,6 @@ func (f *Flags) SamplingRequested() bool {
 	return f.MetricsCSV != "" || f.MetricsJSON != "" || f.MetricsAddr != ""
 }
 
-// SeriesRequested reports whether a sampled time-series file was asked
-// for (CSV or JSON).
-func (f *Flags) SeriesRequested() bool {
-	return f.MetricsCSV != "" || f.MetricsJSON != ""
-}
-
 // SampleEvery returns the sampling interval clamped to at least 1, so a
 // stray -metrics-interval 0 cannot disable a sampler the other flags
 // asked for.

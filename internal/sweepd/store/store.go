@@ -116,9 +116,6 @@ func Open(dir string) (*Store, *Recovery, error) {
 
 func (s *Store) journalPath() string { return filepath.Join(s.dir, journalName) }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // replay scans the journal, loads intact records, and truncates the file
 // at the first torn or corrupt record (everything after an unreadable
 // record is untrusted — the append-only discipline means nothing valid

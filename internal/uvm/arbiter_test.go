@@ -61,7 +61,7 @@ func TestArbiterReleasePanicsWhenIdle(t *testing.T) {
 func newSystemShared(eng *sim.Engine, gcfg gpu.Config, ucfg Config) (*Driver, *gpu.Device) {
 	vm := hostos.NewVM(hostos.DefaultCostModel())
 	link := interconnect.NewLink(interconnect.DefaultPCIe3x16())
-	drv, err := NewDriver(ucfg, eng, vm, link)
+	drv, err := NewDriver(ucfg, PolicySelection{}, eng, vm, link)
 	if err != nil {
 		panic(err)
 	}

@@ -29,7 +29,8 @@ import "guvm/internal/mem"
 // ArchitectureInfo describes one registered UVM architecture — the
 // declarative contract a registry entry states about itself.
 type ArchitectureInfo struct {
-	// Name is the registry key (the -arch flag / Config.Architecture value).
+	// Name is the registry key (the -arch flag / PolicySelection.Architecture
+	// value).
 	Name string
 	// Description is the one-line -list-policies text.
 	Description string
@@ -206,12 +207,9 @@ func (d *Driver) IsRemoteOnGPU(p mem.PageID) bool {
 
 // resolveArchitecture maps a name to its payload; "" is the default.
 func resolveArchitecture(name string) (*archPayload, error) {
-	if name == "" {
-		name = "host-driven"
+	p, err := architectureRegistry.resolve(name, "host-driven")
+	if err != nil {
+		return nil, err
 	}
-	e, ok := architectureRegistry.lookup(name)
-	if !ok {
-		return nil, architectureRegistry.unknown(name)
-	}
-	return e.payload.(*archPayload), nil
+	return p.(*archPayload), nil
 }

@@ -198,15 +198,15 @@ type Driver struct {
 	inBatch    bool
 	batchCount int
 
-	// effBatch is the adaptive effective batch size (== BatchSize when
-	// AdaptiveBatch is off).
+	// effBatch is the effective batch size, starting at BatchSize: the
+	// batch sizer adjusts it and host allocation pressure shrinks it.
 	effBatch int
 
 	// evict/planner/sizer are the policies resolved from the registry at
 	// construction (registry.go): victim selection, migration planning,
 	// and effective-batch-size adjustment. arch is the resolved
 	// architecture payload — the stage graph plus device wiring (arch.go);
-	// stepCosts is the profiled path's per-step scratch (a fixed array so
+	// stepCosts is runBlock's per-step cost scratch (a fixed array so
 	// construction stays allocation-neutral; architectures declare at
 	// most maxBlockSteps steps).
 	evict     EvictionStrategy
@@ -257,37 +257,37 @@ type Driver struct {
 	stats     Stats
 }
 
-// NewDriver builds a driver. Call Attach to wire it to a device before
+// NewDriver builds a driver running the policies pol names (see
+// PolicySelection.resolve). Call Attach to wire it to a device before
 // launching kernels; the driver is the device's ResidencyChecker. An
-// invalid configuration is an error.
-func NewDriver(cfg Config, eng *sim.Engine, vm *hostos.VM, link *interconnect.Link) (*Driver, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	arch, err := resolveArchitecture(cfg.Architecture)
+// unregistered policy name is an UnknownPolicyError, and an invalid
+// configuration is an error.
+func NewDriver(cfg Config, pol PolicySelection, eng *sim.Engine, vm *hostos.VM, link *interconnect.Link) (*Driver, error) {
+	p, err := pol.resolve(&cfg)
 	if err != nil {
 		return nil, err
 	}
-	if arch.configure != nil {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if p.arch.configure != nil {
 		// Architecture-specific config rewrites (cost model, threshold
 		// defaults) apply to this driver's copy only.
-		arch.configure(&cfg)
+		p.arch.configure(&cfg)
 	}
-	pmm := gpumem.New(cfg.GPUMemBytes)
-	pmm.SetManager(arch.info.MappingOwner)
 	return &Driver{
 		cfg:       cfg,
-		arch:      arch,
+		arch:      p.arch,
 		eng:       eng,
 		vm:        vm,
 		link:      link,
-		pmm:       pmm,
+		pmm:       gpumem.New(cfg.GPUMemBytes),
 		nextAlloc: mem.VABlockSize, // keep address 0 unused
 		sleeping:  true,
 		effBatch:  cfg.BatchSize,
-		evict:     resolveEvictionStrategy(cfg.Eviction),
-		planner:   resolvePrefetchPlanner(cfg),
-		sizer:     resolveBatchSizer(cfg),
+		evict:     p.evict,
+		planner:   p.planner,
+		sizer:     p.sizer,
 		evictRNG:  sim.NewRNG(cfg.EvictionSeed),
 		Collector: &trace.Collector{},
 	}, nil
@@ -298,7 +298,7 @@ func NewDriver(cfg Config, eng *sim.Engine, vm *hostos.VM, link *interconnect.Li
 func (d *Driver) Attach(dev *gpu.Device) {
 	d.dev = dev
 	dev.SetInterruptHandler(d.onInterrupt)
-	if d.cfg.Eviction == EvictLFU || d.arch.counters {
+	if _, lfu := d.evict.(lfuStrategy); lfu || d.arch.counters {
 		dev.Counters.Enable()
 	}
 	if d.arch.counters {
@@ -335,9 +335,6 @@ func (d *Driver) SetInjector(in *faultinject.Injector) {
 // transfer on the guaranteed path, bit-identical to the pre-fault-domain
 // model.
 func (d *Driver) SetHardware(hw *faultinject.HardwareInjector) { d.hw = hw }
-
-// Hardware returns the attached hardware fault domain (nil by default).
-func (d *Driver) Hardware() *faultinject.HardwareInjector { return d.hw }
 
 // Dead reports whether this driver's device was killed and its resident
 // pages re-homed to the host.

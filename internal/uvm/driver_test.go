@@ -10,13 +10,19 @@ import (
 	"guvm/internal/sim"
 )
 
-// newSystem wires engine + host VM + link + driver + device.
+// newSystem wires engine + host VM + link + driver + device, with the
+// default policies.
 func newSystem(gcfg gpu.Config, ucfg Config) (*sim.Engine, *Driver, *gpu.Device) {
+	return newPolicySystem(gcfg, ucfg, PolicySelection{})
+}
+
+// newPolicySystem is newSystem with the driver policies pol names.
+func newPolicySystem(gcfg gpu.Config, ucfg Config, pol PolicySelection) (*sim.Engine, *Driver, *gpu.Device) {
 	eng := sim.NewEngine()
 	eng.MaxEvents = 200_000_000
 	vm := hostos.NewVM(hostos.DefaultCostModel())
 	link := interconnect.NewLink(interconnect.DefaultPCIe3x16())
-	drv, err := NewDriver(ucfg, eng, vm, link)
+	drv, err := NewDriver(ucfg, pol, eng, vm, link)
 	if err != nil {
 		panic(err)
 	}
@@ -75,7 +81,6 @@ func streamKernel(base mem.Addr, nPages int) gpu.Kernel {
 func noPrefetch() Config {
 	c := DefaultConfig()
 	c.PrefetchEnabled = false
-	c.Upgrade64K = false
 	return c
 }
 

@@ -56,8 +56,7 @@ func TestEvictionBatchStampMatchesSearch(t *testing.T) {
 					ucfg := DefaultConfig()
 					ucfg.GPUMemBytes = 4 * mem.VABlockSize
 					ucfg.CrossBlockPrefetch = xblock
-					ucfg.Architecture = arch
-					eng, drv, dev := newSystem(smallGPU(), ucfg)
+					eng, drv, dev := newPolicySystem(smallGPU(), ucfg, PolicySelection{Architecture: arch})
 					check := &stampCheck{t: t, inner: drv.evict}
 					drv.evict = check
 					npages := 12 * mem.PagesPerVABlock

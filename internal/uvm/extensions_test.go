@@ -117,9 +117,8 @@ func TestParallelServicingSpeedsUpScatteredBatches(t *testing.T) {
 
 func TestAdaptiveBatchShrinksOnDuplicates(t *testing.T) {
 	ucfg := noPrefetch()
-	ucfg.AdaptiveBatch = true
 	ucfg.AdaptiveMin = 32
-	eng, drv, dev := newSystem(smallGPU(), ucfg)
+	eng, drv, dev := newPolicySystem(smallGPU(), ucfg, PolicySelection{BatchSizing: "adaptive"})
 	base := drv.Alloc(mem.VABlockSize)
 	var shared gpu.Program
 	shared.Read(0, mem.PageOf(base), 16)
@@ -139,7 +138,7 @@ func TestAdaptiveBatchShrinksOnDuplicates(t *testing.T) {
 }
 
 func TestAdaptiveBatchGrowsBack(t *testing.T) {
-	d := &Driver{cfg: Config{AdaptiveBatch: true, AdaptiveMin: 32, BatchSize: 256}, effBatch: 64}
+	d := &Driver{cfg: Config{AdaptiveMin: 32, BatchSize: 256}, effBatch: 64}
 	rec := batchRec(64, 2) // full batch, 3% dups
 	adaptiveSizer{}.Update(d, rec)
 	if d.effBatch != 128 {
@@ -227,13 +226,12 @@ func TestCrossBlockPrefetchStopsAtAllocationEnd(t *testing.T) {
 }
 
 func TestEvictionPolicies(t *testing.T) {
-	for _, pol := range []EvictionPolicy{EvictLRU, EvictFIFO, EvictRandom, EvictLFU} {
+	for _, pol := range []string{"lru", "fifo", "random", "lfu"} {
 		pol := pol
-		t.Run(pol.String(), func(t *testing.T) {
+		t.Run(pol, func(t *testing.T) {
 			ucfg := noPrefetch()
 			ucfg.GPUMemBytes = 2 * mem.VABlockSize
-			ucfg.Eviction = pol
-			eng, drv, dev := newSystem(smallGPU(), ucfg)
+			eng, drv, dev := newPolicySystem(smallGPU(), ucfg, PolicySelection{Eviction: pol})
 			npages := 6 * mem.PagesPerVABlock
 			base := drv.Alloc(uint64(npages) * mem.PageSize)
 			runKernel(t, eng, dev, streamKernel(base, npages))
@@ -244,14 +242,6 @@ func TestEvictionPolicies(t *testing.T) {
 				t.Fatalf("%s: capacity exceeded", pol)
 			}
 		})
-	}
-}
-
-func TestEvictionPolicyString(t *testing.T) {
-	if EvictLRU.String() != "lru" || EvictFIFO.String() != "fifo" ||
-		EvictRandom.String() != "random" || EvictLFU.String() != "lfu" ||
-		EvictionPolicy("clock").String() != "unknown" {
-		t.Fatal("policy names wrong")
 	}
 }
 
@@ -276,8 +266,7 @@ func TestLFUKeepsHotBlock(t *testing.T) {
 	// (blind to hits) evicts it as its migration ages.
 	ucfg := noPrefetch()
 	ucfg.GPUMemBytes = 2 * mem.VABlockSize
-	ucfg.Eviction = EvictLFU
-	eng, drv, dev := newSystem(smallGPU(), ucfg)
+	eng, drv, dev := newPolicySystem(smallGPU(), ucfg, PolicySelection{Eviction: "lfu"})
 	base := drv.Alloc(4 * mem.VABlockSize)
 	hot := mem.PageOf(base)
 	hotBlock := hot.VABlock()

@@ -159,21 +159,10 @@ func (d *Driver) runBlock(bid mem.VABlockID, pages []mem.PageID, eager bool, bc 
 	blk.cost = d.cfg.Costs.PerVABlock
 	blk.done = false
 	bc.rec.TBlockMgmt += d.cfg.Costs.PerVABlock
-	if d.prof == nil {
-		for _, st := range d.arch.blockSteps {
-			if err := st.run(d, bc, blk); err != nil {
-				return blk.cost, err
-			}
-			if blk.done {
-				break
-			}
-		}
-		return blk.cost, nil
-	}
-	// Profiled path: identical step sequence, but the per-step cost
-	// deltas are captured for attribution (the steps themselves only add
-	// to blk.cost, so before/after differencing is exact). stepCosts is
-	// driver-held scratch sliced to the architecture's step count.
+	// The per-step cost deltas feed the profiler's attribution (the steps
+	// only add to blk.cost, so before/after differencing is exact).
+	// stepCosts is driver-held scratch sliced to the architecture's step
+	// count; steps skipped after blk.done keep a zero delta.
 	steps := d.stepCosts[:len(d.arch.blockSteps)]
 	for i := range steps {
 		steps[i] = 0
@@ -188,7 +177,9 @@ func (d *Driver) runBlock(bid mem.VABlockID, pages []mem.PageID, eager bool, bc 
 			break
 		}
 	}
-	d.prof.BlockServiced(bid, len(pages), eager, steps, blk.cost)
+	if d.prof != nil {
+		d.prof.BlockServiced(bid, len(pages), eager, steps, blk.cost)
+	}
 	return blk.cost, nil
 }
 

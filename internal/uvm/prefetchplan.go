@@ -38,41 +38,36 @@ func (prefetchPlanStep) run(d *Driver, bc *batchCtx, blk *blockCtx) error {
 	return nil
 }
 
-// treePlanner is the shipped density ("tree-based") prefetcher: promote
-// any subtree whose occupancy reaches the configured threshold (§5.2).
+// treePlanner is the shipped density ("tree-based") prefetcher: upgrade
+// each fault to its 64 KB region, then promote any subtree whose
+// occupancy reaches the configured threshold (§5.2).
 type treePlanner struct{}
 
 func (treePlanner) PlanBlock(d *Driver, resident, faulted *mem.PageSet) mem.PageSet {
-	return PrefetchPages(resident, faulted, d.cfg.PrefetchThreshold, d.cfg.Upgrade64K)
+	return PrefetchPages(resident, faulted, d.cfg.PrefetchThreshold, true)
 }
 
-func (treePlanner) CrossBlockScope(d *Driver) int { return d.cfg.CrossBlockPrefetch }
-
 // offPlanner migrates only the deduplicated faulted pages.
-//
-// Both planners read the cross-block scope from the config rather than
-// hard-coding it, so legacy knob combinations (e.g. PrefetchEnabled off
-// with CrossBlockPrefetch set) keep their exact historical behaviour.
 type offPlanner struct{}
 
 func (offPlanner) PlanBlock(d *Driver, resident, faulted *mem.PageSet) mem.PageSet {
 	return mem.PageSet{}
 }
 
-func (offPlanner) CrossBlockScope(d *Driver) int { return d.cfg.CrossBlockPrefetch }
-
 // crossBlockStage extends prefetching beyond a single VABlock (§6:
 // "increasing the prefetching scope"): after the serviced blocks, up to
-// scope whole blocks following each fully-resident faulting block of the
-// same allocation are migrated eagerly through the block pipeline. This
-// trades upfront work (and possible evictions — the §5.3 hazard) for
-// eliminating future first-touch batches.
+// CrossBlockPrefetch whole blocks following each fully-resident faulting
+// block of the same allocation are migrated eagerly through the block
+// pipeline. This trades upfront work (and possible evictions — the §5.3
+// hazard) for eliminating future first-touch batches. The scope is the
+// driver's effective knob, whichever planner runs: a PrefetchEnabled=false
+// config with CrossBlockPrefetch set still migrates whole blocks ahead.
 type crossBlockStage struct{}
 
 func (crossBlockStage) name() string { return "cross-block" }
 
 func (crossBlockStage) run(d *Driver, bc *batchCtx) error {
-	scope := d.planner.CrossBlockScope(d)
+	scope := d.cfg.CrossBlockPrefetch
 	if scope <= 0 {
 		return nil
 	}

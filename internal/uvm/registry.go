@@ -15,9 +15,11 @@ package uvm
 //	architecture — the stage graph itself: fault-observation point, stage
 //	               list, and mapping-state owner (arch.go)
 //
-// Policies are resolved by string name from guvm.SystemConfig, the CLI
-// flags, and the experiment ablations; an unregistered name is rejected
-// with an UnknownPolicyError that names the valid options.
+// A PolicySelection holds one name per kind; NewDriver resolves each name
+// once, at construction. guvm.SystemConfig.Policies, the CLI flags and the
+// experiment ablations all select policies this way, and an unregistered
+// name is rejected with an UnknownPolicyError that names the valid
+// options.
 
 import (
 	"errors"
@@ -66,8 +68,8 @@ func (e *UnknownPolicyError) Unwrap() error { return ErrUnknownPolicy }
 // EvictionStrategy picks the victim VABlock under memory pressure. Pick
 // receives the candidate indices into the driver's allocation-ordered
 // block list (never empty) and returns the chosen one. Implementations
-// must be deterministic given the driver state (EvictRandom draws from
-// the driver's seeded RNG). candidates is the driver's pooled scratch:
+// must be deterministic given the driver state ("random" draws from the
+// driver's seeded RNG). candidates is the driver's pooled scratch:
 // it is valid only during Pick, which must not retain or modify it.
 type EvictionStrategy interface {
 	Pick(d *Driver, candidates []int) int
@@ -75,12 +77,9 @@ type EvictionStrategy interface {
 
 // PrefetchPlanner decides which pages beyond the deduplicated faulted set
 // migrate. PlanBlock returns the extra in-block pages (excluding resident
-// and faulted ones); CrossBlockScope returns how many whole VABlocks
-// following a fully-resident faulting block to migrate eagerly in the
-// same batch (0 disables the §6 cross-block extension).
+// and faulted ones).
 type PrefetchPlanner interface {
 	PlanBlock(d *Driver, resident, faulted *mem.PageSet) mem.PageSet
-	CrossBlockScope(d *Driver) int
 }
 
 // BatchSizer adjusts the driver's effective batch size after each
@@ -91,7 +90,8 @@ type BatchSizer interface {
 }
 
 // policyEntry is one registered policy; payload holds the kind-specific
-// implementation (EvictionStrategy, prefetch applier, or sizingPayload).
+// implementation (EvictionStrategy, prefetch knob setter, BatchSizer, or
+// *archPayload).
 type policyEntry struct {
 	info    PolicyInfo
 	payload any
@@ -135,11 +135,17 @@ func (t *policyTable) unknown(name string) *UnknownPolicyError {
 	return &UnknownPolicyError{Kind: t.kind, Name: name, Valid: t.names()}
 }
 
-// sizingPayload pairs a batch-sizing policy's config normalization with
-// its runtime sizer.
-type sizingPayload struct {
-	apply func(*Config)
-	sizer BatchSizer
+// resolve returns the payload registered under name, or under def when
+// name is empty.
+func (t *policyTable) resolve(name, def string) (any, error) {
+	if name == "" {
+		name = def
+	}
+	e, ok := t.lookup(name)
+	if !ok {
+		return nil, t.unknown(name)
+	}
+	return e.payload, nil
 }
 
 var (
@@ -149,19 +155,21 @@ var (
 )
 
 func init() {
-	evictionRegistry.register(string(EvictLRU),
+	evictionRegistry.register("lru",
 		"evict the least-recently-migrated block (shipped driver; degrades to earliest-allocated, §5.4)",
 		lruStrategy{})
-	evictionRegistry.register(string(EvictFIFO),
+	evictionRegistry.register("fifo",
 		"evict in chunk allocation order",
 		fifoStrategy{})
-	evictionRegistry.register(string(EvictRandom),
+	evictionRegistry.register("random",
 		"evict a seeded-random resident block",
 		randomStrategy{})
-	evictionRegistry.register(string(EvictLFU),
+	evictionRegistry.register("lfu",
 		"evict the block with the fewest GPU access-counter hits (the page-hit signal §5.4 says LRU lacks)",
 		lfuStrategy{})
 
+	// A prefetch policy sets the two prefetch knobs on the driver's copy
+	// of the config; the planner then follows PrefetchEnabled.
 	prefetchRegistry.register("tree",
 		"density (tree-based) prefetching within the faulting VABlock (shipped driver, §5.2)",
 		func(c *Config) {
@@ -172,7 +180,6 @@ func init() {
 		"no prefetching: migrate only deduplicated faulted pages",
 		func(c *Config) {
 			c.PrefetchEnabled = false
-			c.Upgrade64K = false
 			c.CrossBlockPrefetch = 0
 		})
 	prefetchRegistry.register("cross-block",
@@ -186,59 +193,13 @@ func init() {
 
 	sizingRegistry.register("fixed",
 		"fixed effective batch size (shipped driver: BatchSize faults per batch)",
-		sizingPayload{
-			apply: func(c *Config) {
-				c.AdaptiveBatch = false
-				c.BatchSizing = ""
-			},
-			sizer: fixedSizer{},
-		})
+		fixedSizer{})
 	sizingRegistry.register("adaptive",
 		"duplicate-adaptive batch sizing within [AdaptiveMin, BatchSize] (§6 proposal)",
-		sizingPayload{
-			apply: func(c *Config) {
-				c.AdaptiveBatch = true
-				c.BatchSizing = ""
-				if c.AdaptiveMin < 1 {
-					c.AdaptiveMin = 64
-				}
-				if c.AdaptiveMin > c.BatchSize {
-					c.AdaptiveMin = c.BatchSize
-				}
-			},
-			sizer: adaptiveSizer{},
-		})
-
+		adaptiveSizer{})
 	sizingRegistry.register("degraded-aware",
 		"adaptive sizing that halves the batch while the interconnect is degraded, flapping or dead",
-		sizingPayload{
-			apply: func(c *Config) {
-				c.AdaptiveBatch = true
-				c.BatchSizing = "degraded-aware"
-				if c.AdaptiveMin < 1 {
-					c.AdaptiveMin = 64
-				}
-				if c.AdaptiveMin > c.BatchSize {
-					c.AdaptiveMin = c.BatchSize
-				}
-			},
-			sizer: degradedSizer{},
-		})
-}
-
-// RegisterEvictionPolicy adds a victim-selection strategy to the registry
-// under a new name, making it selectable everywhere eviction policies are
-// resolved by string (SystemConfig, CLI flags, sweeps). It errors on an
-// empty name or a duplicate.
-func RegisterEvictionPolicy(name, description string, s EvictionStrategy) error {
-	if name == "" || s == nil {
-		return fmt.Errorf("uvm: eviction policy needs a name and a strategy")
-	}
-	if _, ok := evictionRegistry.lookup(name); ok {
-		return fmt.Errorf("uvm: eviction policy %q already registered", name)
-	}
-	evictionRegistry.register(name, description, s)
-	return nil
+		degradedSizer{})
 }
 
 // Policies lists every registered policy of every kind, in registration
@@ -264,22 +225,11 @@ func PoliciesOf(kind PolicyKind) []PolicyInfo {
 	return out
 }
 
-// ResolveEviction maps a policy name to its typed config value. The empty
-// string resolves to the shipped default (LRU); an unregistered name
-// returns an UnknownPolicyError listing the valid options.
-func ResolveEviction(name string) (EvictionPolicy, error) {
-	if name == "" {
-		return EvictLRU, nil
-	}
-	if _, ok := evictionRegistry.lookup(name); !ok {
-		return "", evictionRegistry.unknown(name)
-	}
-	return EvictionPolicy(name), nil
-}
-
-// PolicySelection selects driver policies by registry name. Empty fields
-// leave the corresponding Config knobs untouched, so the zero value is a
-// no-op and legacy knob-based configuration keeps working unchanged.
+// PolicySelection names the driver's policies, one registry name per
+// kind. It is the only place a policy is chosen: NewDriver resolves each
+// name once, at construction. An empty field selects the default: "lru",
+// "fixed" and "host-driven"; an empty Prefetch keeps the PrefetchEnabled
+// and CrossBlockPrefetch knobs as configured.
 type PolicySelection struct {
 	Eviction     string
 	Prefetch     string
@@ -287,83 +237,65 @@ type PolicySelection struct {
 	Architecture string
 }
 
-// Apply resolves each named policy and rewrites c's typed knobs to the
-// canonical settings of that policy. Parameters that are not policy
-// identity (PrefetchThreshold, Upgrade64K under "tree"/"cross-block",
-// AdaptiveMin, EvictionSeed) are preserved.
-func (s PolicySelection) Apply(c *Config) error {
-	if s.Eviction != "" {
-		pol, err := ResolveEviction(s.Eviction)
-		if err != nil {
-			return err
+// Validate checks every non-empty name against its registry, in the order
+// eviction, prefetch, batch sizing, architecture. The error is an
+// UnknownPolicyError naming the valid options.
+func (s PolicySelection) Validate() error {
+	for _, c := range []struct {
+		t    *policyTable
+		name string
+	}{
+		{evictionRegistry, s.Eviction},
+		{prefetchRegistry, s.Prefetch},
+		{sizingRegistry, s.BatchSizing},
+		{architectureRegistry, s.Architecture},
+	} {
+		if c.name == "" {
+			continue
 		}
-		c.Eviction = pol
-	}
-	if s.Prefetch != "" {
-		e, ok := prefetchRegistry.lookup(s.Prefetch)
-		if !ok {
-			return prefetchRegistry.unknown(s.Prefetch)
+		if _, ok := c.t.lookup(c.name); !ok {
+			return c.t.unknown(c.name)
 		}
-		e.payload.(func(*Config))(c)
-	}
-	if s.BatchSizing != "" {
-		e, ok := sizingRegistry.lookup(s.BatchSizing)
-		if !ok {
-			return sizingRegistry.unknown(s.BatchSizing)
-		}
-		e.payload.(sizingPayload).apply(c)
-	}
-	if s.Architecture != "" {
-		if _, ok := architectureRegistry.lookup(s.Architecture); !ok {
-			return architectureRegistry.unknown(s.Architecture)
-		}
-		// Architecture-specific config rewrites (cost model, thresholds)
-		// happen in NewDriver, so direct Config.Architecture assignment and
-		// registry selection behave identically.
-		c.Architecture = s.Architecture
 	}
 	return nil
 }
 
-// Validate checks every named policy against its registry without
-// touching a live config: the error is Apply's, naming the valid options.
-func (s PolicySelection) Validate() error {
-	var probe Config
-	return s.Apply(&probe)
+// resolvedPolicies holds the runtime implementations a selection names.
+type resolvedPolicies struct {
+	evict   EvictionStrategy
+	planner PrefetchPlanner
+	sizer   BatchSizer
+	arch    *archPayload
 }
 
-// resolveEvictionStrategy returns the runtime strategy for a validated
-// config ("" defaults to LRU).
-func resolveEvictionStrategy(p EvictionPolicy) EvictionStrategy {
-	name := string(p)
-	if name == "" {
-		name = string(EvictLRU)
+// resolve looks each name up once ("" takes the default) and applies the
+// knob adjustments of the chosen policies to cfg, the driver's own copy:
+// a named prefetch policy sets PrefetchEnabled and CrossBlockPrefetch
+// (the planner then follows PrefetchEnabled), and the adaptive batch
+// sizers clamp AdaptiveMin into [1, BatchSize] (64 when unset).
+func (s PolicySelection) resolve(cfg *Config) (resolvedPolicies, error) {
+	if err := s.Validate(); err != nil {
+		return resolvedPolicies{}, err
 	}
-	e, ok := evictionRegistry.lookup(name)
-	if !ok {
-		// Validate rejects unregistered names before a Driver is built.
-		panic(evictionRegistry.unknown(name))
+	// Validate guarantees every name below resolves.
+	evict, _ := evictionRegistry.resolve(s.Eviction, "lru")
+	sizer, _ := sizingRegistry.resolve(s.BatchSizing, "fixed")
+	arch, _ := resolveArchitecture(s.Architecture)
+	if s.Prefetch != "" {
+		setKnobs, _ := prefetchRegistry.resolve(s.Prefetch, "")
+		setKnobs.(func(*Config))(cfg)
 	}
-	return e.payload.(EvictionStrategy)
-}
-
-// resolvePrefetchPlanner returns the runtime planner for the configured
-// knobs. The planner identity follows PrefetchEnabled; the cross-block
-// scope is read from the config by both planners, so legacy knob
-// combinations keep their exact historical behaviour.
-func resolvePrefetchPlanner(c Config) PrefetchPlanner {
-	if c.PrefetchEnabled {
-		return treePlanner{}
+	if _, fixed := sizer.(fixedSizer); !fixed {
+		if cfg.AdaptiveMin < 1 {
+			cfg.AdaptiveMin = 64
+		}
+		if cfg.AdaptiveMin > cfg.BatchSize {
+			cfg.AdaptiveMin = cfg.BatchSize
+		}
 	}
-	return offPlanner{}
-}
-
-// resolveBatchSizer returns the runtime sizer for the configured knobs.
-func resolveBatchSizer(c Config) BatchSizer {
-	name := c.BatchSizingName()
-	e, ok := sizingRegistry.lookup(name)
-	if !ok {
-		panic(sizingRegistry.unknown(name))
+	p := resolvedPolicies{evict: evict.(EvictionStrategy), planner: offPlanner{}, sizer: sizer.(BatchSizer), arch: arch}
+	if cfg.PrefetchEnabled {
+		p.planner = treePlanner{}
 	}
-	return e.payload.(sizingPayload).sizer
+	return p, nil
 }

@@ -67,7 +67,7 @@ func (fixedSizer) Update(d *Driver, rec *trace.BatchRecord) {}
 type adaptiveSizer struct{}
 
 func (adaptiveSizer) Update(d *Driver, rec *trace.BatchRecord) {
-	if !d.cfg.AdaptiveBatch || rec.RawFaults == 0 {
+	if rec.RawFaults == 0 {
 		return
 	}
 	dupFrac := float64(rec.DupFaults()) / float64(rec.RawFaults)

@@ -133,8 +133,9 @@ func (d *Driver) populateWithRetry(bid mem.VABlockID, n int, bc *batchCtx) (sim.
 }
 
 // shrinkBatch halves the effective batch size down to the adaptive floor,
-// the driver's batch-pressure response to host allocation failure. With
-// AdaptiveBatch enabled, later duplicate-light batches grow it back.
+// the driver's batch-pressure response to host allocation failure. Under
+// an adaptive batch-sizing policy, later duplicate-light batches grow it
+// back.
 func (d *Driver) shrinkBatch() {
 	floor := d.cfg.AdaptiveMin
 	if floor < 1 {

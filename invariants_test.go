@@ -72,7 +72,6 @@ func fuzzConfig(oversub, prefetch bool) SystemConfig {
 	cfg := DefaultConfig()
 	cfg.GPU.NumSMs = 4
 	cfg.Driver.PrefetchEnabled = prefetch
-	cfg.Driver.Upgrade64K = prefetch
 	if oversub {
 		cfg.Driver.GPUMemBytes = 4 << 20 // 2 chunks vs 12 MB of data
 	} else {

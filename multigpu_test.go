@@ -172,12 +172,11 @@ func TestMultiSimulatorNamedPolicies(t *testing.T) {
 
 	runOnce := func() []*Result {
 		m := mustMulti(t, cfg, 2)
-		// The selection must land on every driver's resolved config.
+		// The selection must reach every driver: "cross-block" sets each
+		// driver's effective scope (which policy object each name
+		// resolves to is TestNewDriverResolvesPolicies' job).
 		for i, d := range m.Drivers {
-			if got := d.Config().Eviction; got != uvm.EvictFIFO {
-				t.Fatalf("driver %d eviction = %q, want fifo", i, got)
-			}
-			if !d.Config().AdaptiveBatch || d.Config().CrossBlockPrefetch < 1 {
+			if d.Config().CrossBlockPrefetch < 1 {
 				t.Fatalf("driver %d policies not applied: %+v", i, d.Config())
 			}
 		}

@@ -169,6 +169,20 @@ for f in internal/gpu/*.go; do
   fi
 done
 
+# 12. One representation per policy: a policy name lives only in
+#     uvm.PolicySelection (SystemConfig.Policies), which NewDriver
+#     resolves once. uvm.Config keeps parameters, never a second copy of
+#     a name or a knob that duplicates one, and nothing maps a selection
+#     back onto config knobs.
+if grep -nE '^[[:space:]]+(Eviction|Architecture|BatchSizing|AdaptiveBatch|Upgrade64K)[[:space:]]' internal/uvm/config.go; then
+  fail "internal/uvm/config.go declares a policy field; policy names live only in uvm.PolicySelection"
+fi
+for f in $(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*'); do
+  if grep -nF 'PolicySelection) Apply' "$f"; then
+    fail "$f defines PolicySelection.Apply; NewDriver resolves the selection, nothing rewrites Config from it"
+  fi
+done
+
 if [ "$status" -ne 0 ]; then
   exit 1
 fi
