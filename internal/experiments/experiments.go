@@ -165,9 +165,7 @@ func accessesOf(w workloads.Workload, bases []mem.Addr) int {
 		k := ph.Kernel
 		for b := 0; b < k.NumBlocks; b++ {
 			for _, prog := range k.BlockProgram(b) {
-				for _, op := range prog.Ops {
-					n += prog.NumPages(op)
-				}
+				n += prog.Accesses()
 			}
 		}
 	}

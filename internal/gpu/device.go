@@ -284,6 +284,10 @@ type warp struct {
 	// within that run.
 	ri  int
 	off uint32
+	// pass counts the finished passes of the loop being run, and shift
+	// is the page shift they have built up; both are 0 outside a loop.
+	pass  uint32
+	shift mem.PageID
 
 	// regOut counts outstanding loads per scoreboard register; busy has
 	// bit r set while regOut[r] > 0.
@@ -786,6 +790,18 @@ func (w *warp) run() {
 	}
 	for w.pc < len(w.prog.Ops) {
 		op := &w.prog.Ops[w.pc]
+		if op.Kind == OpLoop {
+			// Jump back or fall through, at no simulated cost: the
+			// events are those of the unrolled program.
+			if w.pass++; w.pass < op.Hi {
+				w.shift += mem.PageID(op.Stride)
+				w.pc = int(op.Lo)
+			} else {
+				w.pass, w.shift = 0, 0
+				w.pc++
+			}
+			continue
+		}
 		if op.Kind == OpCompute {
 			if !w.depsReady(op.Deps) {
 				w.waitingRegs = true
@@ -806,7 +822,7 @@ func (w *warp) run() {
 		for ; w.ri < len(runs); w.ri++ {
 			r := runs[w.ri]
 			for ; w.off < r.N; w.off++ {
-				switch w.issue(r.First+mem.PageID(w.off), op) {
+				switch w.issue(r.First+w.shift+mem.PageID(w.off), op) {
 				case issueStallUTLB:
 					return // resumed by wake() at replay
 				case issueThrottled:

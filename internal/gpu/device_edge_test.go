@@ -173,17 +173,26 @@ func TestNegativeBlockCountFails(t *testing.T) {
 
 // TestBadProgramFailsRun documents that a malformed warp program surfaces
 // as the run's terminal error, not a panic: custom workloads can contain
-// arbitrary op kinds.
+// arbitrary op kinds and hand-built loops.
 func TestBadProgramFailsRun(t *testing.T) {
-	eng := sim.NewEngine()
-	_, dev := newFakeDriver(eng, smallConfig())
-	if err := dev.LaunchKernel(Kernel{NumBlocks: 1, BlockProgram: func(int) []Program {
-		return []Program{{Ops: []Op{{Kind: OpKind(99)}}}}
-	}}, func() {}); err != nil {
-		t.Fatalf("launch: %v", err)
-	}
-	if _, err := eng.Run(); !errors.Is(err, ErrBadProgram) {
-		t.Fatalf("run err = %v, want ErrBadProgram", err)
+	compute := Op{Kind: OpCompute, Dur: sim.Microsecond}
+	for name, ops := range map[string][]Op{
+		"unknown kind":         {{Kind: OpKind(99)}},
+		"loop with empty body": {compute, {Kind: OpLoop, Lo: 1, Hi: 2}},
+		"loop body after it":   {compute, {Kind: OpLoop, Lo: 2, Hi: 2}, compute},
+		"loop of one pass":     {compute, {Kind: OpLoop, Lo: 0, Hi: 1}},
+		"nested loop":          {compute, {Kind: OpLoop, Lo: 0, Hi: 2}, compute, {Kind: OpLoop, Lo: 0, Hi: 2}},
+	} {
+		eng := sim.NewEngine()
+		_, dev := newFakeDriver(eng, smallConfig())
+		if err := dev.LaunchKernel(Kernel{NumBlocks: 1, BlockProgram: func(int) []Program {
+			return []Program{{Ops: ops}}
+		}}, func() {}); err != nil {
+			t.Fatalf("%s: launch: %v", name, err)
+		}
+		if _, err := eng.Run(); !errors.Is(err, ErrBadProgram) {
+			t.Fatalf("%s: run err = %v, want ErrBadProgram", name, err)
+		}
 	}
 }
 

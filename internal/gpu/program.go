@@ -63,6 +63,11 @@ const (
 	OpPrefetch
 	// OpCompute occupies the warp for Dur after Deps are ready.
 	OpCompute
+	// OpLoop repeats ops [Lo, pc) until they have run Hi times in all,
+	// shifting every memory op's pages by Stride more on each pass. It
+	// takes no simulated time and schedules nothing, so a looped program
+	// runs exactly as its unrolled twin. Loops do not nest.
+	OpLoop
 )
 
 // NumRegs is the number of scoreboard registers a warp program may use:
@@ -94,14 +99,18 @@ type PageRun struct {
 // Op is one operation of a warp program. Memory operations are modeled at
 // page granularity: the op touches the pages of its program's
 // Runs[Lo:Hi] in order, the distinct pages the warp's (coalesced) lanes
-// touch in this instruction. Op holds no pointers, so program storage is
-// never scanned by the garbage collector.
+// touch in this instruction, each shifted by the enclosing loop's pass
+// (none outside a loop). Op holds no pointers and fills 32 bytes, so
+// program storage is never scanned by the garbage collector.
 type Op struct {
 	Kind OpKind
 	// Dst is the scoreboard register written by OpRead; ignored otherwise.
 	Dst int8
-	// Lo and Hi bound the op's span of Runs (memory ops only).
+	// Lo and Hi bound the op's span of Runs (memory ops). For OpLoop, Lo
+	// is the first op of the body and Hi the number of passes.
 	Lo, Hi uint32
+	// Stride is OpLoop's page shift per pass.
+	Stride uint32
 	// Deps are the registers that must be ready before OpWrite/OpCompute
 	// issue.
 	Deps RegMask
@@ -158,6 +167,22 @@ func (p *Program) Compute(dur sim.Time, deps RegMask) {
 	p.Ops = append(p.Ops, Op{Kind: OpCompute, Dur: dur, Deps: deps})
 }
 
+// Loop appends an OpLoop that repeats ops [mark, len(p.Ops)) until they
+// have run passes times, shifting their pages by stride more on each
+// pass. mark is len(p.Ops) taken before the body was built, so the body
+// as built is the first pass; with passes == 1 there is nothing to
+// repeat and Loop appends nothing. Loop panics on a pass count or stride
+// an op cannot hold.
+func (p *Program) Loop(mark, passes, stride int) {
+	if passes < 1 || passes > math.MaxUint32 || stride < 0 || stride > math.MaxUint32 || mark < 0 {
+		panic(fmt.Sprintf("gpu: loop over ops from %d: %d passes, stride %d", mark, passes, stride))
+	}
+	if passes == 1 {
+		return
+	}
+	p.Ops = append(p.Ops, Op{Kind: OpLoop, Lo: uint32(mark), Hi: uint32(passes), Stride: uint32(stride)})
+}
+
 // span appends op over pages [first, first+n); n <= 0 is an op touching
 // no page.
 func (p *Program) span(op Op, first mem.PageID, n int) {
@@ -190,9 +215,16 @@ func (p *Program) pages(op Op, pages []mem.PageID) {
 	p.Ops = append(p.Ops, op)
 }
 
-// NumPages returns how many page accesses op makes: the summed length of
-// its runs.
+// isMemory reports whether k is a memory op, one that names a span of
+// Runs: the kinds declared before OpCompute.
+func (k OpKind) isMemory() bool { return k <= OpPrefetch }
+
+// NumPages returns how many page accesses one execution of op makes: the
+// summed length of its runs, 0 for a non-memory op.
 func (p *Program) NumPages(op Op) int {
+	if !op.Kind.isMemory() {
+		return 0
+	}
 	n := 0
 	for _, r := range p.Runs[op.Lo:op.Hi] {
 		n += int(r.N)
@@ -200,11 +232,55 @@ func (p *Program) NumPages(op Op) int {
 	return n
 }
 
-// AppendPages appends op's pages, in access order, to dst.
+// AppendPages appends the pages of one unshifted execution of op, in
+// access order, to dst; a non-memory op appends nothing.
 func (p *Program) AppendPages(dst []mem.PageID, op Op) []mem.PageID {
+	return p.appendShifted(dst, op, 0)
+}
+
+func (p *Program) appendShifted(dst []mem.PageID, op Op, shift mem.PageID) []mem.PageID {
+	if !op.Kind.isMemory() {
+		return dst
+	}
 	for _, r := range p.Runs[op.Lo:op.Hi] {
 		for k := uint32(0); k < r.N; k++ {
-			dst = append(dst, r.First+mem.PageID(k))
+			dst = append(dst, r.First+shift+mem.PageID(k))
+		}
+	}
+	return dst
+}
+
+// Accesses returns how many page accesses the whole program makes, loops
+// expanded.
+func (p *Program) Accesses() int {
+	n := 0
+	for pc, op := range p.Ops {
+		if op.Kind == OpLoop {
+			body := 0
+			for _, b := range p.Ops[op.Lo:pc] {
+				body += p.NumPages(b)
+			}
+			n += (int(op.Hi) - 1) * body
+			continue
+		}
+		n += p.NumPages(op)
+	}
+	return n
+}
+
+// AppendAccesses appends every page the program accesses to dst, in
+// execution order with loops expanded.
+func (p *Program) AppendAccesses(dst []mem.PageID) []mem.PageID {
+	for pc, op := range p.Ops {
+		if op.Kind != OpLoop {
+			dst = p.AppendPages(dst, op)
+			continue
+		}
+		for pass := uint32(1); pass < op.Hi; pass++ {
+			shift := mem.PageID(pass) * mem.PageID(op.Stride)
+			for _, b := range p.Ops[op.Lo:pc] {
+				dst = p.appendShifted(dst, b, shift)
+			}
 		}
 	}
 	return dst
@@ -221,14 +297,28 @@ func regOf(r int) int8 {
 }
 
 // validate checks p once, before its warp runs: every op has a known
-// kind, every read writes a register in 0..NumRegs-1, and every memory
-// op's span lies within Runs. It returns the first fault found, wrapping
-// ErrBadProgram.
+// kind, every read writes a register in 0..NumRegs-1, every memory op's
+// span lies within Runs, and every loop repeats a non-empty body before
+// it at least twice, with no other loop inside that body. It returns the
+// first fault found, wrapping ErrBadProgram.
 func (p *Program) validate() error {
+	lastLoop := -1
 	for pc := range p.Ops {
 		op := &p.Ops[pc]
 		switch op.Kind {
 		case OpCompute:
+		case OpLoop:
+			switch {
+			case int(op.Lo) >= pc:
+				return fmt.Errorf("pc %d: loop body starts at %d, not before the loop: %w",
+					pc, op.Lo, ErrBadProgram)
+			case op.Hi < 2:
+				return fmt.Errorf("pc %d: loop of %d passes, need >= 2: %w", pc, op.Hi, ErrBadProgram)
+			case int(op.Lo) <= lastLoop:
+				return fmt.Errorf("pc %d: loop body [%d,%d) holds the loop at pc %d: %w",
+					pc, op.Lo, pc, lastLoop, ErrBadProgram)
+			}
+			lastLoop = pc
 		case OpRead, OpWrite, OpPrefetch:
 			if op.Kind == OpRead && (op.Dst < 0 || op.Dst >= NumRegs) {
 				return fmt.Errorf("pc %d: scoreboard register %d outside 0..%d: %w",

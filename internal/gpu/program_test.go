@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"guvm/internal/mem"
 	"guvm/internal/sim"
@@ -87,6 +88,145 @@ func TestProgramTypesHoldNoPointers(t *testing.T) {
 			t.Errorf("%v holds a pointer", ty)
 		}
 	}
+	// Stride sits in the padding after Hi; a wider field would grow
+	// every program by a quarter.
+	if n := unsafe.Sizeof(Op{}); n != 32 {
+		t.Errorf("Op is %d bytes, want 32", n)
+	}
+}
+
+// loopCase is a fuzz input decoded into a loop and its surroundings: an
+// optional op before the loop, a body of read, write, prefetch and
+// compute ops over a small page universe (so passes overlap and warps
+// collide), the pass count and stride, and an optional op after the loop.
+type loopCase struct {
+	lead, body, tail []byte // two bytes per op
+	passes, stride   int
+	blocks           int
+	// residentMask starts page p resident when bit p%8 is set.
+	residentMask byte
+}
+
+// decodeLoopCase reads a 5-byte header (passes, stride, blocks, resident
+// mask, shape) and then the ops, two bytes each. The shape byte's low
+// bits give the body length (1-6 ops), bit 6 asks for a lead op and bit
+// 7 for a tail op.
+func decodeLoopCase(data []byte) (loopCase, bool) {
+	if len(data) < 7 {
+		return loopCase{}, false
+	}
+	c := loopCase{
+		passes:       1 + int(data[0]%6),
+		stride:       int(data[1] % 40),
+		blocks:       1 + int(data[2]%4),
+		residentMask: data[3],
+	}
+	shape := data[4]
+	ops := data[5:]
+	take := func(n int) []byte {
+		n = min(2*n, len(ops)/2*2)
+		b := ops[:n]
+		ops = ops[n:]
+		return b
+	}
+	if shape&0x40 != 0 {
+		c.lead = take(1)
+	}
+	c.body = take(1 + int(shape&0x3f)%6)
+	if shape&0x80 != 0 {
+		c.tail = take(1)
+	}
+	return c, len(c.body) > 0
+}
+
+// emitOps appends one op per byte pair, every page shifted by shift.
+func emitOps(p *Program, ops []byte, shift mem.PageID) {
+	for i := 0; i+1 < len(ops); i += 2 {
+		a, b := ops[i], ops[i+1]
+		first := mem.PageID(b%64) + shift
+		n := 1 + int(b>>6)
+		switch a % 4 {
+		case 0:
+			p.Read(int(a>>2)%3, first, n)
+		case 1:
+			p.Write(RegMask(a>>2)&0b111, first, n)
+		case 2:
+			p.Prefetch(first, n)
+		case 3:
+			p.Compute(sim.Time(1+(a>>2))*sim.Microsecond, RegMask(b)&0b111)
+		}
+	}
+}
+
+// build returns the case's program, looped or unrolled.
+func (c loopCase) build(looped bool) Program {
+	var p Program
+	emitOps(&p, c.lead, 0)
+	if looped {
+		mark := len(p.Ops)
+		emitOps(&p, c.body, 0)
+		p.Loop(mark, c.passes, c.stride)
+	} else {
+		for pass := 0; pass < c.passes; pass++ {
+			emitOps(&p, c.body, mem.PageID(pass*c.stride))
+		}
+	}
+	emitOps(&p, c.tail, mem.PageID((c.passes-1)*c.stride))
+	return p
+}
+
+// loopRun is everything observable about one device run.
+type loopRun struct {
+	end      sim.Time
+	executed uint64
+	digest   uint64
+	stats    Stats
+	batches  [][]Fault
+}
+
+func runLoopCase(t *testing.T, c loopCase, prog Program) loopRun {
+	t.Helper()
+	eng := sim.NewEngine()
+	f, dev := newFakeDriver(eng, smallConfig())
+	for p := mem.PageID(0); p < 512; p++ {
+		if c.residentMask&(1<<(p%8)) != 0 {
+			f.resident[p] = true
+		}
+	}
+	if err := dev.LaunchKernel(Kernel{NumBlocks: c.blocks, BlockProgram: func(int) []Program {
+		return []Program{prog}
+	}}, func() {}); err != nil {
+		t.Fatalf("launch: %v", err)
+	}
+	end := run(t, eng)
+	return loopRun{end: end, executed: eng.Executed(), digest: dev.Digest(), stats: dev.Stats(), batches: f.batches}
+}
+
+// FuzzLoopMatchesUnrolled: a program whose body is repeated by an OpLoop
+// runs exactly as the same program with the body written out pass by
+// pass: the same page stream, and on two fresh devices the same end
+// time, engine event count, device digest, statistics and fault-buffer
+// batches, record for record.
+func FuzzLoopMatchesUnrolled(f *testing.F) {
+	f.Add([]byte{3, 2, 0, 0, 2, 0, 5, 4, 0x41, 3, 0})
+	f.Add([]byte{5, 8, 3, 0x0f, 0xc3, 2, 4, 0, 0x80, 1, 0x04, 3, 3, 6, 0xc2, 2, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, ok := decodeLoopCase(data)
+		if !ok {
+			return
+		}
+		looped, unrolled := c.build(true), c.build(false)
+		if got, want := looped.AppendAccesses(nil), unrolled.AppendAccesses(nil); !slices.Equal(got, want) {
+			t.Fatalf("looped pages %v, unrolled %v", got, want)
+		}
+		if got, want := looped.Accesses(), unrolled.Accesses(); got != want {
+			t.Fatalf("looped program makes %d accesses, unrolled %d", got, want)
+		}
+		a, b := runLoopCase(t, c, looped), runLoopCase(t, c, unrolled)
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("looped run differs from unrolled:\n%+v\n%+v", a, b)
+		}
+	})
 }
 
 // oracleTable is the pending-fault table the µTLB used before faultTable:

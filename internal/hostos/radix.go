@@ -18,11 +18,19 @@ const (
 	radixMask   = radixFanout - 1
 )
 
+// radixNode is one node of the tree. Leaf nodes, the bottom level, keep
+// their values in values; typed slots store a value without boxing it,
+// so filling a leaf that already exists allocates nothing. Interior
+// nodes keep their children in children, an array of its own, so the
+// leaves, nearly every node, are half the size.
 type radixNode struct {
-	slots  [radixFanout]any // child *radixNode or leaf value
-	count  int              // occupied slots
-	offset int              // slot index in parent (for delete path)
 	parent *radixNode
+	// children is nil in a leaf.
+	children *[radixFanout]*radixNode
+	// used has bit i set while slot i holds a child or a value.
+	used   uint64
+	offset int // slot index in parent (for delete path)
+	values [radixFanout]uint64
 }
 
 // RadixTree is a Linux-style radix tree keyed by uint64 (page indices in
@@ -57,6 +65,24 @@ func (t *RadixTree) maxKey() uint64 {
 	return (uint64(1) << uint(t.height*radixShift)) - 1
 }
 
+// slot returns key's slot index in a node at the given level (0 for
+// leaves).
+func slot(key uint64, level int) int {
+	return int(key>>(uint(level)*radixShift)) & radixMask
+}
+
+// leaf returns the leaf node holding key, or nil if there is none.
+func (t *RadixTree) leaf(key uint64) *radixNode {
+	if t.root == nil || key > t.maxKey() {
+		return nil
+	}
+	n := t.root
+	for level := t.height - 1; level > 0 && n != nil; level-- {
+		n = n.children[slot(key, level)]
+	}
+	return n
+}
+
 // Insert stores value under key, replacing any previous value. It returns
 // the number of radix nodes newly allocated, which the UVM driver model
 // converts into DMA-mapping setup time (the Figure 14 "GPU state
@@ -70,11 +96,10 @@ func (t *RadixTree) Insert(key, value uint64) (newNodes int) {
 		t.height = 1
 	}
 	for key > t.maxKey() {
-		newRoot := &radixNode{}
+		newRoot := &radixNode{children: new([radixFanout]*radixNode), used: 1}
 		t.nodes++
 		newNodes++
-		newRoot.slots[0] = t.root
-		newRoot.count = 1
+		newRoot.children[0] = t.root
 		t.root.parent = newRoot
 		t.root.offset = 0
 		t.root = newRoot
@@ -82,73 +107,55 @@ func (t *RadixTree) Insert(key, value uint64) (newNodes int) {
 	}
 	n := t.root
 	for level := t.height - 1; level > 0; level-- {
-		idx := int(key>>(uint(level)*radixShift)) & radixMask
-		child, ok := n.slots[idx].(*radixNode)
-		if !ok {
-			if n.slots[idx] == nil {
-				n.count++
-			}
+		idx := slot(key, level)
+		child := n.children[idx]
+		if child == nil {
 			child = &radixNode{parent: n, offset: idx}
+			if level > 1 {
+				child.children = new([radixFanout]*radixNode)
+			}
 			t.nodes++
 			newNodes++
-			n.slots[idx] = child
+			n.children[idx] = child
+			n.used |= 1 << idx
 		}
 		n = child
 	}
-	idx := int(key) & radixMask
-	if n.slots[idx] == nil {
-		n.count++
+	idx := slot(key, 0)
+	if n.used&(1<<idx) == 0 {
+		n.used |= 1 << idx
 		t.size++
 	}
-	n.slots[idx] = value
+	n.values[idx] = value
 	return newNodes
 }
 
 // Lookup returns the value stored under key, if any.
 func (t *RadixTree) Lookup(key uint64) (uint64, bool) {
-	if t.root == nil || key > t.maxKey() {
+	n := t.leaf(key)
+	if n == nil {
 		return 0, false
 	}
-	n := t.root
-	for level := t.height - 1; level > 0; level-- {
-		idx := int(key>>(uint(level)*radixShift)) & radixMask
-		child, ok := n.slots[idx].(*radixNode)
-		if !ok {
-			return 0, false
-		}
-		n = child
-	}
-	v, ok := n.slots[int(key)&radixMask].(uint64)
-	return v, ok
+	idx := slot(key, 0)
+	return n.values[idx], n.used&(1<<idx) != 0
 }
 
 // Delete removes key and returns whether it was present. Empty nodes are
 // freed bottom-up, as the kernel does.
 func (t *RadixTree) Delete(key uint64) bool {
-	if t.root == nil || key > t.maxKey() {
+	n := t.leaf(key)
+	idx := slot(key, 0)
+	if n == nil || n.used&(1<<idx) == 0 {
 		return false
 	}
-	n := t.root
-	for level := t.height - 1; level > 0; level-- {
-		idx := int(key>>(uint(level)*radixShift)) & radixMask
-		child, ok := n.slots[idx].(*radixNode)
-		if !ok {
-			return false
-		}
-		n = child
-	}
-	idx := int(key) & radixMask
-	if _, ok := n.slots[idx].(uint64); !ok {
-		return false
-	}
-	n.slots[idx] = nil
-	n.count--
+	n.used &^= 1 << idx
+	n.values[idx] = 0
 	t.size--
 	// Free empty nodes up the spine.
-	for n != nil && n.count == 0 && n != t.root {
+	for n != nil && n.used == 0 && n != t.root {
 		parent := n.parent
-		parent.slots[n.offset] = nil
-		parent.count--
+		parent.children[n.offset] = nil
+		parent.used &^= 1 << n.offset
 		t.nodes--
 		n = parent
 	}

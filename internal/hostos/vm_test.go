@@ -107,6 +107,22 @@ func TestMapDMAMapsWholeBlock(t *testing.T) {
 	}
 }
 
+// TestMapDMAReusedLeavesAllocateNothing: once a block's leaves exist,
+// mapping it again only overwrites typed leaf slots, so the radix tree
+// boxes no value and allocates nothing.
+func TestMapDMAReusedLeavesAllocateNothing(t *testing.T) {
+	vm := NewVM(DefaultCostModel())
+	b := mem.VABlockID(5)
+	vm.MapDMA(b)
+	nodes := vm.Stats().RadixNodes
+	if got := testing.AllocsPerRun(20, func() { vm.MapDMA(b) }); got != 0 {
+		t.Fatalf("MapDMA of a mapped block makes %v allocations, want 0", got)
+	}
+	if vm.Stats().RadixNodes != nodes {
+		t.Fatalf("remapping grew the tree: %d nodes, was %d", vm.Stats().RadixNodes, nodes)
+	}
+}
+
 func TestMapDMAFirstBlockCostlierThanDense(t *testing.T) {
 	// Tree growth makes some MapDMA calls spike (Figure 14): mapping a
 	// far-away block after many near ones allocates fresh interior nodes.

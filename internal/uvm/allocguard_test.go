@@ -6,18 +6,20 @@ import "testing"
 // measured after the allocation diet (the struct-of-arrays dedup stage,
 // the pooled GPU event path), the delay-lane event queue, whose lanes
 // are recycled where the calendar queue it replaced reallocated its
-// bucket ring on every resize (6988 before it), and the run-encoded warp
+// bucket ring on every resize (6988 before it), the run-encoded warp
 // programs with map-free µTLB tables and a reused fault-batch buffer
-// (5667 before them).
-const batchServiceAllocsPerOp = 5512
+// (5667 before them), and the typed radix tree, whose leaves store DMA
+// addresses without boxing one per mapped page (5512 before it).
+const batchServiceAllocsPerOp = 1419
 
 // oversubAllocsPerOp is BenchmarkBatchServiceOversub's allocs/op as
 // measured once migration spans came straight from the residency sets,
 // the eviction victim list was pooled in the batch scratch, the engine
-// ran on the delay-lane queue (14100 before it), and warp programs,
-// µTLB tables and the fault-batch buffer stopped allocating per op,
-// entry and batch (12656 before them).
-const oversubAllocsPerOp = 10499
+// ran on the delay-lane queue (14100 before it), warp programs, µTLB
+// tables and the fault-batch buffer stopped allocating per op, entry and
+// batch (12656 before them), and the radix tree stopped boxing a value
+// per DMA-mapped page (10499 before it).
+const oversubAllocsPerOp = 2311
 
 // TestBatchServiceAllocGuard pins the hot-path allocation diet: with no
 // batch observers attached (the default), BenchmarkBatchService must

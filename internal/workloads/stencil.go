@@ -185,19 +185,19 @@ func (w *HPGMG) smoothKernel(base mem.Addr, bytes uint64, blocks int) gpu.Kernel
 		if lo >= hi {
 			return nil
 		}
-		chunks := (hi - lo + w.ChunkPages - 1) / w.ChunkPages
-		prog := gpu.NewProgram(3*chunks, 2*chunks)
-		for p := lo; p < hi; p += w.ChunkPages {
-			n := min(w.ChunkPages, hi-p)
+		prog := gpu.NewProgram(7, 4)
+		sweepChunks(lo, hi, w.ChunkPages, w.ChunkPages, func(p, n int) {
 			prog.Read(0, first+mem.PageID(p), n)
 			prog.Compute(w.ComputePerChunk, gpu.Regs(0))
 			prog.Write(0, first+mem.PageID(p), n)
-		}
+		}, &prog)
 		return []gpu.Program{prog}
 	}}
 }
 
 // transferKernel reads src and writes dst (restriction or prolongation).
+// It stays unrolled: its read and write advance by different strides,
+// which one loop's single page shift cannot express.
 func (w *HPGMG) transferKernel(src, dst mem.Addr, srcBytes, dstBytes uint64, blocks int) gpu.Kernel {
 	srcPages := int(srcBytes / mem.PageSize)
 	dstPages := int(dstBytes / mem.PageSize)

@@ -133,10 +133,10 @@ func (w *Regular) Phases(bases []mem.Addr) []Phase {
 			if lo >= hi {
 				return nil
 			}
-			var prog gpu.Program
-			for p := lo; p < hi; p += chunk {
-				prog.Read(0, first+mem.PageID(p), min(chunk, hi-p))
-			}
+			prog := gpu.NewProgram(3, 2)
+			sweepChunks(lo, hi, chunk, chunk, func(p, n int) {
+				prog.Read(0, first+mem.PageID(p), n)
+			}, &prog)
 			return []gpu.Program{prog}
 		}},
 	}}
@@ -241,16 +241,11 @@ func (w *Stream) Phases(bases []mem.Addr) []Phase {
 		phases = append(phases, Phase{
 			Name: "triad",
 			Kernel: gpu.Kernel{NumBlocks: w.Blocks, BlockProgram: func(blk int) []gpu.Program {
-				chunks := 0
-				if start := blk * chunk; start < total {
-					chunks = (total - start + stride - 1) / stride
-				}
-				prog := gpu.NewProgram(4*chunks, 3*chunks)
-				shadow := gpu.NewProgram(3*chunks, 2*chunks)
 				// Grid-stride: block blk handles chunks blk, blk+B,
 				// blk+2B, ... so all blocks advance one frontier.
-				for p := blk * chunk; p < total; p += stride {
-					n := min(chunk, total-p)
+				prog := gpu.NewProgram(9, 6)
+				shadow := gpu.NewProgram(7, 4)
+				sweepChunks(blk*chunk, total, chunk, stride, func(p, n int) {
 					off := mem.PageID(p)
 					prog.Read(0, b+off, n)
 					prog.Read(1, c+off, n)
@@ -261,7 +256,7 @@ func (w *Stream) Phases(bases []mem.Addr) []Phase {
 					shadow.Read(0, b+off, 1)
 					shadow.Read(1, c+off, 1)
 					shadow.Compute(w.ComputePerChunk, gpu.Regs(0, 1))
-				}
+				}, &prog, &shadow)
 				progs := make([]gpu.Program, 0, 1+w.ShadowWarps)
 				progs = append(progs, prog)
 				for s := 0; s < w.ShadowWarps; s++ {

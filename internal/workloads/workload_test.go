@@ -45,14 +45,12 @@ func collectPages(t *testing.T, w Workload, bases []mem.Addr) []mem.PageID {
 	return pages
 }
 
-// appendKernelPages appends every page a kernel's ops touch, in program
-// order, to dst.
+// appendKernelPages appends every page a kernel's warps access, block by
+// block and in execution order, to dst.
 func appendKernelPages(dst []mem.PageID, k gpu.Kernel) []mem.PageID {
 	for b := 0; b < k.NumBlocks; b++ {
 		for _, prog := range k.BlockProgram(b) {
-			for _, op := range prog.Ops {
-				dst = prog.AppendPages(dst, op)
-			}
+			dst = prog.AppendAccesses(dst)
 		}
 	}
 	return dst
@@ -455,7 +453,8 @@ func TestVecAddCoalescedShape(t *testing.T) {
 // TestBlockProgramAllocs pins kernel program generation at one allocation
 // per program slice: each program's ops and runs are sized up front and
 // hold no per-op page lists, so a block costs the same few allocations
-// however many chunks it sweeps.
+// however many chunks it sweeps. The full chunks are one looped pass, so
+// the slices are as long at 1 GiB as at 64 MiB.
 func TestBlockProgramAllocs(t *testing.T) {
 	for _, c := range []struct {
 		w    Workload
@@ -467,6 +466,17 @@ func TestBlockProgramAllocs(t *testing.T) {
 		k := c.w.Phases(fakeBases(c.w.Allocs()))[0].Kernel
 		if got := testing.AllocsPerRun(20, func() { k.BlockProgram(0) }); got != c.want {
 			t.Errorf("%s: BlockProgram(0) makes %v allocations, want %v", c.w.Name(), got, c.want)
+		}
+	}
+	block0 := func(bytes uint64) []gpu.Program {
+		w := NewStream(bytes, 24)
+		return w.Phases(fakeBases(w.Allocs()))[0].Kernel.BlockProgram(0)
+	}
+	small, large := block0(64<<20), block0(1<<30)
+	for i := range small {
+		if len(small[i].Ops) != len(large[i].Ops) || len(small[i].Runs) != len(large[i].Runs) {
+			t.Errorf("stream warp %d: %d ops over %d runs at 64 MiB, %d over %d at 1 GiB",
+				i, len(small[i].Ops), len(small[i].Runs), len(large[i].Ops), len(large[i].Runs))
 		}
 	}
 }
