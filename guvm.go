@@ -275,7 +275,7 @@ func NewMultiSimulator(cfg SystemConfig, n int) (*Simulator, error) {
 		dev.SetInjector(inj)
 		if s.HW != nil {
 			link.SetHardware(s.HW, i, eng.Now)
-			drv.SetHardware(s.HW)
+			drv.SetHardware(s.HW, i)
 		}
 		if cfg.Audit.Active() {
 			a := audit.New(cfg.Audit,
@@ -289,49 +289,19 @@ func NewMultiSimulator(cfg SystemConfig, n int) (*Simulator, error) {
 		s.Devices = append(s.Devices, dev)
 	}
 	s.Driver, s.Device = s.Drivers[0], s.Devices[0]
-	if s.HW != nil && cfg.HW.KillBatch > 0 {
-		// Device-death schedule: after the victim completes the configured
-		// batch (observers run with the service slot released), kill it,
-		// re-home its pages, then declare its link dead. Surviving devices
-		// keep running; the arbiter ledger records the recovery and the
-		// drain cost is scheduled so total time covers it.
-		victim, kill := cfg.HW.KillDevice, cfg.HW.KillBatch
-		drv, dev := s.Drivers[victim], s.Devices[victim]
-		drv.AddBatchObserver(func(id int, _ *trace.BatchRecord) {
-			if id+1 != kill {
-				return
-			}
-			dev.Kill()
-			rep := drv.RehomeToHost()
-			s.HW.NoteDeviceKilled()
-			drv.Link().Kill()
-			s.Arbiter.NoteRehome(uvm.RehomeRecord{
-				Device: victim,
-				Batch:  kill,
-				Blocks: rep.Blocks,
-				Pages:  rep.Pages,
-				Bytes:  rep.Bytes,
-				At:     eng.Now(),
-			})
-			eng.Schedule(rep.Cost, func() {})
-		})
-	}
 	if cfg.Obs.Active() {
 		drv := s.Driver
 		s.Obs = obs.New(cfg.Obs)
-		// The driver's effective costs can differ from cfg.Driver (the
-		// selected architecture may rewrite its cost model).
-		s.Obs.SetBatchSetupCost(drv.Config().Costs.BatchSetup)
 		s.registerMetrics()
 		if s.Obs.Profiler != nil {
-			// The profiler hooks run inside the pipeline, before the
-			// batch observers — its metrics are current when OnBatch
-			// samples the registry. Its per-step attribution follows the
-			// architecture's declared block-step label contract.
+			// Registered before the observer, so profiler metrics are
+			// current when the observer samples the registry. Its
+			// per-step attribution follows the architecture's declared
+			// block-step label contract.
 			s.Obs.Profiler.SetBlockStepLabels(drv.Architecture().BlockSteps)
-			drv.SetProfiler(s.Obs.Profiler)
+			drv.Observe(s.Obs.Profiler)
 		}
-		drv.AddBatchObserver(s.Obs.OnBatch)
+		drv.Observe(s.Obs)
 		if cfg.Obs.Trace && cfg.Obs.EngineEvents {
 			eng.OnEvent = s.Obs.NoteEvent
 		}

@@ -211,54 +211,47 @@ func SegmentPhases(batches []trace.BatchRecord, window int, relThreshold float64
 	return phases
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // CostShares decomposes total batch time into component shares.
 type CostShares struct {
 	Fetch, Dedup, BlockMgmt, Populate, PageTable float64
 	DMAMap, Unmap, Transfer, Evict, Replay       float64
-	Other                                        float64
+	// Other is the rest of the batch time — batch setup plus service
+	// time no component timer covers — clamped at 0 when parallel
+	// service overlaps the components.
+	Other float64
 }
 
 // Shares computes run-wide time shares per servicing component — the
-// "where does batch time actually go" summary behind §4/§5.
+// "where does batch time actually go" summary behind §4/§5. Each share
+// sums one stage of trace.BatchRecord.Stages over the run, divided by
+// the summed batch durations.
 func Shares(batches []trace.BatchRecord) CostShares {
-	var s CostShares
+	var sum [trace.NumStages]float64
 	var total float64
-	add := func(dst *float64, t sim.Time) {
-		*dst += float64(t)
-	}
 	for i := range batches {
 		b := &batches[i]
 		total += float64(b.Duration())
-		add(&s.Fetch, b.TFetch)
-		add(&s.Dedup, b.TDedup)
-		add(&s.BlockMgmt, b.TBlockMgmt)
-		add(&s.Populate, b.TPopulate)
-		add(&s.PageTable, b.TPageTable)
-		add(&s.DMAMap, b.TDMAMap)
-		add(&s.Unmap, b.TUnmap)
-		add(&s.Transfer, b.TTransfer)
-		add(&s.Evict, b.TEvict)
-		add(&s.Replay, b.TReplay)
+		for k, d := range b.Stages() {
+			sum[k] += float64(d)
+		}
 	}
 	if total == 0 {
 		return CostShares{}
 	}
-	known := 0.0
-	for _, p := range []*float64{&s.Fetch, &s.Dedup, &s.BlockMgmt, &s.Populate,
-		&s.PageTable, &s.DMAMap, &s.Unmap, &s.Transfer, &s.Evict, &s.Replay} {
-		*p /= total
-		known += *p
+	s := CostShares{
+		Fetch:     sum[trace.StageFetch] / total,
+		Dedup:     sum[trace.StageDedup] / total,
+		BlockMgmt: sum[trace.StageBlockMgmt] / total,
+		Populate:  sum[trace.StagePopulate] / total,
+		PageTable: sum[trace.StagePageTable] / total,
+		DMAMap:    sum[trace.StageDMAMap] / total,
+		Unmap:     sum[trace.StageUnmap] / total,
+		Transfer:  sum[trace.StageTransfer] / total,
+		Evict:     sum[trace.StageEvict] / total,
+		Replay:    sum[trace.StageReplay] / total,
 	}
-	s.Other = 1 - known
-	if s.Other < 0 {
-		s.Other = 0
-	}
+	known := s.Fetch + s.Dedup + s.BlockMgmt + s.Populate + s.PageTable +
+		s.DMAMap + s.Unmap + s.Transfer + s.Evict + s.Replay
+	s.Other = max(1-known, 0)
 	return s
 }

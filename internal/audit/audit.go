@@ -187,12 +187,13 @@ func New(cfg Config, opt Options, eng *sim.Engine, drv *uvm.Driver, dev *gpu.Dev
 // skips the hardware checks.
 func (a *Auditor) SetHardware(hw *faultinject.HardwareInjector) { a.hw = hw }
 
-// Attach registers the auditor as the driver's batch observer.
-func (a *Auditor) Attach() { a.drv.AddBatchObserver(a.onBatch) }
+// Attach registers the auditor as a driver observer.
+func (a *Auditor) Attach() { a.drv.Observe(a) }
 
-// onBatch runs at every batch end, after the record was collected and the
-// arbiter released, before the next batch starts.
-func (a *Auditor) onBatch(id int, rec *trace.BatchRecord) {
+// EndBatch implements uvm.Observer: it runs at every batch end, after the
+// record was collected and the arbiter released, before the next batch
+// starts.
+func (a *Auditor) EndBatch(id int, rec *trace.BatchRecord, _ []gpu.Fault) {
 	a.rep.BatchesAudited++
 	if a.cfg.Interval > 0 && id%a.cfg.Interval == 0 {
 		a.rep.Snapshots = append(a.rep.Snapshots, a.snapshot(id))

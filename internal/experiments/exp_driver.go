@@ -5,6 +5,7 @@ import (
 	"guvm/internal/report"
 	"guvm/internal/sim"
 	"guvm/internal/stats"
+	"guvm/internal/trace"
 	"guvm/internal/workloads"
 )
 
@@ -81,7 +82,7 @@ func Fig07() (*Artifact, error) {
 	}
 	var fracs []float64
 	for _, b := range res.Batches {
-		f := b.TransferFraction()
+		f := b.Share(trace.StageTransfer)
 		fracs = append(fracs, f)
 		s.AddRow(float64(b.ID), float64(b.BytesMigrated)/1024, f)
 	}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"guvm"
 	"guvm/internal/report"
+	"guvm/internal/trace"
 	"guvm/internal/workloads"
 )
 
@@ -45,8 +46,8 @@ func Fig11() (*Artifact, error) {
 		var unmap, frac float64
 		for _, b := range res.Batches {
 			unmap += us(b.TUnmap)
-			frac += b.UnmapFraction()
-			series.AddRow(float64(threads), float64(b.ID), us(b.Duration()), b.UnmapFraction())
+			frac += b.Share(trace.StageUnmap)
+			series.AddRow(float64(threads), float64(b.ID), us(b.Duration()), b.Share(trace.StageUnmap))
 		}
 		n := float64(len(res.Batches))
 		t.AddRow(name, ms(res.KernelTime), ms(res.BatchTime()), unmap/1000, frac/n)

@@ -3,6 +3,7 @@ package experiments
 import (
 	"guvm/internal/report"
 	"guvm/internal/stats"
+	"guvm/internal/trace"
 	"guvm/internal/workloads"
 )
 
@@ -30,8 +31,8 @@ func Fig14() (*Artifact, error) {
 	var dmaFracs []float64
 	for _, b := range res.Batches {
 		s.AddRow(float64(b.ID), us(b.Duration()), float64(b.BytesMigrated)/1024,
-			b.DMAFraction(), float64(b.NewDMABlocks))
-		dmaFracs = append(dmaFracs, b.DMAFraction())
+			b.Share(trace.StageDMAMap), float64(b.NewDMABlocks))
+		dmaFracs = append(dmaFracs, b.Share(trace.StageDMAMap))
 	}
 	a.Series = append(a.Series, s)
 

@@ -35,7 +35,7 @@ func TestNilSafety(t *testing.T) {
 	}
 
 	var o *Observer
-	o.OnBatch(0, &trace.BatchRecord{End: 10})
+	o.EndBatch(0, &trace.BatchRecord{End: 10}, nil)
 	o.NoteEvent(0)
 	o.Publish()
 	if o.Status() != nil || o.Config().Active() {
@@ -90,11 +90,11 @@ func TestRegistryRender(t *testing.T) {
 // serial service time.
 func TestAddBatchPartition(t *testing.T) {
 	tr := NewTracer()
-	tr.BatchSetup = 30_000
 	rec := &trace.BatchRecord{
 		ID:         4,
 		Start:      1_000_000,
 		End:        1_500_000,
+		TSetup:     30_000,
 		TFetch:     80_000,
 		TDedup:     20_000,
 		TReplay:    40_000,
@@ -134,8 +134,7 @@ func TestAddBatchPartition(t *testing.T) {
 
 func TestChromeTraceLoads(t *testing.T) {
 	tr := NewTracer()
-	tr.BatchSetup = 10
-	tr.AddBatch(&trace.BatchRecord{ID: 0, Start: 0, End: 100, TFetch: 20, TDedup: 10, TReplay: 30, TTransfer: 40})
+	tr.AddBatch(&trace.BatchRecord{ID: 0, Start: 0, End: 100, TSetup: 10, TFetch: 20, TDedup: 10, TReplay: 30, TTransfer: 40})
 	tr.AddKernel(0, 0, 500)
 	tr.AddInstant("dispatch", 7)
 
@@ -225,13 +224,12 @@ func TestSamplerSeries(t *testing.T) {
 
 func TestObserverSamplesAndPublishes(t *testing.T) {
 	o := New(Config{Trace: true, SampleInterval: 2})
-	o.SetBatchSetupCost(10)
 	o.Registry.Counter("guvm_obs_test_total", "test").Add(5)
 	o.SetStatusFunc(func() any { return map[string]int{"done": 1} })
 
 	for id := 0; id < 4; id++ {
 		start := sim.Time(id * 1000)
-		o.OnBatch(id, &trace.BatchRecord{ID: id, Start: start, End: start + 500, TFetch: 100, TReplay: 50})
+		o.EndBatch(id, &trace.BatchRecord{ID: id, Start: start, End: start + 500, TSetup: 10, TFetch: 100, TReplay: 50}, nil)
 	}
 	if got := len(o.Sampler.Rows()); got != 2 {
 		t.Fatalf("sampled %d rows at interval 2 over 4 batches, want 2", got)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"sync/atomic"
 
+	"guvm/internal/gpu"
 	"guvm/internal/sim"
 	"guvm/internal/trace"
 )
@@ -44,7 +45,8 @@ type Observer struct {
 	Registry *Registry
 	Sampler  *Sampler
 	// Profiler is the fault-lifecycle attribution profiler (nil unless
-	// Config.Profile); guvm attaches it to the driver's profiler seam.
+	// Config.Profile); guvm registers it as a driver observer ahead of
+	// the Observer itself.
 	Profiler *Profiler
 
 	batchDur *Metric // histogram of batch durations in microseconds
@@ -81,14 +83,6 @@ func (o *Observer) Config() Config {
 	return o.cfg
 }
 
-// SetBatchSetupCost anchors the phase decomposition (the batch record
-// carries every phase timer except the fixed batch-open cost).
-func (o *Observer) SetBatchSetupCost(t sim.Time) {
-	if o != nil && o.Tracer != nil {
-		o.Tracer.BatchSetup = t
-	}
-}
-
 // SetStatusFunc registers the /status payload builder, evaluated at every
 // publish point on the simulation goroutine.
 func (o *Observer) SetStatusFunc(fn func() any) {
@@ -97,10 +91,10 @@ func (o *Observer) SetStatusFunc(fn func() any) {
 	}
 }
 
-// OnBatch observes one completed batch: derive its spans, feed the batch
-// histogram, and sample/publish on the configured interval. Called on the
-// simulation goroutine from the driver's batch-observer hook.
-func (o *Observer) OnBatch(id int, rec *trace.BatchRecord) {
+// EndBatch observes one completed batch (uvm.Observer): derive its
+// spans, feed the batch histogram, and sample/publish on the configured
+// interval. Called on the simulation goroutine at the driver's batch end.
+func (o *Observer) EndBatch(id int, rec *trace.BatchRecord, _ []gpu.Fault) {
 	if o == nil {
 		return
 	}

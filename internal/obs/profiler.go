@@ -1,15 +1,14 @@
 package obs
 
-// profiler.go — the fault-lifecycle attribution profiler: the obs-side
-// implementation of the driver's uvm.PipelineProfiler seam. It turns the
+// profiler.go — the fault-lifecycle attribution profiler: a
+// uvm.StageObserver on the driver's observer seam. It turns the
 // pipeline's stage events into
 //
 //   - per-fault lifecycle latency histograms over the mark grammar
 //     arrival → buffered → fetched → batched → deduped → serviced →
 //     replayed (DESIGN.md §14 defines each mark),
 //   - a paper-style batch-time breakdown attributing every batch's
-//     virtual time across the stage graph (setup/fetch/dedup/replay plus
-//     the service-phase component timers),
+//     virtual time across the stages of trace.BatchRecord.Stages,
 //   - per-batch critical-path records (serial block-cost sum vs the
 //     actual service window, and the most expensive VABlock with its
 //     step decomposition),
@@ -53,43 +52,6 @@ var lifecycleNames = [numLifecycle]string{
 	"batched_to_deduped",
 	"deduped_to_serviced",
 	"serviced_to_replayed",
-}
-
-// Batch-time attribution stage indexes. The first twelve cover every
-// nanosecond of every batch: the top-level phases plus the service
-// window's component timers, with "service_other" as the explicit
-// residual (worker synchronization and, under parallel service, the
-// double-counted overlap is *not* folded in — components are charged at
-// their serial cost, matching the tracer's detail lane).
-const (
-	stageSetup = iota
-	stageFetch
-	stageDedup
-	stageBlockMgmt
-	stageDMAMap
-	stageUnmap
-	stagePopulate
-	stageTransfer
-	stagePageTable
-	stageEvict
-	stageReplay
-	stageOther
-	numStages
-)
-
-var stageNames = [numStages]string{
-	"batch_setup",
-	"fetch",
-	"dedup",
-	"block_mgmt",
-	"dma_map",
-	"unmap",
-	"populate",
-	"transfer",
-	"page_table",
-	"evict",
-	"replay",
-	"service_other",
 }
 
 // lifeStat accumulates one lifecycle transition exactly (count/sum/min/
@@ -189,16 +151,15 @@ type blockHeat struct {
 	pageCounts [mem.PagesPerVABlock]uint32
 }
 
-// Profiler implements uvm.PipelineProfiler. Construct with NewProfiler
-// and attach via Driver.SetProfiler (guvm wires this when
-// obs.Config.Profile is set). A nil *Profiler is valid and records
-// nothing, but the driver seam is cheaper: leave it unattached instead.
+// Profiler implements uvm.StageObserver. Construct with NewProfiler and
+// register via Driver.Observe (guvm wires this when obs.Config.Profile
+// is set).
 type Profiler struct {
 	tracer *Tracer
 	reg    *Registry
 
 	life   [numLifecycle]lifeStat
-	stages [numStages]stageStat
+	stages [trace.NumStages]stageStat
 
 	// stepLabels is the per-block step label contract in force — the
 	// selected architecture's declared block-step names, underscored.
@@ -209,14 +170,12 @@ type Profiler struct {
 
 	faultsTracked uint64
 
-	// Pooled per-batch scratch, valid between BeginBatch and EndBatch.
-	curStart   sim.Time
-	curEntered sim.Time
-	fetchAt    []sim.Time   // per-fault fetch-completion time, batch order
-	pages      []mem.PageID // per-fault page, batch order
-	blocks     []blockRec
-	nFaulted   int      // non-eager prefix length of blocks
-	serial     sim.Time // running serial block-cost layout cursor
+	// Pooled per-batch scratch, valid from the batch's first
+	// FetchInstallment to its EndBatch.
+	fetchAt  []sim.Time // per-fault fetch-completion time, batch order
+	blocks   []blockRec
+	nFaulted int      // non-eager prefix length of blocks
+	serial   sim.Time // running serial block-cost layout cursor
 }
 
 // NewProfiler builds a profiler registering its histograms and totals
@@ -233,16 +192,16 @@ func NewProfiler(tracer *Tracer, reg *Registry) *Profiler {
 	stageBounds := []float64{1, 5, 10, 25, 50, 100, 250, 500, 1000, 5000}
 	for i := range p.stages {
 		p.stages[i].hist = reg.Histogram(
-			"guvm_prof_stage_"+stageNames[i]+"_us",
-			"Per-batch time attributed to the "+stageNames[i]+" stage in virtual microseconds",
+			"guvm_prof_stage_"+trace.StageNames[i]+"_us",
+			"Per-batch time attributed to the "+trace.StageNames[i]+" stage in virtual microseconds",
 			stageBounds)
 	}
 	// Scalar totals ride the sampler's column set (histograms do not),
 	// so the breakdown is also a deterministic time series.
 	for i := range p.stages {
 		st := &p.stages[i]
-		reg.Func("guvm_prof_stage_"+stageNames[i]+"_ns_total",
-			"Total virtual time attributed to the "+stageNames[i]+" stage (ns)",
+		reg.Func("guvm_prof_stage_"+trace.StageNames[i]+"_ns_total",
+			"Total virtual time attributed to the "+trace.StageNames[i]+" stage (ns)",
 			func() float64 { return float64(st.total) })
 	}
 	reg.Func("guvm_prof_faults_tracked",
@@ -251,7 +210,7 @@ func NewProfiler(tracer *Tracer, reg *Registry) *Profiler {
 	return p
 }
 
-// FetchInstallment implements uvm.PipelineProfiler: the first two
+// FetchInstallment implements uvm.StageObserver: the first two
 // lifecycle transitions are fully known per fault as soon as its drain
 // installment completes.
 func (p *Profiler) FetchInstallment(done sim.Time, faults []gpu.Fault) {
@@ -260,26 +219,6 @@ func (p *Profiler) FetchInstallment(done sim.Time, faults []gpu.Fault) {
 		p.life[lifeArrivalToBuffered].observe(f.Time - f.Issued)
 		p.life[lifeBufferedToFetched].observe(done - f.Time)
 		p.fetchAt = append(p.fetchAt, done)
-	}
-}
-
-// BeginBatch implements uvm.PipelineProfiler: anchor the batch window
-// and copy the per-fault pages (the faults slice is driver scratch).
-func (p *Profiler) BeginBatch(start, entered sim.Time, faults []gpu.Fault) {
-	p.curStart = start
-	p.curEntered = entered
-	if len(p.fetchAt) != len(faults) {
-		// Defensive: an installment was missed (cannot happen in the
-		// driver pipeline). Re-anchor so attribution stays well-formed.
-		p.fetchAt = p.fetchAt[:0]
-		for range faults {
-			p.fetchAt = append(p.fetchAt, entered)
-		}
-	}
-	p.pages = p.pages[:0]
-	for i := range faults {
-		p.life[lifeFetchedToBatched].observe(entered - p.fetchAt[i])
-		p.pages = append(p.pages, faults[i].Page)
 	}
 }
 
@@ -302,7 +241,7 @@ func (p *Profiler) SetBlockStepLabels(labels []string) {
 	p.stepLabels = out
 }
 
-// BlockServiced implements uvm.PipelineProfiler: record the block's
+// BlockServiced implements uvm.StageObserver: record the block's
 // step decomposition and lay it out on the serial service cursor. steps
 // is driver-owned scratch in the architecture's declared step order;
 // it is copied here.
@@ -316,54 +255,37 @@ func (p *Profiler) BlockServiced(bid mem.VABlockID, pages int, eager bool, steps
 	p.blocks = append(p.blocks, rec)
 }
 
-// EndBatch implements uvm.PipelineProfiler: fold the completed record
-// into the breakdown, finish the per-fault lifecycle, account heat,
-// retain the critical-path record, and emit trace spans.
-func (p *Profiler) EndBatch(id int, rec *trace.BatchRecord) {
-	dur := rec.Duration()
-	setup := p.curEntered - p.curStart - rec.TFetch
-	service := dur - setup - rec.TFetch - rec.TDedup - rec.TReplay
-	if service < 0 {
-		setup += service
-		service = 0
+// EndBatch implements uvm.Observer: fold the completed record's
+// Stages into the breakdown, finish the per-fault lifecycle, account
+// heat, retain the critical-path record, and emit trace spans.
+func (p *Profiler) EndBatch(id int, rec *trace.BatchRecord, faults []gpu.Fault) {
+	st := rec.Stages()
+	for i := range p.stages {
+		p.stages[i].observe(st[i])
 	}
-	detail := rec.TBlockMgmt + rec.TDMAMap + rec.TUnmap + rec.TPopulate +
-		rec.TTransfer + rec.TPageTable + rec.TEvict
-	other := service - detail
-	if other < 0 {
-		other = 0
-	}
-	p.stages[stageSetup].observe(setup)
-	p.stages[stageFetch].observe(rec.TFetch)
-	p.stages[stageDedup].observe(rec.TDedup)
-	p.stages[stageBlockMgmt].observe(rec.TBlockMgmt)
-	p.stages[stageDMAMap].observe(rec.TDMAMap)
-	p.stages[stageUnmap].observe(rec.TUnmap)
-	p.stages[stagePopulate].observe(rec.TPopulate)
-	p.stages[stageTransfer].observe(rec.TTransfer)
-	p.stages[stagePageTable].observe(rec.TPageTable)
-	p.stages[stageEvict].observe(rec.TEvict)
-	p.stages[stageReplay].observe(rec.TReplay)
-	p.stages[stageOther].observe(other)
 
-	// Per-fault lifecycle completion. A fault is "serviced" when its
-	// VABlock's serial layout slot ends (clamped into the service
-	// window: under parallel service the serial layout can overflow
-	// it); stale-filtered faults are serviced at dedup end.
-	dedupEnd := p.curEntered + rec.TDedup
-	replayStart := rec.End - rec.TReplay
+	// Per-fault lifecycle. The batch entered the stage pipeline after
+	// setup and fetch. A fault is "serviced" when its VABlock's serial
+	// layout slot ends (clamped into the service window: under parallel
+	// service the serial layout can overflow it); stale-filtered faults
+	// are serviced at dedup end.
+	entered := rec.Start + st[trace.StageSetup] + st[trace.StageFetch]
+	dedupEnd := entered + st[trace.StageDedup]
+	replayStart := rec.End - st[trace.StageReplay]
 	faulted := p.blocks[:p.nFaulted]
-	for _, pg := range p.pages {
+	for i := range faults {
+		pg := faults[i].Page
 		bid := pg.VABlock()
 		servicedAt := dedupEnd
-		i := sort.Search(len(faulted), func(i int) bool { return faulted[i].bid >= bid })
-		if i < len(faulted) && faulted[i].bid == bid {
-			servicedAt = dedupEnd + faulted[i].endOff
+		j := sort.Search(len(faulted), func(j int) bool { return faulted[j].bid >= bid })
+		if j < len(faulted) && faulted[j].bid == bid {
+			servicedAt = dedupEnd + faulted[j].endOff
 			if servicedAt > replayStart {
 				servicedAt = replayStart
 			}
 		}
-		p.life[lifeBatchedToDeduped].observe(rec.TDedup)
+		p.life[lifeFetchedToBatched].observe(entered - p.fetchAt[i])
+		p.life[lifeBatchedToDeduped].observe(st[trace.StageDedup])
 		p.life[lifeDedupedToServiced].observe(servicedAt - dedupEnd)
 		p.life[lifeServicedToReplayed].observe(rec.End - servicedAt)
 		// Per-page heat: every raw fault heats its page.
@@ -375,7 +297,7 @@ func (p *Profiler) EndBatch(id int, rec *trace.BatchRecord) {
 		}
 		h.pageCounts[idx]++
 	}
-	p.faultsTracked += uint64(len(p.pages))
+	p.faultsTracked += uint64(len(faults))
 
 	// Per-block heat and the batch's critical path.
 	var crit *blockRec
@@ -393,8 +315,8 @@ func (p *Profiler) EndBatch(id int, rec *trace.BatchRecord) {
 	}
 	bp := BatchProfile{
 		ID: id, Start: rec.Start, End: rec.End,
-		Faults: len(p.pages), Blocks: len(p.blocks),
-		SerialNS: p.serial, ServiceNS: service,
+		Faults: len(faults), Blocks: len(p.blocks),
+		SerialNS: p.serial, ServiceNS: serviceWindow(rec, &st),
 	}
 	if crit != nil {
 		bp.CritBlock = crit.bid
@@ -413,23 +335,17 @@ func (p *Profiler) EndBatch(id int, rec *trace.BatchRecord) {
 			for _, s := range b.steps {
 				stepsSum += s
 			}
-			if mgmt := b.total - stepsSum; mgmt > 0 {
-				p.tracer.Add(LaneBlocks, "block", "block_mgmt", cursor, mgmt, id)
-				cursor += mgmt
-			}
+			p.tracer.lay(LaneBlocks, "block", "block_mgmt", &cursor, b.total-stepsSum, id)
 			for s, d := range b.steps {
-				if d <= 0 || s >= len(p.stepLabels) {
-					continue
+				if s < len(p.stepLabels) {
+					p.tracer.lay(LaneBlocks, "block", p.stepLabels[s], &cursor, d, id)
 				}
-				p.tracer.Add(LaneBlocks, "block", p.stepLabels[s], cursor, d, id)
-				cursor += d
 			}
 		}
 	}
 
 	// Reset the pooled batch scratch.
 	p.fetchAt = p.fetchAt[:0]
-	p.pages = p.pages[:0]
 	p.blocks = p.blocks[:0]
 	p.nFaulted = 0
 	p.serial = 0
@@ -476,7 +392,7 @@ func (p *Profiler) BreakdownRows() []BreakdownRow {
 	for i := range p.stages {
 		sum += p.stages[i].total
 	}
-	rows := make([]BreakdownRow, 0, numStages)
+	rows := make([]BreakdownRow, 0, trace.NumStages)
 	for i := range p.stages {
 		st := &p.stages[i]
 		share := 0.0
@@ -484,7 +400,7 @@ func (p *Profiler) BreakdownRows() []BreakdownRow {
 			share = 100 * float64(st.total) / float64(sum)
 		}
 		rows = append(rows, BreakdownRow{
-			Stage:    stageNames[i],
+			Stage:    trace.StageNames[i],
 			TotalNS:  int64(st.total),
 			SharePct: share,
 			Batches:  st.batches,

@@ -63,10 +63,6 @@ type Tracer struct {
 	spans    []Span
 	instants []Instant
 
-	// BatchSetup is the driver's fixed batch-open cost, needed to anchor
-	// the phase decomposition (it is the only phase component the batch
-	// record does not carry explicitly).
-	BatchSetup sim.Time
 	// EngineEventCap bounds recorded engine instants (0 = default).
 	EngineEventCap int
 	// Lanes, when non-nil, overrides LaneNames in the exported trace —
@@ -123,67 +119,55 @@ func (t *Tracer) Instants() []Instant {
 
 // AddBatch derives the batch's span set from its completed record: an
 // umbrella span, the top-level phase partition of [Start, End], and the
-// service-phase detail decomposition. Phase names follow the paper's
-// instrumented-driver timers (DESIGN.md §9 maps them).
+// service-phase detail decomposition, all read from rec.Stages(). Phase
+// names follow the paper's instrumented-driver timers (DESIGN.md §9 maps
+// them).
 //
 // The top-level phases always sum exactly to End-Start: the service span
-// is computed as the remainder after setup, fetch, dedup and replay, which
-// by construction equals the batch's block-service makespan. The detail
-// lane lays the per-component timers out sequentially inside the service
-// window; with ServiceWorkers > 1 their serial sum can exceed the parallel
-// makespan, in which case the detail lane intentionally overflows the
-// batch window (the components are real work, just overlapped).
+// is the window Stages leaves after setup, fetch, dedup and replay, which
+// for a driver record equals the batch's block-service makespan. The
+// detail lane lays the per-component timers out sequentially inside the
+// service window; with ServiceWorkers > 1 their serial sum can exceed the
+// parallel makespan, in which case the detail lane intentionally
+// overflows the batch window (the components are real work, just
+// overlapped). Service time the timers do not cover (e.g. worker
+// synchronization) renders as an explicit service_other span.
 func (t *Tracer) AddBatch(rec *trace.BatchRecord) {
 	if t == nil {
 		return
 	}
-	dur := rec.Duration()
-	t.Add(LaneBatch, "batch", "batch", rec.Start, dur, rec.ID)
+	t.Add(LaneBatch, "batch", "batch", rec.Start, rec.Duration(), rec.ID)
 
-	setup := t.BatchSetup
-	service := dur - setup - rec.TFetch - rec.TDedup - rec.TReplay
-	if service < 0 {
-		// Defensive: a record not produced by the driver pipeline. Fold
-		// the deficit into the setup span so the partition still sums.
-		setup += service
-		service = 0
-	}
+	st := rec.Stages()
 	cursor := rec.Start
-	phase := func(name string, d sim.Time) {
-		if d <= 0 {
-			return
-		}
-		t.Add(LanePhase, "driver", name, cursor, d, rec.ID)
-		cursor += d
+	for k := trace.StageSetup; k <= trace.StageDedup; k++ {
+		t.lay(LanePhase, "driver", trace.StageNames[k], &cursor, st[k], rec.ID)
 	}
-	phase("batch_setup", setup)
-	phase("fetch", rec.TFetch)
-	phase("dedup", rec.TDedup)
-	phase("service", service)
-	phase("replay", rec.TReplay)
+	t.lay(LanePhase, "driver", "service", &cursor, serviceWindow(rec, &st), rec.ID)
+	t.lay(LanePhase, "driver", trace.StageNames[trace.StageReplay], &cursor, st[trace.StageReplay], rec.ID)
 
-	detail := rec.Start + setup + rec.TFetch + rec.TDedup
-	var detailSum sim.Time
-	sub := func(name string, d sim.Time) {
-		if d <= 0 {
-			return
-		}
-		t.Add(LaneDetail, "service", name, detail, d, rec.ID)
-		detail += d
-		detailSum += d
+	detail := rec.Start + st[trace.StageSetup] + st[trace.StageFetch] + st[trace.StageDedup]
+	for k := trace.StageBlockMgmt; k < trace.StageReplay; k++ {
+		t.lay(LaneDetail, "service", trace.StageNames[k], &detail, st[k], rec.ID)
 	}
-	sub("block_mgmt", rec.TBlockMgmt)
-	sub("dma_map", rec.TDMAMap)
-	sub("unmap", rec.TUnmap)
-	sub("populate", rec.TPopulate)
-	sub("transfer", rec.TTransfer)
-	sub("page_table", rec.TPageTable)
-	sub("evict", rec.TEvict)
-	// Any service time the component timers do not cover (e.g. worker
-	// synchronization) renders as an explicit residual, never silence.
-	if rest := service - detailSum; rest > 0 {
-		sub("service_other", rest)
+	t.lay(LaneDetail, "service", trace.StageNames[trace.StageOther], &detail, st[trace.StageOther], rec.ID)
+}
+
+// lay records a span of d at *cursor on lane and advances the cursor;
+// a non-positive d records nothing.
+func (t *Tracer) lay(lane int, cat, name string, cursor *sim.Time, d sim.Time, batch int) {
+	if d <= 0 {
+		return
 	}
+	t.Add(lane, cat, name, *cursor, d, batch)
+	*cursor += d
+}
+
+// serviceWindow returns the batch's service window: the duration left
+// after the setup, fetch, dedup and replay stages of st = rec.Stages().
+func serviceWindow(rec *trace.BatchRecord, st *[trace.NumStages]sim.Time) sim.Time {
+	return rec.Duration() - st[trace.StageSetup] - st[trace.StageFetch] -
+		st[trace.StageDedup] - st[trace.StageReplay]
 }
 
 // AddKernel records one GPU kernel phase span. Nil-safe.

@@ -40,8 +40,11 @@ type BatchRecord struct {
 	InjMigFailures    int // transient migration transfer failures retried
 	InjHostAllocFails int // host allocation failures degraded around
 
-	// Time components (sum <= End-Start; the remainder is batch setup
-	// and replay issue).
+	// Time components. TSetup is the driver's fixed batch-open cost in
+	// its effective cost model (a telemetry field: not in the batch CSV);
+	// the rest are the instrumented driver's timers. Stages partitions
+	// the batch's duration over them.
+	TSetup     sim.Time
 	TFetch     sim.Time
 	TDedup     sim.Time
 	TBlockMgmt sim.Time
@@ -77,34 +80,74 @@ func (b *BatchRecord) Duration() sim.Time { return b.End - b.Start }
 // DupFaults returns the total duplicate faults in the batch.
 func (b *BatchRecord) DupFaults() int { return b.Type1Dups + b.Type2Dups }
 
-// TransferFraction returns the share of batch time spent in data
-// transfer (Figure 7).
-func (b *BatchRecord) TransferFraction() float64 {
-	d := b.Duration()
-	if d <= 0 {
-		return 0
-	}
-	return float64(b.TTransfer) / float64(d)
+// Batch-time stages, the indexes into Stages: the top-level phases plus
+// the service window's component timers, in breakdown-table order.
+const (
+	StageSetup = iota
+	StageFetch
+	StageDedup
+	StageBlockMgmt
+	StageDMAMap
+	StageUnmap
+	StagePopulate
+	StageTransfer
+	StagePageTable
+	StageEvict
+	StageReplay
+	StageOther
+	NumStages
+)
+
+// StageNames names each stage, indexed like Stages.
+var StageNames = [NumStages]string{
+	"batch_setup",
+	"fetch",
+	"dedup",
+	"block_mgmt",
+	"dma_map",
+	"unmap",
+	"populate",
+	"transfer",
+	"page_table",
+	"evict",
+	"replay",
+	"service_other",
 }
 
-// UnmapFraction returns the share of batch time spent unmapping CPU
-// pages (Figure 11).
-func (b *BatchRecord) UnmapFraction() float64 {
-	d := b.Duration()
-	if d <= 0 {
-		return 0
+// Stages decomposes the batch's time into the twelve stages — the one
+// decomposition the tracer, the profiler and analysis all read. The
+// service window is what the duration leaves after setup, fetch, dedup
+// and replay; a negative window (a record not produced by the driver
+// pipeline) folds into setup, so setup, fetch, dedup, the window and
+// replay always sum to End-Start. The component timers are serial work,
+// so under ServiceWorkers > 1 they can exceed the parallel window;
+// service_other is the window they leave uncovered, clamped at 0.
+func (b *BatchRecord) Stages() [NumStages]sim.Time {
+	setup := b.TSetup
+	service := b.Duration() - setup - b.TFetch - b.TDedup - b.TReplay
+	if service < 0 {
+		setup += service
+		service = 0
 	}
-	return float64(b.TUnmap) / float64(d)
+	st := [NumStages]sim.Time{setup, b.TFetch, b.TDedup, b.TBlockMgmt, b.TDMAMap,
+		b.TUnmap, b.TPopulate, b.TTransfer, b.TPageTable, b.TEvict, b.TReplay, 0}
+	other := service
+	for _, d := range st[StageBlockMgmt:StageReplay] {
+		other -= d
+	}
+	st[StageOther] = max(other, 0)
+	return st
 }
 
-// DMAFraction returns the share of batch time spent creating DMA
-// mappings (Figure 14's "GPU VABlock state initialization").
-func (b *BatchRecord) DMAFraction() float64 {
+// Share returns the stage's share of the batch's duration (0 for an
+// empty batch): transfer for Figure 7, unmap for Figure 11, dma_map for
+// Figure 14's "GPU VABlock state initialization".
+func (b *BatchRecord) Share(stage int) float64 {
 	d := b.Duration()
 	if d <= 0 {
 		return 0
 	}
-	return float64(b.TDMAMap) / float64(d)
+	return float64(b.Stages()[stage]) / float64(d)
 }
 
 // Collector accumulates batch and (optionally) fault records.
@@ -140,31 +183,4 @@ func (c *Collector) AddFaults(id int, faults []gpu.Fault) {
 	for range faults {
 		c.FaultBatch = append(c.FaultBatch, id)
 	}
-}
-
-// TotalBatchTime sums all batch durations (the "Batch" column of Table 4).
-func (c *Collector) TotalBatchTime() sim.Time {
-	var t sim.Time
-	for i := range c.Batches {
-		t += c.Batches[i].Duration()
-	}
-	return t
-}
-
-// TotalBytesMigrated sums to-GPU migration volume across batches.
-func (c *Collector) TotalBytesMigrated() uint64 {
-	var n uint64
-	for i := range c.Batches {
-		n += c.Batches[i].BytesMigrated
-	}
-	return n
-}
-
-// TotalFaults sums raw fetched faults across batches.
-func (c *Collector) TotalFaults() int {
-	n := 0
-	for i := range c.Batches {
-		n += c.Batches[i].RawFaults
-	}
-	return n
 }

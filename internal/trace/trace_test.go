@@ -26,21 +26,75 @@ func TestBatchRecordDerivedMetrics(t *testing.T) {
 	if b.DupFaults() != 5 {
 		t.Fatalf("DupFaults = %d", b.DupFaults())
 	}
-	if got := b.TransferFraction(); got != 0.25 {
-		t.Fatalf("TransferFraction = %v", got)
-	}
-	if got := b.UnmapFraction(); got != 0.1 {
-		t.Fatalf("UnmapFraction = %v", got)
-	}
-	if got := b.DMAFraction(); got != 0.05 {
-		t.Fatalf("DMAFraction = %v", got)
+	for _, c := range []struct {
+		stage int
+		want  float64
+	}{{StageTransfer, 0.25}, {StageUnmap, 0.1}, {StageDMAMap, 0.05}} {
+		if got := b.Share(c.stage); got != c.want {
+			t.Fatalf("Share(%s) = %v, want %v", StageNames[c.stage], got, c.want)
+		}
 	}
 }
 
 func TestBatchRecordZeroDuration(t *testing.T) {
 	var b BatchRecord
-	if b.TransferFraction() != 0 || b.UnmapFraction() != 0 || b.DMAFraction() != 0 {
-		t.Fatal("zero-duration fractions not zero")
+	for k := 0; k < NumStages; k++ {
+		if b.Share(k) != 0 {
+			t.Fatalf("zero-duration Share(%s) not zero", StageNames[k])
+		}
+	}
+}
+
+// TestStagesPartition checks the decomposition of a driver-shaped record:
+// setup, fetch, dedup, the service window and replay sum to the duration,
+// and service_other is the window the component timers leave uncovered.
+func TestStagesPartition(t *testing.T) {
+	b := BatchRecord{Start: 1000, End: 2000, TSetup: 100, TFetch: 200, TDedup: 50,
+		TReplay: 150, TBlockMgmt: 100, TTransfer: 300}
+	st := b.Stages()
+	want := [NumStages]sim.Time{StageSetup: 100, StageFetch: 200, StageDedup: 50,
+		StageBlockMgmt: 100, StageTransfer: 300, StageReplay: 150, StageOther: 100}
+	if st != want {
+		t.Fatalf("Stages = %v, want %v", st, want)
+	}
+	var sum sim.Time
+	for _, d := range st {
+		sum += d
+	}
+	if sum != b.Duration() {
+		t.Fatalf("stages sum to %d, want %d", sum, b.Duration())
+	}
+}
+
+// TestStagesNegativeResidualFoldsIntoSetup: when setup, fetch, dedup and
+// replay exceed the duration, the deficit comes out of setup, so the
+// top-level phases still sum to End-Start.
+func TestStagesNegativeResidualFoldsIntoSetup(t *testing.T) {
+	b := BatchRecord{Start: 0, End: 500, TSetup: 100, TFetch: 300, TDedup: 50, TReplay: 100}
+	st := b.Stages()
+	if st[StageSetup] != 50 {
+		t.Fatalf("setup = %d, want 100 - 50 deficit = 50", st[StageSetup])
+	}
+	if st[StageOther] != 0 {
+		t.Fatalf("service_other = %d, want 0", st[StageOther])
+	}
+	if got := st[StageSetup] + st[StageFetch] + st[StageDedup] + st[StageReplay]; got != b.Duration() {
+		t.Fatalf("phases sum to %d, want %d", got, b.Duration())
+	}
+}
+
+// TestStagesOtherClampsUnderParallelOverflow: with parallel service the
+// serial component timers can exceed the service window; service_other
+// clamps at 0 instead of going negative.
+func TestStagesOtherClampsUnderParallelOverflow(t *testing.T) {
+	b := BatchRecord{Start: 0, End: 1000, TSetup: 100, TFetch: 100, TDedup: 100,
+		TReplay: 100, TTransfer: 500, TUnmap: 300}
+	st := b.Stages()
+	if st[StageOther] != 0 {
+		t.Fatalf("service_other = %d, want 0 when components (800) overflow the window (600)", st[StageOther])
+	}
+	if st[StageSetup] != 100 || st[StageTransfer] != 500 || st[StageUnmap] != 300 {
+		t.Fatalf("Stages = %v", st)
 	}
 }
 
@@ -81,21 +135,6 @@ func TestCollectorFaultRetention(t *testing.T) {
 	c.AddFaults(1, []gpu.Fault{{Page: 1}, {Page: 2}})
 	if len(c.Faults) != 2 || len(c.FaultBatch) != 2 || c.FaultBatch[1] != 1 {
 		t.Fatalf("fault retention wrong: %v %v", c.Faults, c.FaultBatch)
-	}
-}
-
-func TestCollectorTotals(t *testing.T) {
-	c := &Collector{}
-	c.AddBatch(BatchRecord{Start: 0, End: 10, BytesMigrated: 100, RawFaults: 3})
-	c.AddBatch(BatchRecord{Start: 20, End: 50, BytesMigrated: 200, RawFaults: 5})
-	if c.TotalBatchTime() != 40 {
-		t.Fatalf("TotalBatchTime = %d", c.TotalBatchTime())
-	}
-	if c.TotalBytesMigrated() != 300 {
-		t.Fatalf("TotalBytesMigrated = %d", c.TotalBytesMigrated())
-	}
-	if c.TotalFaults() != 8 {
-		t.Fatalf("TotalFaults = %d", c.TotalFaults())
 	}
 }
 

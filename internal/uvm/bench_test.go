@@ -40,20 +40,26 @@ func BenchmarkBatchService(b *testing.B) {
 	}
 }
 
+// batchCounter is the smallest Observer: it counts batch ends.
+type batchCounter int
+
+func (c *batchCounter) EndBatch(int, *trace.BatchRecord, []gpu.Fault) { *c++ }
+
 // BenchmarkBatchServiceObserved is BenchmarkBatchService with a batch
-// observer attached — the incremental cost of the observability hook
-// itself (one indirect call per batch). Compare against the base
-// benchmark: with observers disabled, the driver pays only a nil-slice
-// length check, which the allocation guard test pins at zero extra
-// allocations.
+// observer attached through Driver.Observe — the incremental cost of the
+// observer seam itself (one indirect call per batch; a batch-end
+// observer is never called per installment or per block). Compare
+// against the base benchmark: with no observer attached, the driver pays
+// only empty-slice length checks, which the allocation guard test pins
+// at zero extra allocations.
 func BenchmarkBatchServiceObserved(b *testing.B) {
 	const bytes = 16 << 20
 	nPages := int(bytes / mem.PageSize)
 	b.ReportAllocs()
-	observed := 0
+	var observed batchCounter
 	for i := 0; i < b.N; i++ {
 		eng, drv, dev := newSystem(smallGPU(), noPrefetch())
-		drv.AddBatchObserver(func(id int, rec *trace.BatchRecord) { observed++ })
+		drv.Observe(&observed)
 		base := drv.Alloc(bytes)
 		k := streamKernel(base, nPages)
 		done := false
@@ -73,12 +79,12 @@ func BenchmarkBatchServiceObserved(b *testing.B) {
 }
 
 // BenchmarkBatchServiceProfiled is BenchmarkBatchService with the
-// fault-lifecycle profiler attached through the driver's profiler seam —
-// the full record path: lifecycle marks per fault, stage attribution per
-// batch, block-step accounting per VABlock, and heat updates per page.
-// The budget is ≤10% over BenchmarkBatchService; with the profiler
-// detached the pipeline pays only nil checks, which the allocation guard
-// pins.
+// fault-lifecycle profiler attached through Driver.Observe as a stage
+// observer — the full record path: lifecycle marks per fault, stage
+// attribution per batch, block-step accounting per VABlock, and heat
+// updates per page. The budget is ≤10% over BenchmarkBatchService; with
+// the profiler detached the pipeline pays only length checks, which the
+// allocation guard pins.
 func BenchmarkBatchServiceProfiled(b *testing.B) {
 	const bytes = 16 << 20
 	nPages := int(bytes / mem.PageSize)
@@ -86,7 +92,7 @@ func BenchmarkBatchServiceProfiled(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		eng, drv, dev := newSystem(smallGPU(), noPrefetch())
 		prof := obs.NewProfiler(nil, obs.NewRegistry())
-		drv.SetProfiler(prof)
+		drv.Observe(prof)
 		base := drv.Alloc(bytes)
 		k := streamKernel(base, nPages)
 		done := false

@@ -149,7 +149,7 @@ func (dedupStage) run(d *Driver, bc *batchCtx) error {
 	}
 
 	rec.ServicedBlocks = append(rec.ServicedBlocks, sc.blockOrder...)
-	bc.total += d.cfg.Costs.BatchSetup + bc.tFetch + rec.TDedup
+	bc.total += rec.TSetup + bc.tFetch + rec.TDedup
 	return nil
 }
 

@@ -219,27 +219,23 @@ type Driver struct {
 	inj      *faultinject.Injector
 
 	// hw, when set, is the hardware fault domain: the transfer paths
-	// retry flap-dropped link operations against it, and dead latches
-	// once the device behind this driver was killed and its pages
-	// re-homed (rehome.go).
-	hw   *faultinject.HardwareInjector
-	dead bool
+	// retry flap-dropped link operations against it, and its kill
+	// schedule may name this driver's device (hwIndex). dead latches
+	// once the device was killed and its pages re-homed (rehome.go).
+	hw      *faultinject.HardwareInjector
+	hwIndex int
+	dead    bool
 
 	// arbiter, when set, serializes batch servicing with other drivers
 	// sharing the host (multi-GPU).
 	arbiter *Arbiter
 
-	// onBatch holds the observers of every completed batch (audit and
-	// observability hooks). They run in registration order after the
-	// batch record lands in the Collector and before the next batch
-	// starts. Empty in the common case, so the hot path pays only a
-	// length check.
-	onBatch []func(id int, rec *trace.BatchRecord)
-
-	// prof, when set, receives stage-granularity pipeline events
-	// (profiler.go); nil by default so the hot path pays one pointer
-	// check per hook.
-	prof PipelineProfiler
+	// observers receive every completed batch, in registration order;
+	// stageObs are those among them that also take the per-installment
+	// and per-block hooks (observer.go). Both are empty by default, so
+	// each hook site pays one length check.
+	observers []Observer
+	stageObs  []StageObserver
 
 	// scratch/batch/block are the pooled per-batch working state of the
 	// stage pipeline; batches never overlap on one driver (inBatch
@@ -250,7 +246,7 @@ type Driver struct {
 	block   blockCtx
 	// faultBuf backs each batch's fault records, from the first fetch
 	// installment to the replay completion callback. The consumers that
-	// outlive a batch (Collector.AddFaults, the pipeline profiler) copy.
+	// outlive a batch (Collector.AddFaults, observers) copy.
 	faultBuf []gpu.Fault
 
 	Collector *trace.Collector
@@ -313,14 +309,6 @@ func (d *Driver) Attach(dev *gpu.Device) {
 // before each batch (multi-GPU configurations).
 func (d *Driver) SetArbiter(a *Arbiter) { d.arbiter = a }
 
-// AddBatchObserver registers fn to run at the end of every batch, after
-// its record is collected. Observers run in registration order; the audit
-// subsystem checks invariants and snapshots state digests here, and the
-// observability layer derives phase spans and metric samples.
-func (d *Driver) AddBatchObserver(fn func(id int, rec *trace.BatchRecord)) {
-	d.onBatch = append(d.onBatch, fn)
-}
-
 // SetInjector attaches a fault injector to the driver's migration and
 // host-allocation paths (and to the backing host VM). A nil injector (the
 // default) disables injection.
@@ -329,12 +317,16 @@ func (d *Driver) SetInjector(in *faultinject.Injector) {
 	d.vm.SetInjector(in)
 }
 
-// SetHardware attaches the hardware fault domain: link transfers become
-// fallible (retried with deterministic backoff) and the driver can lose
-// its device (RehomeToHost). A nil injector (the default) keeps every
-// transfer on the guaranteed path, bit-identical to the pre-fault-domain
-// model.
-func (d *Driver) SetHardware(hw *faultinject.HardwareInjector) { d.hw = hw }
+// SetHardware attaches the hardware fault domain for the driver's device,
+// the index-th of the system: link transfers become fallible (retried
+// with deterministic backoff), and when the domain's kill schedule names
+// this device the driver kills it after batch KillBatch (rehome.go). A
+// nil injector (the default) keeps every transfer on the guaranteed
+// path, bit-identical to the pre-fault-domain model.
+func (d *Driver) SetHardware(hw *faultinject.HardwareInjector, index int) {
+	d.hw = hw
+	d.hwIndex = index
+}
 
 // Dead reports whether this driver's device was killed and its resident
 // pages re-homed to the host.

@@ -414,8 +414,8 @@ func TestCollectorFaultRetention(t *testing.T) {
 	if len(drv.Collector.Faults) != len(drv.Collector.FaultBatch) {
 		t.Fatal("fault/batch arrays misaligned")
 	}
-	if got := drv.Collector.TotalFaults(); got != len(drv.Collector.Faults) {
-		t.Fatalf("TotalFaults %d != retained %d", got, len(drv.Collector.Faults))
+	if got := drv.Stats().TotalFaults; got != len(drv.Collector.Faults) {
+		t.Fatalf("Stats().TotalFaults %d != retained %d", got, len(drv.Collector.Faults))
 	}
 }
 

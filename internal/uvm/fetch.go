@@ -63,8 +63,8 @@ func (d *Driver) fetchLoop(start sim.Time, faults []gpu.Fault, tFetch sim.Time) 
 	got := faults[n0:]
 	cost := sim.Time(len(got)) * d.cfg.Costs.FetchPerFault
 	tFetch += cost
-	if d.prof != nil && len(got) > 0 {
-		d.prof.FetchInstallment(d.eng.Now()+cost, got)
+	for _, o := range d.stageObs {
+		o.FetchInstallment(d.eng.Now()+cost, got)
 	}
 	d.eng.Schedule(cost, func() {
 		if len(faults) < d.effBatch && d.dev.Buffer.Len() > 0 {

@@ -92,7 +92,7 @@ type blockStep interface {
 
 // serviceBatch runs the batch through the stage pipeline. It is entered
 // from the fetch front-end with the engine clock at batch start +
-// BatchSetup + tFetch; the replay stage schedules the remainder of the
+// TSetup + tFetch; the replay stage schedules the remainder of the
 // batch's virtual cost.
 func (d *Driver) serviceBatch(start sim.Time, faults []gpu.Fault, tFetch sim.Time) {
 	bc := &d.batch
@@ -102,6 +102,7 @@ func (d *Driver) serviceBatch(start sim.Time, faults []gpu.Fault, tFetch sim.Tim
 	bc.rec = trace.BatchRecord{
 		Start:     start,
 		RawFaults: len(faults),
+		TSetup:    d.cfg.Costs.BatchSetup,
 		TFetch:    tFetch,
 	}
 	if d.dev != nil {
@@ -110,9 +111,6 @@ func (d *Driver) serviceBatch(start sim.Time, faults []gpu.Fault, tFetch sim.Tim
 	bc.total = 0
 	bc.sc = &d.scratch
 	bc.sc.reset(len(faults))
-	if d.prof != nil {
-		d.prof.BeginBatch(start, d.eng.Now(), faults)
-	}
 	for _, st := range d.arch.stages {
 		if err := st.run(d, bc); err != nil {
 			d.fail(err)
@@ -159,7 +157,7 @@ func (d *Driver) runBlock(bid mem.VABlockID, pages []mem.PageID, eager bool, bc 
 	blk.cost = d.cfg.Costs.PerVABlock
 	blk.done = false
 	bc.rec.TBlockMgmt += d.cfg.Costs.PerVABlock
-	// The per-step cost deltas feed the profiler's attribution (the steps
+	// The per-step cost deltas feed the stage observers (the steps
 	// only add to blk.cost, so before/after differencing is exact).
 	// stepCosts is driver-held scratch sliced to the architecture's step
 	// count; steps skipped after blk.done keep a zero delta.
@@ -177,8 +175,8 @@ func (d *Driver) runBlock(bid mem.VABlockID, pages []mem.PageID, eager bool, bc 
 			break
 		}
 	}
-	if d.prof != nil {
-		d.prof.BlockServiced(bid, len(pages), eager, steps, blk.cost)
+	for _, o := range d.stageObs {
+		o.BlockServiced(bid, len(pages), eager, steps, blk.cost)
 	}
 	return blk.cost, nil
 }

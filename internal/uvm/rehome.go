@@ -11,6 +11,10 @@ package uvm
 // emergency drain ignores flap drops, as a real driver's teardown DMA
 // retries until completion — and its cost is charged to the virtual
 // clock by the caller.
+//
+// The hardware domain's kill schedule runs here too: the driver whose
+// device it names kills that device at the end of batch KillBatch,
+// after the batch observers (so an auditor checks that batch first).
 
 import (
 	"guvm/internal/mem"
@@ -27,6 +31,39 @@ type RehomeReport struct {
 	// Cost is the virtual time of the writeback transfers; the caller
 	// schedules it so the run's total time covers the recovery drain.
 	Cost sim.Time
+}
+
+// killDue reports whether the hardware kill schedule ends this driver's
+// device at the batch just completed.
+func (d *Driver) killDue() bool {
+	if d.hw == nil {
+		return false
+	}
+	c := d.hw.Config()
+	return c.KillBatch == d.batchCount && c.KillDevice == d.hwIndex
+}
+
+// killDevice runs the device-death schedule at a batch boundary: kill
+// the device, re-home its pages, note the kill in the injector ledger,
+// declare the link dead, record the recovery with the arbiter, and
+// charge the drain to the engine so total time covers it. Surviving
+// devices keep running.
+func (d *Driver) killDevice() {
+	d.dev.Kill()
+	rep := d.RehomeToHost()
+	d.hw.NoteDeviceKilled()
+	d.link.Kill()
+	if d.arbiter != nil {
+		d.arbiter.NoteRehome(RehomeRecord{
+			Device: d.hwIndex,
+			Batch:  d.batchCount,
+			Blocks: rep.Blocks,
+			Pages:  rep.Pages,
+			Bytes:  rep.Bytes,
+			At:     d.eng.Now(),
+		})
+	}
+	d.eng.Schedule(rep.Cost, func() {})
 }
 
 // RehomeToHost evacuates every GPU-resident page of this driver back to

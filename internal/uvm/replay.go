@@ -2,8 +2,8 @@ package uvm
 
 // replay.go — the final batch stage: schedule the batch's remaining
 // virtual cost, flush the fault buffer, issue the replay, land the batch
-// record, and run the batch sizer and observers. The registered
-// BatchSizer implementations live here too.
+// record, and run the batch sizer, the observers and the hardware kill
+// schedule. The registered BatchSizer implementations live here too.
 
 import (
 	"guvm/internal/interconnect"
@@ -13,8 +13,8 @@ import (
 // replayStage folds the per-block costs into the batch total (serial sum
 // or parallel makespan, §6's proposed parallelization — imbalance across
 // VABlocks limits the gain), adds the replay cost, and schedules batch
-// completion. The engine clock already sits at start + BatchSetup +
-// tFetch when the pipeline runs, so only the remainder is scheduled.
+// completion. The engine clock already sits at start + TSetup + tFetch
+// when the pipeline runs, so only the remainder is scheduled.
 type replayStage struct{}
 
 func (replayStage) name() string { return "replay" }
@@ -24,7 +24,7 @@ func (replayStage) run(d *Driver, bc *batchCtx) error {
 	bc.rec.TReplay = d.cfg.Costs.ReplayCost
 	bc.total += bc.rec.TReplay
 
-	d.eng.Schedule(bc.total-bc.tFetch-d.cfg.Costs.BatchSetup, func() {
+	d.eng.Schedule(bc.total-bc.tFetch-bc.rec.TSetup, func() {
 		d.dev.Buffer.Flush()
 		d.dev.Replay()
 		bc.rec.End = d.eng.Now()
@@ -38,13 +38,13 @@ func (replayStage) run(d *Driver, bc *batchCtx) error {
 		if d.arbiter != nil {
 			d.arbiter.Release()
 		}
-		if d.prof != nil {
-			// Before the observers: profiler-derived metrics must be
-			// current when the obs sampler reads the registry.
-			d.prof.EndBatch(id, &d.Collector.Batches[id])
+		for _, o := range d.observers {
+			o.EndBatch(id, &d.Collector.Batches[id], bc.faults)
 		}
-		for _, fn := range d.onBatch {
-			fn(id, &d.Collector.Batches[id])
+		// After the observers, so an auditor checks the kill batch
+		// before the device dies.
+		if d.killDue() {
+			d.killDevice()
 		}
 		// Service the next batch if faults are already waiting;
 		// otherwise sleep until the next interrupt.

@@ -8,9 +8,11 @@ import (
 	"path/filepath"
 	"testing"
 
+	"guvm/internal/analysis"
 	"guvm/internal/audit"
 	"guvm/internal/obs"
 	"guvm/internal/sim"
+	"guvm/internal/trace"
 	"guvm/internal/workloads"
 )
 
@@ -227,5 +229,99 @@ func TestObsSamplerDeterministic(t *testing.T) {
 	}
 	if len(a) == 0 {
 		t.Fatal("empty metric series")
+	}
+}
+
+// TestStageConsumersAgree checks that the three consumers of the batch
+// decomposition — the tracer's phase and detail lanes, the profiler's
+// breakdown and analysis.Shares — reproduce trace.BatchRecord.Stages on
+// real runs: vecadd, and an oversubscribed stream with four service
+// workers, whose serial component timers overflow the parallel service
+// window in some batches (service_other clamps there).
+func TestStageConsumersAgree(t *testing.T) {
+	oversub := obsTestConfig()
+	oversub.Driver.GPUMemBytes = 8 << 20
+	oversub.Driver.ServiceWorkers = 4
+	for _, tc := range []struct {
+		name     string
+		cfg      SystemConfig
+		w        workloads.Workload
+		overflow bool
+	}{
+		{"vecadd", obsTestConfig(), workloads.NewVecAddPaper(), false},
+		{"stream-oversub-w4", oversub, workloads.NewStream(16<<20, 24), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.Obs = obs.Config{Trace: true, Profile: true}
+			s, err := NewSimulator(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := s.Run(tc.w)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			type spanKey struct {
+				batch int
+				name  string
+			}
+			spans := make(map[spanKey]sim.Time)
+			for _, sp := range s.Obs.Tracer.Spans() {
+				if sp.Lane == obs.LanePhase || sp.Lane == obs.LaneDetail {
+					spans[spanKey{sp.Batch, sp.Name}] += sp.Dur
+				}
+			}
+			var cols [trace.NumStages]int64
+			var total float64
+			overflowed := false
+			for i := range res.Batches {
+				b := &res.Batches[i]
+				st := b.Stages()
+				var detail sim.Time
+				for k, d := range st {
+					if got := spans[spanKey{b.ID, trace.StageNames[k]}]; got != max(d, 0) {
+						t.Fatalf("batch %d: tracer %s span %d, Stages says %d", b.ID, trace.StageNames[k], got, d)
+					}
+					if k >= trace.StageBlockMgmt && k < trace.StageReplay {
+						detail += d
+					}
+					cols[k] += int64(d)
+				}
+				if detail > spans[spanKey{b.ID, "service"}] {
+					overflowed = true
+				}
+				total += float64(b.Duration())
+			}
+			if overflowed != tc.overflow {
+				t.Fatalf("detail lane overflowed the service window: %v, want %v", overflowed, tc.overflow)
+			}
+
+			rows := s.Obs.Profiler.BreakdownRows()
+			if len(rows) != trace.NumStages {
+				t.Fatalf("breakdown has %d rows, want %d", len(rows), trace.NumStages)
+			}
+			for k, r := range rows {
+				if r.Stage != trace.StageNames[k] || r.TotalNS != cols[k] {
+					t.Fatalf("breakdown row %d = %s %d ns, Stages column sum is %s %d ns",
+						k, r.Stage, r.TotalNS, trace.StageNames[k], cols[k])
+				}
+			}
+
+			share := func(k int) float64 { return float64(cols[k]) / total }
+			want := analysis.CostShares{
+				Fetch: share(trace.StageFetch), Dedup: share(trace.StageDedup),
+				BlockMgmt: share(trace.StageBlockMgmt), Populate: share(trace.StagePopulate),
+				PageTable: share(trace.StagePageTable), DMAMap: share(trace.StageDMAMap),
+				Unmap: share(trace.StageUnmap), Transfer: share(trace.StageTransfer),
+				Evict: share(trace.StageEvict), Replay: share(trace.StageReplay),
+			}
+			known := want.Fetch + want.Dedup + want.BlockMgmt + want.Populate + want.PageTable +
+				want.DMAMap + want.Unmap + want.Transfer + want.Evict + want.Replay
+			want.Other = max(1-known, 0)
+			if got := analysis.Shares(res.Batches); got != want {
+				t.Fatalf("analysis.Shares = %+v\nStages give %+v", got, want)
+			}
+		})
 	}
 }

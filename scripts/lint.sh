@@ -183,6 +183,23 @@ for f in $(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '
   fi
 done
 
+# 13. One batch-time decomposition, one driver observer seam (DESIGN.md
+#     §14): trace.BatchRecord.Stages is the only place a batch's time is
+#     split, so no non-test obs or analysis file reads a record's stage
+#     timers, and the driver's retired hook seams stay gone — observers
+#     attach through Driver.Observe.
+for f in internal/obs/*.go internal/analysis/*.go; do
+  case "$f" in *_test.go) continue ;; esac
+  if grep -nE '\.T(Setup|Fetch|Dedup|BlockMgmt|DMAMap|Unmap|Populate|Transfer|PageTable|Evict|Replay)([^[:alnum:]_]|$)' "$f"; then
+    fail "$f reads a batch record's stage timer; read rec.Stages() (the split lives in internal/trace)"
+  fi
+done
+for f in $(find . -name '*.go' ! -path './bench/*' ! -path './.bench_build/*'); do
+  if grep -nE '(^|[^[:alnum:]_])(PipelineProfiler|SetProfiler|AddBatchObserver|SetBatchSetupCost)([^[:alnum:]_]|$)' "$f"; then
+    fail "$f names a retired driver hook seam; attach observers with Driver.Observe"
+  fi
+done
+
 if [ "$status" -ne 0 ]; then
   exit 1
 fi
