@@ -164,22 +164,46 @@ type Auditor struct {
 	sumMigrated uint64
 	sumEvicted  uint64
 
+	// The per-batch check state, kept across batches so an audited
+	// batch allocates nothing: owners maps each chunk seen in the current
+	// walk to its block, serviced is the batch's set of serviced blocks
+	// (each check that uses it clears it first), and visitBlock is
+	// checkBlock bound once. withChunk and walkErr are checkBlock's
+	// running count and first violation.
+	owners     map[gpumem.ChunkID]mem.VABlockID
+	serviced   map[mem.VABlockID]bool
+	visitBlock func(*uvm.BlockAudit) bool
+	withChunk  int
+	walkErr    *ViolationError
+
 	rep Report
+}
+
+// driverView is the driver state the structural checks read: the live
+// driver, walked in place, or in tests a forged uvm.AuditState standing
+// in for a corrupt one.
+type driverView interface {
+	AuditHeader() uvm.AuditHeader
+	VisitBlocks(fn func(*uvm.BlockAudit) bool)
 }
 
 // New builds an auditor for an assembled system. Call Attach before the
 // run starts so every batch is observed.
 func New(cfg Config, opt Options, eng *sim.Engine, drv *uvm.Driver, dev *gpu.Device, vm *hostos.VM, inj *faultinject.Injector) *Auditor {
-	return &Auditor{
-		cfg:  cfg,
-		opt:  opt,
-		eng:  eng,
-		drv:  drv,
-		dev:  dev,
-		vm:   vm,
-		link: drv.Link(),
-		inj:  inj,
+	a := &Auditor{
+		cfg:      cfg,
+		opt:      opt,
+		eng:      eng,
+		drv:      drv,
+		dev:      dev,
+		vm:       vm,
+		link:     drv.Link(),
+		inj:      inj,
+		owners:   make(map[gpumem.ChunkID]mem.VABlockID),
+		serviced: make(map[mem.VABlockID]bool),
 	}
+	a.visitBlock = a.checkBlock
+	return a
 }
 
 // SetHardware attaches the hardware fault-domain injector so its
@@ -232,28 +256,28 @@ func (a *Auditor) Finish(runErr error) *Report {
 // violation found.
 func (a *Auditor) checkBatch(id int, rec *trace.BatchRecord) *ViolationError {
 	a.rep.ChecksRun++
-	if v := a.stamp(CheckBatchRecordParallel(rec, a.drv.Config().ServiceWorkers), id); v != nil {
+	if v := a.stamp(checkBatchRecord(rec, a.drv.Config().ServiceWorkers, a.serviced), id); v != nil {
 		return v
 	}
-	dst := a.drv.AuditState()
-	if v := a.stamp(a.checkDriverState(&dst), id); v != nil {
+	if v := a.stamp(a.checkDriverState(a.drv), id); v != nil {
 		return v
 	}
-	if v := a.stamp(a.checkEvictions(rec, &dst), id); v != nil {
+	if v := a.stamp(a.checkEvictions(rec), id); v != nil {
 		return v
 	}
 	a.sumMigrated += rec.BytesMigrated
 	a.sumEvicted += rec.EvictedBytes
-	if v := a.stamp(a.checkLinkConservation(&dst.Stats), id); v != nil {
+	st := a.drv.Stats()
+	if v := a.stamp(a.checkLinkConservation(&st), id); v != nil {
 		return v
 	}
-	if v := a.stamp(a.checkInjection(&dst.Stats), id); v != nil {
+	if v := a.stamp(a.checkInjection(&st), id); v != nil {
 		return v
 	}
-	if v := a.stamp(a.checkHardware(&dst.Stats), id); v != nil {
+	if v := a.stamp(a.checkHardware(&st), id); v != nil {
 		return v
 	}
-	if v := a.stamp(a.checkPageConservation(&dst), id); v != nil {
+	if v := a.stamp(a.checkPageConservation(a.drv, &st), id); v != nil {
 		return v
 	}
 	return nil
@@ -273,17 +297,17 @@ func (a *Auditor) stamp(v *ViolationError, batch int) *ViolationError {
 // it to probe deliberately corrupted systems.
 func (a *Auditor) CheckNow() []*ViolationError {
 	var vs []*ViolationError
-	dst := a.drv.AuditState()
-	if v := a.stamp(a.checkDriverState(&dst), -1); v != nil {
+	if v := a.stamp(a.checkDriverState(a.drv), -1); v != nil {
 		vs = append(vs, v)
 	}
-	if v := a.stamp(a.checkInjection(&dst.Stats), -1); v != nil {
+	st := a.drv.Stats()
+	if v := a.stamp(a.checkInjection(&st), -1); v != nil {
 		vs = append(vs, v)
 	}
-	if v := a.stamp(a.checkHardware(&dst.Stats), -1); v != nil {
+	if v := a.stamp(a.checkHardware(&st), -1); v != nil {
 		vs = append(vs, v)
 	}
-	if v := a.stamp(a.checkPageConservation(&dst), -1); v != nil {
+	if v := a.stamp(a.checkPageConservation(a.drv, &st), -1); v != nil {
 		vs = append(vs, v)
 	}
 	return vs
@@ -294,19 +318,19 @@ func (a *Auditor) CheckNow() []*ViolationError {
 // whole run.
 func (a *Auditor) finalChecks() []*ViolationError {
 	var vs []*ViolationError
-	dev := a.dev.AuditState()
+	dev := a.dev
 	a.rep.ChecksRun++
-	if dev.Killed && !a.drv.Dead() {
+	if dev.Killed() && !a.drv.Dead() {
 		vs = append(vs, a.stamp(&ViolationError{
 			Check:  "page-conservation",
 			Detail: "device killed but driver never re-homed (not marked dead)",
 		}, -1))
 	}
-	if dev.Running || dev.BufferLen != 0 || dev.TotalPending() != 0 || dev.LiveBlocks != 0 {
+	if dev.Running() || dev.Buffer.Len() != 0 || dev.PendingFaults() != 0 || dev.LiveBlocks() != 0 {
 		vs = append(vs, a.stamp(&ViolationError{
 			Check: "device-quiescence",
 			Detail: fmt.Sprintf("running=%v bufferLen=%d pendingFaults=%d liveBlocks=%d after clean drain",
-				dev.Running, dev.BufferLen, dev.TotalPending(), dev.LiveBlocks),
+				dev.Running(), dev.Buffer.Len(), dev.PendingFaults(), dev.LiveBlocks()),
 		}, -1))
 	}
 	st := a.drv.Stats()
@@ -384,29 +408,33 @@ func (a *Auditor) checkHardware(st *uvm.Stats) *ViolationError {
 // holds no chunks and no resident pages, its victim-scan list is empty,
 // and the pages it re-homed to the host account exactly for everything
 // resident at the instant of death — no page lost, none invented.
-func (a *Auditor) checkPageConservation(dst *uvm.AuditState) *ViolationError {
-	if !dst.Dead {
+func (a *Auditor) checkPageConservation(dst driverView, st *uvm.Stats) *ViolationError {
+	h := dst.AuditHeader()
+	if !h.Dead {
 		return nil
 	}
 	a.rep.ChecksRun++
-	for i := range dst.Blocks {
-		b := &dst.Blocks[i]
+	var v *ViolationError
+	dst.VisitBlocks(func(b *uvm.BlockAudit) bool {
 		if b.HasChunk || b.Resident.Any() {
-			return &ViolationError{
+			v = &ViolationError{
 				Check: "page-conservation",
 				Detail: fmt.Sprintf("dead driver: block %d still holds chunk=%v, %d resident pages",
 					b.ID, b.HasChunk, b.Resident.Count()),
 			}
 		}
+		return v == nil
+	})
+	if v != nil {
+		return v
 	}
-	if dst.ChunksInUse != 0 || len(dst.AllocatedOrder) != 0 {
+	if h.ChunksInUse != 0 || h.Allocated != 0 {
 		return &ViolationError{
 			Check: "page-conservation",
 			Detail: fmt.Sprintf("dead driver: %d chunks in use, %d blocks in victim scan",
-				dst.ChunksInUse, len(dst.AllocatedOrder)),
+				h.ChunksInUse, h.Allocated),
 		}
 	}
-	st := &dst.Stats
 	if st.RehomedPages != st.ResidentAtKill {
 		return &ViolationError{
 			Check: "page-conservation",
@@ -484,71 +512,85 @@ func (a *Auditor) checkInjection(st *uvm.Stats) *ViolationError {
 
 // checkDriverState verifies residency-vs-capacity, the chunk-ownership
 // bijection, and (single-host wiring only) host exclusivity.
-func (a *Auditor) checkDriverState(dst *uvm.AuditState) *ViolationError {
+func (a *Auditor) checkDriverState(dst driverView) *ViolationError {
 	a.rep.ChecksRun++
-	if dst.ChunksInUse > dst.CapacityBlocks {
+	h := dst.AuditHeader()
+	if h.ChunksInUse > h.CapacityBlocks {
 		return &ViolationError{
 			Check:  "residency-capacity",
-			Detail: fmt.Sprintf("%d chunks in use > capacity %d", dst.ChunksInUse, dst.CapacityBlocks),
+			Detail: fmt.Sprintf("%d chunks in use > capacity %d", h.ChunksInUse, h.CapacityBlocks),
 		}
 	}
-	owners := make(map[gpumem.ChunkID]mem.VABlockID, dst.ChunksInUse)
-	withChunk := 0
-	for i := range dst.Blocks {
-		b := &dst.Blocks[i]
-		for w := range b.Resident {
-			if b.Resident[w]&^b.Populated[w] != 0 {
-				return &ViolationError{
-					Check:  "residency-capacity",
-					Detail: fmt.Sprintf("block %d has resident pages that were never populated", b.ID),
-				}
-			}
+	clear(a.owners)
+	a.withChunk, a.walkErr = 0, nil
+	dst.VisitBlocks(a.visitBlock)
+	if a.walkErr != nil {
+		return a.walkErr
+	}
+	if a.withChunk != h.ChunksInUse {
+		return &ViolationError{
+			Check:  "residency-capacity",
+			Detail: fmt.Sprintf("%d blocks hold chunks but the allocator reports %d in use", a.withChunk, h.ChunksInUse),
 		}
-		if b.Resident.Any() && !b.HasChunk {
+	}
+	if h.Allocated != a.withChunk {
+		return &ViolationError{
+			Check:  "residency-capacity",
+			Detail: fmt.Sprintf("victim-scan list has %d entries for %d chunk-backed blocks", h.Allocated, a.withChunk),
+		}
+	}
+	return nil
+}
+
+// checkBlock is checkDriverState's per-block step: it counts b in
+// withChunk if it holds a chunk, and on the first violation records it in
+// walkErr and stops the walk.
+func (a *Auditor) checkBlock(b *uvm.BlockAudit) bool {
+	a.walkErr = a.blockViolation(b)
+	return a.walkErr == nil
+}
+
+func (a *Auditor) blockViolation(b *uvm.BlockAudit) *ViolationError {
+	for w := range b.Resident {
+		if b.Resident[w]&^b.Populated[w] != 0 {
 			return &ViolationError{
 				Check:  "residency-capacity",
-				Detail: fmt.Sprintf("block %d has %d resident pages but no chunk", b.ID, b.Resident.Count()),
-			}
-		}
-		if b.HasChunk {
-			withChunk++
-			if prev, dup := owners[b.Chunk]; dup {
-				return &ViolationError{
-					Check:  "chunk-bijection",
-					Detail: fmt.Sprintf("chunk %d claimed by both block %d and block %d", b.Chunk, prev, b.ID),
-				}
-			}
-			owners[b.Chunk] = b.ID
-			owner, ok := a.drv.ChunkOwner(b.Chunk)
-			if !ok || owner != b.ID {
-				return &ViolationError{
-					Check:  "chunk-bijection",
-					Detail: fmt.Sprintf("block %d holds chunk %d, but the allocator records owner (%d, live=%v)", b.ID, b.Chunk, owner, ok),
-				}
-			}
-		}
-		if !a.opt.SharedHost {
-			mp := a.vm.MappedPages(b.ID)
-			for w := range mp {
-				if mp[w]&b.Resident[w] != 0 {
-					return &ViolationError{
-						Check:  "host-exclusivity",
-						Detail: fmt.Sprintf("block %d has pages both GPU-resident and CPU-mapped", b.ID),
-					}
-				}
+				Detail: fmt.Sprintf("block %d has resident pages that were never populated", b.ID),
 			}
 		}
 	}
-	if withChunk != dst.ChunksInUse {
+	if b.Resident.Any() && !b.HasChunk {
 		return &ViolationError{
 			Check:  "residency-capacity",
-			Detail: fmt.Sprintf("%d blocks hold chunks but the allocator reports %d in use", withChunk, dst.ChunksInUse),
+			Detail: fmt.Sprintf("block %d has %d resident pages but no chunk", b.ID, b.Resident.Count()),
 		}
 	}
-	if len(dst.AllocatedOrder) != withChunk {
-		return &ViolationError{
-			Check:  "residency-capacity",
-			Detail: fmt.Sprintf("victim-scan list has %d entries for %d chunk-backed blocks", len(dst.AllocatedOrder), withChunk),
+	if b.HasChunk {
+		a.withChunk++
+		if prev, dup := a.owners[b.Chunk]; dup {
+			return &ViolationError{
+				Check:  "chunk-bijection",
+				Detail: fmt.Sprintf("chunk %d claimed by both block %d and block %d", b.Chunk, prev, b.ID),
+			}
+		}
+		a.owners[b.Chunk] = b.ID
+		owner, ok := a.drv.ChunkOwner(b.Chunk)
+		if !ok || owner != b.ID {
+			return &ViolationError{
+				Check:  "chunk-bijection",
+				Detail: fmt.Sprintf("block %d holds chunk %d, but the allocator records owner (%d, live=%v)", b.ID, b.Chunk, owner, ok),
+			}
+		}
+	}
+	if !a.opt.SharedHost {
+		mp := a.vm.MappedPages(b.ID)
+		for w := range mp {
+			if mp[w]&b.Resident[w] != 0 {
+				return &ViolationError{
+					Check:  "host-exclusivity",
+					Detail: fmt.Sprintf("block %d has pages both GPU-resident and CPU-mapped", b.ID),
+				}
+			}
 		}
 	}
 	return nil
@@ -556,8 +598,8 @@ func (a *Auditor) checkDriverState(dst *uvm.AuditState) *ViolationError {
 
 // checkEvictions verifies that every block this batch evicted — and did
 // not re-service afterwards — ended the batch with no chunk and no
-// resident pages.
-func (a *Auditor) checkEvictions(rec *trace.BatchRecord, dst *uvm.AuditState) *ViolationError {
+// resident pages. It looks up only the evicted blocks.
+func (a *Auditor) checkEvictions(rec *trace.BatchRecord) *ViolationError {
 	a.rep.ChecksRun++
 	if rec.Evictions != len(rec.EvictedBlocks) {
 		return &ViolationError{
@@ -568,22 +610,18 @@ func (a *Auditor) checkEvictions(rec *trace.BatchRecord, dst *uvm.AuditState) *V
 	if len(rec.EvictedBlocks) == 0 {
 		return nil
 	}
-	serviced := make(map[mem.VABlockID]bool, len(rec.ServicedBlocks))
+	clear(a.serviced)
 	for _, bid := range rec.ServicedBlocks {
-		serviced[bid] = true
-	}
-	blocks := make(map[mem.VABlockID]*uvm.BlockAudit, len(dst.Blocks))
-	for i := range dst.Blocks {
-		blocks[dst.Blocks[i].ID] = &dst.Blocks[i]
+		a.serviced[bid] = true
 	}
 	for _, bid := range rec.EvictedBlocks {
-		if serviced[bid] {
+		if a.serviced[bid] {
 			// Evicted and serviced in the same batch (last-resort victim
 			// or re-fault): the final state is whatever the later of the
 			// two operations left.
 			continue
 		}
-		b, ok := blocks[bid]
+		b, ok := a.drv.LookupBlock(bid)
 		if !ok {
 			return &ViolationError{
 				Check:  "eviction-consistency",
@@ -613,12 +651,19 @@ func (a *Auditor) snapshot(batch int) Snapshot {
 	}
 	s.Combined = digest.Combine(s.Driver, s.Device, s.Host, s.Link)
 	if a.cfg.KeepDumps {
-		drv := a.drv.AuditState()
-		dev := a.dev.AuditState()
-		host := a.vm.AuditState()
-		s.Dump = drv.Dump() + dev.Dump() + host.Dump() + a.link.AuditState().Dump()
+		s.Dump = a.dump()
 	}
 	return s
+}
+
+// dump renders every model's state for a KeepDumps snapshot. It is the
+// auditor's one use of the snapshot-building AuditState methods: the
+// checks and digests read the models in place.
+func (a *Auditor) dump() string {
+	drv := a.drv.AuditState()
+	dev := a.dev.AuditState()
+	host := a.vm.AuditState()
+	return drv.Dump() + dev.Dump() + host.Dump() + a.link.AuditState().Dump()
 }
 
 // combined returns the current combined digest of all four models.

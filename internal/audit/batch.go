@@ -23,6 +23,14 @@ func CheckBatchRecord(rec *trace.BatchRecord) *ViolationError {
 // bound relaxes to workers x duration (any work-conserving schedule has
 // makespan >= total work / workers).
 func CheckBatchRecordParallel(rec *trace.BatchRecord, workers int) *ViolationError {
+	return checkBatchRecord(rec, workers, make(map[mem.VABlockID]bool, len(rec.ServicedBlocks)))
+}
+
+// checkBatchRecord is CheckBatchRecordParallel with the set it finds
+// repeated serviced blocks in supplied by the caller; the auditor passes
+// one it reuses, so an audited batch allocates nothing. It clears seen
+// first.
+func checkBatchRecord(rec *trace.BatchRecord, workers int, seen map[mem.VABlockID]bool) *ViolationError {
 	if workers < 1 {
 		workers = 1
 	}
@@ -79,7 +87,7 @@ func CheckBatchRecordParallel(rec *trace.BatchRecord, workers int) *ViolationErr
 			Detail: fmt.Sprintf("%d serviced blocks recorded, want at least %d", len(rec.ServicedBlocks), rec.VABlocks),
 		}
 	}
-	seen := make(map[mem.VABlockID]bool, len(rec.ServicedBlocks))
+	clear(seen)
 	for _, bid := range rec.ServicedBlocks {
 		if seen[bid] {
 			return &ViolationError{

@@ -12,7 +12,8 @@ import (
 // occupancy, per-µTLB pending/deferred/stalled populations, kernel
 // progress, and the accumulated statistics. At a clean end of run every
 // occupancy field must be zero — a non-empty µTLB after the queue drained
-// means a lost fault.
+// means a lost fault. Digest and the auditor read the live device
+// instead; the snapshot is their test oracle and the opt-in state dump.
 type AuditState struct {
 	BufferLen int
 	Running   bool
@@ -33,15 +34,6 @@ type AuditState struct {
 	// Killed reports catastrophic device loss (Device.Kill).
 	Killed bool
 	Stats  Stats
-}
-
-// TotalPending sums outstanding fault entries across µTLBs.
-func (st *AuditState) TotalPending() int {
-	n := 0
-	for i := range st.PendingPerUTLB {
-		n += st.PendingPerUTLB[i] + st.PrefetchPerUTLB[i] + st.DeferredPerUTLB[i]
-	}
-	return n
 }
 
 // AuditState captures the canonical device state for auditing.
@@ -70,21 +62,41 @@ func (d *Device) AuditState() AuditState {
 	return st
 }
 
-// Digest returns the FNV-1a digest of the canonical device state.
+// PendingFaults counts the outstanding fault entries across µTLBs:
+// pending, prefetch-pending and deferred.
+func (d *Device) PendingFaults() int {
+	n := 0
+	for _, u := range d.utlbs {
+		n += u.pending.len() + u.prefetchPending.len() + len(u.deferred)
+	}
+	return n
+}
+
+// LiveBlocks returns the number of thread blocks resident on SMs.
+func (d *Device) LiveBlocks() int { return d.liveBlocks }
+
+// Digest returns the FNV-1a digest of the canonical device state. It
+// hashes the live µTLB tables in place, in AuditState's order.
 func (d *Device) Digest() uint64 {
-	st := d.AuditState()
 	h := digest.New()
-	h = h.Int(st.BufferLen).Bool(st.Running)
-	h = h.Int(st.LiveBlocks).Int(st.NextBlock).Int(st.NextWarpID)
-	for i := range st.PendingPerUTLB {
-		h = h.Int(st.PendingPerUTLB[i]).Int(st.PrefetchPerUTLB[i])
-		h = h.Int(st.DeferredPerUTLB[i]).Int(st.StalledPerUTLB[i])
+	h = h.Int(d.Buffer.Len()).Bool(d.launched)
+	h = h.Int(d.liveBlocks).Int(d.nextBlock).Int(d.nextWarpID)
+	pages := 0
+	for _, u := range d.utlbs {
+		h = h.Int(u.pending.len()).Int(u.prefetchPending.len())
+		h = h.Int(len(u.deferred)).Int(len(u.stalled))
+		pages += u.pending.len() + u.prefetchPending.len()
 	}
-	h = h.Int(len(st.PendingPages))
-	for _, p := range st.PendingPages {
-		h = h.Uint64(uint64(p))
+	h = h.Int(pages)
+	for _, u := range d.utlbs {
+		for _, e := range u.pending.entries {
+			h = h.Uint64(uint64(e.page))
+		}
+		for _, e := range u.prefetchPending.entries {
+			h = h.Uint64(uint64(e.page))
+		}
 	}
-	s := st.Stats
+	s := &d.stats
 	h = h.Int(s.FaultsEmitted).Int(s.DupFaults).Int(s.Refaults)
 	h = h.Int(s.ThrottleStalls).Int(s.UTLBFullStalls).Int(s.BlocksCompleted)
 	h = h.Int(s.InjectedDrops).Int(s.InjectedDropRetries).Int(s.InjectedDropsLost)
@@ -95,7 +107,7 @@ func (d *Device) Digest() uint64 {
 	}
 	// A killed device folds the flag in; live devices keep their
 	// historical digests bit-identical.
-	if st.Killed {
+	if d.killed {
 		h = h.Bool(true)
 	}
 	return h.Sum()

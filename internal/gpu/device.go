@@ -821,8 +821,9 @@ func (w *warp) run() {
 		runs := w.prog.Runs[op.Lo:op.Hi]
 		for ; w.ri < len(runs); w.ri++ {
 			r := runs[w.ri]
+			step := r.stride()
 			for ; w.off < r.N; w.off++ {
-				switch w.issue(r.First+w.shift+mem.PageID(w.off), op) {
+				switch w.issue(r.First+w.shift+mem.PageID(w.off)*step, op) {
 				case issueStallUTLB:
 					return // resumed by wake() at replay
 				case issueThrottled:

@@ -136,15 +136,19 @@ func TestAccessKindString(t *testing.T) {
 }
 
 // TestPageRuns: a contiguous op is one run, and a page list coalesces
-// into runs in order with duplicates kept.
+// into runs of evenly spaced pages in order with duplicates kept.
 func TestPageRuns(t *testing.T) {
 	var p Program
 	p.Read(0, 10, 3)
 	p.Read(0, 0, 0)
 	p.ReadPages(0, []mem.PageID{4, 5, 5, 6, 2, 3})
-	want := []PageRun{{10, 3}, {4, 2}, {5, 2}, {2, 2}}
+	p.ReadPages(0, []mem.PageID{20, 22, 24, 26, 27, 30, 30})
+	want := []PageRun{{10, 3, 0}, {4, 2, 0}, {5, 2, 0}, {2, 2, 0}, {20, 4, 2}, {27, 2, 3}, {30, 1, 0}}
 	if !slices.Equal(p.Runs, want) {
 		t.Fatalf("runs = %v, want %v", p.Runs, want)
+	}
+	if got := p.AppendPages(nil, p.Ops[3]); !slices.Equal(got, []mem.PageID{20, 22, 24, 26, 27, 30, 30}) {
+		t.Fatalf("strided page-list op expands to %v", got)
 	}
 	if n := p.NumPages(p.Ops[1]); n != 0 {
 		t.Fatalf("empty op touches %d pages", n)

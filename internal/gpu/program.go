@@ -90,10 +90,22 @@ func Regs(regs ...int) RegMask {
 	return m
 }
 
-// PageRun is N consecutive pages starting at First.
+// PageRun is N evenly spaced pages: page k of the run is First + k·Step.
+// Step 0, the zero value, means 1, so a run built without a step is N
+// consecutive pages. Step sits in the padding after N, so a run stays 16
+// bytes.
 type PageRun struct {
 	First mem.PageID
 	N     uint32
+	Step  uint32
+}
+
+// stride returns the page distance between consecutive pages of r.
+func (r PageRun) stride() mem.PageID {
+	if r.Step == 0 {
+		return 1
+	}
+	return mem.PageID(r.Step)
 }
 
 // Op is one operation of a warp program. Memory operations are modeled at
@@ -139,8 +151,8 @@ func (p *Program) Read(dst int, first mem.PageID, n int) {
 }
 
 // ReadPages appends an OpRead of an arbitrary page list, writing
-// scoreboard register dst. The pages are coalesced into runs in the
-// given order, duplicates kept.
+// scoreboard register dst. The pages are coalesced into runs of evenly
+// spaced ascending pages in the given order, duplicates kept.
 func (p *Program) ReadPages(dst int, pages []mem.PageID) {
 	p.pages(Op{Kind: OpRead, Dst: regOf(dst)}, pages)
 }
@@ -198,18 +210,28 @@ func (p *Program) span(op Op, first mem.PageID, n int) {
 }
 
 // pages appends op over an arbitrary page list, coalesced into runs in
-// order: each page that directly follows the previous one extends its
-// run. Pages out of order or repeated start a new run, so expanding the
-// runs gives back exactly the list.
+// order. A run's first two pages fix its step, the distance between
+// them, and each later page that lies that step past the previous one
+// extends the run. A page that is not above the previous one starts a
+// new run, so expanding the runs gives back exactly the list, repeats
+// included.
 func (p *Program) pages(op Op, pages []mem.PageID) {
 	op.Lo = uint32(len(p.Runs))
 	for i := 0; i < len(pages); {
-		j := i + 1
-		for j < len(pages) && pages[j] == pages[j-1]+1 && j-i < math.MaxUint32 {
-			j++
+		r := PageRun{First: pages[i], N: 1}
+		if i+1 < len(pages) && pages[i+1] > pages[i] && pages[i+1]-pages[i] <= math.MaxUint32 {
+			step := pages[i+1] - pages[i]
+			j := i + 1
+			for j < len(pages) && pages[j] == pages[j-1]+step && j-i < math.MaxUint32 {
+				j++
+			}
+			r.N = uint32(j - i)
+			if step > 1 {
+				r.Step = uint32(step)
+			}
 		}
-		p.Runs = append(p.Runs, PageRun{First: pages[i], N: uint32(j - i)})
-		i = j
+		p.Runs = append(p.Runs, r)
+		i += int(r.N)
 	}
 	op.Hi = uint32(len(p.Runs))
 	p.Ops = append(p.Ops, op)
@@ -243,8 +265,9 @@ func (p *Program) appendShifted(dst []mem.PageID, op Op, shift mem.PageID) []mem
 		return dst
 	}
 	for _, r := range p.Runs[op.Lo:op.Hi] {
+		step := r.stride()
 		for k := uint32(0); k < r.N; k++ {
-			dst = append(dst, r.First+shift+mem.PageID(k))
+			dst = append(dst, r.First+shift+mem.PageID(k)*step)
 		}
 	}
 	return dst

@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -12,16 +13,19 @@ import (
 
 // pagesFromBytes decodes a fuzz input into a page list rich in the
 // shapes run coalescing must keep apart: each byte either extends the
-// current run (< 0xa0), repeats the last page (< 0xc0), steps back one
-// page (< 0xd0), or jumps to a page named by its low bits.
+// current run (< 0x80), skips ahead 2 to 5 pages (< 0xa0), repeats the
+// last page (< 0xc0), steps back one page (< 0xd0), or jumps to a page
+// named by its low bits.
 func pagesFromBytes(data []byte) []mem.PageID {
 	var pages []mem.PageID
 	p := mem.PageID(1000)
 	for i, b := range data {
 		switch {
 		case i == 0:
-		case b < 0xa0:
+		case b < 0x80:
 			p++
+		case b < 0xa0:
+			p += 2 + mem.PageID(b&3)
 		case b < 0xc0:
 		case b < 0xd0:
 			p--
@@ -35,11 +39,14 @@ func pagesFromBytes(data []byte) []mem.PageID {
 
 // FuzzPageRuns: coalescing any page list into runs and expanding the runs
 // gives back the identical list, duplicates and order included, and the
-// runs are maximal (no run continues where the previous one ends).
+// runs are maximal: no run continues where the previous one ends, and a
+// one-page run is never followed by a higher page it could have paired
+// with.
 func FuzzPageRuns(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{0, 0xb0, 0xb0, 0, 0xc5, 0, 0xff, 0, 0})
+	f.Add([]byte{0, 0x80, 0x80, 0x80, 0, 0, 0x93, 0x93, 0xb0, 0x81})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pages := pagesFromBytes(data)
 		// An op ahead of the list's must not disturb its span.
@@ -55,7 +62,15 @@ func FuzzPageRuns(f *testing.F) {
 			if r.N == 0 {
 				t.Fatalf("run %d of %v is empty", i, runs)
 			}
-			if i > 0 && runs[i-1].First+mem.PageID(runs[i-1].N) == r.First {
+			if r.Step == 1 || (r.N == 1 && r.Step != 0) {
+				t.Fatalf("run %d of %v has a redundant step", i, runs)
+			}
+			if i == 0 {
+				continue
+			}
+			prev := runs[i-1]
+			if (prev.N == 1 && r.First > prev.First && r.First-prev.First <= math.MaxUint32) ||
+				(prev.N > 1 && prev.First+mem.PageID(prev.N)*prev.stride() == r.First) {
 				t.Fatalf("runs %d and %d of %v should be one run", i-1, i, runs)
 			}
 		}
@@ -88,10 +103,13 @@ func TestProgramTypesHoldNoPointers(t *testing.T) {
 			t.Errorf("%v holds a pointer", ty)
 		}
 	}
-	// Stride sits in the padding after Hi; a wider field would grow
-	// every program by a quarter.
+	// Stride sits in the padding after Hi, and Step in the padding after
+	// N; a wider field would grow every program by a quarter or a half.
 	if n := unsafe.Sizeof(Op{}); n != 32 {
 		t.Errorf("Op is %d bytes, want 32", n)
+	}
+	if n := unsafe.Sizeof(PageRun{}); n != 16 {
+		t.Errorf("PageRun is %d bytes, want 16", n)
 	}
 }
 
@@ -139,17 +157,33 @@ func decodeLoopCase(data []byte) (loopCase, bool) {
 	return c, len(c.body) > 0
 }
 
-// emitOps appends one op per byte pair, every page shifted by shift.
+// emitOps appends one op per byte pair, every page shifted by shift. A
+// read or write whose top three bits give a step of 2 or more touches
+// pages that far apart, built from a page list, so loops also shift
+// strided runs.
 func emitOps(p *Program, ops []byte, shift mem.PageID) {
 	for i := 0; i+1 < len(ops); i += 2 {
 		a, b := ops[i], ops[i+1]
 		first := mem.PageID(b%64) + shift
 		n := 1 + int(b>>6)
+		step := mem.PageID(a >> 5)
+		var list []mem.PageID
+		for k := 0; k < n; k++ {
+			list = append(list, first+mem.PageID(k)*step)
+		}
 		switch a % 4 {
 		case 0:
-			p.Read(int(a>>2)%3, first, n)
+			if step < 2 {
+				p.Read(int(a>>2)%3, first, n)
+			} else {
+				p.ReadPages(int(a>>2)%3, list)
+			}
 		case 1:
-			p.Write(RegMask(a>>2)&0b111, first, n)
+			if step < 2 {
+				p.Write(RegMask(a>>2)&0b111, first, n)
+			} else {
+				p.WritePages(RegMask(a>>2)&0b111, list)
+			}
 		case 2:
 			p.Prefetch(first, n)
 		case 3:
@@ -210,6 +244,7 @@ func runLoopCase(t *testing.T, c loopCase, prog Program) loopRun {
 func FuzzLoopMatchesUnrolled(f *testing.F) {
 	f.Add([]byte{3, 2, 0, 0, 2, 0, 5, 4, 0x41, 3, 0})
 	f.Add([]byte{5, 8, 3, 0x0f, 0xc3, 2, 4, 0, 0x80, 1, 0x04, 3, 3, 6, 0xc2, 2, 1})
+	f.Add([]byte{4, 16, 2, 0x55, 0x80, 0x40, 0xc4, 0x61, 0xc9, 3, 0, 0xa1, 0x45})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, ok := decodeLoopCase(data)
 		if !ok {

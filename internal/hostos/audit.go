@@ -19,7 +19,8 @@ type MappingAudit struct {
 
 // AuditState is the canonical snapshot of the host VM model: every block
 // with live CPU mappings (ascending block order), the radix-tree shape,
-// and the accumulated statistics.
+// and the accumulated statistics. Digest reads the live VM instead; the
+// snapshot is its test oracle and the opt-in state dump.
 type AuditState struct {
 	Mappings   []MappingAudit
 	RadixNodes int
@@ -60,20 +61,30 @@ func (vm *VM) AuditState() AuditState {
 
 // Digest returns the FNV-1a digest of the canonical host VM state. Two
 // runs of the same configuration must produce identical digests at every
-// batch boundary.
+// batch boundary. It hashes the live mapping directory in place, in
+// AuditState's order: one pass counts the mapped blocks, a second hashes
+// them.
 func (vm *VM) Digest() uint64 {
-	st := vm.AuditState()
 	h := digest.New()
-	h = h.Int(len(st.Mappings))
-	for i := range st.Mappings {
-		m := &st.Mappings[i]
-		h = h.Uint64(uint64(m.Block))
-		h = h.Words(m.Pages[:])
-		h = h.Uint64(m.Threads)
-	}
-	h = h.Int(st.RadixNodes)
-	h = h.Uint64(st.DMANext)
-	s := st.Stats
+	n := 0
+	vm.mapped.Range(func(_ mem.VABlockID, bm *blockMapping) bool {
+		if bm.pages.Any() {
+			n++
+		}
+		return true
+	})
+	h = h.Int(n)
+	vm.mapped.Range(func(b mem.VABlockID, bm *blockMapping) bool {
+		if bm.pages.Any() {
+			h = h.Uint64(uint64(b))
+			h = h.Words(bm.pages[:])
+			h = h.Uint64(bm.threads)
+		}
+		return true
+	})
+	h = h.Int(vm.dma.Nodes())
+	h = h.Uint64(vm.dmaNext)
+	s := &vm.stats
 	h = h.Int(s.UnmapCalls).Int(s.PagesUnmapped).Int(s.PagesPopulated)
 	h = h.Int(s.DMAPagesMapped).Int(s.RadixNodes).Int(s.PopulateFailures)
 	h = h.Int64(int64(s.UnmapTime)).Int64(int64(s.PopulateTime)).Int64(int64(s.DMAMapTime))

@@ -27,7 +27,10 @@ type BlockAudit struct {
 
 // AuditState is the canonical snapshot of the driver: every known VABlock
 // (ascending ID), the chunk-allocation order, capacity accounting, the
-// adaptive batch state, and the accumulated statistics.
+// adaptive batch state, and the accumulated statistics. Building one
+// copies every block; the auditor and Digest walk the live driver instead
+// (VisitBlocks, AuditHeader), and AuditState remains the oracle they are
+// tested against and the source of the opt-in state dumps.
 type AuditState struct {
 	Blocks []BlockAudit
 	// AllocatedOrder is d.allocated in order: the LRU/FIFO victim scan
@@ -46,6 +49,21 @@ type AuditState struct {
 	Stats Stats
 }
 
+// AuditHeader is the driver's scalar audit state: AuditState without the
+// block list, the victim-scan order (only its length) and the stats.
+type AuditHeader struct {
+	ChunksInUse    int
+	CapacityBlocks int
+	// Allocated is the length of the victim-scan list.
+	Allocated  int
+	EffBatch   int
+	BatchCount int
+	NextSeq    int
+	Sleeping   bool
+	InBatch    bool
+	Dead       bool
+}
+
 // ResidentPages sums GPU-resident pages across blocks.
 func (st *AuditState) ResidentPages() int {
 	n := 0
@@ -55,41 +73,108 @@ func (st *AuditState) ResidentPages() int {
 	return n
 }
 
+// AuditHeader returns the snapshot's scalar fields.
+func (st *AuditState) AuditHeader() AuditHeader {
+	return AuditHeader{
+		ChunksInUse:    st.ChunksInUse,
+		CapacityBlocks: st.CapacityBlocks,
+		Allocated:      len(st.AllocatedOrder),
+		EffBatch:       st.EffBatch,
+		BatchCount:     st.BatchCount,
+		NextSeq:        st.NextSeq,
+		Sleeping:       st.Sleeping,
+		InBatch:        st.InBatch,
+		Dead:           st.Dead,
+	}
+}
+
+// VisitBlocks calls fn for each of the snapshot's blocks in order until
+// fn returns false, as Driver.VisitBlocks does for the live driver.
+func (st *AuditState) VisitBlocks(fn func(*BlockAudit) bool) {
+	for i := range st.Blocks {
+		if !fn(&st.Blocks[i]) {
+			return
+		}
+	}
+}
+
 // ChunkOwner reports the VABlock backing a live chunk, resolving through
 // the physical allocator (for the chunk-ownership bijection check).
 func (d *Driver) ChunkOwner(id gpumem.ChunkID) (mem.VABlockID, bool) {
 	return d.pmm.Owner(id)
 }
 
-// AuditState captures the canonical driver state for auditing.
-func (d *Driver) AuditState() AuditState {
-	st := AuditState{
+// audit returns the audit view of b.
+func (b *blockState) audit() BlockAudit {
+	return BlockAudit{
+		ID:           b.id,
+		Resident:     b.resident,
+		Populated:    b.populated,
+		HasChunk:     b.hasChunk,
+		Chunk:        b.chunk,
+		DMAMapped:    b.dmaMapped,
+		LastTouch:    b.lastTouch,
+		AllocSeq:     b.allocSeq,
+		Evictions:    b.evictions,
+		RemoteMapped: b.remoteMapped,
+	}
+}
+
+// AuditHeader returns the driver's scalar audit state.
+func (d *Driver) AuditHeader() AuditHeader {
+	return AuditHeader{
 		ChunksInUse:    d.pmm.InUse(),
 		CapacityBlocks: d.cfg.CapacityBlocks(),
+		Allocated:      len(d.allocated),
 		EffBatch:       d.effBatch,
 		BatchCount:     d.batchCount,
 		NextSeq:        d.nextSeq,
 		Sleeping:       d.sleeping,
 		InBatch:        d.inBatch,
 		Dead:           d.dead,
+	}
+}
+
+// VisitBlocks calls fn with the audit view of every known VABlock, in
+// ascending ID order, until fn returns false. The view is one record the
+// driver refills for each block, so the walk allocates nothing and fn
+// must copy whatever it keeps past its return.
+func (d *Driver) VisitBlocks(fn func(*BlockAudit) bool) {
+	d.blocks.Range(func(_ mem.VABlockID, b *blockState) bool {
+		d.auditRec = b.audit()
+		return fn(&d.auditRec)
+	})
+}
+
+// LookupBlock returns the audit view of block id, and whether the driver
+// knows the block.
+func (d *Driver) LookupBlock(id mem.VABlockID) (BlockAudit, bool) {
+	b, ok := d.blocks.Get(id)
+	if !ok {
+		return BlockAudit{}, false
+	}
+	return b.audit(), true
+}
+
+// AuditState captures the canonical driver state as a snapshot.
+func (d *Driver) AuditState() AuditState {
+	h := d.AuditHeader()
+	st := AuditState{
+		ChunksInUse:    h.ChunksInUse,
+		CapacityBlocks: h.CapacityBlocks,
+		EffBatch:       h.EffBatch,
+		BatchCount:     h.BatchCount,
+		NextSeq:        h.NextSeq,
+		Sleeping:       h.Sleeping,
+		InBatch:        h.InBatch,
+		Dead:           h.Dead,
 		Stats:          d.stats,
 	}
 	st.Blocks = make([]BlockAudit, 0, d.blocks.Len())
 	// BlockDir ranges in ascending ID order — exactly the canonical
 	// order the former sorted-keys walk produced.
 	d.blocks.Range(func(_ mem.VABlockID, b *blockState) bool {
-		st.Blocks = append(st.Blocks, BlockAudit{
-			ID:           b.id,
-			Resident:     b.resident,
-			Populated:    b.populated,
-			HasChunk:     b.hasChunk,
-			Chunk:        b.chunk,
-			DMAMapped:    b.dmaMapped,
-			LastTouch:    b.lastTouch,
-			AllocSeq:     b.allocSeq,
-			Evictions:    b.evictions,
-			RemoteMapped: b.remoteMapped,
-		})
+		st.Blocks = append(st.Blocks, b.audit())
 		return true
 	})
 	for _, b := range d.allocated {
@@ -98,36 +183,37 @@ func (d *Driver) AuditState() AuditState {
 	return st
 }
 
-// Digest returns the FNV-1a digest of the canonical driver state.
+// Digest returns the FNV-1a digest of the canonical driver state. It
+// hashes the live blocks in place, in AuditState's order.
 func (d *Driver) Digest() uint64 {
-	st := d.AuditState()
 	h := digest.New()
-	h = h.Int(len(st.Blocks))
-	for i := range st.Blocks {
-		b := &st.Blocks[i]
-		h = h.Uint64(uint64(b.ID))
-		h = h.Words(b.Resident[:])
-		h = h.Words(b.Populated[:])
-		h = h.Bool(b.HasChunk)
-		if b.HasChunk {
-			h = h.Int(int(b.Chunk))
+	h = h.Int(d.blocks.Len())
+	d.blocks.Range(func(_ mem.VABlockID, b *blockState) bool {
+		h = h.Uint64(uint64(b.id))
+		h = h.Words(b.resident[:])
+		h = h.Words(b.populated[:])
+		h = h.Bool(b.hasChunk)
+		if b.hasChunk {
+			h = h.Int(int(b.chunk))
 		}
-		h = h.Bool(b.DMAMapped)
-		h = h.Int(b.LastTouch).Int(b.AllocSeq).Int(b.Evictions)
+		h = h.Bool(b.dmaMapped)
+		h = h.Int(b.lastTouch).Int(b.allocSeq).Int(b.evictions)
 		// Remote mappings fold in only when present, keeping host-driven
 		// digests bit-identical to their pre-lift goldens.
-		if b.RemoteMapped.Any() {
-			h = h.Words(b.RemoteMapped[:])
+		if b.remoteMapped.Any() {
+			h = h.Words(b.remoteMapped[:])
 		}
+		return true
+	})
+	h = h.Int(len(d.allocated))
+	for _, b := range d.allocated {
+		h = h.Uint64(uint64(b.id))
 	}
-	h = h.Int(len(st.AllocatedOrder))
-	for _, id := range st.AllocatedOrder {
-		h = h.Uint64(uint64(id))
-	}
-	h = h.Int(st.ChunksInUse).Int(st.CapacityBlocks)
-	h = h.Int(st.EffBatch).Int(st.BatchCount).Int(st.NextSeq)
-	h = h.Bool(st.Sleeping).Bool(st.InBatch)
-	s := st.Stats
+	hd := d.AuditHeader()
+	h = h.Int(hd.ChunksInUse).Int(hd.CapacityBlocks)
+	h = h.Int(hd.EffBatch).Int(hd.BatchCount).Int(hd.NextSeq)
+	h = h.Bool(hd.Sleeping).Bool(hd.InBatch)
+	s := &d.stats
 	h = h.Int(s.Batches).Int(s.TotalFaults).Int(s.StaleFaults).Int(s.Evictions)
 	h = h.Int(s.PrefetchedPages).Int(s.CrossBlockPages).Int(s.MigratedPages)
 	h = h.Int(s.WakeUps).Int(s.SpuriousWakeUps)
@@ -142,7 +228,7 @@ func (d *Driver) Digest() uint64 {
 	// Hardware fault-domain state folds in only when the domain is
 	// attached, so default runs keep their historical digests.
 	if d.hw != nil {
-		h = h.Bool(st.Dead)
+		h = h.Bool(hd.Dead)
 		h = h.Int(s.HWLinkRetries).Int(s.DegradedShrinks)
 		h = h.Uint64(s.HWRetryToGPUBytes).Uint64(s.HWRetryToHostBytes)
 		h = h.Int(s.RehomedBlocks).Int(s.RehomedPages).Uint64(s.RehomedBytes)

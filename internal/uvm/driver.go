@@ -248,6 +248,9 @@ type Driver struct {
 	// installment to the replay completion callback. The consumers that
 	// outlive a batch (Collector.AddFaults, observers) copy.
 	faultBuf []gpu.Fault
+	// auditRec is the one record VisitBlocks fills for every block, so
+	// an audit walk allocates nothing (audit.go).
+	auditRec BlockAudit
 
 	Collector *trace.Collector
 	stats     Stats

@@ -76,7 +76,10 @@ func (w *FFT) Phases(bases []mem.Addr) []Phase {
 				if lo >= hi {
 					return nil
 				}
-				var prog gpu.Program
+				// Each chunk is two reads, the math and two writes:
+				// five ops over four runs.
+				chunks := (hi - lo + chunk - 1) / chunk
+				prog := gpu.NewProgram(5*chunks, 4*chunks)
 				for i := lo; i < hi; i += chunk {
 					n := chunk
 					if i+n > hi {

@@ -98,22 +98,19 @@ func (w *GEMM) Phases(bases []mem.Addr) []Phase {
 				// Stage the panels chunk by chunk: each chunk's loads
 				// must land before the dependent math lets the next
 				// chunk issue (shared-memory double-buffer pacing).
-				n := len(aPages)
-				if len(bPages) > n {
-					n = len(bPages)
+				// When both panels are the same number of pages spaced
+				// by the same step, every full chunk is the first one
+				// shifted, so the first is looped over all of them.
+				lo := 0
+				if step, ok := panelStep(aPages, bPages); ok && len(aPages) >= w.ChunkPages {
+					full := len(aPages) / w.ChunkPages
+					mark := len(prog.Ops)
+					w.stageChunk(&prog, aPages, bPages, 0)
+					prog.Loop(mark, full, w.ChunkPages*step)
+					lo = full * w.ChunkPages
 				}
-				for lo := 0; lo < n; lo += w.ChunkPages {
-					hi := lo + w.ChunkPages
-					var deps gpu.RegMask
-					if lo < len(aPages) {
-						prog.ReadPages(0, aPages[lo:min(hi, len(aPages))])
-						deps |= gpu.Regs(0)
-					}
-					if lo < len(bPages) {
-						prog.ReadPages(1, bPages[lo:min(hi, len(bPages))])
-						deps |= gpu.Regs(1)
-					}
-					prog.Compute(w.ComputePerChunk, deps)
+				for n := max(len(aPages), len(bPages)); lo < n; lo += w.ChunkPages {
+					w.stageChunk(&prog, aPages, bPages, lo)
 				}
 			}
 			// The C panel reuses the A panel's buffer: the ops already
@@ -122,4 +119,38 @@ func (w *GEMM) Phases(bases []mem.Addr) []Phase {
 			return []gpu.Program{prog}
 		}},
 	}}
+}
+
+// stageChunk appends the loads of the chunk of both panels that starts at
+// page index lo, and the math that depends on them.
+func (w *GEMM) stageChunk(prog *gpu.Program, aPages, bPages []mem.PageID, lo int) {
+	hi := lo + w.ChunkPages
+	var deps gpu.RegMask
+	if lo < len(aPages) {
+		prog.ReadPages(0, aPages[lo:min(hi, len(aPages))])
+		deps |= gpu.Regs(0)
+	}
+	if lo < len(bPages) {
+		prog.ReadPages(1, bPages[lo:min(hi, len(bPages))])
+		deps |= gpu.Regs(1)
+	}
+	prog.Compute(w.ComputePerChunk, deps)
+}
+
+// panelStep reports whether two panels have the same number of pages,
+// each spaced by one common step, and returns that step. A panel of one
+// page has no spacing of its own and fits no loop.
+func panelStep(a, b []mem.PageID) (int, bool) {
+	if len(a) != len(b) || len(a) < 2 {
+		return 0, false
+	}
+	step := a[1] - a[0]
+	for _, pages := range [][]mem.PageID{a, b} {
+		for i := 1; i < len(pages); i++ {
+			if pages[i]-pages[i-1] != step {
+				return 0, false
+			}
+		}
+	}
+	return int(step), true
 }

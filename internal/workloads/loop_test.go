@@ -82,6 +82,39 @@ func unrolledRegular(w *Regular, bases []mem.Addr) gpu.Kernel {
 	}}
 }
 
+// unrolledGEMM writes out every chunk of every k-step's panels as its own
+// ops, as GEMM did before a k-step's evenly spaced chunks became one
+// looped pass over strided runs.
+func unrolledGEMM(w *GEMM, bases []mem.Addr) gpu.Kernel {
+	a, b, c := bases[0], bases[1], bases[2]
+	tiles := w.N / w.Tile
+	return gpu.Kernel{NumBlocks: tiles * tiles, BlockProgram: func(blk int) []gpu.Program {
+		ti, tj := blk/tiles, blk%tiles
+		var prog gpu.Program
+		var aPages, bPages []mem.PageID
+		for k := 0; k < tiles; k++ {
+			aPages = w.panelPages(aPages, a, ti*w.Tile, w.Tile, k*w.Tile, w.Tile)
+			bPages = w.panelPages(bPages, b, k*w.Tile, w.Tile, tj*w.Tile, w.Tile)
+			n := max(len(aPages), len(bPages))
+			for lo := 0; lo < n; lo += w.ChunkPages {
+				hi := lo + w.ChunkPages
+				var deps gpu.RegMask
+				if lo < len(aPages) {
+					prog.ReadPages(0, aPages[lo:min(hi, len(aPages))])
+					deps |= gpu.Regs(0)
+				}
+				if lo < len(bPages) {
+					prog.ReadPages(1, bPages[lo:min(hi, len(bPages))])
+					deps |= gpu.Regs(1)
+				}
+				prog.Compute(w.ComputePerChunk, deps)
+			}
+		}
+		prog.WritePages(0, w.panelPages(aPages, c, ti*w.Tile, w.Tile, tj*w.Tile, w.Tile))
+		return []gpu.Program{prog}
+	}}
+}
+
 // step is one executed memory or compute op: what it is, its scoreboard
 // use, and the pages it touches.
 type step struct {
@@ -170,6 +203,16 @@ func TestLoopedGeneratorsMatchUnrolled(t *testing.T) {
 		pairs = append(pairs, pair{fmt.Sprintf("regular/%dp/%dparts", c.pages, c.parts),
 			w.Phases(bases)[0].Kernel, unrolledRegular(w, bases)})
 	}
+	// dgemm at N = 768 has rows of 1.5 pages, so its panels are unevenly
+	// spaced and fall back to unrolled chunks; every other case loops
+	// each k-step.
+	for _, n := range []int{512, 768, 1024, 2048, 4096} {
+		for _, w := range []*GEMM{NewSGEMM(n), NewDGEMM(n)} {
+			bases := fakeBases(w.Allocs())
+			pairs = append(pairs, pair{fmt.Sprintf("%s/%d", w.Name(), n),
+				w.Phases(bases)[0].Kernel, unrolledGEMM(w, bases)})
+		}
+	}
 	for _, c := range pairs {
 		if c.looped.NumBlocks != c.oracle.NumBlocks {
 			t.Fatalf("%s: %d blocks, oracle %d", c.name, c.looped.NumBlocks, c.oracle.NumBlocks)
@@ -188,6 +231,26 @@ func TestLoopedGeneratorsMatchUnrolled(t *testing.T) {
 				}
 				if g, w := execute(got[i]), execute(want[i]); !reflect.DeepEqual(g, w) {
 					t.Fatalf("%s block %d warp %d: ops\n%+v\noracle\n%+v", c.name, b, i, g, w)
+				}
+			}
+		}
+	}
+}
+
+// TestGEMMProgramFixedSize: at the sizes whose panels are evenly spaced, a
+// GEMM block is one looped chunk per k-step — a read of each panel, the
+// math and the loop, over one strided run per panel — plus the C write,
+// however many chunks a panel holds.
+func TestGEMMProgramFixedSize(t *testing.T) {
+	for _, n := range []int{2048, 4096} {
+		for _, w := range []*GEMM{NewSGEMM(n), NewDGEMM(n)} {
+			k := w.Phases(fakeBases(w.Allocs()))[0].Kernel
+			ksteps := w.N / w.Tile
+			for _, blk := range []int{0, k.NumBlocks / 2, k.NumBlocks - 1} {
+				prog := k.BlockProgram(blk)[0]
+				if ops, runs := len(prog.Ops), len(prog.Runs); ops > 4*ksteps+1 || runs > 2*ksteps+1 {
+					t.Errorf("%s/%d block %d: %d ops over %d runs, want at most %d over %d",
+						w.Name(), n, blk, ops, runs, 4*ksteps+1, 2*ksteps+1)
 				}
 			}
 		}

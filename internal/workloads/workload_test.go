@@ -454,7 +454,8 @@ func TestVecAddCoalescedShape(t *testing.T) {
 // per program slice: each program's ops and runs are sized up front and
 // hold no per-op page lists, so a block costs the same few allocations
 // however many chunks it sweeps. The full chunks are one looped pass, so
-// the slices are as long at 1 GiB as at 64 MiB.
+// the slices are as long at 1 GiB as at 64 MiB. FFT blocks are sized
+// exactly, so they never grow.
 func TestBlockProgramAllocs(t *testing.T) {
 	for _, c := range []struct {
 		w    Workload
@@ -471,6 +472,20 @@ func TestBlockProgramAllocs(t *testing.T) {
 	block0 := func(bytes uint64) []gpu.Program {
 		w := NewStream(bytes, 24)
 		return w.Phases(fakeBases(w.Allocs()))[0].Kernel.BlockProgram(0)
+	}
+	// FFT sizes each block program exactly: 215-page blocks end on a
+	// one-page chunk, and the last block is short.
+	for _, w := range []*FFT{NewFFT(1<<20, 16), NewFFT(3000*512, 7)} {
+		for _, ph := range w.Phases(fakeBases(w.Allocs())) {
+			for b := 0; b < ph.Kernel.NumBlocks; b++ {
+				for _, p := range ph.Kernel.BlockProgram(b) {
+					if cap(p.Ops) != len(p.Ops) || cap(p.Runs) != len(p.Runs) {
+						t.Fatalf("fft block %d: %d/%d ops, %d/%d runs (len/cap)",
+							b, len(p.Ops), cap(p.Ops), len(p.Runs), cap(p.Runs))
+					}
+				}
+			}
+		}
 	}
 	small, large := block0(64<<20), block0(1<<30)
 	for i := range small {

@@ -200,6 +200,28 @@ for f in $(find . -name '*.go' ! -path './bench/*' ! -path './.bench_build/*'); 
   fi
 done
 
+# 14. The auditor and the digests read model state in place (DESIGN.md
+#     §8): no non-test Digest() in uvm, gpu or hostos builds an
+#     AuditState snapshot, and the auditor builds one only in its
+#     KeepDumps dump helper, so no per-batch path copies a layer's state.
+for f in internal/uvm/*.go internal/gpu/*.go internal/hostos/*.go; do
+  case "$f" in *_test.go) continue ;; esac
+  if awk '/^func .*\) Digest\(\) uint64 \{/ { in_fn = 1 }
+          in_fn && /AuditState\(\)/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+          /^}/ { in_fn = 0 }
+          END { exit !bad }' "$f"; then
+    fail "$f: Digest() builds an AuditState snapshot; hash the live state in place"
+  fi
+done
+for f in internal/audit/*.go; do
+  case "$f" in *_test.go) continue ;; esac
+  if awk '/^func / { in_dump = ($0 ~ /^func \(a \*Auditor\) dump\(\)/) }
+          !in_dump && /AuditState\(\)/ { print FILENAME ":" FNR ": " $0; bad = 1 }
+          END { exit !bad }' "$f"; then
+    fail "$f calls AuditState() outside the KeepDumps dump helper; walk the models in place"
+  fi
+done
+
 if [ "$status" -ne 0 ]; then
   exit 1
 fi
