@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"guvm/internal/mem"
@@ -28,7 +29,8 @@ func oneWarp(prog Program) Kernel {
 }
 
 // TestResidentOpIsOneEvent: a warp op over N resident pages completes
-// all N accesses in one engine event, whatever N is.
+// all N accesses in one engine event, whatever N is, and that event's
+// group holds them as one member counting N.
 func TestResidentOpIsOneEvent(t *testing.T) {
 	executed := map[int]uint64{}
 	for _, n := range []int{1, 64} {
@@ -39,8 +41,23 @@ func TestResidentOpIsOneEvent(t *testing.T) {
 		}
 		done := false
 		dev.LaunchKernel(oneWarp(readProg(0, n)), func() { done = true })
-		if got := eventsAt(t, eng, dev.Config().MemLatency); got != 1 {
-			t.Fatalf("%d resident pages: %d events at the completion instant, want 1", n, got)
+		lat := dev.Config().MemLatency
+		events := 0
+		var held []member
+		eng.OnEvent = func(now sim.Time) {
+			if now == lat {
+				events++
+				if g := dev.openGroup; g != nil {
+					held = slices.Clone(g.members)
+				}
+			}
+		}
+		run(t, eng)
+		if events != 1 {
+			t.Fatalf("%d resident pages: %d events at the completion instant, want 1", n, events)
+		}
+		if len(held) != 1 || held[0].n != int32(n) {
+			t.Fatalf("%d resident pages: group members %+v, want one counting %d", n, held, n)
 		}
 		if !done {
 			t.Fatalf("%d resident pages: kernel incomplete", n)
@@ -77,9 +94,9 @@ func TestMixedOpSplitsGroup(t *testing.T) {
 // remoteOracle maps every page remotely (access-counter architecture).
 type remoteOracle struct{}
 
-func (remoteOracle) IsResidentOnGPU(mem.PageID) bool { return false }
-func (remoteOracle) IsRemoteOnGPU(mem.PageID) bool   { return true }
-func (remoteOracle) RemoteMappingActive() bool       { return true }
+func (remoteOracle) ResidentRun(mem.PageID, uint32) uint32 { return 0 }
+func (remoteOracle) IsRemoteOnGPU(mem.PageID) bool         { return true }
+func (remoteOracle) RemoteMappingActive() bool             { return true }
 
 // TestCounterNotifySplitsGroup: the notification fault emitted when a
 // block's access counter crosses its threshold is scheduled between two

@@ -32,18 +32,18 @@ func (c *AccessCounters) Enable() { c.enabled = true }
 // Enabled reports whether counting is on.
 func (c *AccessCounters) Enabled() bool { return c.enabled }
 
-// record notes one resident access to page p.
-func (c *AccessCounters) record(p mem.PageID) {
+// record notes k resident accesses to block b.
+func (c *AccessCounters) record(b mem.VABlockID, k uint64) {
 	if !c.enabled {
 		return
 	}
-	c.add(p.VABlock())
+	c.add(b, k)
 }
 
-// add increments block b's counter and returns the new count.
-func (c *AccessCounters) add(b mem.VABlockID) uint64 {
+// add adds k to block b's counter and returns the new count.
+func (c *AccessCounters) add(b mem.VABlockID, k uint64) uint64 {
 	n, _ := c.counts.Get(b)
-	n++
+	n += k
 	c.counts.Set(b, n)
 	return n
 }
@@ -58,7 +58,7 @@ func (c *AccessCounters) recordRemote(p mem.PageID) bool {
 	if !c.enabled {
 		return false
 	}
-	n := c.add(p.VABlock())
+	n := c.add(p.VABlock(), 1)
 	return c.threshold > 0 && n == c.threshold
 }
 

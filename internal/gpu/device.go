@@ -81,10 +81,14 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// ResidencyChecker answers whether a page is resident in GPU memory. The
-// UVM driver model implements it; the device consults it on every access.
+// ResidencyChecker answers which pages are resident in GPU memory. The
+// UVM driver model implements it; the device consults it a run of pages
+// at a time.
 type ResidencyChecker interface {
-	IsResidentOnGPU(p mem.PageID) bool
+	// ResidentRun returns how many of the n pages from first on are
+	// resident before the first one that is not, counting only within
+	// first's VABlock.
+	ResidentRun(first mem.PageID, n uint32) uint32
 }
 
 // RemoteChecker extends a ResidencyChecker with remote-mapping state: a
@@ -118,12 +122,10 @@ type Stats struct {
 	CounterNotices int // notification faults emitted on counter threshold crossings
 }
 
-// access is one outstanding page access by one warp. Instances are
-// pooled on the Device free list: an access is recycled exactly where
-// its lifecycle ends (warp.satisfy), never while a faultEntry waiter
-// list or the replay recheck buffer can still reach it. A completion
-// group still holds satisfied members until its callback returns, but
-// only to clear them.
+// access is one page access by one warp that waits on a fault: a value
+// held by its fault entry, the µTLB's deferred list or a replay's
+// recheck buffer. A resident or remote access never becomes one; it goes
+// straight to a completion group as a count.
 type access struct {
 	warp *warp
 	page mem.PageID
@@ -140,7 +142,7 @@ type access struct {
 // the Device free list.
 type completionGroup struct {
 	d       *Device
-	members []*access
+	members []member
 	// now and delay are the scheduling instant and delay of the group's
 	// event: an access completing after the same delay from the same
 	// instant lands on the same deadline.
@@ -150,18 +152,35 @@ type completionGroup struct {
 	seq uint64
 }
 
+// member is n consecutive accesses of a group by one warp into one
+// scoreboard register (-1 for writes and prefetches). Satisfying them in
+// one call is exact: until the last of them, the warp's regOut[reg] and
+// outstanding still count the rest, so neither reaches 0, wakes the warp
+// or retires its block before the point the last per-access call did.
+type member struct {
+	w   *warp
+	reg int8
+	n   int32
+}
+
 func completeGroupFn(v any) {
 	g := v.(*completionGroup)
 	g.d.completeGroup(g)
 }
 
-// complete schedules acc to be satisfied delay from now. It joins the
-// open group when that group's event lands on the same deadline and
-// nothing has been scheduled since; otherwise it opens a new group.
-func (d *Device) complete(acc *access, delay sim.Time) {
+// complete schedules n accesses of warp w into register reg to be
+// satisfied delay from now. It joins the open group when that group's
+// event lands on the same deadline and nothing has been scheduled since,
+// adding to the group's last member when warp and register match;
+// otherwise it opens a new group.
+func (d *Device) complete(w *warp, reg int8, n int32, delay sim.Time) {
 	now := d.eng.Now()
 	if g := d.openGroup; g != nil && g.seq == d.eng.Scheduled() && g.now == now && g.delay == delay {
-		g.members = append(g.members, acc)
+		if last := &g.members[len(g.members)-1]; last.w == w && last.reg == reg {
+			last.n += n
+		} else {
+			g.members = append(g.members, member{w, reg, n})
+		}
 		return
 	}
 	var g *completionGroup
@@ -171,14 +190,14 @@ func (d *Device) complete(acc *access, delay sim.Time) {
 	} else {
 		g = &completionGroup{d: d}
 	}
-	g.members = append(g.members, acc)
+	g.members = append(g.members, member{w, reg, n})
 	g.now, g.delay = now, delay
 	d.eng.ScheduleArg(delay, completeGroupFn, g)
 	g.seq = d.eng.Scheduled()
 	d.openGroup = g
 }
 
-// completeGroup satisfies a group's accesses in scheduling order. The
+// completeGroup satisfies a group's members in scheduling order. The
 // group closes first, so completions scheduled by its members open a new
 // one. A member that fails the run stops the rest, as the engine would
 // not have dispatched their events.
@@ -186,11 +205,11 @@ func (d *Device) completeGroup(g *completionGroup) {
 	if d.openGroup == g {
 		d.openGroup = nil
 	}
-	for _, acc := range g.members {
+	for _, m := range g.members {
 		if d.eng.Err() != nil {
 			break
 		}
-		acc.warp.satisfy(acc)
+		m.w.satisfy(m.reg, m.n)
 	}
 	clear(g.members)
 	g.members = g.members[:0]
@@ -235,7 +254,7 @@ func emitFn(v any) {
 type faultEntry struct {
 	page      mem.PageID
 	firstWarp int
-	waiters   []*access
+	waiters   []access
 }
 
 // utlb models one µTLB shared by a group of adjacent SMs.
@@ -249,7 +268,7 @@ type utlb struct {
 	// stalled warps wait for µTLB capacity.
 	stalled []*warp
 	// deferred accesses re-fault after a replay found no capacity.
-	deferred []*access
+	deferred []access
 }
 
 // smState models one streaming multiprocessor.
@@ -344,23 +363,13 @@ type Device struct {
 	// Free lists for the per-event hot-path records. Recycling them (plus
 	// the arg-carrying schedule callbacks above) is what keeps the
 	// device's steady-state event traffic allocation-free.
-	accFree    []*access
 	feFree     []*faultEntry
 	delivFree  []*deliverEv
 	emitFree   []*emitEv
-	recheckBuf []*access // replay scratch, reused across replays
+	recheckBuf []access // replay scratch, reused across replays
 	groupFree  []*completionGroup
 	// openGroup is the completion group later completions may still join.
 	openGroup *completionGroup
-}
-
-func (d *Device) newAccess() *access {
-	if n := len(d.accFree); n > 0 {
-		a := d.accFree[n-1]
-		d.accFree = d.accFree[:n-1]
-		return a
-	}
-	return &access{}
 }
 
 func (d *Device) newFaultEntry() *faultEntry {
@@ -373,9 +382,7 @@ func (d *Device) newFaultEntry() *faultEntry {
 }
 
 func (d *Device) freeFaultEntry(e *faultEntry) {
-	for i := range e.waiters {
-		e.waiters[i] = nil
-	}
+	clear(e.waiters)
 	e.waiters = e.waiters[:0]
 	d.feFree = append(d.feFree, e)
 }
@@ -672,9 +679,7 @@ func (d *Device) Replay() {
 	for _, acc := range rechecks {
 		d.recheck(acc)
 	}
-	for i := range rechecks {
-		rechecks[i] = nil
-	}
+	clear(rechecks)
 	d.recheckBuf = rechecks[:0]
 	// Capacity freed: wake warps stalled on full µTLBs.
 	for _, u := range d.utlbs {
@@ -688,14 +693,14 @@ func (d *Device) Replay() {
 
 // recheck resolves one access after a replay: satisfy if now resident or
 // remote-mapped, otherwise re-fault.
-func (d *Device) recheck(acc *access) {
-	if d.res.IsResidentOnGPU(acc.page) {
-		d.complete(acc, d.cfg.MemLatency)
+func (d *Device) recheck(acc access) {
+	if d.res.ResidentRun(acc.page, 1) == 1 {
+		d.complete(acc.warp, acc.reg, 1, d.cfg.MemLatency)
 		return
 	}
 	if d.remote != nil && d.remote(acc.page) {
 		d.recordRemote(acc.page, acc.warp)
-		d.complete(acc, d.cfg.RemoteAccessLatency)
+		d.complete(acc.warp, acc.reg, 1, d.cfg.RemoteAccessLatency)
 		return
 	}
 	d.stats.Refaults++
@@ -719,7 +724,7 @@ func (d *Device) recordRemote(page mem.PageID, w *warp) {
 // µTLB slot is claimed immediately; the fault record emission is paced by
 // the SM throttle like any other fault (prefetch re-faults stay exempt).
 // Capacity overflow defers the access to the next replay.
-func (d *Device) refault(acc *access) {
+func (d *Device) refault(acc access) {
 	u := acc.warp.sm.utlb
 	w := acc.warp
 	if acc.kind == AccessPrefetch {
@@ -752,7 +757,7 @@ func (d *Device) refault(acc *access) {
 
 // pendFaultEntry builds a pooled pending-fault entry with acc as its
 // first waiter.
-func (d *Device) pendFaultEntry(acc *access, w *warp) *faultEntry {
+func (d *Device) pendFaultEntry(acc access, w *warp) *faultEntry {
 	e := d.newFaultEntry()
 	e.page, e.firstWarp = acc.page, w.id
 	e.waiters = append(e.waiters, acc)
@@ -822,13 +827,27 @@ func (w *warp) run() {
 		for ; w.ri < len(runs); w.ri++ {
 			r := runs[w.ri]
 			step := r.stride()
-			for ; w.off < r.N; w.off++ {
-				switch w.issue(r.First+w.shift+mem.PageID(w.off)*step, op) {
+			for w.off < r.N {
+				page := r.First + w.shift + mem.PageID(w.off)*step
+				// Resident pages complete at memory latency, a run at a
+				// time: a contiguous run asks for the rest of the run, a
+				// strided one for one page.
+				ask := uint32(1)
+				if step == 1 {
+					ask = r.N - w.off
+				}
+				if k := w.dev.res.ResidentRun(page, ask); k > 0 {
+					w.completeResident(page, k, op)
+					w.off += k
+					continue
+				}
+				switch w.issue(page, op) {
 				case issueStallUTLB:
 					return // resumed by wake() at replay
 				case issueThrottled:
 					return // retry already scheduled
 				}
+				w.off++
 			}
 			w.off = 0
 		}
@@ -841,26 +860,31 @@ func (w *warp) run() {
 	w.maybeComplete()
 }
 
-// issue performs one page access of the current op.
+// completeResident performs k accesses of the current op to the resident
+// pages from page on, all in page's VABlock: they count on the block's
+// access counter and complete at memory latency.
+func (w *warp) completeResident(page mem.PageID, k uint32, op *Op) {
+	d := w.dev
+	d.Counters.record(page.VABlock(), uint64(k))
+	d.complete(w, w.track(op, int32(k)), int32(k), d.cfg.MemLatency)
+}
+
+// issue performs one access of the current op to a page that is not
+// resident: a remote access, a prefetch fault or a fault.
 func (w *warp) issue(page mem.PageID, op *Op) issueResult {
 	d := w.dev
 	kind := accessKindOf(op.Kind)
-	if d.res.IsResidentOnGPU(page) {
-		d.Counters.record(page)
-		d.complete(w.track(page, kind, op), d.cfg.MemLatency)
-		return issueOK
-	}
 	if d.remote != nil && d.remote(page) {
 		// Remote-mapped: the access reaches host memory across the link
 		// without faulting (access-counter architecture).
 		d.recordRemote(page, w)
-		d.complete(w.track(page, kind, op), d.cfg.RemoteAccessLatency)
+		d.complete(w, w.track(op, 1), 1, d.cfg.RemoteAccessLatency)
 		return issueOK
 	}
 	u := w.sm.utlb
 	if kind == AccessPrefetch {
 		// Prefetch faults bypass the µTLB cap and the throttle.
-		acc := w.track(page, kind, op)
+		acc := w.waiter(page, kind, op)
 		if e := u.prefetchPending.find(page); e != nil {
 			e.waiters = append(e.waiters, acc)
 			if e.firstWarp != w.id {
@@ -876,7 +900,7 @@ func (w *warp) issue(page mem.PageID, op *Op) issueResult {
 		// Same page already pending in this µTLB: join the entry. A
 		// different warp issuing the same fault writes a duplicate
 		// record (type-1 duplicate, §4.2).
-		acc := w.track(page, kind, op)
+		acc := w.waiter(page, kind, op)
 		e.waiters = append(e.waiters, acc)
 		if e.firstWarp != w.id {
 			d.emitFault(page, w, kind, true)
@@ -893,7 +917,7 @@ func (w *warp) issue(page mem.PageID, op *Op) issueResult {
 		w.schedule(wait)
 		return issueThrottled
 	}
-	acc := w.track(page, kind, op)
+	acc := w.waiter(page, kind, op)
 	u.pending.add(d.pendFaultEntry(acc, w))
 	w.sm.chargeThrottle()
 	d.emitFault(page, w, kind, false)
@@ -912,34 +936,34 @@ func accessKindOf(k OpKind) AccessKind {
 	panic("gpu: not a memory op")
 }
 
-// track registers an outstanding access on a pooled record.
-func (w *warp) track(page mem.PageID, kind AccessKind, op *Op) *access {
+// track registers k outstanding accesses of op and returns their
+// scoreboard register: op's destination for a read, else -1.
+func (w *warp) track(op *Op, k int32) int8 {
 	reg := int8(-1)
 	if op.Kind == OpRead {
 		reg = op.Dst
-		w.regOut[reg]++
+		w.regOut[reg] += k
 		w.busy |= 1 << reg
 	}
-	w.outstanding++
-	acc := w.dev.newAccess()
-	acc.warp, acc.page, acc.kind, acc.reg = w, page, kind, reg
-	return acc
+	w.outstanding += int(k)
+	return reg
 }
 
-// satisfy completes an access: data arrived (or the store landed). This
-// is the end of the access's lifecycle, so the record returns to the
-// device pool here (skipped on a killed device, where pools are dead
-// weight anyway).
-func (w *warp) satisfy(acc *access) {
+// waiter registers one outstanding access of op to page, which is about
+// to wait on a fault, and returns its record.
+func (w *warp) waiter(page mem.PageID, kind AccessKind, op *Op) access {
+	return access{warp: w, page: page, kind: kind, reg: w.track(op, 1)}
+}
+
+// satisfy completes n accesses into register reg (-1 for none): data
+// arrived, or the stores landed. A killed device ignores it.
+func (w *warp) satisfy(reg int8, n int32) {
 	if w.dev.killed {
 		return
 	}
-	w.outstanding--
-	reg := acc.reg
-	acc.warp = nil
-	w.dev.accFree = append(w.dev.accFree, acc)
+	w.outstanding -= int(n)
 	if reg >= 0 {
-		w.regOut[reg]--
+		w.regOut[reg] -= n
 		if w.regOut[reg] == 0 {
 			w.busy &^= 1 << reg
 			if w.waitingRegs {

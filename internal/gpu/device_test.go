@@ -19,6 +19,9 @@ type fakeDriver struct {
 	drainDelay  sim.Time // models "read faults until none remain" draining
 	batches     [][]Fault
 	sleeping    bool
+	// runCap, when non-zero, caps every ResidentRun answer at runCap
+	// pages, so the device asks page by page (the per-page oracle).
+	runCap uint32
 }
 
 func newFakeDriver(eng *sim.Engine, cfg Config) (*fakeDriver, *Device) {
@@ -39,7 +42,16 @@ func newFakeDriver(eng *sim.Engine, cfg Config) (*fakeDriver, *Device) {
 	return f, dev
 }
 
-func (f *fakeDriver) IsResidentOnGPU(p mem.PageID) bool { return f.resident[p] }
+func (f *fakeDriver) ResidentRun(first mem.PageID, n uint32) uint32 {
+	if f.runCap > 0 {
+		n = min(n, f.runCap)
+	}
+	k := uint32(0)
+	for p := first; k < n && p.VABlock() == first.VABlock() && f.resident[p]; p++ {
+		k++
+	}
+	return k
+}
 
 func (f *fakeDriver) wake() {
 	if !f.sleeping {

@@ -182,14 +182,14 @@ func TestOpConstructors(t *testing.T) {
 
 func TestAccessCountersDisabledByDefault(t *testing.T) {
 	c := NewAccessCounters()
-	c.record(mem.PageID(5))
+	c.record(mem.PageID(5).VABlock(), 1)
 	if c.Total() != 0 || c.Enabled() {
 		t.Fatal("disabled counters recorded accesses")
 	}
 	c.Enable()
-	c.record(mem.PageID(5))
-	c.record(mem.PageID(6))              // same VABlock
-	c.record(mem.VABlockID(3).PageAt(0)) // another block
+	c.record(mem.PageID(5).VABlock(), 1)
+	c.record(mem.PageID(6).VABlock(), 1) // same VABlock
+	c.record(3, 1)                       // another block
 	if got := c.Read(mem.PageID(5).VABlock()); got != 2 {
 		t.Fatalf("block count = %d, want 2", got)
 	}

@@ -9,7 +9,7 @@ import "math/bits"
 // bit; every other operation works on whole 64-bit words: Count, Any,
 // Full, SetAll, Union and Subtract over all eight, CountRange and
 // SetRange over the words a range covers with masked edge words, and
-// Spans by skipping runs of zeros and ones a word at a time.
+// Spans and RunFrom by skipping runs of zeros and ones a word at a time.
 type PageSet [PagesPerVABlock / 64]uint64
 
 // Set marks page index i.
@@ -120,6 +120,11 @@ func (s *PageSet) Spans(dst []Span, b VABlockID) []Span {
 	}
 	return dst
 }
+
+// RunFrom returns how many consecutive pages from index i on are marked:
+// 0 when page i is not, PagesPerVABlock-i when every page from i to the
+// block's end is. It skips whole words of ones.
+func (s *PageSet) RunFrom(i int) int { return s.next(i, ^uint64(0)) - i }
 
 // next returns the lowest page index at or after i whose bit differs from
 // the bits of flip (0 finds the next marked page, all ones the next

@@ -399,3 +399,59 @@ func TestPageSetSpansMatchCoalesce(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// runFromBits is RunFrom as a per-bit loop.
+func runFromBits(s *PageSet, i int) int {
+	n := 0
+	for i+n < PagesPerVABlock && s.Has(i+n) {
+		n++
+	}
+	return n
+}
+
+// TestPageSetRunFrom: RunFrom matches the per-bit loop from every word
+// edge (indices 0 and 511 included) of empty, full, word-crossing and
+// irregular sets, and from every index of random sets.
+func TestPageSetRunFrom(t *testing.T) {
+	var full, crossing PageSet
+	full.SetAll()
+	setRangeBits(&crossing, 60, 70)
+	setRangeBits(&crossing, 100, 448)
+	setRangeBits(&crossing, 510, 512)
+	cases := map[string]PageSet{
+		"empty":    {},
+		"full":     full,
+		"crossing": crossing,
+		"pattern":  patternSet(),
+	}
+	for name, s := range cases {
+		for _, i := range boundaryEnds[:len(boundaryEnds)-1] {
+			if got, want := s.RunFrom(i), runFromBits(&s, i); got != want {
+				t.Errorf("%s: RunFrom(%d) = %d, want %d", name, i, got, want)
+			}
+		}
+	}
+	if got := full.RunFrom(0); got != PagesPerVABlock {
+		t.Errorf("full set: RunFrom(0) = %d, want %d", got, PagesPerVABlock)
+	}
+	if got := full.RunFrom(511); got != 1 {
+		t.Errorf("full set: RunFrom(511) = %d, want 1", got)
+	}
+	f := func(s, mask PageSet) bool {
+		dense := s
+		for i := range s {
+			dense[i] |= mask[i]
+		}
+		for _, set := range []PageSet{s, dense} {
+			for i := 0; i < PagesPerVABlock; i++ {
+				if set.RunFrom(i) != runFromBits(&set, i) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}

@@ -9,8 +9,10 @@ import "testing"
 // bucket ring on every resize (6988 before it), the run-encoded warp
 // programs with map-free µTLB tables and a reused fault-batch buffer
 // (5667 before them), and the typed radix tree, whose leaves store DMA
-// addresses without boxing one per mapped page (5512 before it).
-const batchServiceAllocsPerOp = 1419
+// addresses without boxing one per mapped page (5512 before it), and the
+// run-at-a-time resident path, on which only an access that waits on a
+// fault is a record, held by value (1419 before it).
+const batchServiceAllocsPerOp = 1295
 
 // oversubAllocsPerOp is BenchmarkBatchServiceOversub's allocs/op as
 // measured once migration spans came straight from the residency sets,
@@ -18,8 +20,9 @@ const batchServiceAllocsPerOp = 1419
 // ran on the delay-lane queue (14100 before it), warp programs, µTLB
 // tables and the fault-batch buffer stopped allocating per op, entry and
 // batch (12656 before them), and the radix tree stopped boxing a value
-// per DMA-mapped page (10499 before it).
-const oversubAllocsPerOp = 2311
+// per DMA-mapped page (10499 before it), and resident accesses stopped
+// being pooled records (2311 before it).
+const oversubAllocsPerOp = 2170
 
 // TestBatchServiceAllocGuard pins the hot-path allocation diet: with no
 // batch observers attached (the default), BenchmarkBatchService must

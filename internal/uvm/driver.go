@@ -459,10 +459,21 @@ func (d *Driver) ExplicitCopyToGPU(base mem.Addr, bytes uint64) (sim.Time, error
 	return d.link.TransferBytes(bytes, true), nil
 }
 
-// IsResidentOnGPU implements gpu.ResidencyChecker.
+// IsResidentOnGPU reports whether page p is resident in GPU memory.
 func (d *Driver) IsResidentOnGPU(p mem.PageID) bool {
 	b := d.blocks.Lookup(p.VABlock())
 	return b != nil && b.resident.Has(p.IndexInBlock())
+}
+
+// ResidentRun implements gpu.ResidencyChecker: how many of the n pages
+// from first on are resident before the first one that is not, counting
+// only within first's VABlock. One directory lookup, then a word scan.
+func (d *Driver) ResidentRun(first mem.PageID, n uint32) uint32 {
+	b := d.blocks.Lookup(first.VABlock())
+	if b == nil {
+		return 0
+	}
+	return min(n, uint32(b.resident.RunFrom(first.IndexInBlock())))
 }
 
 // ResidentPages returns the count of GPU-resident pages (diagnostics).

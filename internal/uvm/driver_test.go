@@ -122,6 +122,43 @@ func TestResidencyCheckerBeforeAnyFault(t *testing.T) {
 	}
 }
 
+// TestDriverResidentRun: ResidentRun equals an IsResidentOnGPU loop that
+// stops at the first non-resident page, at n pages, or at the end of
+// first's VABlock, over an absent block, an empty one, a partial one and
+// a full one.
+func TestDriverResidentRun(t *testing.T) {
+	_, drv, _ := newSystem(smallGPU(), noPrefetch())
+	drv.blockFor(1) // present, nothing resident
+	partial := drv.blockFor(2)
+	for _, r := range [][2]int{{0, 3}, {60, 70}, {100, 448}, {500, 512}} {
+		partial.resident.SetRange(r[0], r[1])
+	}
+	drv.blockFor(3).resident.SetAll()
+	// Block 4 is absent.
+	loop := func(first mem.PageID, n uint32) uint32 {
+		k := uint32(0)
+		for k < n && (first+mem.PageID(k)).VABlock() == first.VABlock() && drv.IsResidentOnGPU(first+mem.PageID(k)) {
+			k++
+		}
+		return k
+	}
+	for b := mem.VABlockID(1); b <= 4; b++ {
+		for _, i := range []int{0, 1, 2, 3, 59, 60, 63, 64, 69, 70, 100, 127, 128, 447, 448, 499, 500, 510, 511} {
+			for _, n := range []uint32{0, 1, 2, 5, 64, 300, 512, 1000} {
+				first := b.PageAt(i)
+				if got, want := drv.ResidentRun(first, n), loop(first, n); got != want {
+					t.Fatalf("block %d: ResidentRun(page %d, %d) = %d, want %d", b, i, n, got, want)
+				}
+			}
+		}
+	}
+	// A run that reaches past the block end stops at it, even when the
+	// next block is resident too.
+	if got := drv.ResidentRun(mem.VABlockID(2).PageAt(500), 100); got != 12 {
+		t.Fatalf("run past block 2's end = %d, want 12", got)
+	}
+}
+
 func TestAllocRoundsToVABlocks(t *testing.T) {
 	_, drv, _ := newSystem(smallGPU(), noPrefetch())
 	a := drv.Alloc(100) // 100 bytes -> 1 block

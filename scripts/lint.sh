@@ -162,10 +162,17 @@ fi
 #     live in per-µTLB insertion-ordered tables with an open-addressed
 #     page index, and the access counters in a mem.BlockDir. The map+order
 #     table survives only as the test oracle (internal/gpu/program_test.go).
+#     Nor does it keep access records for resident pages (DESIGN.md
+#     §13.1): the device asks residency a run at a time (ResidentRun, not
+#     a per-page IsResidentOnGPU), and only an access that waits on a
+#     fault is a record, held by value, never a pooled *access.
 for f in internal/gpu/*.go; do
   case "$f" in *_test.go) continue ;; esac
   if grep -nF 'map[' "$f"; then
     fail "$f uses a map; the GPU event path is map-free (DESIGN.md §13.3)"
+  fi
+  if grep -nE '\*access([^[:alnum:]_]|$)|accFree|IsResidentOnGPU' "$f"; then
+    fail "$f keeps per-page access records or queries; resident runs are counts and waiters are values (DESIGN.md §13.1)"
   fi
 done
 
