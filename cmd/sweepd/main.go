@@ -71,7 +71,9 @@ func main() {
 	if pol.HandleList(os.Stdout) {
 		return
 	}
-	if err := sweepd.SetDefaultPolicies(pol.Selection()); err != nil {
+	// Reject a bad default, with the valid options, at startup rather
+	// than at job admission.
+	if err := pol.Selection().Validate(); err != nil {
 		fmt.Fprintf(os.Stderr, "sweepd: %v\n", err)
 		os.Exit(2)
 	}
@@ -123,6 +125,7 @@ func main() {
 		PointTimeout:    *pointTimeout,
 		PointRetries:    *retries,
 		Seed:            *injSeed,
+		Defaults:        pol.Selection(),
 	})
 	n, errs := svc.Resume(rec.IncompleteJobs)
 	if n > 0 || len(errs) > 0 {

@@ -1,8 +1,8 @@
 // Command uvmsweep runs a driver-policy parameter grid over one workload
 // and emits a CSV of outcomes — the bulk-experimentation companion to
 // uvmsim. Sweeps cover batch size, prefetching, capacity (oversubscription
-// ratio), and eviction policy. The grid is expanded by sweepd.JobSpec.Points,
-// the same expansion the sweep daemon admits jobs through.
+// ratio), and eviction policy. The grid flags, their expansion and the
+// point runner live in internal/sweep, which the sweep daemon shares.
 //
 // Grid points run on a worker pool (-jobs, default GOMAXPROCS); each
 // point drives its own simulation engine and rows are emitted in grid
@@ -21,43 +21,21 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
-	"guvm"
 	"guvm/internal/experiments"
 	"guvm/internal/obs"
 	"guvm/internal/sim"
-	"guvm/internal/sweepd"
+	"guvm/internal/sweep"
 	"guvm/internal/uvm"
-	"guvm/internal/workloads"
 )
-
-func parseIntList(s string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil {
-			return nil, fmt.Errorf("bad list element %q", f)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
 
 func main() {
 	var (
-		name    = flag.String("workload", "gauss-seidel", "workload to sweep")
-		mb      = flag.Uint64("mb", 64, "footprint knob in MiB")
-		n       = flag.Int("n", 3072, "problem dimension for gemm/gauss-seidel/spmv")
-		seed    = flag.Uint64("seed", 11, "workload seed")
-		batches = flag.String("batches", "256", "comma-separated batch size limits")
-		caps    = flag.String("caps", "32,64,256", "comma-separated GPU capacities in MiB")
-		// Shared sweep policy flag block: comma lists per registry dimension
-		// (-prefetch/-evict/-batch-sizing/-arch) plus -list-policies.
-		plf     = uvm.RegisterPolicyListFlags(flag.CommandLine)
+		// Sweep grid flag block: workload knobs, -batches/-caps, comma
+		// lists per policy registry dimension, and -list-policies.
+		sf      = sweep.RegisterFlags(flag.CommandLine)
 		auditOn = flag.Bool("audit", false, "run the invariant auditor on every sweep point; a violation names the failing point and exits non-zero")
 		jobs    = flag.Int("jobs", runtime.GOMAXPROCS(0), "number of sweep points to run concurrently")
 		// Shared obs flag set: -trace-out records one wall-clock span per
@@ -72,38 +50,21 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if plf.HandleList(os.Stdout) {
+	if sf.List {
+		uvm.WritePolicies(os.Stdout)
 		return
 	}
 
-	batchList, err := parseIntList(*batches)
+	// Expand the grid up front: Points validates the workload, every
+	// batch size and capacity, and every policy name against the registry
+	// (an unknown name is rejected with the valid options) before any
+	// simulation runs. The independent points then fan out on the pool.
+	spec, err := sf.Spec()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "uvmsweep: %v\n", err)
 		os.Exit(2)
 	}
-	capList, err := parseIntList(*caps)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "uvmsweep: %v\n", err)
-		os.Exit(2)
-	}
-	// Expand the grid up front through the same JobSpec the sweep daemon
-	// admits: it validates the workload, every batch size and capacity,
-	// and every policy name against the registry (an unknown name is
-	// rejected with the valid options) before any simulation runs. The
-	// independent points then fan out on the pool.
-	spec := sweepd.JobSpec{
-		Workload: *name,
-		MB:       *mb,
-		N:        *n,
-		Seed:     *seed,
-		Batches:  batchList,
-		CapsMB:   capList,
-		Evict:    strings.Split(plf.Eviction, ","),
-		Prefetch: strings.Split(plf.Prefetch, ","),
-		Sizing:   strings.Split(plf.BatchSizing, ","),
-		Arch:     strings.Split(plf.Architecture, ","),
-	}
-	grid, err := spec.Points()
+	grid, err := spec.Points(uvm.PolicySelection{})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "uvmsweep: %v\n", err)
 		os.Exit(2)
@@ -127,7 +88,7 @@ func main() {
 		prog.Registry.Func("guvm_sweep_faults_total", "Faults across completed grid points",
 			func() float64 { return float64(faults) })
 		prog.SetStatusFunc(func() any {
-			return map[string]any{"workload": *name, "points": len(grid), "done": done}
+			return map[string]any{"workload": spec.Workload, "points": len(grid), "done": done}
 		})
 		prog.Publish()
 		if ofl.MetricsAddr != "" {
@@ -157,34 +118,14 @@ func main() {
 		elapsed time.Duration
 		err     error
 	}
-	fmt.Println("workload,batch_size,cap_mb,prefetch,evict,batch_sizing,arch,kernel_ms,batch_ms,batches,faults,evictions,migrated_mb,prefetched_pages")
+	fmt.Println(sweep.CSVHeader)
 	runErr := experiments.ForEachOrdered(ctx, len(grid), *jobs, func(i int) outcome {
 		pointStart := time.Now()
-		p := grid[i]
-		mk, err := workloads.ByName(p.Workload, p.MB, p.N, p.Seed)
+		r, _, err := sweep.Run(grid[i], *auditOn)
 		if err != nil {
 			return outcome{err: err}
 		}
-		cfg := p.SystemConfig()
-		cfg.Audit.Enabled = *auditOn
-		cfg.Audit.Interval = 1
-		s, err := guvm.NewSimulator(cfg)
-		if err != nil {
-			return outcome{err: err}
-		}
-		res, err := s.Run(mk())
-		if err != nil {
-			return outcome{err: fmt.Errorf("%s bs=%d cap=%d: %w", p.Workload, p.BatchSize, p.CapMB, err)}
-		}
-		return outcome{row: fmt.Sprintf("%s,%d,%d,%s,%s,%s,%s,%.3f,%.3f,%d,%d,%d,%.1f,%d",
-			res.Workload, p.BatchSize, p.CapMB, p.Prefetch, p.Evict, p.Sizing, p.Arch,
-			res.KernelTime.Millis(), res.BatchTime().Millis(),
-			len(res.Batches), res.DriverStats.TotalFaults,
-			res.DriverStats.Evictions,
-			float64(res.BytesMigrated())/(1<<20),
-			res.DriverStats.PrefetchedPages),
-			faults:  res.DriverStats.TotalFaults,
-			elapsed: time.Since(pointStart)}
+		return outcome{row: sweep.CSVRow(grid[i], r), faults: r.Faults, elapsed: time.Since(pointStart)}
 	}, func(i int, o outcome) {
 		if o.err != nil {
 			fmt.Fprintf(os.Stderr, "uvmsweep: %v\n", o.err)

@@ -253,9 +253,8 @@ func NewMultiSimulator(cfg SystemConfig, n int) (*Simulator, error) {
 		}
 		s.HW = hw
 	}
-	// With several drivers aliasing the one host VM, injector and hardware
-	// domain, the per-device audit checks that reconcile against them are
-	// disabled.
+	// With several drivers sharing one injector and hardware domain, the
+	// per-device audit checks that reconcile against them are disabled.
 	shared := n > 1
 	for i := 0; i < n; i++ {
 		link := interconnect.NewLink(cfg.Link)
@@ -279,7 +278,7 @@ func NewMultiSimulator(cfg SystemConfig, n int) (*Simulator, error) {
 		}
 		if cfg.Audit.Active() {
 			a := audit.New(cfg.Audit,
-				audit.Options{SharedHost: shared, SharedInjector: shared, SharedHardware: shared},
+				audit.Options{SharedInjector: shared, SharedHardware: shared},
 				eng, drv, dev, vm, inj)
 			a.SetHardware(s.HW)
 			a.Attach()

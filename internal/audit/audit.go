@@ -60,11 +60,6 @@ func (c Config) Active() bool { return c.Enabled || c.Interval > 0 }
 
 // Options adapt the checks to how the system is wired.
 type Options struct {
-	// SharedHost disables the host-exclusivity check: in a multi-GPU
-	// system every driver has its own VA space but all share one host VM,
-	// so block IDs alias across devices and residency cannot be compared
-	// against CPU mappings per driver.
-	SharedHost bool
 	// SharedInjector disables the cross-layer injection equalities: with
 	// one injector serving several devices, per-device counters are each
 	// a fraction of the injector's totals.
@@ -582,14 +577,12 @@ func (a *Auditor) blockViolation(b *uvm.BlockAudit) *ViolationError {
 			}
 		}
 	}
-	if !a.opt.SharedHost {
-		mp := a.vm.MappedPages(b.ID)
-		for w := range mp {
-			if mp[w]&b.Resident[w] != 0 {
-				return &ViolationError{
-					Check:  "host-exclusivity",
-					Detail: fmt.Sprintf("block %d has pages both GPU-resident and CPU-mapped", b.ID),
-				}
+	mp := a.vm.MappedPages(b.ID)
+	for w := range mp {
+		if mp[w]&b.Resident[w] != 0 {
+			return &ViolationError{
+				Check:  "host-exclusivity",
+				Detail: fmt.Sprintf("block %d has pages both GPU-resident and CPU-mapped", b.ID),
 			}
 		}
 	}

@@ -351,10 +351,10 @@ func TestCheckInjectionCleanSystem(t *testing.T) {
 }
 
 // TestSharedOptionsSkipCrossLayerChecks: multi-GPU wiring must not fail
-// the per-device reconciliations that aliasing invalidates.
+// the per-device reconciliations that a shared injector invalidates.
 func TestSharedOptionsSkipCrossLayerChecks(t *testing.T) {
 	a := testSystem(t)
-	a.opt = Options{SharedHost: true, SharedInjector: true}
+	a.opt = Options{SharedInjector: true}
 	var st uvm.Stats
 	st.MigRetries = 3 // would trip the single-injector equality
 	if v := a.checkInjection(&st); v != nil {

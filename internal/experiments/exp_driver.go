@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"guvm"
 	"guvm/internal/report"
 	"guvm/internal/sim"
 	"guvm/internal/stats"
@@ -231,12 +230,4 @@ func Fig10() (*Artifact, error) {
 	a.Tables = append(a.Tables, t)
 	a.Notef("paper: for the same migration size, more VABlocks incur higher cost; measured marginal cost %.1fus per additional VABlock (per-KB term %.2fus)", fit.B2, fit.B1)
 	return a, nil
-}
-
-// avgBatchDuration helps several figures.
-func avgBatchDuration(res *guvm.Result) float64 {
-	if len(res.Batches) == 0 {
-		return 0
-	}
-	return us(res.BatchTime()) / float64(len(res.Batches))
 }

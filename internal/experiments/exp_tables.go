@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"guvm"
-	"guvm/internal/mem"
 	"guvm/internal/report"
 	"guvm/internal/sim"
 	"guvm/internal/stats"
@@ -202,9 +201,4 @@ func Table4() (*Artifact, error) {
 		speedups[0], speedups[1])
 	a.Notef("paper: aggregate batch time is below kernel time (batching excludes interrupt + in-memory GPU work)")
 	return a, nil
-}
-
-// blockCount converts a byte size to VABlocks (rounding up).
-func blockCount(bytes uint64) int {
-	return int(mem.AlignUp(bytes, mem.VABlockSize) / mem.VABlockSize)
 }

@@ -12,11 +12,9 @@ import (
 	"fmt"
 
 	"guvm"
-	"guvm/internal/gpu"
 	"guvm/internal/mem"
 	"guvm/internal/report"
 	"guvm/internal/sim"
-	"guvm/internal/trace"
 	"guvm/internal/uvm"
 	"guvm/internal/workloads"
 )
@@ -172,20 +170,8 @@ func accessesOf(w workloads.Workload, bases []mem.Addr) int {
 	return n
 }
 
-// batchDurationsMs extracts per-batch durations in milliseconds.
-func batchDurationsMs(batches []trace.BatchRecord) []float64 {
-	out := make([]float64, len(batches))
-	for i := range batches {
-		out[i] = batches[i].Duration().Millis()
-	}
-	return out
-}
-
 // ms converts virtual time to milliseconds.
 func ms(t sim.Time) float64 { return t.Millis() }
 
 // us converts virtual time to microseconds.
 func us(t sim.Time) float64 { return t.Micros() }
-
-// faultKindName maps gpu fault kinds to short names.
-func faultKindName(k gpu.AccessKind) string { return k.String() }

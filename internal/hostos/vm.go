@@ -81,11 +81,23 @@ type VM struct {
 	dmaNext uint64
 	stats   Stats
 	inj     *faultinject.Injector
+	// next is the process's managed-address cursor. Every device's
+	// driver reserves its allocations here, so devices sharing this VM
+	// never alias each other's VABlocks.
+	next mem.Addr
 }
 
 // NewVM returns a host VM model using the given cost constants.
 func NewVM(cost CostModel) *VM {
-	return &VM{cost: cost}
+	return &VM{cost: cost, next: mem.VABlockSize} // keep address 0 unused
+}
+
+// Reserve claims size bytes of the process's managed address space and
+// returns their base. size must be a whole number of VABlocks.
+func (vm *VM) Reserve(size mem.Addr) mem.Addr {
+	base := vm.next
+	vm.next += size
+	return base
 }
 
 // Stats returns a copy of the accumulated host-OS statistics.

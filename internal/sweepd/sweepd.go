@@ -31,7 +31,9 @@ import (
 	"guvm/internal/faultinject"
 	"guvm/internal/obs"
 	"guvm/internal/sim"
+	"guvm/internal/sweep"
 	"guvm/internal/sweepd/store"
+	"guvm/internal/uvm"
 )
 
 // Config tunes the service's robustness envelope. The zero value of any
@@ -62,6 +64,9 @@ type Config struct {
 	RetryMax  time.Duration
 	// Seed keys the deterministic backoff jitter.
 	Seed uint64
+	// Defaults names the policies applied to every spec dimension a
+	// client leaves empty; empty names keep the sweep defaults.
+	Defaults uvm.PolicySelection
 }
 
 // DefaultConfig returns the production defaults.
@@ -131,7 +136,7 @@ const (
 type Job struct {
 	id        string
 	spec      JobSpec
-	points    []PointConfig
+	points    []sweep.Point
 	state     JobState
 	errMsg    string
 	rows      []PointRow
@@ -319,7 +324,7 @@ func (s *Service) Start() {
 // ErrDraining, ErrQueueFull, or ErrBreakerOpen; spec problems return a
 // plain validation error.
 func (s *Service) Submit(spec JobSpec) (JobView, error) {
-	pts, err := spec.Points()
+	pts, err := spec.Points(s.cfg.Defaults)
 	if err != nil {
 		return JobView{}, err
 	}
@@ -388,7 +393,7 @@ func (s *Service) Resume(recs []store.JobRecord) (int, []error) {
 			errs = append(errs, fmt.Errorf("sweepd: resume %s: %w", rec.ID, err))
 			continue
 		}
-		pts, err := spec.Points()
+		pts, err := spec.Points(s.cfg.Defaults)
 		if err != nil {
 			errs = append(errs, fmt.Errorf("sweepd: resume %s: %w", rec.ID, err))
 			continue
@@ -761,7 +766,7 @@ type pointOutcome struct {
 // 1+PointRetries simulation attempts under the per-point timeout, with
 // deterministic backoff between attempts. A success is committed to the
 // store before it is reported, so a reported row is always durable.
-func (s *Service) runPoint(ctx context.Context, pc PointConfig) pointOutcome {
+func (s *Service) runPoint(ctx context.Context, pc sweep.Point) pointOutcome {
 	start := time.Now()
 	dg := pc.Digest()
 	if _, art, ok := s.st.Lookup(dg); ok {
@@ -818,7 +823,7 @@ func (s *Service) runPoint(ctx context.Context, pc PointConfig) pointOutcome {
 // wait for stragglers. The fault injector's verdict is drawn before the
 // goroutine starts: injected failures and slowdowns are deterministic
 // per (point, attempt), never dependent on scheduling.
-func (s *Service) attempt(ctx context.Context, pc PointConfig, dg uint64, attempt int) (PointRow, uint64, error) {
+func (s *Service) attempt(ctx context.Context, pc sweep.Point, dg uint64, attempt int) (PointRow, uint64, error) {
 	fail, delay := s.inj.PointAttempt(dg, attempt)
 	type result struct {
 		row   PointRow

@@ -10,7 +10,9 @@ import (
 	"time"
 
 	"guvm/internal/faultinject"
+	"guvm/internal/sweep"
 	"guvm/internal/sweepd/store"
+	"guvm/internal/uvm"
 )
 
 // testConfig keeps unit-test sweeps fast: tiny backoff, generous
@@ -30,12 +32,12 @@ func testConfig() Config {
 
 // smallSpec is a 4-point grid over a 1 MiB stream workload.
 func smallSpec() JobSpec {
-	return JobSpec{
+	return JobSpec{Spec: sweep.Spec{
 		Workload: "stream",
 		MB:       1,
 		Batches:  []int{128, 256},
 		CapsMB:   []int{2, 32},
-	}
+	}}
 }
 
 func newTestService(t *testing.T, cfg Config, inj *faultinject.ServiceInjector) *Service {
@@ -101,7 +103,7 @@ func TestSubmitAndComplete(t *testing.T) {
 	if fin.Completed != 4 || fin.Failed != 0 || fin.Cached != 0 {
 		t.Fatalf("final view = %+v", fin)
 	}
-	pts, _ := smallSpec().Points()
+	pts, _ := smallSpec().Points(uvm.PolicySelection{})
 	rows := rowsOf(s, v.ID)
 	for i, row := range rows {
 		if row.Point != pts[i] {
@@ -228,7 +230,7 @@ func TestPointTimeout(t *testing.T) {
 	cfg.PointTimeout = 30 * time.Millisecond
 	cfg.PointRetries = 0
 	s := newTestService(t, cfg, inj)
-	v, err := s.Submit(JobSpec{Workload: "stream", MB: 1})
+	v, err := s.Submit(JobSpec{Spec: sweep.Spec{Workload: "stream", MB: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +269,7 @@ func TestOverloadShedding(t *testing.T) {
 	cfg.BreakerLow = 2
 	s := newTestService(t, cfg, inj)
 
-	one := JobSpec{Workload: "stream", MB: 1} // 1 point each
+	one := JobSpec{Spec: sweep.Spec{Workload: "stream", MB: 1}} // 1 point each
 	if _, err := s.Submit(one); err != nil {
 		t.Fatalf("job 1 (running): %v", err)
 	}
@@ -344,7 +346,7 @@ func TestBreakerSheds(t *testing.T) {
 	if _, err := s.Submit(smallSpec()); err != nil { // 4 points -> backlog at high watermark
 		t.Fatal(err)
 	}
-	if _, err := s.Submit(JobSpec{Workload: "stream", MB: 1}); !errors.Is(err, ErrBreakerOpen) {
+	if _, err := s.Submit(JobSpec{Spec: sweep.Spec{Workload: "stream", MB: 1}}); !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("submit = %v, want ErrBreakerOpen", err)
 	}
 }
@@ -358,7 +360,7 @@ func TestJobDeadline(t *testing.T) {
 		SlowPointDelay: time.Minute,
 	})
 	s := newTestService(t, testConfig(), inj)
-	v, err := s.Submit(JobSpec{Workload: "stream", MB: 1, DeadlineMS: 30})
+	v, err := s.Submit(JobSpec{Spec: sweep.Spec{Workload: "stream", MB: 1}, DeadlineMS: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +410,7 @@ func TestResumeRecoveredJob(t *testing.T) {
 	if !fin.Recovered {
 		t.Fatal("resumed job not flagged recovered")
 	}
-	v, err := s.Submit(JobSpec{Workload: "stream", MB: 1})
+	v, err := s.Submit(JobSpec{Spec: sweep.Spec{Workload: "stream", MB: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,13 +419,30 @@ func TestResumeRecoveredJob(t *testing.T) {
 	}
 }
 
+// TestConfigDefaultsFillSpec: the daemon's default policies fill the
+// dimensions a job leaves empty, and only those.
+func TestConfigDefaultsFillSpec(t *testing.T) {
+	cfg := testConfig()
+	cfg.Defaults = uvm.PolicySelection{Eviction: "fifo", Prefetch: "off"}
+	s := newTestService(t, cfg, nil)
+	v, err := s.Submit(JobSpec{Spec: sweep.Spec{Workload: "stream", MB: 1, Prefetch: []string{"tree"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s, v.ID, JobDone)
+	rows := rowsOf(s, v.ID)
+	if len(rows) != 1 || rows[0].Point.Evict != "fifo" || rows[0].Point.Prefetch != "tree" {
+		t.Fatalf("rows %+v, want one fifo/tree point", rows)
+	}
+}
+
 // TestBadSpecRejected exercises admission validation.
 func TestBadSpecRejected(t *testing.T) {
 	s := newTestService(t, testConfig(), nil)
 	for _, spec := range []JobSpec{
-		{Workload: "no-such-workload"},
-		{Workload: "stream", Evict: []string{"no-such-policy"}},
-		{Workload: "stream", Batches: []int{-1}},
+		{Spec: sweep.Spec{Workload: "no-such-workload"}},
+		{Spec: sweep.Spec{Workload: "stream", Evict: []string{"no-such-policy"}}},
+		{Spec: sweep.Spec{Workload: "stream", Batches: []int{-1}}},
 	} {
 		if _, err := s.Submit(spec); err == nil {
 			t.Fatalf("spec %+v admitted", spec)

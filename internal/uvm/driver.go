@@ -191,8 +191,7 @@ type Driver struct {
 	allocated []*blockState // blocks holding GPU chunks, in alloc order
 	nextSeq   int
 
-	nextAlloc mem.Addr
-	spans     []allocSpan
+	spans []allocSpan
 
 	sleeping   bool
 	inBatch    bool
@@ -281,7 +280,6 @@ func NewDriver(cfg Config, pol PolicySelection, eng *sim.Engine, vm *hostos.VM, 
 		vm:        vm,
 		link:      link,
 		pmm:       gpumem.New(cfg.GPUMemBytes),
-		nextAlloc: mem.VABlockSize, // keep address 0 unused
 		sleeping:  true,
 		effBatch:  cfg.BatchSize,
 		evict:     p.evict,
@@ -378,9 +376,8 @@ func (d *Driver) Alloc(bytes uint64, opts ...AllocOption) mem.Addr {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	base := d.nextAlloc
 	size := mem.Addr(mem.AlignUp(bytes, mem.VABlockSize))
-	d.nextAlloc += size
+	base := d.vm.Reserve(size)
 	d.spans = append(d.spans, allocSpan{
 		first: mem.VABlockOf(base),
 		last:  mem.VABlockOf(base + size - 1),

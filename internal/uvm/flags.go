@@ -1,19 +1,17 @@
 package uvm
 
-// flags.go — the shared CLI policy flag block. Every CLI (uvmsim,
-// faultviz, paperfigs, sweepd, uvmsweep) selects driver policies along
-// the same registry dimensions; this file is the single definition of
-// those flags, mirroring obs.RegisterFlags for the observability block.
-// Single-choice tools (sweepd's defaults included) register PolicyFlags;
-// the grid tool uvmsweep registers PolicyListFlags, whose comma lists
-// become a sweepd.JobSpec that expands them into the grid.
+// flags.go — the shared CLI policy flag block. The single-choice CLIs
+// (uvmsim, faultviz, paperfigs, and sweepd for its defaults) select
+// driver policies along the registry dimensions; this file is the single
+// definition of those flags, mirroring obs.RegisterFlags for the
+// observability block. The sweep grid's list flags live with the grid,
+// in internal/sweep.
 
 import (
 	"flag"
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 )
 
 // PolicyFlags binds the single-choice policy selection flags (-evict,
@@ -84,51 +82,4 @@ func WritePolicies(w io.Writer) {
 			fmt.Fprintf(w, "  %-14s %s\n", p.Name, p.Description)
 		}
 	}
-}
-
-// PolicyListFlags binds the comma-separated sweep variants of the same
-// dimensions (-evict, -prefetch, -batch-sizing, -arch as lists) plus
-// -list-policies, for the grid tools.
-type PolicyListFlags struct {
-	Eviction     string
-	Prefetch     string
-	BatchSizing  string
-	Architecture string
-	List         bool
-}
-
-// RegisterPolicyListFlags registers the sweep policy flag block on fs.
-// The defaults reproduce the historical single-point sweeps (lru,
-// on/off prefetch, fixed sizing, host-driven architecture).
-func RegisterPolicyListFlags(fs *flag.FlagSet) *PolicyListFlags {
-	pf := &PolicyListFlags{}
-	fs.StringVar(&pf.Eviction, "evict", "lru", "eviction policies to sweep, by registry name (comma-separated)")
-	fs.StringVar(&pf.Prefetch, "prefetch", "on,off", "prefetch policies to sweep, by registry name (on/off accepted as aliases of tree/off)")
-	fs.StringVar(&pf.BatchSizing, "batch-sizing", "fixed", "batch-sizing policies to sweep, by registry name (comma-separated)")
-	fs.StringVar(&pf.Architecture, "arch", "host-driven", "UVM architectures to sweep, by registry name (comma-separated)")
-	fs.BoolVar(&pf.List, "list-policies", false, "list registered driver policies and exit")
-	return pf
-}
-
-// HandleList writes the policy listing to w and reports whether
-// -list-policies was given (the caller exits afterwards).
-func (pf *PolicyListFlags) HandleList(w io.Writer) bool {
-	if !pf.List {
-		return false
-	}
-	WritePolicies(w)
-	return true
-}
-
-// NormalizePrefetch maps the legacy prefetch aliases the sweep tools
-// accept onto registry names: "on" means "tree", "" means "off".
-func NormalizePrefetch(name string) string {
-	name = strings.TrimSpace(name)
-	switch name {
-	case "on":
-		return "tree"
-	case "":
-		return "off"
-	}
-	return name
 }

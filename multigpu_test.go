@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"guvm/internal/mem"
+	"guvm/internal/sim"
 	"guvm/internal/uvm"
 	"guvm/internal/workloads"
 )
@@ -132,15 +133,19 @@ func TestRejectedRunLeavesSimulatorUnused(t *testing.T) {
 	if _, err := m.RunConcurrent([]workloads.Workload{workloads.NewStream(4<<20, 8)}); err == nil {
 		t.Fatal("mismatched workload count accepted")
 	}
-	rs, err := m.RunConcurrent([]workloads.Workload{
-		workloads.NewStream(4<<20, 8),
-		workloads.NewStream(4<<20, 8),
-	})
+	w := workloads.NewStream(4<<20, 8)
+	rs, err := m.RunConcurrent([]workloads.Workload{w, workloads.NewStream(4<<20, 8)})
 	if err != nil {
 		t.Fatalf("correct call after a rejected one: %v", err)
 	}
-	if rs[0].Bases[0] != mem.VABlockSize || rs[1].Bases[0] != mem.VABlockSize {
-		t.Fatalf("rejected call left allocations behind: bases %#x, %#x", rs[0].Bases[0], rs[1].Bases[0])
+	// Device 1 reserves right after device 0's last allocation in the one
+	// host address space.
+	allocs := w.Allocs()
+	last := len(allocs) - 1
+	next := rs[0].Bases[last] + mem.Addr(mem.AlignUp(allocs[last].Bytes, mem.VABlockSize))
+	if rs[0].Bases[0] != mem.VABlockSize || rs[1].Bases[0] != next {
+		t.Fatalf("rejected call left allocations behind: bases %v, %v, want %v, %v",
+			rs[0].Bases[0], rs[1].Bases[0], mem.Addr(mem.VABlockSize), next)
 	}
 
 	cfg.Driver.GPUMemBytes = 8 << 20
@@ -150,6 +155,56 @@ func TestRejectedRunLeavesSimulatorUnused(t *testing.T) {
 	}
 	if _, err := s.Run(workloads.NewStream(2<<20, 4)); err != nil {
 		t.Fatalf("demand run after a rejected explicit run: %v", err)
+	}
+}
+
+// TestMultiGPUDevicesShareOneAddressSpace requires the devices of one
+// system to reserve disjoint VABlocks from the one host VM, so no
+// device's unmap_mapping_range tears down another device's CPU mappings:
+// each device of a 2-device run pays the solo run's unmap time and
+// calls.
+func TestMultiGPUDevicesShareOneAddressSpace(t *testing.T) {
+	cfg := testConfig()
+	mk := func() workloads.Workload { return workloads.NewStream(8<<20, 16) }
+	unmapTime := func(r *Result) (sum sim.Time) {
+		for _, b := range r.Batches {
+			sum += b.TUnmap
+		}
+		return sum
+	}
+	s := mustSim(t, cfg)
+	solo, err := s.Run(mk())
+	if err != nil {
+		t.Fatal(err)
+	}
+	soloCalls := s.HostVM.Stats().UnmapCalls
+	if unmapTime(solo) == 0 || soloCalls == 0 {
+		t.Fatal("solo stream run unmapped nothing; the test needs host-initialised data")
+	}
+
+	m := mustMulti(t, cfg, 2)
+	rs, err := m.RunConcurrent([]workloads.Workload{mk(), mk()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner := map[mem.VABlockID]int{}
+	for i, r := range rs {
+		for j, a := range mk().Allocs() {
+			first := mem.VABlockOf(r.Bases[j])
+			last := mem.VABlockOf(r.Bases[j] + mem.Addr(a.Bytes) - 1)
+			for b := first; b <= last; b++ {
+				if d, dup := owner[b]; dup {
+					t.Fatalf("block %d allocated by devices %d and %d", b, d, i)
+				}
+				owner[b] = i
+			}
+		}
+		if got, want := unmapTime(r), unmapTime(solo); got != want {
+			t.Errorf("device %d unmap time %v, solo %v", i, got, want)
+		}
+	}
+	if got := m.HostVM.Stats().UnmapCalls; got != 2*soloCalls {
+		t.Fatalf("host unmap calls %d, want %d (solo %d per device)", got, 2*soloCalls, soloCalls)
 	}
 }
 

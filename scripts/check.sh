@@ -40,6 +40,12 @@ cmp testdata/vecadd_trace.golden.json "$tmpdir/trace.json"
 go run ./cmd/uvmsim -workload vecadd -audit -profile-dir "$tmpdir/prof" > /dev/null
 cmp testdata/vecadd_breakdown.golden.csv "$tmpdir/prof/breakdown.csv"
 
+# Sweep gate: a mixed policy grid through uvmsweep must match its golden
+# CSV byte for byte.
+go run ./cmd/uvmsweep -workload stream -mb 4 -batches 128,256 -caps 8,16 \
+  -prefetch on,off -evict lru,fifo -arch host-driven,gpu-driven -jobs 2 > "$tmpdir/sweep.csv"
+cmp testdata/uvmsweep_mixed.golden.csv "$tmpdir/sweep.csv"
+
 go build -o "$tmpdir/uvmsim" ./cmd/uvmsim
 "$tmpdir/uvmsim" -workload stream -mb 16 -metrics-addr 127.0.0.1:0 -metrics-hold 20s \
   > "$tmpdir/uvmsim.log" 2>&1 &

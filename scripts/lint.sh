@@ -112,15 +112,16 @@ done
 # 7. CLIs select policies by registry name (SystemConfig.Policies), never
 #    by writing the eviction knob directly — direct writes bypass the
 #    unknown-name validation and the -list-policies contract. Since the
-#    shared flag block (uvm.RegisterPolicyFlags) they must also not
-#    re-declare the policy flags locally, so names and help text cannot
-#    drift between tools.
+#    shared flag blocks (uvm.RegisterPolicyFlags for one choice per
+#    dimension, sweep.RegisterFlags for the sweep grid's lists) they must
+#    also not re-declare the policy flags locally, so names and help text
+#    cannot drift between tools.
 for cli in uvmsim uvmsweep faultviz paperfigs sweepd; do
   if grep -qn 'Driver\.Eviction[[:space:]]*=' "cmd/$cli/main.go"; then
     fail "cmd/$cli sets Driver.Eviction directly; route it through Policies (the registry)"
   fi
   if grep -qn 'flag\.String("evict"\|flag\.String("arch"' "cmd/$cli/main.go"; then
-    fail "cmd/$cli declares its own policy flags; use uvm.RegisterPolicyFlags / RegisterPolicyListFlags"
+    fail "cmd/$cli declares its own policy flags; use uvm.RegisterPolicyFlags, or sweep.RegisterFlags for a sweep grid"
   fi
 done
 
@@ -226,6 +227,17 @@ for f in internal/audit/*.go; do
           !in_dump && /AuditState\(\)/ { print FILENAME ":" FNR ": " $0; bad = 1 }
           END { exit !bad }' "$f"; then
     fail "$f calls AuditState() outside the KeepDumps dump helper; walk the models in place"
+  fi
+done
+
+# 15. One home for the sweep grid: internal/sweep owns the spec, its
+#     flags, the grid expansion and the point runner. The sweep service
+#     is a front end over it, so nothing below the service, and not the
+#     CSV front end, may depend on the service.
+for f in cmd/uvmsweep/*.go internal/uvm/*.go internal/sweep/*.go; do
+  case "$f" in *_test.go) continue ;; esac
+  if grep -nF '"guvm/internal/sweepd' "$f"; then
+    fail "$f imports guvm/internal/sweepd; sweep grids come from internal/sweep"
   fi
 done
 
