@@ -303,10 +303,9 @@ type warp struct {
 	// within that run.
 	ri  int
 	off uint32
-	// pass counts the finished passes of the loop being run, and shift
-	// is the page shift they have built up; both are 0 outside a loop.
-	pass  uint32
-	shift mem.PageID
+	// pass counts the finished passes of the loop being run; 0 outside
+	// a loop.
+	pass uint32
 
 	// regOut counts outstanding loads per scoreboard register; busy has
 	// bit r set while regOut[r] > 0.
@@ -799,10 +798,9 @@ func (w *warp) run() {
 			// Jump back or fall through, at no simulated cost: the
 			// events are those of the unrolled program.
 			if w.pass++; w.pass < op.Hi {
-				w.shift += mem.PageID(op.Stride)
 				w.pc = int(op.Lo)
 			} else {
-				w.pass, w.shift = 0, 0
+				w.pass = 0
 				w.pc++
 			}
 			continue
@@ -824,11 +822,12 @@ func (w *warp) run() {
 			return
 		}
 		runs := w.prog.Runs[op.Lo:op.Hi]
+		shift := mem.PageID(w.pass) * mem.PageID(op.Stride)
 		for ; w.ri < len(runs); w.ri++ {
 			r := runs[w.ri]
 			step := r.stride()
 			for w.off < r.N {
-				page := r.First + w.shift + mem.PageID(w.off)*step
+				page := r.First + shift + mem.PageID(w.off)*step
 				// Resident pages complete at memory latency, a run at a
 				// time: a contiguous run asks for the rest of the run, a
 				// strided one for one page.

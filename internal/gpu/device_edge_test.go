@@ -182,6 +182,9 @@ func TestBadProgramFailsRun(t *testing.T) {
 		"loop body after it":   {compute, {Kind: OpLoop, Lo: 2, Hi: 2}, compute},
 		"loop of one pass":     {compute, {Kind: OpLoop, Lo: 0, Hi: 1}},
 		"nested loop":          {compute, {Kind: OpLoop, Lo: 0, Hi: 2}, compute, {Kind: OpLoop, Lo: 0, Hi: 2}},
+		"stride with no loop":  {compute, {Kind: OpWrite, Stride: 3}},
+		"stride before body":   {{Kind: OpWrite, Stride: 3}, compute, {Kind: OpLoop, Lo: 1, Hi: 2}},
+		"stride after loop":    {compute, {Kind: OpLoop, Lo: 0, Hi: 2}, {Kind: OpRead, Stride: 1}},
 	} {
 		eng := sim.NewEngine()
 		_, dev := newFakeDriver(eng, smallConfig())

@@ -64,9 +64,9 @@ const (
 	// OpCompute occupies the warp for Dur after Deps are ready.
 	OpCompute
 	// OpLoop repeats ops [Lo, pc) until they have run Hi times in all,
-	// shifting every memory op's pages by Stride more on each pass. It
-	// takes no simulated time and schedules nothing, so a looped program
-	// runs exactly as its unrolled twin. Loops do not nest.
+	// shifting each memory op's pages by that op's Stride more on each
+	// pass. It takes no simulated time and schedules nothing, so a looped
+	// program runs exactly as its unrolled twin. Loops do not nest.
 	OpLoop
 )
 
@@ -111,9 +111,10 @@ func (r PageRun) stride() mem.PageID {
 // Op is one operation of a warp program. Memory operations are modeled at
 // page granularity: the op touches the pages of its program's
 // Runs[Lo:Hi] in order, the distinct pages the warp's (coalesced) lanes
-// touch in this instruction, each shifted by the enclosing loop's pass
-// (none outside a loop). Op holds no pointers and fills 32 bytes, so
-// program storage is never scanned by the garbage collector.
+// touch in this instruction, each shifted by pass·Stride on pass pass of
+// the enclosing loop (none outside a loop). Op holds no pointers and
+// fills 32 bytes, so program storage is never scanned by the garbage
+// collector.
 type Op struct {
 	Kind OpKind
 	// Dst is the scoreboard register written by OpRead; ignored otherwise.
@@ -121,7 +122,8 @@ type Op struct {
 	// Lo and Hi bound the op's span of Runs (memory ops). For OpLoop, Lo
 	// is the first op of the body and Hi the number of passes.
 	Lo, Hi uint32
-	// Stride is OpLoop's page shift per pass.
+	// Stride is a memory op's page shift per pass of the loop whose body
+	// holds it; 0 outside a loop body.
 	Stride uint32
 	// Deps are the registers that must be ready before OpWrite/OpCompute
 	// issue.
@@ -147,7 +149,7 @@ func NewProgram(ops, runs int) Program {
 // Read appends an OpRead of pages [first, first+n), writing scoreboard
 // register dst.
 func (p *Program) Read(dst int, first mem.PageID, n int) {
-	p.span(Op{Kind: OpRead, Dst: regOf(dst)}, first, n)
+	p.span(OpRead, regOf(dst), 0, first, n)
 }
 
 // ReadPages appends an OpRead of an arbitrary page list, writing
@@ -160,7 +162,7 @@ func (p *Program) ReadPages(dst int, pages []mem.PageID) {
 // Write appends an OpWrite of pages [first, first+n), issued once deps
 // are ready.
 func (p *Program) Write(deps RegMask, first mem.PageID, n int) {
-	p.span(Op{Kind: OpWrite, Deps: deps}, first, n)
+	p.span(OpWrite, 0, deps, first, n)
 }
 
 // WritePages appends an OpWrite of an arbitrary page list, coalesced as
@@ -171,42 +173,101 @@ func (p *Program) WritePages(deps RegMask, pages []mem.PageID) {
 
 // Prefetch appends an OpPrefetch of pages [first, first+n).
 func (p *Program) Prefetch(first mem.PageID, n int) {
-	p.span(Op{Kind: OpPrefetch}, first, n)
+	p.span(OpPrefetch, 0, 0, first, n)
 }
 
 // Compute appends an OpCompute lasting dur once deps are ready.
 func (p *Program) Compute(dur sim.Time, deps RegMask) {
-	p.Ops = append(p.Ops, Op{Kind: OpCompute, Dur: dur, Deps: deps})
+	op := p.push(OpCompute)
+	op.Dur, op.Deps = dur, deps
 }
 
 // Loop appends an OpLoop that repeats ops [mark, len(p.Ops)) until they
-// have run passes times, shifting their pages by stride more on each
-// pass. mark is len(p.Ops) taken before the body was built, so the body
-// as built is the first pass; with passes == 1 there is nothing to
-// repeat and Loop appends nothing. Loop panics on a pass count or stride
-// an op cannot hold.
-func (p *Program) Loop(mark, passes, stride int) {
-	if passes < 1 || passes > math.MaxUint32 || stride < 0 || stride > math.MaxUint32 || mark < 0 {
-		panic(fmt.Sprintf("gpu: loop over ops from %d: %d passes, stride %d", mark, passes, stride))
+// have run passes times. mark is len(p.Ops) taken before the body was
+// built, so the body as built is the first pass; with passes == 1 there
+// is nothing to repeat and Loop appends nothing. strides gives the body's
+// memory ops their page shift per pass: one stride applies to every
+// memory op, and k strides go to the body's k memory ops in order. Loop
+// panics on a mark outside the program, on a pass count or stride an op
+// cannot hold, and on any other number of strides.
+func (p *Program) Loop(mark, passes int, strides ...int) {
+	if passes < 1 || passes > math.MaxUint32 || mark < 0 || mark > len(p.Ops) {
+		panic(fmt.Sprintf("gpu: loop over ops from %d of %d: %d passes", mark, len(p.Ops), passes))
+	}
+	body := p.Ops[mark:]
+	k := 0
+	for _, op := range body {
+		if op.Kind.IsMemory() {
+			k++
+		}
+	}
+	if len(strides) != 1 && len(strides) != k {
+		panic(fmt.Sprintf("gpu: loop over %d memory ops given %d strides", k, len(strides)))
+	}
+	for _, s := range strides {
+		if s < 0 || s > math.MaxUint32 {
+			panic(fmt.Sprintf("gpu: loop stride %d", s))
+		}
 	}
 	if passes == 1 {
 		return
 	}
-	p.Ops = append(p.Ops, Op{Kind: OpLoop, Lo: uint32(mark), Hi: uint32(passes), Stride: uint32(stride)})
+	m := 0
+	for i := range body {
+		if !body[i].Kind.IsMemory() {
+			continue
+		}
+		s := strides[0]
+		if len(strides) > 1 {
+			s = strides[m]
+		}
+		body[i].Stride = uint32(s)
+		m++
+	}
+	p.Ops = append(p.Ops, Op{Kind: OpLoop, Lo: uint32(mark), Hi: uint32(passes)})
 }
 
-// span appends op over pages [first, first+n); n <= 0 is an op touching
-// no page.
-func (p *Program) span(op Op, first mem.PageID, n int) {
-	op.Lo = uint32(len(p.Runs))
-	for n > 0 {
-		k := min(n, math.MaxUint32)
-		p.Runs = append(p.Runs, PageRun{First: first, N: uint32(k)})
-		first += mem.PageID(k)
-		n -= k
+// Append appends q's ops and runs to p, so q runs as part of p. q's
+// memory ops keep their runs and q's loops their bodies.
+func (p *Program) Append(q *Program) {
+	mark, base := uint32(len(p.Ops)), uint32(len(p.Runs))
+	for _, op := range q.Ops {
+		switch {
+		case op.Kind.IsMemory():
+			op.Lo += base
+			op.Hi += base
+		case op.Kind == OpLoop:
+			op.Lo += mark
+		}
+		p.Ops = append(p.Ops, op)
 	}
-	op.Hi = uint32(len(p.Runs))
-	p.Ops = append(p.Ops, op)
+	p.Runs = append(p.Runs, q.Runs...)
+}
+
+// push appends an op of kind k and returns it to be filled in place.
+// Builders fill an op's fields straight into Ops: an op built on the
+// stack and then copied in is read back with wide loads that stall on
+// the narrow stores that just built it, and generators build ops at
+// every chunk.
+func (p *Program) push(k OpKind) *Op {
+	p.Ops = append(p.Ops, Op{})
+	op := &p.Ops[len(p.Ops)-1]
+	op.Kind = k
+	return op
+}
+
+// span appends a memory op of kind k over pages [first, first+n); n <= 0
+// is an op touching no page.
+func (p *Program) span(k OpKind, dst int8, deps RegMask, first mem.PageID, n int) {
+	lo := uint32(len(p.Runs))
+	for n > 0 {
+		c := min(n, math.MaxUint32)
+		p.Runs = append(p.Runs, PageRun{First: first, N: uint32(c)})
+		first += mem.PageID(c)
+		n -= c
+	}
+	op := p.push(k)
+	op.Dst, op.Deps, op.Lo, op.Hi = dst, deps, lo, uint32(len(p.Runs))
 }
 
 // pages appends op over an arbitrary page list, coalesced into runs in
@@ -237,14 +298,14 @@ func (p *Program) pages(op Op, pages []mem.PageID) {
 	p.Ops = append(p.Ops, op)
 }
 
-// isMemory reports whether k is a memory op, one that names a span of
+// IsMemory reports whether k is a memory op, one that names a span of
 // Runs: the kinds declared before OpCompute.
-func (k OpKind) isMemory() bool { return k <= OpPrefetch }
+func (k OpKind) IsMemory() bool { return k <= OpPrefetch }
 
 // NumPages returns how many page accesses one execution of op makes: the
 // summed length of its runs, 0 for a non-memory op.
 func (p *Program) NumPages(op Op) int {
-	if !op.Kind.isMemory() {
+	if !op.Kind.IsMemory() {
 		return 0
 	}
 	n := 0
@@ -261,7 +322,7 @@ func (p *Program) AppendPages(dst []mem.PageID, op Op) []mem.PageID {
 }
 
 func (p *Program) appendShifted(dst []mem.PageID, op Op, shift mem.PageID) []mem.PageID {
-	if !op.Kind.isMemory() {
+	if !op.Kind.IsMemory() {
 		return dst
 	}
 	for _, r := range p.Runs[op.Lo:op.Hi] {
@@ -300,9 +361,8 @@ func (p *Program) AppendAccesses(dst []mem.PageID) []mem.PageID {
 			continue
 		}
 		for pass := uint32(1); pass < op.Hi; pass++ {
-			shift := mem.PageID(pass) * mem.PageID(op.Stride)
 			for _, b := range p.Ops[op.Lo:pc] {
-				dst = p.appendShifted(dst, b, shift)
+				dst = p.appendShifted(dst, b, mem.PageID(pass)*mem.PageID(b.Stride))
 			}
 		}
 	}
@@ -321,11 +381,13 @@ func regOf(r int) int8 {
 
 // validate checks p once, before its warp runs: every op has a known
 // kind, every read writes a register in 0..NumRegs-1, every memory op's
-// span lies within Runs, and every loop repeats a non-empty body before
-// it at least twice, with no other loop inside that body. It returns the
-// first fault found, wrapping ErrBadProgram.
+// span lies within Runs, every loop repeats a non-empty body before it
+// at least twice, with no other loop inside that body, and only memory
+// ops inside a loop body have a stride. It returns the first fault
+// found, wrapping ErrBadProgram.
 func (p *Program) validate() error {
 	lastLoop := -1
+	strided := -1 // the first strided memory op after lastLoop, if any
 	for pc := range p.Ops {
 		op := &p.Ops[pc]
 		switch op.Kind {
@@ -340,8 +402,10 @@ func (p *Program) validate() error {
 			case int(op.Lo) <= lastLoop:
 				return fmt.Errorf("pc %d: loop body [%d,%d) holds the loop at pc %d: %w",
 					pc, op.Lo, pc, lastLoop, ErrBadProgram)
+			case strided >= 0 && strided < int(op.Lo):
+				return strayStride(strided)
 			}
-			lastLoop = pc
+			lastLoop, strided = pc, -1
 		case OpRead, OpWrite, OpPrefetch:
 			if op.Kind == OpRead && (op.Dst < 0 || op.Dst >= NumRegs) {
 				return fmt.Errorf("pc %d: scoreboard register %d outside 0..%d: %w",
@@ -351,15 +415,28 @@ func (p *Program) validate() error {
 				return fmt.Errorf("pc %d: runs [%d,%d) outside the program's %d: %w",
 					pc, op.Lo, op.Hi, len(p.Runs), ErrBadProgram)
 			}
+			if op.Stride != 0 && strided < 0 {
+				strided = pc
+			}
 		default:
 			return fmt.Errorf("pc %d: unknown op kind %d: %w", pc, op.Kind, ErrBadProgram)
 		}
 	}
+	if strided >= 0 {
+		return strayStride(strided)
+	}
 	return nil
 }
 
+func strayStride(pc int) error {
+	return fmt.Errorf("pc %d: stride outside every loop body: %w", pc, ErrBadProgram)
+}
+
 // Kernel is a grid of thread blocks. BlockProgram is called lazily, once
-// per launched block, so large grids need not materialize up front.
+// per launched block, so large grids need not materialize up front. It is
+// never called concurrently, so a generator may keep scratch storage
+// from one block to the next; the programs it returns must not share
+// that storage.
 type Kernel struct {
 	NumBlocks    int
 	BlockProgram func(block int) []Program

@@ -116,11 +116,15 @@ func TestProgramTypesHoldNoPointers(t *testing.T) {
 // loopCase is a fuzz input decoded into a loop and its surroundings: an
 // optional op before the loop, a body of read, write, prefetch and
 // compute ops over a small page universe (so passes overlap and warps
-// collide), the pass count and stride, and an optional op after the loop.
+// collide), the pass count and strides, and an optional op after the
+// loop.
 type loopCase struct {
 	lead, body, tail []byte // two bytes per op
 	passes, stride   int
-	blocks           int
+	// strides, when set, holds one stride per body op, and each memory
+	// op of the body gets its own; otherwise every one gets stride.
+	strides []int
+	blocks  int
 	// residentMask starts page p resident when bit p%8 is set.
 	residentMask byte
 }
@@ -128,14 +132,16 @@ type loopCase struct {
 // decodeLoopCase reads a 5-byte header (passes, stride, blocks, resident
 // mask, shape) and then the ops, two bytes each. The shape byte's low
 // bits give the body length (1-6 ops), bit 6 asks for a lead op and bit
-// 7 for a tail op.
+// 7 for a tail op. When the stride byte's top bit is set, the bytes after
+// the ops give the body's ops their own strides, one byte each (0 for a
+// missing byte), so strides differ from op to op and may be 0.
 func decodeLoopCase(data []byte) (loopCase, bool) {
 	if len(data) < 7 {
 		return loopCase{}, false
 	}
 	c := loopCase{
 		passes:       1 + int(data[0]%6),
-		stride:       int(data[1] % 40),
+		stride:       int(data[1]&0x7f) % 40,
 		blocks:       1 + int(data[2]%4),
 		residentMask: data[3],
 	}
@@ -154,17 +160,33 @@ func decodeLoopCase(data []byte) (loopCase, bool) {
 	if shape&0x80 != 0 {
 		c.tail = take(1)
 	}
+	if data[1]&0x80 != 0 {
+		c.strides = make([]int, len(c.body)/2)
+		for i := range c.strides {
+			if i < len(ops) {
+				c.strides[i] = int(ops[i]) % 40
+			}
+		}
+	}
 	return c, len(c.body) > 0
 }
 
-// emitOps appends one op per byte pair, every page shifted by shift. A
-// read or write whose top three bits give a step of 2 or more touches
+// strideOf returns the stride of body op i.
+func (c loopCase) strideOf(i int) int {
+	if c.strides == nil {
+		return c.stride
+	}
+	return c.strides[i]
+}
+
+// emitOps appends one op per byte pair, op i's pages shifted by shift(i).
+// A read or write whose top three bits give a step of 2 or more touches
 // pages that far apart, built from a page list, so loops also shift
 // strided runs.
-func emitOps(p *Program, ops []byte, shift mem.PageID) {
+func emitOps(p *Program, ops []byte, shift func(i int) mem.PageID) {
 	for i := 0; i+1 < len(ops); i += 2 {
 		a, b := ops[i], ops[i+1]
-		first := mem.PageID(b%64) + shift
+		first := mem.PageID(b%64) + shift(i/2)
 		n := 1 + int(b>>6)
 		step := mem.PageID(a >> 5)
 		var list []mem.PageID
@@ -192,21 +214,106 @@ func emitOps(p *Program, ops []byte, shift mem.PageID) {
 	}
 }
 
-// build returns the case's program, looped or unrolled.
+// build returns the case's program, looped or unrolled. The looped one
+// passes Loop one stride for the whole body, or one per memory op.
 func (c loopCase) build(looped bool) Program {
 	var p Program
-	emitOps(&p, c.lead, 0)
+	unshifted := func(int) mem.PageID { return 0 }
+	emitOps(&p, c.lead, unshifted)
 	if looped {
 		mark := len(p.Ops)
-		emitOps(&p, c.body, 0)
-		p.Loop(mark, c.passes, c.stride)
+		emitOps(&p, c.body, unshifted)
+		if c.strides == nil {
+			p.Loop(mark, c.passes, c.stride)
+		} else {
+			var strides []int
+			for i := 0; i+1 < len(c.body); i += 2 {
+				if c.body[i]%4 != 3 {
+					strides = append(strides, c.strides[i/2])
+				}
+			}
+			p.Loop(mark, c.passes, strides...)
+		}
 	} else {
 		for pass := 0; pass < c.passes; pass++ {
-			emitOps(&p, c.body, mem.PageID(pass*c.stride))
+			emitOps(&p, c.body, func(i int) mem.PageID { return mem.PageID(pass * c.strideOf(i)) })
 		}
 	}
-	emitOps(&p, c.tail, mem.PageID((c.passes-1)*c.stride))
+	emitOps(&p, c.tail, func(int) mem.PageID { return mem.PageID((c.passes - 1) * c.stride) })
 	return p
+}
+
+// TestLoopChecksAtBuild: Loop panics on a mark outside the program, a
+// pass count or stride an op cannot hold, and a stride count that is
+// neither one nor the body's memory-op count, so a malformed loop fails
+// where it is built, not at block start. A valid call gives the body's
+// memory ops their strides in order and leaves compute ops alone.
+func TestLoopChecksAtBuild(t *testing.T) {
+	body := func() Program {
+		var p Program
+		p.Read(0, 10, 2)
+		p.Compute(sim.Microsecond, Regs(0))
+		p.Write(Regs(0), 20, 2)
+		return p
+	}
+	for name, loop := range map[string]func(p *Program){
+		"mark past the end":    func(p *Program) { p.Loop(len(p.Ops)+1, 2, 1) },
+		"negative mark":        func(p *Program) { p.Loop(-1, 2, 1) },
+		"zero passes":          func(p *Program) { p.Loop(0, 0, 1) },
+		"too many passes":      func(p *Program) { p.Loop(0, math.MaxUint32+1, 1) },
+		"negative stride":      func(p *Program) { p.Loop(0, 2, -1) },
+		"stride too wide":      func(p *Program) { p.Loop(0, 2, math.MaxUint32+1) },
+		"no stride":            func(p *Program) { p.Loop(0, 2) },
+		"too many strides":     func(p *Program) { p.Loop(0, 2, 1, 2, 3) },
+		"one pass, mark past":  func(p *Program) { p.Loop(len(p.Ops)+1, 1, 1) },
+		"one pass, bad counts": func(p *Program) { p.Loop(0, 1, 1, 2, 3) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Loop did not panic", name)
+				}
+			}()
+			p := body()
+			loop(&p)
+		}()
+	}
+	p := body()
+	p.Loop(0, 3, 5, 7)
+	if got := []uint32{p.Ops[0].Stride, p.Ops[1].Stride, p.Ops[2].Stride}; !slices.Equal(got, []uint32{5, 0, 7}) {
+		t.Errorf("per-op strides %v, want [5 0 7]", got)
+	}
+	if last := p.Ops[len(p.Ops)-1]; last != (Op{Kind: OpLoop, Lo: 0, Hi: 3}) {
+		t.Errorf("loop op %+v", last)
+	}
+	p = body()
+	p.Loop(0, 1, 5, 7)
+	if len(p.Ops) != 3 || p.Ops[0].Stride != 0 {
+		t.Errorf("a one-pass loop changed the program: %+v", p.Ops)
+	}
+}
+
+// TestAppendKeepsRunsAndLoops: a program appended to another accesses
+// its own pages, in order, after the first's, and its loop still repeats
+// its own body.
+func TestAppendKeepsRunsAndLoops(t *testing.T) {
+	var p, q Program
+	p.Read(0, 100, 3)
+	p.Compute(sim.Microsecond, Regs(0))
+	q.WritePages(0, []mem.PageID{7, 9, 11, 20})
+	mark := len(q.Ops)
+	q.Read(1, 40, 2)
+	q.Compute(sim.Microsecond, Regs(1))
+	q.Write(Regs(1), 60, 1)
+	q.Loop(mark, 3, 5, 1)
+	want := append(p.AppendAccesses(nil), q.AppendAccesses(nil)...)
+	p.Append(&q)
+	if got := p.AppendAccesses(nil); !slices.Equal(got, want) {
+		t.Fatalf("appended program accesses %v, want %v", got, want)
+	}
+	if err := p.validate(); err != nil {
+		t.Fatalf("appended program: %v", err)
+	}
 }
 
 // loopRun is everything observable about one device run.
@@ -245,6 +352,9 @@ func FuzzLoopMatchesUnrolled(f *testing.F) {
 	f.Add([]byte{3, 2, 0, 0, 2, 0, 5, 4, 0x41, 3, 0})
 	f.Add([]byte{5, 8, 3, 0x0f, 0xc3, 2, 4, 0, 0x80, 1, 0x04, 3, 3, 6, 0xc2, 2, 1})
 	f.Add([]byte{4, 16, 2, 0x55, 0x80, 0x40, 0xc4, 0x61, 0xc9, 3, 0, 0xa1, 0x45})
+	// Per-op strides after a lead read: a read striding 12, the math, a
+	// write striding 0 and a prefetch striding 7, over four passes.
+	f.Add([]byte{3, 0x80 | 5, 2, 0x0f, 0x43, 0x00, 0x81, 0x04, 0x05, 0x03, 0x03, 0x01, 0x42, 0x02, 0x03, 12, 1, 0, 7})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, ok := decodeLoopCase(data)
 		if !ok {

@@ -53,6 +53,7 @@ func (w *FFT) Phases(bases []mem.Addr) []Phase {
 	if passes > 8 {
 		passes = 8 // cap pass count: locality signature saturates
 	}
+	var l looper
 	var phases []Phase
 	for p := 0; p < passes; p++ {
 		src := mem.PageOf(bases[p%2])
@@ -76,15 +77,14 @@ func (w *FFT) Phases(bases []mem.Addr) []Phase {
 				if lo >= hi {
 					return nil
 				}
-				// Each chunk is two reads, the math and two writes:
-				// five ops over four runs.
-				chunks := (hi - lo + chunk - 1) / chunk
-				prog := gpu.NewProgram(5*chunks, 4*chunks)
-				for i := lo; i < hi; i += chunk {
-					n := chunk
-					if i+n > hi {
-						n = hi - i
-					}
+				// Each chunk is two reads, the math and two writes.
+				// Within one stride-wide segment of the source the
+				// chunks repeat, reads advancing by chunk pages and
+				// writes by twice that, so a block is one loop per
+				// segment it touches.
+				l.fold((hi-lo+chunk-1)/chunk, func(c int, prog *gpu.Program) {
+					i := lo + c*chunk
+					n := min(chunk, hi-i)
 					loIdx := mem.PageID(i % stride)
 					base := mem.PageID(i/stride) * mem.PageID(stride) * 2
 					prog.Read(0, src+base+loIdx, n)
@@ -92,8 +92,8 @@ func (w *FFT) Phases(bases []mem.Addr) []Phase {
 					prog.Compute(w.ComputePerChunk, gpu.Regs(0, 1))
 					prog.Write(0, dst+mem.PageID(2*i), n)
 					prog.Write(0, dst+mem.PageID(2*i)+mem.PageID(n), n)
-				}
-				return []gpu.Program{prog}
+				})
+				return []gpu.Program{l.take()}
 			}},
 		})
 	}

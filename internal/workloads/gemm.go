@@ -85,38 +85,30 @@ func (w *GEMM) Phases(bases []mem.Addr) []Phase {
 	a, b, c := bases[0], bases[1], bases[2]
 	tiles := w.N / w.Tile
 	nblocks := tiles * tiles
+	var l looper
+	var aPages, bPages []mem.PageID
 	return []Phase{{
 		Name: w.Name(),
 		Kernel: gpu.Kernel{NumBlocks: nblocks, BlockProgram: func(blk int) []gpu.Program {
 			ti := blk / tiles // tile row
 			tj := blk % tiles // tile col
-			var prog gpu.Program
-			var aPages, bPages []mem.PageID
 			for k := 0; k < tiles; k++ {
 				aPages = w.panelPages(aPages, a, ti*w.Tile, w.Tile, k*w.Tile, w.Tile)
 				bPages = w.panelPages(bPages, b, k*w.Tile, w.Tile, tj*w.Tile, w.Tile)
 				// Stage the panels chunk by chunk: each chunk's loads
 				// must land before the dependent math lets the next
 				// chunk issue (shared-memory double-buffer pacing).
-				// When both panels are the same number of pages spaced
-				// by the same step, every full chunk is the first one
-				// shifted, so the first is looped over all of them.
-				lo := 0
-				if step, ok := panelStep(aPages, bPages); ok && len(aPages) >= w.ChunkPages {
-					full := len(aPages) / w.ChunkPages
-					mark := len(prog.Ops)
-					w.stageChunk(&prog, aPages, bPages, 0)
-					prog.Loop(mark, full, w.ChunkPages*step)
-					lo = full * w.ChunkPages
-				}
-				for n := max(len(aPages), len(bPages)); lo < n; lo += w.ChunkPages {
-					w.stageChunk(&prog, aPages, bPages, lo)
-				}
+				// Panels of evenly spaced pages repeat chunk after
+				// chunk, so the looper folds them into one pass.
+				n := max(len(aPages), len(bPages))
+				l.fold((n+w.ChunkPages-1)/w.ChunkPages, func(c int, p *gpu.Program) {
+					w.stageChunk(p, aPages, bPages, c*w.ChunkPages)
+				})
 			}
 			// The C panel reuses the A panel's buffer: the ops already
 			// hold their own runs.
-			prog.WritePages(0, w.panelPages(aPages, c, ti*w.Tile, w.Tile, tj*w.Tile, w.Tile))
-			return []gpu.Program{prog}
+			l.prog.WritePages(0, w.panelPages(aPages, c, ti*w.Tile, w.Tile, tj*w.Tile, w.Tile))
+			return []gpu.Program{l.take()}
 		}},
 	}}
 }
@@ -135,22 +127,4 @@ func (w *GEMM) stageChunk(prog *gpu.Program, aPages, bPages []mem.PageID, lo int
 		deps |= gpu.Regs(1)
 	}
 	prog.Compute(w.ComputePerChunk, deps)
-}
-
-// panelStep reports whether two panels have the same number of pages,
-// each spaced by one common step, and returns that step. A panel of one
-// page has no spacing of its own and fits no loop.
-func panelStep(a, b []mem.PageID) (int, bool) {
-	if len(a) != len(b) || len(a) < 2 {
-		return 0, false
-	}
-	step := a[1] - a[0]
-	for _, pages := range [][]mem.PageID{a, b} {
-		for i := 1; i < len(pages); i++ {
-			if pages[i]-pages[i-1] != step {
-				return 0, false
-			}
-		}
-	}
-	return int(step), true
 }

@@ -56,12 +56,13 @@ func (w *GaussSeidel) Phases(bases []mem.Addr) []Phase {
 	rowBytes := uint64(w.Cols) * 4
 	bands := (w.Rows + w.BandRows - 1) / w.BandRows
 	perStripe := (bands + w.Stripes - 1) / w.Stripes
+	chunk := w.ChunkPages
+	var l looper
 	var phases []Phase
 	for it := 0; it < w.Iterations; it++ {
 		phases = append(phases, Phase{
 			Name: "sweep",
 			Kernel: gpu.Kernel{NumBlocks: w.Stripes, BlockProgram: func(blk int) []gpu.Program {
-				var prog gpu.Program
 				for bi := blk * perStripe; bi < (blk+1)*perStripe && bi < bands; bi++ {
 					r0 := bi * w.BandRows
 					r1 := r0 + w.BandRows
@@ -80,15 +81,17 @@ func (w *GaussSeidel) Phases(bases []mem.Addr) []Phase {
 					writeFirst, writeN := spanIn(base, uint64(r0)*rowBytes, uint64(r1-r0)*rowBytes)
 					// Row-order dependence: each chunk's loads feed
 					// the stencil math before the next chunk issues.
-					for lo := 0; lo < readN; lo += w.ChunkPages {
-						prog.Read(0, readFirst+mem.PageID(lo), min(w.ChunkPages, readN-lo))
-						prog.Compute(w.ComputePerChunk, gpu.Regs(0))
-					}
-					for lo := 0; lo < writeN; lo += w.ChunkPages {
-						prog.Write(gpu.Regs(0), writeFirst+mem.PageID(lo), min(w.ChunkPages, writeN-lo))
-					}
+					l.fold((readN+chunk-1)/chunk, func(c int, p *gpu.Program) {
+						lo := c * chunk
+						p.Read(0, readFirst+mem.PageID(lo), min(chunk, readN-lo))
+						p.Compute(w.ComputePerChunk, gpu.Regs(0))
+					})
+					l.fold((writeN+chunk-1)/chunk, func(c int, p *gpu.Program) {
+						lo := c * chunk
+						p.Write(gpu.Regs(0), writeFirst+mem.PageID(lo), min(chunk, writeN-lo))
+					})
 				}
-				return []gpu.Program{prog}
+				return []gpu.Program{l.take()}
 			}},
 		})
 	}
@@ -169,13 +172,15 @@ func (w *HPGMG) Allocs() []Alloc {
 }
 
 // smoothKernel sweeps a level: blocks stream bands with read-modify-write.
-func (w *HPGMG) smoothKernel(base mem.Addr, bytes uint64, blocks int) gpu.Kernel {
+// Its block programs are built with l.
+func (w *HPGMG) smoothKernel(l *looper, base mem.Addr, bytes uint64, blocks int) gpu.Kernel {
 	totalPages := int(bytes / mem.PageSize)
 	if blocks > totalPages {
 		blocks = totalPages
 	}
 	per := (totalPages + blocks - 1) / blocks
 	first := mem.PageOf(base)
+	chunk := w.ChunkPages
 	return gpu.Kernel{NumBlocks: blocks, BlockProgram: func(blk int) []gpu.Program {
 		lo := blk * per
 		hi := lo + per
@@ -185,20 +190,23 @@ func (w *HPGMG) smoothKernel(base mem.Addr, bytes uint64, blocks int) gpu.Kernel
 		if lo >= hi {
 			return nil
 		}
-		prog := gpu.NewProgram(7, 4)
-		sweepChunks(lo, hi, w.ChunkPages, w.ChunkPages, func(p, n int) {
-			prog.Read(0, first+mem.PageID(p), n)
-			prog.Compute(w.ComputePerChunk, gpu.Regs(0))
-			prog.Write(0, first+mem.PageID(p), n)
-		}, &prog)
-		return []gpu.Program{prog}
+		l.fold((hi-lo+chunk-1)/chunk, func(c int, p *gpu.Program) {
+			at := lo + c*chunk
+			n := min(chunk, hi-at)
+			p.Read(0, first+mem.PageID(at), n)
+			p.Compute(w.ComputePerChunk, gpu.Regs(0))
+			p.Write(0, first+mem.PageID(at), n)
+		})
+		return []gpu.Program{l.take()}
 	}}
 }
 
-// transferKernel reads src and writes dst (restriction or prolongation).
-// It stays unrolled: its read and write advance by different strides,
-// which one loop's single page shift cannot express.
-func (w *HPGMG) transferKernel(src, dst mem.Addr, srcBytes, dstBytes uint64, blocks int) gpu.Kernel {
+// transferKernel reads src and writes dst (restriction or prolongation),
+// its block programs built with l. Each chunk of ChunkPages destination
+// pages reads ratio source pages per destination page and then writes,
+// so the read and the write advance by different strides; chunks past
+// the end of src only write.
+func (w *HPGMG) transferKernel(l *looper, src, dst mem.Addr, srcBytes, dstBytes uint64, blocks int) gpu.Kernel {
 	srcPages := int(srcBytes / mem.PageSize)
 	dstPages := int(dstBytes / mem.PageSize)
 	if blocks > dstPages {
@@ -210,6 +218,7 @@ func (w *HPGMG) transferKernel(src, dst mem.Addr, srcBytes, dstBytes uint64, blo
 		ratio = 1
 	}
 	s, d := mem.PageOf(src), mem.PageOf(dst)
+	chunk := w.ChunkPages
 	return gpu.Kernel{NumBlocks: blocks, BlockProgram: func(blk int) []gpu.Program {
 		lo := blk * perDst
 		hi := lo + perDst
@@ -219,10 +228,9 @@ func (w *HPGMG) transferKernel(src, dst mem.Addr, srcBytes, dstBytes uint64, blo
 		if lo >= hi {
 			return nil
 		}
-		chunks := (hi - lo + w.ChunkPages - 1) / w.ChunkPages
-		prog := gpu.NewProgram(3*chunks, 2*chunks)
-		for p := lo; p < hi; p += w.ChunkPages {
-			n := min(w.ChunkPages, hi-p)
+		l.fold((hi-lo+chunk-1)/chunk, func(c int, prog *gpu.Program) {
+			p := lo + c*chunk
+			n := min(chunk, hi-p)
 			srcLo := p * ratio
 			srcN := min(n*ratio, srcPages-srcLo)
 			if srcN > 0 {
@@ -230,13 +238,14 @@ func (w *HPGMG) transferKernel(src, dst mem.Addr, srcBytes, dstBytes uint64, blo
 				prog.Compute(w.ComputePerChunk, gpu.Regs(0))
 			}
 			prog.Write(gpu.Regs(0), d+mem.PageID(p), n)
-		}
-		return []gpu.Program{prog}
+		})
+		return []gpu.Program{l.take()}
 	}}
 }
 
 // Phases implements Workload.
 func (w *HPGMG) Phases(bases []mem.Addr) []Phase {
+	lp := new(looper)
 	var phases []Phase
 	for cyc := 0; cyc < w.VCycles; cyc++ {
 		if cyc > 0 {
@@ -260,19 +269,19 @@ func (w *HPGMG) Phases(bases []mem.Addr) []Phase {
 			for s := 0; s < w.SmoothsPerLevel; s++ {
 				phases = append(phases, Phase{
 					Name:   "smooth-down",
-					Kernel: w.smoothKernel(bases[l], w.levelBytes(l), blocks),
+					Kernel: w.smoothKernel(lp, bases[l], w.levelBytes(l), blocks),
 				})
 			}
 			phases = append(phases, Phase{
 				Name: "restrict",
-				Kernel: w.transferKernel(bases[l], bases[l+1],
+				Kernel: w.transferKernel(lp, bases[l], bases[l+1],
 					w.levelBytes(l), w.levelBytes(l+1), blocks),
 			})
 		}
 		// Coarse solve.
 		phases = append(phases, Phase{
 			Name:   "coarse-solve",
-			Kernel: w.smoothKernel(bases[w.Levels-1], w.levelBytes(w.Levels-1), 4),
+			Kernel: w.smoothKernel(lp, bases[w.Levels-1], w.levelBytes(w.Levels-1), 4),
 		})
 		// Up-sweep: prolong and smooth.
 		for l := w.Levels - 2; l >= 0; l-- {
@@ -282,13 +291,13 @@ func (w *HPGMG) Phases(bases []mem.Addr) []Phase {
 			}
 			phases = append(phases, Phase{
 				Name: "prolong",
-				Kernel: w.transferKernel(bases[l+1], bases[l],
+				Kernel: w.transferKernel(lp, bases[l+1], bases[l],
 					w.levelBytes(l+1), w.levelBytes(l), blocks),
 			})
 			for s := 0; s < w.SmoothsPerLevel; s++ {
 				phases = append(phases, Phase{
 					Name:   "smooth-up",
-					Kernel: w.smoothKernel(bases[l], w.levelBytes(l), blocks),
+					Kernel: w.smoothKernel(lp, bases[l], w.levelBytes(l), blocks),
 				})
 			}
 		}

@@ -122,6 +122,7 @@ func (w *Regular) Phases(bases []mem.Addr) []Phase {
 	total := int(w.Bytes / mem.PageSize)
 	per := (total + w.Partitions - 1) / w.Partitions
 	chunk := w.ChunkPages
+	var l looper
 	return []Phase{{
 		Name: "stream-read",
 		Kernel: gpu.Kernel{NumBlocks: w.Partitions, BlockProgram: func(b int) []gpu.Program {
@@ -133,11 +134,11 @@ func (w *Regular) Phases(bases []mem.Addr) []Phase {
 			if lo >= hi {
 				return nil
 			}
-			prog := gpu.NewProgram(3, 2)
-			sweepChunks(lo, hi, chunk, chunk, func(p, n int) {
-				prog.Read(0, first+mem.PageID(p), n)
-			}, &prog)
-			return []gpu.Program{prog}
+			l.fold((hi-lo+chunk-1)/chunk, func(c int, p *gpu.Program) {
+				at := lo + c*chunk
+				p.Read(0, first+mem.PageID(at), min(chunk, hi-at))
+			})
+			return []gpu.Program{l.take()}
 		}},
 	}}
 }
@@ -236,6 +237,7 @@ func (w *Stream) Phases(bases []mem.Addr) []Phase {
 	total := int(w.BytesPerArray / mem.PageSize)
 	chunk := w.ChunkPages
 	stride := w.Blocks * chunk
+	var l looper
 	var phases []Phase
 	for it := 0; it < w.Iterations; it++ {
 		phases = append(phases, Phase{
@@ -243,20 +245,29 @@ func (w *Stream) Phases(bases []mem.Addr) []Phase {
 			Kernel: gpu.Kernel{NumBlocks: w.Blocks, BlockProgram: func(blk int) []gpu.Program {
 				// Grid-stride: block blk handles chunks blk, blk+B,
 				// blk+2B, ... so all blocks advance one frontier.
-				prog := gpu.NewProgram(9, 6)
-				shadow := gpu.NewProgram(7, 4)
-				sweepChunks(blk*chunk, total, chunk, stride, func(p, n int) {
-					off := mem.PageID(p)
-					prog.Read(0, b+off, n)
-					prog.Read(1, c+off, n)
-					prog.Compute(w.ComputePerChunk, gpu.Regs(0, 1))
-					prog.Write(0, a+off, n)
-					// Sibling warps coalesce onto the chunk's lead
-					// pages, re-issuing the same faults.
-					shadow.Read(0, b+off, 1)
-					shadow.Read(1, c+off, 1)
-					shadow.Compute(w.ComputePerChunk, gpu.Regs(0, 1))
-				}, &prog, &shadow)
+				lo := blk * chunk
+				chunks := 0
+				if lo < total {
+					chunks = (total - lo + stride - 1) / stride
+				}
+				l.fold(chunks, func(i int, p *gpu.Program) {
+					at := lo + i*stride
+					off, n := mem.PageID(at), min(chunk, total-at)
+					p.Read(0, b+off, n)
+					p.Read(1, c+off, n)
+					p.Compute(w.ComputePerChunk, gpu.Regs(0, 1))
+					p.Write(0, a+off, n)
+				})
+				prog := l.take()
+				// Sibling warps coalesce onto each chunk's lead pages,
+				// re-issuing the same faults.
+				l.fold(chunks, func(i int, p *gpu.Program) {
+					off := mem.PageID(lo + i*stride)
+					p.Read(0, b+off, 1)
+					p.Read(1, c+off, 1)
+					p.Compute(w.ComputePerChunk, gpu.Regs(0, 1))
+				})
+				shadow := l.take()
 				progs := make([]gpu.Program, 0, 1+w.ShadowWarps)
 				progs = append(progs, prog)
 				for s := 0; s < w.ShadowWarps; s++ {

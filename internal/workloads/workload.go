@@ -61,27 +61,6 @@ func spanIn(base mem.Addr, off, length uint64) (mem.PageID, int) {
 	return first, int(last-first) + 1
 }
 
-// sweepChunks emits a strided sweep of pages [lo, hi): chunks of chunk
-// pages starting every stride pages. emit(p, n) appends the ops for the
-// n-page chunk at page p to progs, which start empty. The first full
-// chunk is emitted and looped over every full chunk; a partial last
-// chunk, if any, follows the loop.
-func sweepChunks(lo, hi, chunk, stride int, emit func(p, n int), progs ...*gpu.Program) {
-	full := 0
-	if lo+chunk <= hi {
-		full = (hi-lo-chunk)/stride + 1
-	}
-	if full > 0 {
-		emit(lo, chunk)
-		for _, prog := range progs {
-			prog.Loop(0, full, stride)
-		}
-	}
-	if tail := lo + full*stride; tail < hi {
-		emit(tail, hi-tail)
-	}
-}
-
 // dedupPages sorts and deduplicates a page list in place.
 func dedupPages(pages []mem.PageID) []mem.PageID {
 	if len(pages) < 2 {

@@ -451,41 +451,42 @@ func TestVecAddCoalescedShape(t *testing.T) {
 }
 
 // TestBlockProgramAllocs pins kernel program generation at one allocation
-// per program slice: each program's ops and runs are sized up front and
-// hold no per-op page lists, so a block costs the same few allocations
-// however many chunks it sweeps. The full chunks are one looped pass, so
-// the slices are as long at 1 GiB as at 64 MiB. FFT blocks are sized
-// exactly, so they never grow.
+// per program slice: each program's ops and runs are copied out of the
+// generator's looper in storage of their exact size, and hold no per-op
+// page lists, so a block costs the same few allocations however many
+// chunks it sweeps. Repeated chunks are looped passes, so a Stream
+// block's slices are as long at 1 GiB as at 64 MiB.
 func TestBlockProgramAllocs(t *testing.T) {
+	phase := func(w Workload, name string) gpu.Kernel {
+		for _, ph := range w.Phases(fakeBases(w.Allocs())) {
+			if ph.Name == name {
+				return ph.Kernel
+			}
+		}
+		t.Fatalf("%s has no %s phase", w.Name(), name)
+		return gpu.Kernel{}
+	}
 	for _, c := range []struct {
-		w    Workload
-		want float64 // ops + runs per program, plus the []Program
+		w     Workload
+		phase string
+		want  float64 // ops + runs per program, plus the []Program
 	}{
-		{NewStream(64<<20, 24), 5}, // lead warp and shared shadow program
-		{NewHPGMG(64<<20, 32), 3},  // one smoothing warp
+		{NewStream(64<<20, 24), "triad", 5},      // lead warp and shared shadow program
+		{NewHPGMG(64<<20, 32), "smooth-down", 3}, // one smoothing warp
+		{NewHPGMG(64<<20, 32), "restrict", 3},    // one transfer warp
+		{NewHPGMG(64<<20, 32), "prolong", 3},     // one transfer warp
+		{NewFFT(1<<22, 16), "fft-pass", 3},       // one butterfly warp
+		{NewGaussSeidel(4096, 1), "sweep", 3},    // one stripe of bands
+		{NewSGEMM(2048), "sgemm", 3},             // one tile
 	} {
-		k := c.w.Phases(fakeBases(c.w.Allocs()))[0].Kernel
+		k := phase(c.w, c.phase)
 		if got := testing.AllocsPerRun(20, func() { k.BlockProgram(0) }); got != c.want {
-			t.Errorf("%s: BlockProgram(0) makes %v allocations, want %v", c.w.Name(), got, c.want)
+			t.Errorf("%s %s: BlockProgram(0) makes %v allocations, want %v", c.w.Name(), c.phase, got, c.want)
 		}
 	}
 	block0 := func(bytes uint64) []gpu.Program {
 		w := NewStream(bytes, 24)
 		return w.Phases(fakeBases(w.Allocs()))[0].Kernel.BlockProgram(0)
-	}
-	// FFT sizes each block program exactly: 215-page blocks end on a
-	// one-page chunk, and the last block is short.
-	for _, w := range []*FFT{NewFFT(1<<20, 16), NewFFT(3000*512, 7)} {
-		for _, ph := range w.Phases(fakeBases(w.Allocs())) {
-			for b := 0; b < ph.Kernel.NumBlocks; b++ {
-				for _, p := range ph.Kernel.BlockProgram(b) {
-					if cap(p.Ops) != len(p.Ops) || cap(p.Runs) != len(p.Runs) {
-						t.Fatalf("fft block %d: %d/%d ops, %d/%d runs (len/cap)",
-							b, len(p.Ops), cap(p.Ops), len(p.Runs), cap(p.Runs))
-					}
-				}
-			}
-		}
 	}
 	small, large := block0(64<<20), block0(1<<30)
 	for i := range small {

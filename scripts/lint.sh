@@ -241,6 +241,26 @@ for f in cmd/uvmsweep/*.go internal/uvm/*.go internal/sweep/*.go; do
   fi
 done
 
+# 16. One looper (DESIGN.md §13.6): generators fold repeated chunks into
+#     loops only through internal/workloads/looper.go, the hand-rolled
+#     splits it replaced stay gone, and no program is pre-sized by a chunk
+#     count (that storage would grow with the grid).
+for f in internal/workloads/*.go; do
+  case "$f" in *_test.go|internal/workloads/looper.go) continue ;; esac
+  if grep -nF '.Loop(' "$f"; then
+    fail "$f builds a loop by hand; fold repeated chunks with the looper (internal/workloads/looper.go)"
+  fi
+done
+for f in internal/workloads/*.go; do
+  case "$f" in *_test.go) continue ;; esac
+  if grep -nE '(^|[^[:alnum:]_])(sweepChunks|panelStep)([^[:alnum:]_]|$)' "$f"; then
+    fail "$f brings back a hand-rolled loop builder; the looper replaced it"
+  fi
+  if grep -niE 'gpu\.NewProgram\([^)]*chunk' "$f"; then
+    fail "$f sizes a program by a chunk count; let the looper size it"
+  fi
+done
+
 if [ "$status" -ne 0 ]; then
   exit 1
 fi
