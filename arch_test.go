@@ -50,15 +50,8 @@ func TestHostDrivenMatchesDefault(t *testing.T) {
 			run := func(arch string) string {
 				cfg := tc.cfg
 				cfg.Policies.Architecture = arch
-				s, err := NewSimulator(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := s.Run(tc.mk())
-				if err != nil {
-					t.Fatal(err)
-				}
-				return formatDigestGolden(tc.name, res.Audit.Snapshots, res.Audit.FinalDigest)
+				_, snaps, final := recordedRun(t, cfg, tc.mk())
+				return formatDigestGolden(tc.name, snaps, final)
 			}
 			if got, want := run("host-driven"), run(""); got != want {
 				t.Fatalf("explicit host-driven diverges from the default architecture:\ngot:\n%s\nwant:\n%s", got, want)
@@ -103,7 +96,6 @@ func TestAlternativeArchitecturesPassAudit(t *testing.T) {
 			cfg.Driver.GPUMemBytes = 12 << 20 // 3x16 MB stream -> 400% oversubscribed
 			cfg.Policies.Architecture = arch
 			cfg.Audit.Enabled = true
-			cfg.Audit.Interval = 1
 			s, err := NewSimulator(cfg)
 			if err != nil {
 				t.Fatal(err)

@@ -188,7 +188,6 @@ func TestInPlaceDigestsMatchSnapshots(t *testing.T) {
 	contention.Driver.GPUMemBytes = 6 << 20
 	contention.Policies = uvm.PolicySelection{Eviction: "fifo", Prefetch: "cross-block", BatchSizing: "adaptive"}
 	contention.Audit.Enabled = true
-	contention.Audit.Interval = 1
 	drill := multi
 	drill.Audit.Enabled = true
 	drill.HW = faultinject.DefaultHardwareConfig()
@@ -231,7 +230,6 @@ func TestAuditedBatchEndAllocGuard(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Driver.GPUMemBytes = 12 << 20
 	cfg.Audit.Enabled = true
-	cfg.Audit.Interval = 0
 	s, err := NewSimulator(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -42,7 +42,6 @@ func main() {
 	cfg.Driver.PrefetchEnabled = false // expose raw fault mechanics
 	cfg.KeepFaults = true
 	cfg.Audit.Enabled = *auditOn
-	cfg.Audit.Interval = 1
 	ofl.Apply(&cfg.Obs)
 	pfl.Apply(&cfg.Obs)
 	cfg.Policies = pol.Selection()

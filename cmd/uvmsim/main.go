@@ -76,9 +76,8 @@ func main() {
 		list        = flag.Bool("list", false, "list workloads and exit")
 
 		// Runtime invariant auditing (internal/audit).
-		auditOn       = flag.Bool("audit", false, "run the invariant auditor alongside the simulation; violations fail the run")
-		auditInterval = flag.Int("audit-interval", 1, "audit every Nth batch (with -audit)")
-		verifyDet     = flag.Bool("verify-determinism", false, "run the workload twice and compare per-batch state digests; exits non-zero on divergence")
+		auditOn   = flag.Bool("audit", false, "run the invariant auditor alongside the simulation; violations fail the run")
+		verifyDet = flag.Bool("verify-determinism", false, "run the workload twice and compare per-batch state digests; exits non-zero on divergence")
 
 		// §6-proposal driver extensions.
 		workers    = flag.Int("workers", 1, "parallel VABlock service workers")
@@ -197,7 +196,6 @@ func main() {
 		}
 	}
 	cfg.Audit.Enabled = *auditOn
-	cfg.Audit.Interval = *auditInterval
 	ofl.Apply(&cfg.Obs)
 	pfl.Apply(&cfg.Obs)
 	cfg.Obs.EngineEvents = *traceEngine

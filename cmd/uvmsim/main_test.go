@@ -61,18 +61,46 @@ func TestUnknownPolicyRejected(t *testing.T) {
 	}
 }
 
-// TestCLIPolicyFlags builds the real binary and exercises -list-policies
-// and the unknown-name rejection end to end.
-func TestCLIPolicyFlags(t *testing.T) {
+// buildCLI builds the uvmsim binary into a temporary directory and
+// returns its path; it skips the test without a go toolchain.
+func buildCLI(t *testing.T) string {
+	t.Helper()
 	goTool, err := exec.LookPath("go")
 	if err != nil {
 		t.Skip("go toolchain not on PATH")
 	}
 	bin := filepath.Join(t.TempDir(), "uvmsim")
-	build := exec.Command(goTool, "build", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
+	if out, err := exec.Command(goTool, "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
+	return bin
+}
+
+// TestCLIAuditOnlyWhenAsked runs vecadd with and without -audit: only the
+// audited run attaches an auditor and prints its line, so a plain run
+// hashes no model state per batch.
+func TestCLIAuditOnlyWhenAsked(t *testing.T) {
+	bin := buildCLI(t)
+	out, err := exec.Command(bin, "-workload", "vecadd").CombinedOutput()
+	if err != nil {
+		t.Fatalf("vecadd: %v\n%s", err, out)
+	}
+	if strings.Contains(string(out), "audit ") {
+		t.Errorf("a run without -audit prints an audit line:\n%s", out)
+	}
+	out, err = exec.Command(bin, "-workload", "vecadd", "-audit").CombinedOutput()
+	if err != nil {
+		t.Fatalf("vecadd -audit: %v\n%s", err, out)
+	}
+	if !strings.Contains(string(out), " 0 violations, final digest ") {
+		t.Errorf("audited run prints no clean audit line:\n%s", out)
+	}
+}
+
+// TestCLIPolicyFlags builds the real binary and exercises -list-policies
+// and the unknown-name rejection end to end.
+func TestCLIPolicyFlags(t *testing.T) {
+	bin := buildCLI(t)
 
 	out, err := exec.Command(bin, "-list-policies").CombinedOutput()
 	if err != nil {
@@ -117,15 +145,7 @@ func TestCLIPolicyFlags(t *testing.T) {
 // device-death drill end to end: the run must exit zero, report the
 // re-homing, and show a clean audit.
 func TestCLIHWFaultDrill(t *testing.T) {
-	goTool, err := exec.LookPath("go")
-	if err != nil {
-		t.Skip("go toolchain not on PATH")
-	}
-	bin := filepath.Join(t.TempDir(), "uvmsim")
-	build := exec.Command(goTool, "build", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := buildCLI(t)
 
 	out, err := exec.Command(bin,
 		"-workload", "stream", "-mb", "8", "-audit",

@@ -8,29 +8,26 @@ import (
 )
 
 // VerifyDeterminism runs the same workload twice under the same
-// configuration, snapshotting every model's state digest at every batch
-// boundary, and compares the two snapshot streams. A correct simulator is
-// bit-deterministic, so the report must match; a divergence pinpoints the
-// first batch whose state differed, with full state dumps of both sides
-// for diagnosis.
+// configuration, recording every model's state digest at every batch
+// boundary (audit.Record), and compares the two snapshot streams. A
+// correct simulator is bit-deterministic, so the report must match; a
+// divergence pinpoints the first batch whose state differed, with full
+// state dumps of both sides for diagnosis.
 //
 // The workload's Phases method must be reusable (every bundled workload
-// builds fresh seeded RNGs per call). The passed configuration's audit
-// settings are overridden: snapshots every batch, dumps retained.
+// builds fresh seeded RNGs per call). The configuration is used as
+// given: with Audit enabled, the auditor checks both runs too.
 func VerifyDeterminism(cfg SystemConfig, w workloads.Workload) (*audit.DeterminismReport, error) {
-	cfg.Audit.Interval = 1
-	cfg.Audit.KeepDumps = true
-
-	one := func(label string) (*audit.Report, error) {
+	one := func(label string) ([]audit.Snapshot, error) {
 		s, err := NewSimulator(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("guvm: determinism %s run: %w", label, err)
 		}
-		res, err := s.Run(w)
-		if err != nil {
+		rec := audit.Record(s.Driver, s.Device, s.HostVM)
+		if _, err := s.Run(w); err != nil {
 			return nil, fmt.Errorf("guvm: determinism %s run: %w", label, err)
 		}
-		return res.Audit, nil
+		return rec.Snapshots, nil
 	}
 
 	first, err := one("first")
@@ -41,6 +38,6 @@ func VerifyDeterminism(cfg SystemConfig, w workloads.Workload) (*audit.Determini
 	if err != nil {
 		return nil, err
 	}
-	rep := audit.CompareSnapshots(first.Snapshots, second.Snapshots)
+	rep := audit.CompareSnapshots(first, second)
 	return &rep, nil
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"guvm/internal/audit"
+	"guvm/internal/digest"
 	"guvm/internal/workloads"
 )
 
@@ -56,20 +57,22 @@ func TestVerifyDeterminismUnderEviction(t *testing.T) {
 	}
 }
 
-// auditedSnapshots runs one workload with per-batch snapshots on and
-// returns the digest stream.
-func auditedSnapshots(t *testing.T, cfg SystemConfig) []audit.Snapshot {
+// recordedRun runs one workload with a recorder on the device and
+// returns the result, the per-batch snapshots and the final combined
+// digest.
+func recordedRun(t *testing.T, cfg SystemConfig, w workloads.Workload) (*Result, []audit.Snapshot, uint64) {
 	t.Helper()
-	cfg.Audit.Interval = 1
 	s, err := NewSimulator(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Run(fig08Workload())
+	rec := audit.Record(s.Driver, s.Device, s.HostVM)
+	res, err := s.Run(w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.Audit.Snapshots
+	final := digest.Combine(s.Driver.Digest(), s.Device.Digest(), s.HostVM.Digest(), s.Driver.Link().Digest())
+	return res, rec.Snapshots, final
 }
 
 // TestCompareSnapshotsDetectsPerturbation is the negative control for the
@@ -83,8 +86,8 @@ func TestCompareSnapshotsDetectsPerturbation(t *testing.T) {
 	perturbed := base
 	perturbed.Driver.BatchSize = base.Driver.BatchSize / 2
 
-	a := auditedSnapshots(t, base)
-	b := auditedSnapshots(t, perturbed)
+	_, a, _ := recordedRun(t, base, fig08Workload())
+	_, b, _ := recordedRun(t, perturbed, fig08Workload())
 
 	rep := audit.CompareSnapshots(a, b)
 	if rep.Match {
@@ -92,6 +95,39 @@ func TestCompareSnapshotsDetectsPerturbation(t *testing.T) {
 	}
 	if rep.FirstDivergentBatch < 0 {
 		t.Fatalf("divergent report has no divergent batch: %+v", rep)
+	}
+	if rep.A.Dump == "" || rep.B.Dump == "" {
+		t.Fatal("divergent report carries no state dumps")
+	}
+}
+
+// TestRecorderBesideAuditorMatches runs the recorder alone and then next
+// to the auditor on the same driver: checking must not perturb what is
+// recorded, so the two snapshot streams must match.
+func TestRecorderBesideAuditorMatches(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Driver.GPUMemBytes = 12 << 20 // 3x16 MB stream -> 400% oversubscribed
+	plain, alone, aloneFinal := recordedRun(t, cfg, fig08Workload())
+	if plain.Audit != nil {
+		t.Fatal("a run without Audit.Enabled carries an audit report")
+	}
+
+	cfg.Audit.Enabled = true
+	res, beside, final := recordedRun(t, cfg, fig08Workload())
+	if res.Audit.BatchesAudited != len(beside) {
+		t.Fatalf("auditor saw %d batches, recorder %d", res.Audit.BatchesAudited, len(beside))
+	}
+	rep := audit.CompareSnapshots(alone, beside)
+	if !rep.Match || rep.Compared == 0 {
+		t.Fatalf("recording beside the auditor diverged at batch %d (%d compared)",
+			rep.FirstDivergentBatch, rep.Compared)
+	}
+	if final != aloneFinal || final != res.Audit.FinalDigest {
+		t.Fatalf("final digests differ: recorder alone %016x, beside the auditor %016x, auditor %016x",
+			aloneFinal, final, res.Audit.FinalDigest)
+	}
+	if last := beside[len(beside)-1]; last.Dump == "" || last.At != res.Batches[last.Batch].End {
+		t.Fatalf("last snapshot is incomplete: batch %d at %d, dump %d bytes", last.Batch, last.At, len(last.Dump))
 	}
 }
 
@@ -106,17 +142,12 @@ func goldenDigestCases() []struct {
 	cfg  SystemConfig
 	mk   func() workloads.Workload
 } {
-	base := func() SystemConfig {
-		cfg := DefaultConfig()
-		cfg.Audit.Interval = 1
-		return cfg
-	}
-	vecadd := base()
-	stream := base()
+	vecadd := DefaultConfig()
+	stream := DefaultConfig()
 	stream.Driver.GPUMemBytes = 12 << 20 // 3x16 MB stream -> 400% oversubscribed
-	sgemm := base()
+	sgemm := DefaultConfig()
 	sgemm.Driver.GPUMemBytes = 8 << 20 // 12 MB footprint -> eviction under reuse
-	hpgmg := base()
+	hpgmg := DefaultConfig()
 	return []struct {
 		name string
 		cfg  SystemConfig
@@ -153,24 +184,17 @@ func TestBatchDigestGoldens(t *testing.T) {
 	for _, tc := range goldenDigestCases() {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			s, err := NewSimulator(tc.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := s.Run(tc.mk())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(res.Audit.Snapshots) == 0 {
+			_, snaps, final := recordedRun(t, tc.cfg, tc.mk())
+			if len(snaps) == 0 {
 				t.Fatal("no digest snapshots — the workload produced no batches")
 			}
-			got := formatDigestGolden(tc.name, res.Audit.Snapshots, res.Audit.FinalDigest)
+			got := formatDigestGolden(tc.name, snaps, final)
 			path := filepath.Join("testdata", "digests_"+tc.name+".golden")
 			if *updateGoldens {
 				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 					t.Fatal(err)
 				}
-				t.Logf("wrote %s (%d batches)", path, len(res.Audit.Snapshots))
+				t.Logf("wrote %s (%d batches)", path, len(snaps))
 				return
 			}
 			want, err := os.ReadFile(path)

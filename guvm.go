@@ -151,7 +151,7 @@ type Result struct {
 	// host (DriverStats.RehomedPages) and the workload was truncated.
 	DeviceFailed bool
 	// Audit is the invariant auditor's report (nil unless
-	// SystemConfig.Audit is active).
+	// SystemConfig.Audit is enabled).
 	Audit *audit.Report
 }
 
@@ -182,7 +182,7 @@ type Simulator struct {
 	Config SystemConfig
 	Engine *sim.Engine
 	// Devices and Drivers hold one entry per device; Auditors likewise
-	// when SystemConfig.Audit is active, and is empty otherwise.
+	// when SystemConfig.Audit is enabled, and is empty otherwise.
 	Devices  []*gpu.Device
 	Drivers  []*uvm.Driver
 	Auditors []*audit.Auditor
@@ -276,12 +276,7 @@ func NewMultiSimulator(cfg SystemConfig, n int) (*Simulator, error) {
 			link.SetHardware(s.HW, i, eng.Now)
 			drv.SetHardware(s.HW, i)
 		}
-		if cfg.Audit.Active() {
-			a := audit.New(cfg.Audit,
-				audit.Options{SharedInjector: shared, SharedHardware: shared},
-				eng, drv, dev, vm, inj)
-			a.SetHardware(s.HW)
-			a.Attach()
+		if a := audit.New(cfg.Audit, shared, eng, drv, dev, vm, inj, s.HW); a != nil {
 			s.Auditors = append(s.Auditors, a)
 		}
 		s.Drivers = append(s.Drivers, drv)

@@ -18,17 +18,16 @@
 //     plus unrecovered, with the device's drop counters agreeing.
 //
 // Violations surface as typed *ViolationError values through the
-// engine's Fail path — the auditor never panics. The same per-batch hook
-// also snapshots FNV-1a digests of every model's canonical state, which
-// the determinism verifier compares across runs to find the first
-// divergent batch.
+// engine's Fail path — the auditor never panics. The auditor only checks:
+// per-batch FNV-1a digests of every model's canonical state are a
+// Recorder's job, which the determinism verifier attaches to compare two
+// runs and find the first divergent batch.
 package audit
 
 import (
 	"errors"
 	"fmt"
 
-	"guvm/internal/digest"
 	"guvm/internal/faultinject"
 	"guvm/internal/gpu"
 	"guvm/internal/gpumem"
@@ -40,34 +39,11 @@ import (
 	"guvm/internal/uvm"
 )
 
-// Config enables and tunes the auditor.
+// Config enables the auditor.
 type Config struct {
 	// Enabled turns on invariant checking at every batch boundary and at
 	// end of run.
 	Enabled bool
-	// Interval, when positive, snapshots every model's state digest each
-	// Interval batches (the determinism verifier uses 1). Zero disables
-	// snapshots; the final digest is always recorded.
-	Interval int
-	// KeepDumps retains a human-readable state dump in every snapshot so
-	// a divergence can be diagnosed field by field (memory-heavy; meant
-	// for the determinism verifier).
-	KeepDumps bool
-}
-
-// Active reports whether an auditor should be attached at all.
-func (c Config) Active() bool { return c.Enabled || c.Interval > 0 }
-
-// Options adapt the checks to how the system is wired.
-type Options struct {
-	// SharedInjector disables the cross-layer injection equalities: with
-	// one injector serving several devices, per-device counters are each
-	// a fraction of the injector's totals.
-	SharedInjector bool
-	// SharedHardware likewise disables the cross-layer hardware-injection
-	// equality (driver link-retry count vs injected transfer drops) when
-	// one HardwareInjector serves several links.
-	SharedHardware bool
 }
 
 // ErrViolation is the sentinel matched by errors.Is for any invariant
@@ -113,8 +89,8 @@ type Snapshot struct {
 	// Combined folds the four component digests into one word.
 	Combined uint64
 
-	// Dump is the concatenated human-readable state (only with
-	// Config.KeepDumps).
+	// Dump is the concatenated human-readable state, for diagnosing a
+	// divergence field by field.
 	Dump string
 }
 
@@ -124,8 +100,6 @@ type Report struct {
 	BatchesAudited int
 	// ChecksRun counts individual invariant evaluations.
 	ChecksRun int
-	// Snapshots holds the periodic digest snapshots, in batch order.
-	Snapshots []Snapshot
 	// Violations holds every detected violation, in detection order. The
 	// engine stops on the first one, so more than one entry only occurs
 	// when end-of-run checks follow a clean run.
@@ -145,15 +119,17 @@ func (r *Report) Err() error {
 // Auditor watches one driver/device pair (plus the host VM, link and
 // injector they are wired to) and checks invariants at batch boundaries.
 type Auditor struct {
-	cfg  Config
-	opt  Options
-	eng  *sim.Engine
-	drv  *uvm.Driver
-	dev  *gpu.Device
-	vm   *hostos.VM
-	link *interconnect.Link
-	inj  *faultinject.Injector
-	hw   *faultinject.HardwareInjector
+	// shared disables the cross-layer injection equalities: with one
+	// injector and one hardware domain serving several devices, each
+	// device's counters are a fraction of their totals.
+	shared bool
+	eng    *sim.Engine
+	drv    *uvm.Driver
+	dev    *gpu.Device
+	vm     *hostos.VM
+	link   *interconnect.Link
+	inj    *faultinject.Injector
+	hw     *faultinject.HardwareInjector
 
 	// Running link-conservation ledgers, accumulated per observed batch.
 	sumMigrated uint64
@@ -182,44 +158,38 @@ type driverView interface {
 	VisitBlocks(fn func(*uvm.BlockAudit) bool)
 }
 
-// New builds an auditor for an assembled system. Call Attach before the
-// run starts so every batch is observed.
-func New(cfg Config, opt Options, eng *sim.Engine, drv *uvm.Driver, dev *gpu.Device, vm *hostos.VM, inj *faultinject.Injector) *Auditor {
+// New builds an auditor for an assembled system and attaches it to the
+// driver, so it must be called before the run starts. It returns nil, and
+// attaches nothing, unless cfg enables auditing. shared marks an injector
+// and a hardware domain serving several devices; hw may be nil, which
+// skips the hardware checks.
+func New(cfg Config, shared bool, eng *sim.Engine, drv *uvm.Driver, dev *gpu.Device, vm *hostos.VM,
+	inj *faultinject.Injector, hw *faultinject.HardwareInjector) *Auditor {
+	if !cfg.Enabled {
+		return nil
+	}
 	a := &Auditor{
-		cfg:      cfg,
-		opt:      opt,
+		shared:   shared,
 		eng:      eng,
 		drv:      drv,
 		dev:      dev,
 		vm:       vm,
 		link:     drv.Link(),
 		inj:      inj,
+		hw:       hw,
 		owners:   make(map[gpumem.ChunkID]mem.VABlockID),
 		serviced: make(map[mem.VABlockID]bool),
 	}
 	a.visitBlock = a.checkBlock
+	drv.Observe(a)
 	return a
 }
-
-// SetHardware attaches the hardware fault-domain injector so its
-// conservation ledgers are audited too. A nil injector (the default)
-// skips the hardware checks.
-func (a *Auditor) SetHardware(hw *faultinject.HardwareInjector) { a.hw = hw }
-
-// Attach registers the auditor as a driver observer.
-func (a *Auditor) Attach() { a.drv.Observe(a) }
 
 // EndBatch implements uvm.Observer: it runs at every batch end, after the
 // record was collected and the arbiter released, before the next batch
 // starts.
 func (a *Auditor) EndBatch(id int, rec *trace.BatchRecord, _ []gpu.Fault) {
 	a.rep.BatchesAudited++
-	if a.cfg.Interval > 0 && id%a.cfg.Interval == 0 {
-		a.rep.Snapshots = append(a.rep.Snapshots, a.snapshot(id))
-	}
-	if !a.cfg.Enabled {
-		return
-	}
 	if v := a.checkBatch(id, rec); v != nil {
 		a.violate(v)
 	}
@@ -235,8 +205,8 @@ func (a *Auditor) violate(v *ViolationError) {
 // run itself completed cleanly, and returns the report. Violations found
 // here are appended to the report; the caller surfaces them as errors.
 func (a *Auditor) Finish(runErr error) *Report {
-	a.rep.FinalDigest = a.combined()
-	if a.cfg.Enabled && runErr == nil {
+	a.rep.FinalDigest = digests(a.drv, a.dev, a.vm).Combined
+	if runErr == nil {
 		for _, v := range a.CheckNow() {
 			a.rep.Violations = append(a.rep.Violations, v)
 		}
@@ -386,7 +356,7 @@ func (a *Auditor) checkHardware(st *uvm.Stats) *ViolationError {
 			Detail: fmt.Sprintf("link-transfer: recovered %d > retried %d", n.Recovered, n.Retried),
 		}
 	}
-	if a.opt.SharedHardware {
+	if a.shared {
 		return nil
 	}
 	if uint64(st.HWLinkRetries) != n.Injected {
@@ -478,7 +448,7 @@ func (a *Auditor) checkInjection(st *uvm.Stats) *ViolationError {
 				ds.InjectedDrops, ds.InjectedDropRetries, ds.InjectedDropsLost),
 		}
 	}
-	if a.opt.SharedInjector {
+	if a.shared {
 		return nil
 	}
 	if uint64(ds.InjectedDrops) != is.BufferDrop.Injected {
@@ -630,36 +600,4 @@ func (a *Auditor) checkEvictions(rec *trace.BatchRecord) *ViolationError {
 		}
 	}
 	return nil
-}
-
-// snapshot digests every model's canonical state.
-func (a *Auditor) snapshot(batch int) Snapshot {
-	s := Snapshot{
-		Batch:  batch,
-		At:     a.eng.Now(),
-		Driver: a.drv.Digest(),
-		Device: a.dev.Digest(),
-		Host:   a.vm.Digest(),
-		Link:   a.link.Digest(),
-	}
-	s.Combined = digest.Combine(s.Driver, s.Device, s.Host, s.Link)
-	if a.cfg.KeepDumps {
-		s.Dump = a.dump()
-	}
-	return s
-}
-
-// dump renders every model's state for a KeepDumps snapshot. It is the
-// auditor's one use of the snapshot-building AuditState methods: the
-// checks and digests read the models in place.
-func (a *Auditor) dump() string {
-	drv := a.drv.AuditState()
-	dev := a.dev.AuditState()
-	host := a.vm.AuditState()
-	return drv.Dump() + dev.Dump() + host.Dump() + a.link.AuditState().Dump()
-}
-
-// combined returns the current combined digest of all four models.
-func (a *Auditor) combined() uint64 {
-	return digest.Combine(a.drv.Digest(), a.dev.Digest(), a.vm.Digest(), a.link.Digest())
 }

@@ -43,9 +43,15 @@ func validRecord() trace.BatchRecord {
 	}
 }
 
+// checkRecord runs the batch-record checks the way the auditor does, with
+// workers servicing the batch.
+func checkRecord(rec *trace.BatchRecord, workers int) *ViolationError {
+	return checkBatchRecord(rec, workers, make(map[mem.VABlockID]bool))
+}
+
 func TestCheckBatchRecordValid(t *testing.T) {
 	rec := validRecord()
-	if v := CheckBatchRecord(&rec); v != nil {
+	if v := checkRecord(&rec, 1); v != nil {
 		t.Fatalf("valid record rejected: %v", v)
 	}
 }
@@ -72,7 +78,7 @@ func TestCheckBatchRecordCorruptions(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			rec := validRecord()
 			tc.corrupt(&rec)
-			v := CheckBatchRecord(&rec)
+			v := checkRecord(&rec, 1)
 			if v == nil {
 				t.Fatal("corruption not detected")
 			}
@@ -93,14 +99,14 @@ func TestCheckBatchRecordCorruptions(t *testing.T) {
 func TestCheckBatchRecordParallelWorkers(t *testing.T) {
 	rec := validRecord()
 	rec.TPopulate = 3 * rec.Duration() / 2 // sum > 1x duration, < 2x
-	if v := CheckBatchRecord(&rec); v == nil || v.Check != "batch-times" {
+	if v := checkRecord(&rec, 1); v == nil || v.Check != "batch-times" {
 		t.Fatalf("over-budget serial record not flagged: %v", v)
 	}
-	if v := CheckBatchRecordParallel(&rec, 2); v != nil {
+	if v := checkRecord(&rec, 2); v != nil {
 		t.Fatalf("2-worker batch wrongly flagged: %v", v)
 	}
 	rec.TPopulate = 3 * rec.Duration()
-	if v := CheckBatchRecordParallel(&rec, 2); v == nil || v.Check != "batch-times" {
+	if v := checkRecord(&rec, 2); v == nil || v.Check != "batch-times" {
 		t.Fatalf("record past 2x duration not flagged: %v", v)
 	}
 }
@@ -117,7 +123,7 @@ func TestCheckBatchRecordSaturatedHistograms(t *testing.T) {
 	// Histograms saturate at 65535 per cell and no longer sum back.
 	rec.FaultsPerSM = []uint16{65535}
 	rec.VABlockFaults = []uint16{65535, 100}
-	if v := CheckBatchRecord(&rec); v != nil {
+	if v := checkRecord(&rec, 1); v != nil {
 		t.Fatalf("saturated histograms must be exempt: %v", v)
 	}
 }
@@ -146,15 +152,6 @@ func TestReportErr(t *testing.T) {
 	rep.Violations = append(rep.Violations, first, &ViolationError{Check: "b"})
 	if rep.Err() != first {
 		t.Fatal("Err must return the first violation")
-	}
-}
-
-func TestConfigActive(t *testing.T) {
-	if (Config{}).Active() {
-		t.Fatal("zero config must be inactive")
-	}
-	if !(Config{Enabled: true}).Active() || !(Config{Interval: 4}).Active() {
-		t.Fatal("enabled or snapshotting config must be active")
 	}
 }
 
@@ -215,7 +212,7 @@ func testSystem(t *testing.T) *Auditor {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return New(Config{Enabled: true, Interval: 1}, Options{}, eng, drv, dev, vm, inj)
+	return New(Config{Enabled: true}, false, eng, drv, dev, vm, inj, nil)
 }
 
 // TestCheckNowCleanSystem: a freshly wired, never-run system satisfies
@@ -354,10 +351,10 @@ func TestCheckInjectionCleanSystem(t *testing.T) {
 // the per-device reconciliations that a shared injector invalidates.
 func TestSharedOptionsSkipCrossLayerChecks(t *testing.T) {
 	a := testSystem(t)
-	a.opt = Options{SharedInjector: true}
+	a.shared = true
 	var st uvm.Stats
 	st.MigRetries = 3 // would trip the single-injector equality
 	if v := a.checkInjection(&st); v != nil {
-		t.Fatalf("SharedInjector did not skip cross-layer check: %v", v)
+		t.Fatalf("shared wiring did not skip cross-layer check: %v", v)
 	}
 }

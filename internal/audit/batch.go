@@ -7,29 +7,14 @@ import (
 	"guvm/internal/trace"
 )
 
-// CheckBatchRecord validates the self-consistency of one batch record —
+// checkBatchRecord validates the self-consistency of one batch record —
 // the invariants that hold for the record alone, with no model state:
 // fault accounting, histogram sums, byte/page agreement and time-component
-// sanity. It assumes serial VABlock servicing; use CheckBatchRecordParallel
-// when the driver runs ServiceWorkers > 1. It returns the violation with
-// Batch and At unset (the caller stamps detection context), or nil.
-func CheckBatchRecord(rec *trace.BatchRecord) *ViolationError {
-	return CheckBatchRecordParallel(rec, 1)
-}
-
-// CheckBatchRecordParallel is CheckBatchRecord with the driver's servicing
-// concurrency made explicit: time components record aggregate work across
-// workers while the batch duration is the parallel makespan, so the sum
-// bound relaxes to workers x duration (any work-conserving schedule has
-// makespan >= total work / workers).
-func CheckBatchRecordParallel(rec *trace.BatchRecord, workers int) *ViolationError {
-	return checkBatchRecord(rec, workers, make(map[mem.VABlockID]bool, len(rec.ServicedBlocks)))
-}
-
-// checkBatchRecord is CheckBatchRecordParallel with the set it finds
-// repeated serviced blocks in supplied by the caller; the auditor passes
-// one it reuses, so an audited batch allocates nothing. It clears seen
-// first.
+// sanity. workers is the driver's servicing concurrency (see
+// checkBatchTimes). seen is the set it finds repeated serviced blocks in,
+// supplied by the caller; the auditor passes one it reuses, so an audited
+// batch allocates nothing. It clears seen first. It returns the violation
+// with Batch and At unset (the caller stamps detection context), or nil.
 func checkBatchRecord(rec *trace.BatchRecord, workers int, seen map[mem.VABlockID]bool) *ViolationError {
 	if workers < 1 {
 		workers = 1
@@ -108,7 +93,10 @@ func checkBatchRecord(rec *trace.BatchRecord, workers int, seen map[mem.VABlockI
 
 // checkBatchTimes verifies the timer components: none negative, and their
 // sum within workers x the batch duration (the remainder is batch setup
-// and replay issue, per the trace contract).
+// and replay issue, per the trace contract). Time components record
+// aggregate work across workers while the batch duration is the parallel
+// makespan, so the sum bound relaxes to workers x duration (any
+// work-conserving schedule has makespan >= total work / workers).
 func checkBatchTimes(rec *trace.BatchRecord, workers int) *ViolationError {
 	if rec.End < rec.Start {
 		return &ViolationError{

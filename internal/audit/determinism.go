@@ -12,8 +12,8 @@ type DeterminismReport struct {
 	// snapshot, or -1 when the runs match.
 	FirstDivergentBatch int
 	// A and B are the first divergent snapshot pair (zero values when the
-	// runs match). With Config.KeepDumps their Dump fields hold the full
-	// states for field-by-field diagnosis.
+	// runs match). Recorder snapshots carry their full state dumps for
+	// field-by-field diagnosis.
 	A, B Snapshot
 }
 

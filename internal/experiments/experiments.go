@@ -118,7 +118,6 @@ func baseConfig() guvm.SystemConfig {
 	cfg := guvm.DefaultConfig()
 	cfg.Driver.GPUMemBytes = 256 << 20
 	cfg.Audit.Enabled = true
-	cfg.Audit.Interval = 8
 	cfg.Policies = policyOverride
 	return cfg
 }

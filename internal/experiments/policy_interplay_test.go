@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"guvm"
+	"guvm/internal/audit"
 	"guvm/internal/digest"
 	"guvm/internal/uvm"
 	"guvm/internal/workloads"
@@ -53,17 +54,17 @@ func runCombo(c policyCombo) comboOutcome {
 	cfg.Driver.ServiceWorkers = c.workers
 	cfg.Policies = c.pols
 	cfg.Audit.Enabled = true
-	cfg.Audit.Interval = 1
 	s, err := guvm.NewSimulator(cfg)
 	if err != nil {
 		return comboOutcome{err: err}
 	}
+	rec := audit.Record(s.Driver, s.Device, s.HostVM)
 	res, err := s.Run(workloads.NewStream(16<<20, 24))
 	if err != nil {
 		return comboOutcome{err: err}
 	}
 	h := digest.New()
-	for _, snap := range res.Audit.Snapshots {
+	for _, snap := range rec.Snapshots {
 		h = h.Int(snap.Batch).Uint64(snap.Combined)
 	}
 	h = h.Uint64(res.Audit.FinalDigest)
@@ -127,17 +128,16 @@ func TestAdaptiveSizingChangesBatching(t *testing.T) {
 		cfg.Driver.BatchSize = 1024
 		cfg.Policies = uvm.PolicySelection{Prefetch: "off", BatchSizing: sizing}
 		cfg.Audit.Enabled = true
-		cfg.Audit.Interval = 1
 		s, err := guvm.NewSimulator(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := s.Run(workloads.NewSGEMM(1024))
-		if err != nil {
+		rec := audit.Record(s.Driver, s.Device, s.HostVM)
+		if _, err := s.Run(workloads.NewSGEMM(1024)); err != nil {
 			t.Fatal(err)
 		}
 		h := digest.New()
-		for _, snap := range res.Audit.Snapshots {
+		for _, snap := range rec.Snapshots {
 			h = h.Uint64(snap.Combined)
 		}
 		return h

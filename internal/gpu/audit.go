@@ -13,7 +13,8 @@ import (
 // progress, and the accumulated statistics. At a clean end of run every
 // occupancy field must be zero — a non-empty µTLB after the queue drained
 // means a lost fault. Digest and the auditor read the live device
-// instead; the snapshot is their test oracle and the opt-in state dump.
+// instead; the snapshot is their test oracle and the determinism
+// recorder's state dump.
 type AuditState struct {
 	BufferLen int
 	Running   bool

@@ -20,7 +20,7 @@ type MappingAudit struct {
 // AuditState is the canonical snapshot of the host VM model: every block
 // with live CPU mappings (ascending block order), the radix-tree shape,
 // and the accumulated statistics. Digest reads the live VM instead; the
-// snapshot is its test oracle and the opt-in state dump.
+// snapshot is its test oracle and the determinism recorder's state dump.
 type AuditState struct {
 	Mappings   []MappingAudit
 	RadixNodes int

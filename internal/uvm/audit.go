@@ -30,7 +30,7 @@ type BlockAudit struct {
 // adaptive batch state, and the accumulated statistics. Building one
 // copies every block; the auditor and Digest walk the live driver instead
 // (VisitBlocks, AuditHeader), and AuditState remains the oracle they are
-// tested against and the source of the opt-in state dumps.
+// tested against and the source of the determinism recorder's dumps.
 type AuditState struct {
 	Blocks []BlockAudit
 	// AllocatedOrder is d.allocated in order: the LRU/FIFO victim scan

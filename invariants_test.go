@@ -78,7 +78,6 @@ func fuzzConfig(oversub, prefetch bool) SystemConfig {
 		cfg.Driver.GPUMemBytes = 64 << 20
 	}
 	cfg.Audit.Enabled = true
-	cfg.Audit.Interval = 1
 	return cfg
 }
 

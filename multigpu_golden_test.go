@@ -67,7 +67,6 @@ func TestMultiGPUGolden(t *testing.T) {
 	policies.Driver.GPUMemBytes = 6 << 20
 	policies.Policies = uvm.PolicySelection{Eviction: "fifo", Prefetch: "cross-block", BatchSizing: "adaptive"}
 	policies.Audit.Enabled = true
-	policies.Audit.Interval = 1
 	writeMultiGPURun(t, &b, "fifo/cross-block/adaptive contention", policies)
 
 	drill := multiGPUTestConfig()

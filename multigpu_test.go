@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"guvm/internal/audit"
 	"guvm/internal/mem"
 	"guvm/internal/sim"
 	"guvm/internal/uvm"
@@ -223,10 +224,17 @@ func TestMultiSimulatorNamedPolicies(t *testing.T) {
 		BatchSizing: "adaptive",
 	}
 	cfg.Audit.Enabled = true
-	cfg.Audit.Interval = 1
 
-	runOnce := func() []*Result {
+	type run struct {
+		res  []*Result
+		recs []*audit.Recorder
+	}
+	runOnce := func() run {
 		m := mustMulti(t, cfg, 2)
+		var recs []*audit.Recorder
+		for i, d := range m.Drivers {
+			recs = append(recs, audit.Record(d, m.Devices[i], m.HostVM))
+		}
 		// The selection must reach every driver: "cross-block" sets each
 		// driver's effective scope (which policy object each name
 		// resolves to is TestNewDriverResolvesPolicies' job).
@@ -242,14 +250,14 @@ func TestMultiSimulatorNamedPolicies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rs
+		return run{rs, recs}
 	}
 	a, b := runOnce(), runOnce()
-	for i := range a {
-		if a[i].DriverStats.Evictions == 0 {
+	for i := range a.res {
+		if a.res[i].DriverStats.Evictions == 0 {
 			t.Fatalf("device %d: no evictions — the fifo policy never ran", i)
 		}
-		as, bs := a[i].Audit.Snapshots, b[i].Audit.Snapshots
+		as, bs := a.recs[i].Snapshots, b.recs[i].Snapshots
 		if len(as) == 0 || len(as) != len(bs) {
 			t.Fatalf("device %d: snapshot streams %d vs %d", i, len(as), len(bs))
 		}
@@ -259,7 +267,7 @@ func TestMultiSimulatorNamedPolicies(t *testing.T) {
 					i, as[j].Batch, as[j].Combined, bs[j].Combined)
 			}
 		}
-		if a[i].Audit.FinalDigest != b[i].Audit.FinalDigest {
+		if a.res[i].Audit.FinalDigest != b.res[i].Audit.FinalDigest {
 			t.Fatalf("device %d: final digests differ", i)
 		}
 	}

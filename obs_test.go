@@ -25,7 +25,6 @@ var updateObsGolden = flag.Bool("update-obs-golden", false, "rewrite the testdat
 func obsTestConfig() SystemConfig {
 	cfg := DefaultConfig()
 	cfg.Audit.Enabled = true
-	cfg.Audit.Interval = 1
 	return cfg
 }
 
@@ -51,17 +50,16 @@ func TestObsDigestsUnchanged(t *testing.T) {
 	on := obsTestConfig()
 	on.Obs = obs.Config{Trace: true, EngineEvents: true, SampleInterval: 1, Profile: true}
 
-	_, resOff := runVecAdd(t, off)
-	_, resOn := runVecAdd(t, on)
+	resOff, snapsOff, _ := recordedRun(t, off, workloads.NewVecAddPaper())
+	resOn, snapsOn, _ := recordedRun(t, on, workloads.NewVecAddPaper())
 
-	rep := audit.CompareSnapshots(resOff.Audit.Snapshots, resOn.Audit.Snapshots)
+	rep := audit.CompareSnapshots(snapsOff, snapsOn)
 	if !rep.Match {
 		t.Fatalf("observability perturbed the simulation: first divergent batch %d (%d compared)",
 			rep.FirstDivergentBatch, rep.Compared)
 	}
-	if len(resOff.Audit.Snapshots) != len(resOn.Audit.Snapshots) {
-		t.Fatalf("snapshot count differs: %d without obs, %d with",
-			len(resOff.Audit.Snapshots), len(resOn.Audit.Snapshots))
+	if len(snapsOff) != len(snapsOn) {
+		t.Fatalf("snapshot count differs: %d without obs, %d with", len(snapsOff), len(snapsOn))
 	}
 	if resOff.Audit.FinalDigest != resOn.Audit.FinalDigest {
 		t.Fatalf("final digest differs: %016x without obs, %016x with",

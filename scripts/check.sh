@@ -11,10 +11,12 @@ go test -race ./...
 # End-to-end audit gate: the Figure-3 (vecadd) and Figure-8 (stream)
 # workloads must complete with the runtime invariant auditor checking
 # every batch, and the stream run must produce bit-identical per-batch
-# state digests across two runs.
+# state digests across two runs, with and without the auditor checking
+# beside the determinism verifier's recorder.
 go run ./cmd/uvmsim -workload vecadd -audit > /dev/null
 go run ./cmd/uvmsim -workload stream -mb 16 -audit > /dev/null
 go run ./cmd/uvmsim -workload stream -mb 16 -verify-determinism > /dev/null
+go run ./cmd/uvmsim -workload stream -mb 16 -audit -verify-determinism > /dev/null
 
 # Degraded-mode gate: the same stream run must stay audit-clean and
 # digest-deterministic with the hardware fault domain engaged, and the

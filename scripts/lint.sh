@@ -210,8 +210,8 @@ done
 
 # 14. The auditor and the digests read model state in place (DESIGN.md
 #     §8): no non-test Digest() in uvm, gpu or hostos builds an
-#     AuditState snapshot, and the auditor builds one only in its
-#     KeepDumps dump helper, so no per-batch path copies a layer's state.
+#     AuditState snapshot, and the audit package builds one only in the
+#     Recorder's dump helper, so no checking path copies a layer's state.
 for f in internal/uvm/*.go internal/gpu/*.go internal/hostos/*.go; do
   case "$f" in *_test.go) continue ;; esac
   if awk '/^func .*\) Digest\(\) uint64 \{/ { in_fn = 1 }
@@ -223,10 +223,10 @@ for f in internal/uvm/*.go internal/gpu/*.go internal/hostos/*.go; do
 done
 for f in internal/audit/*.go; do
   case "$f" in *_test.go) continue ;; esac
-  if awk '/^func / { in_dump = ($0 ~ /^func \(a \*Auditor\) dump\(\)/) }
+  if awk '/^func / { in_dump = ($0 ~ /^func \(r \*Recorder\) dump\(\)/) }
           !in_dump && /AuditState\(\)/ { print FILENAME ":" FNR ": " $0; bad = 1 }
           END { exit !bad }' "$f"; then
-    fail "$f calls AuditState() outside the KeepDumps dump helper; walk the models in place"
+    fail "$f calls AuditState() outside the Recorder's dump helper; walk the models in place"
   fi
 done
 
@@ -258,6 +258,25 @@ for f in internal/workloads/*.go; do
   fi
   if grep -niE 'gpu\.NewProgram\([^)]*chunk' "$f"; then
     fail "$f sizes a program by a chunk count; let the looper size it"
+  fi
+done
+
+# 17. The auditor only checks (DESIGN.md §8): per-batch digests and dumps
+#     are the Recorder's, and only the determinism verifier attaches one,
+#     so an audited or plain run costs time linear in its size. The
+#     snapshot settings it replaced stay gone.
+for f in internal/audit/*.go; do
+  case "$f" in *_test.go) continue ;; esac
+  if grep -nE '(^|[^[:alnum:]_])(Interval|KeepDumps)([^[:alnum:]_]|$)|(^|[^[:alnum:]_])Active\(\)' "$f"; then
+    fail "$f brings back an audit snapshot setting; per-batch digests belong to the Recorder"
+  fi
+done
+if grep -rnF 'audit-interval' cmd; then
+  fail "cmd/ brings back -audit-interval; only -verify-determinism records per-batch digests"
+fi
+for f in $(find . -name '*.go' ! -name '*_test.go' ! -path './determinism.go'); do
+  if grep -nF 'audit.Record(' "$f"; then
+    fail "$f attaches a Recorder; only the determinism verifier (determinism.go) records per batch"
   fi
 done
 
