@@ -10,6 +10,7 @@ import (
 
 	"guvm/internal/audit"
 	"guvm/internal/digest"
+	"guvm/internal/faultinject"
 	"guvm/internal/workloads"
 )
 
@@ -212,5 +213,73 @@ func TestBatchDigestGoldens(t *testing.T) {
 				t.Fatalf("digest stream length differs: got %d lines, want %d", len(gl), len(wl))
 			}
 		})
+	}
+}
+
+// streamFaultsConfig is the one golden regime that runs both fault
+// domains at once: an audited 16 MiB stream with every software
+// injection category at rate 0.02 and the link regimes at uvmsim's
+// -hw-fault defaults (degrade 0.2, flap 0.1), all under seed 1. It is
+// the only case where the two domains share a run, so it pins their
+// draws against each other.
+func streamFaultsConfig() SystemConfig {
+	cfg := DefaultConfig()
+	cfg.Audit.Enabled = true
+	cfg.Inject.BufferDropRate = 0.02
+	cfg.Inject.MigrateFailRate = 0.02
+	cfg.Inject.HostAllocFailRate = 0.02
+	cfg.HW.LinkDegradeRate = 0.2
+	cfg.HW.LinkFlapRate = 0.1
+	return cfg
+}
+
+// formatInjectGolden renders the injector ledgers in a fixed text form:
+// one injected/retried/recovered/unrecovered line per category, then
+// the device-death count.
+func formatInjectGolden(res *Result) string {
+	var b strings.Builder
+	for _, c := range []struct {
+		name string
+		n    faultinject.Counters
+	}{
+		{"buffer-drop", res.InjectStats.BufferDrop},
+		{"migrate", res.InjectStats.Migrate},
+		{"host-alloc", res.InjectStats.HostAlloc},
+		{"link-transfer", res.HWStats.LinkTransfer},
+	} {
+		fmt.Fprintf(&b, "inject %s %d/%d/%d/%d\n", c.name, c.n.Injected, c.n.Retried, c.n.Recovered, c.n.Unrecovered)
+	}
+	fmt.Fprintf(&b, "devices-killed %d\n", res.HWStats.DevicesKilled)
+	return b.String()
+}
+
+// TestStreamFaultsGolden freezes the run with software injection and a
+// hardware regime together: its per-batch digests, final digest and
+// injector ledgers must match testdata/digests_stream_faults.golden.
+func TestStreamFaultsGolden(t *testing.T) {
+	res, snaps, final := recordedRun(t, streamFaultsConfig(), workloads.NewStream(16<<20, 24))
+	if len(res.Audit.Violations) != 0 {
+		t.Fatalf("audit violations: %v", res.Audit.Violations)
+	}
+	got := formatDigestGolden("stream_faults", snaps, final) + formatInjectGolden(res)
+	path := filepath.Join("testdata", "digests_stream_faults.golden")
+	if *updateGoldens {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden (run with -update-goldens to freeze): %v", err)
+	}
+	if got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("diverged from golden at line %d:\ngot:  %s\nwant: %s", i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("length differs: got %d lines, want %d", len(gl), len(wl))
 	}
 }
