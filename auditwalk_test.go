@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"guvm/internal/digest"
-	"guvm/internal/faultinject"
 	"guvm/internal/gpu"
 	"guvm/internal/hostos"
 	"guvm/internal/trace"
@@ -190,10 +189,9 @@ func TestInPlaceDigestsMatchSnapshots(t *testing.T) {
 	contention.Audit.Enabled = true
 	drill := multi
 	drill.Audit.Enabled = true
-	drill.HW = faultinject.DefaultHardwareConfig()
-	drill.HW.EpochLength /= 4
-	drill.HW.KillDevice = 1
-	drill.HW.KillBatch = 3
+	drill.Inject.EpochLength /= 4
+	drill.Inject.KillDevice = 1
+	drill.Inject.KillBatch = 3
 	runs = append(runs, run{"multigpu-contention", contention, 2, streams}, run{"multigpu-drill", drill, 2, streams})
 
 	for _, r := range runs {
@@ -203,7 +201,7 @@ func TestInPlaceDigestsMatchSnapshots(t *testing.T) {
 		}
 		var checkers []*walkChecker
 		for i, drv := range s.Drivers {
-			c := &walkChecker{t: t, name: r.name, drv: drv, dev: s.Devices[i], vm: s.HostVM, hw: s.HW != nil}
+			c := &walkChecker{t: t, name: r.name, drv: drv, dev: s.Devices[i], vm: s.HostVM, hw: s.Injector.Hardware()}
 			drv.Observe(c)
 			checkers = append(checkers, c)
 		}

@@ -46,10 +46,10 @@ func main() {
 	pfl.Apply(&cfg.Obs)
 	cfg.Policies = pol.Selection()
 	if *hwFault {
-		cfg.HW.LinkDegradeRate = 0.2
-		cfg.HW.LinkFlapRate = 0.1
+		cfg.Inject.LinkDegradeRate = 0.2
+		cfg.Inject.LinkFlapRate = 0.1
 	}
-	cfg.HW.KillBatch = *hwKill
+	cfg.Inject.KillBatch = *hwKill
 
 	var w workloads.Workload
 	if *prefetch {
@@ -104,13 +104,13 @@ func main() {
 		res.KernelTime.Micros(), len(res.Batches),
 		res.DriverStats.TotalFaults, res.DeviceStats.Refaults)
 
-	if cfg.HW.Enabled() {
+	if cfg.Inject.HardwareEnabled() {
 		fmt.Printf("hw faults: %d injected transfer drops, %d link retries, %d degraded ops\n",
-			res.HWStats.LinkTransfer.Injected, res.DriverStats.HWLinkRetries,
+			res.InjectStats.LinkTransfer.Injected, res.DriverStats.HWLinkRetries,
 			res.LinkStats.DegradedOps)
 		if res.DeviceFailed {
 			fmt.Printf("device killed after batch %d: re-homed %d pages (%d VABlocks) to host\n",
-				cfg.HW.KillBatch, res.DriverStats.RehomedPages, res.DriverStats.RehomedBlocks)
+				cfg.Inject.KillBatch, res.DriverStats.RehomedPages, res.DriverStats.RehomedBlocks)
 		}
 	}
 

@@ -92,8 +92,7 @@ func main() {
 		pol       = uvm.RegisterPolicyFlags(flag.CommandLine)
 		analyze   = flag.Bool("analyze", false, "print post-run telemetry analysis")
 		traceFile = flag.String("trace", "", "replay a recorded access trace instead of a named workload")
-		csvOut    = flag.String("csv", "", "write per-batch records as CSV to this file")
-		csvInject = flag.Bool("csv-inject", false, "append injected-fault columns to the -csv export")
+		csvOut    = flag.String("csv", "", "write per-batch records as CSV to this file (with injected-fault columns when software injection is on)")
 		faultsOut = flag.String("faults-jsonl", "", "write per-fault records as JSON lines to this file (enables fault retention)")
 
 		// Observability (internal/obs): the shared flag set (-trace-out,
@@ -105,7 +104,7 @@ func main() {
 		metricsHold = flag.Duration("metrics-hold", 0, "keep the -metrics-addr endpoint up this long after the run finishes")
 
 		// Deterministic fault injection (all rates default to 0 = off).
-		injSeed        = flag.Uint64("inject-seed", 1, "fault-injection RNG seed")
+		injSeed        = flag.Uint64("inject-seed", 1, "fault-injection RNG seed (software categories and hardware regimes)")
 		injDropRate    = flag.Float64("inject-drop-rate", 0, "probability a fault record is dropped before reaching the fault buffer")
 		injDropRetries = flag.Int("inject-drop-retries", 3, "hardware re-emission attempts for a dropped fault record")
 		injMigRate     = flag.Float64("inject-mig-rate", 0, "probability a DMA transfer attempt fails transiently")
@@ -113,12 +112,11 @@ func main() {
 		injHostRate    = flag.Float64("inject-host-rate", 0, "probability a host page-population call fails")
 		injHostRetries = flag.Int("inject-host-retries", 6, "population retries (with batch shrinking and forced eviction) before fatal")
 
-		// Hardware fault domain (internal/faultinject.HardwareInjector):
-		// seeded link degradation/flapping epochs and scheduled device
-		// death. Off by default; -hw-fault enables the link regimes at the
-		// rates below, -hw-kill-batch schedules device death on its own.
+		// Hardware regimes of the same injector: seeded link
+		// degradation/flapping epochs and scheduled device death. Off by
+		// default; -hw-fault enables the link regimes at the rates below,
+		// -hw-kill-batch schedules device death on its own.
 		hwFault         = flag.Bool("hw-fault", false, "enable the hardware fault domain (degraded/flapping link epochs)")
-		hwSeed          = flag.Uint64("hw-seed", 1, "hardware fault-domain RNG seed")
 		hwEpoch         = flag.Duration("hw-epoch", 100*time.Microsecond, "virtual-time length of one link-health epoch")
 		hwDegradeRate   = flag.Float64("hw-degrade-rate", 0.2, "probability a link-health epoch runs at degraded bandwidth (with -hw-fault)")
 		hwDegradeFactor = flag.Float64("hw-degrade-factor", 0.25, "bandwidth multiplier during a degraded epoch")
@@ -184,15 +182,14 @@ func main() {
 	cfg.Inject.HostAllocFailRate = *injHostRate
 	cfg.Inject.HostAllocMaxRetries = *injHostRetries
 	if *hwFault || *hwKillBatch > 0 {
-		cfg.HW.Seed = *hwSeed
-		cfg.HW.EpochLength = sim.Time(hwEpoch.Nanoseconds())
-		cfg.HW.DegradedBandwidthFactor = *hwDegradeFactor
-		cfg.HW.FlapDropRate = *hwFlapDrop
-		cfg.HW.LinkRetryLimit = *hwRetryLimit
-		cfg.HW.KillBatch = *hwKillBatch
+		cfg.Inject.EpochLength = sim.Time(hwEpoch.Nanoseconds())
+		cfg.Inject.DegradedBandwidthFactor = *hwDegradeFactor
+		cfg.Inject.FlapDropRate = *hwFlapDrop
+		cfg.Inject.LinkRetryLimit = *hwRetryLimit
+		cfg.Inject.KillBatch = *hwKillBatch
 		if *hwFault {
-			cfg.HW.LinkDegradeRate = *hwDegradeRate
-			cfg.HW.LinkFlapRate = *hwFlapRate
+			cfg.Inject.LinkDegradeRate = *hwDegradeRate
+			cfg.Inject.LinkFlapRate = *hwFlapRate
 		}
 	}
 	cfg.Audit.Enabled = *auditOn
@@ -263,8 +260,8 @@ func main() {
 			res.Audit.BatchesAudited, res.Audit.ChecksRun, len(res.Audit.Violations), res.Audit.FinalDigest)
 	}
 
-	if cfg.Inject.Enabled() {
-		is := res.InjectStats
+	is := res.InjectStats
+	if cfg.Inject.SoftwareEnabled() {
 		fmt.Printf("injected faults (category: injected/retried/recovered/unrecovered)\n")
 		fmt.Printf("  buffer-drop   %d/%d/%d/%d\n",
 			is.BufferDrop.Injected, is.BufferDrop.Retried, is.BufferDrop.Recovered, is.BufferDrop.Unrecovered)
@@ -278,11 +275,11 @@ func main() {
 			res.DeviceStats.InjectedDrops, res.DeviceStats.InjectedDropRetries, res.DeviceStats.InjectedDropsLost)
 	}
 
-	if cfg.HW.Enabled() && s.HW != nil {
-		healthy, degraded, flapping := s.HW.EpochHealthCounts(0, res.TotalTime)
+	if cfg.Inject.HardwareEnabled() {
+		healthy, degraded, flapping := s.Injector.EpochHealthCounts(0, res.TotalTime)
 		fmt.Printf("hw fault domain (link epochs: %d healthy, %d degraded, %d flapping)\n",
 			healthy, degraded, flapping)
-		n := res.HWStats.LinkTransfer
+		n := is.LinkTransfer
 		fmt.Printf("  link-transfer %d/%d/%d/%d (injected/retried/recovered/unrecovered)\n",
 			n.Injected, n.Retried, n.Recovered, n.Unrecovered)
 		fmt.Printf("  driver        %d degraded ops, %d link retries, %d degraded-aware shrinks\n",
@@ -290,7 +287,7 @@ func main() {
 		if res.DeviceFailed {
 			ds := res.DriverStats
 			fmt.Printf("  device death  after batch %d: re-homed %d VABlocks, %d/%d resident pages (%.1f MiB) to host\n",
-				cfg.HW.KillBatch, ds.RehomedBlocks, ds.RehomedPages, ds.ResidentAtKill,
+				cfg.Inject.KillBatch, ds.RehomedBlocks, ds.RehomedPages, ds.ResidentAtKill,
 				float64(ds.RehomedBytes)/(1<<20))
 		}
 	}
@@ -312,7 +309,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "uvmsim: %v\n", err)
 			os.Exit(1)
 		}
-		if err := trace.WriteBatchesCSVWith(f, res.Batches, *csvInject); err != nil {
+		if err := trace.WriteBatchesCSV(f, res.Batches, cfg.Inject.SoftwareEnabled()); err != nil {
 			fmt.Fprintf(os.Stderr, "uvmsim: %v\n", err)
 			os.Exit(1)
 		}

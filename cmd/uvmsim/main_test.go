@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -172,5 +173,43 @@ func TestCLIHWFaultDrill(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "determinism verified") {
 		t.Errorf("determinism output:\n%s", out)
+	}
+}
+
+// TestCLICSVInjectColumns checks that -csv derives its injected-fault
+// columns from the run: an uninjected run writes the plain per-batch
+// columns, and a run with software injection on appends
+// inj_mig_failures and inj_host_alloc_fails to the header and every row.
+func TestCLICSVInjectColumns(t *testing.T) {
+	bin := buildCLI(t)
+	for _, tc := range []struct {
+		name string
+		args []string
+		cols bool
+	}{
+		{"uninjected", nil, false},
+		{"injected", []string{"-inject-mig-rate", "0.02", "-inject-host-rate", "0.02"}, true},
+	} {
+		csv := filepath.Join(t.TempDir(), "batches.csv")
+		args := append([]string{"-workload", "stream", "-mb", "8", "-csv", csv}, tc.args...)
+		if out, err := exec.Command(bin, args...).CombinedOutput(); err != nil {
+			t.Fatalf("%s: %v\n%s", tc.name, err, out)
+		}
+		data, err := os.ReadFile(csv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+		if len(lines) < 2 {
+			t.Fatalf("%s: %d CSV lines, want a header and rows", tc.name, len(lines))
+		}
+		if got := strings.HasSuffix(lines[0], ",inj_mig_failures,inj_host_alloc_fails"); got != tc.cols {
+			t.Errorf("%s: header has injected-fault columns = %v, want %v:\n%s", tc.name, got, tc.cols, lines[0])
+		}
+		for i, l := range lines[1:] {
+			if strings.Count(l, ",") != strings.Count(lines[0], ",") {
+				t.Fatalf("%s: row %d has %d columns, header %d", tc.name, i, strings.Count(l, ",")+1, strings.Count(lines[0], ",")+1)
+			}
+		}
 	}
 }

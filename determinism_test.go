@@ -228,8 +228,8 @@ func streamFaultsConfig() SystemConfig {
 	cfg.Inject.BufferDropRate = 0.02
 	cfg.Inject.MigrateFailRate = 0.02
 	cfg.Inject.HostAllocFailRate = 0.02
-	cfg.HW.LinkDegradeRate = 0.2
-	cfg.HW.LinkFlapRate = 0.1
+	cfg.Inject.LinkDegradeRate = 0.2
+	cfg.Inject.LinkFlapRate = 0.1
 	return cfg
 }
 
@@ -238,18 +238,11 @@ func streamFaultsConfig() SystemConfig {
 // the device-death count.
 func formatInjectGolden(res *Result) string {
 	var b strings.Builder
-	for _, c := range []struct {
-		name string
-		n    faultinject.Counters
-	}{
-		{"buffer-drop", res.InjectStats.BufferDrop},
-		{"migrate", res.InjectStats.Migrate},
-		{"host-alloc", res.InjectStats.HostAlloc},
-		{"link-transfer", res.HWStats.LinkTransfer},
-	} {
-		fmt.Fprintf(&b, "inject %s %d/%d/%d/%d\n", c.name, c.n.Injected, c.n.Retried, c.n.Recovered, c.n.Unrecovered)
+	for c := faultinject.BufferDrop; c <= faultinject.LinkTransfer; c++ {
+		n := res.InjectStats.Of(c)
+		fmt.Fprintf(&b, "inject %s %d/%d/%d/%d\n", c, n.Injected, n.Retried, n.Recovered, n.Unrecovered)
 	}
-	fmt.Fprintf(&b, "devices-killed %d\n", res.HWStats.DevicesKilled)
+	fmt.Fprintf(&b, "devices-killed %d\n", res.InjectStats.DevicesKilled)
 	return b.String()
 }
 

@@ -62,15 +62,13 @@ type SystemConfig struct {
 	// at one instant back to back, counts as one event however many
 	// accesses it holds.
 	MaxStallEvents uint64
-	// Inject configures the deterministic fault-injection layer. The
-	// zero value (all rates zero) disables injection and leaves every
-	// simulation output bit-identical to an injector-free run.
+	// Inject configures the deterministic fault-injection layer: the
+	// software categories (fault-buffer drops, migration and host
+	// allocation failures) and the hardware regimes (link degradation
+	// and flapping, scheduled device death). The zero value (all rates
+	// zero, no kill) disables injection and leaves every simulation
+	// output bit-identical to an injector-free run.
 	Inject faultinject.Config
-	// HW configures the hardware fault domain: link degradation and
-	// flapping, and scheduled device death. The zero value disables the
-	// domain entirely and leaves every simulation output bit-identical
-	// to a domain-free run.
-	HW faultinject.HardwareConfig
 	// KeepFaults retains every fetched fault record in the result
 	// (needed by fault-timeline experiments; memory-heavy).
 	KeepFaults bool
@@ -105,7 +103,6 @@ func DefaultConfig() SystemConfig {
 		MaxEvents:      500_000_000,
 		MaxStallEvents: 2_000_000,
 		Inject:         faultinject.DefaultConfig(),
-		HW:             faultinject.DefaultHardwareConfig(),
 	}
 }
 
@@ -141,12 +138,10 @@ type Result struct {
 	HostStats   hostos.Stats
 	LinkStats   interconnect.Stats
 	// InjectStats holds the per-category injected/retried/recovered/
-	// unrecovered counters (all zero when injection is disabled).
+	// unrecovered counters and the device-death count (all zero when
+	// injection is disabled).
 	InjectStats faultinject.Stats
-	// HWStats holds the hardware fault-domain counters (all zero when
-	// the domain is disabled).
-	HWStats faultinject.HardwareStats
-	// DeviceFailed reports that the hardware fault domain killed the
+	// DeviceFailed reports that the injector's kill schedule killed the
 	// device mid-run; the driver re-homed every resident page to the
 	// host (DriverStats.RehomedPages) and the workload was truncated.
 	DeviceFailed bool
@@ -174,7 +169,7 @@ func (r *Result) BytesMigrated() uint64 {
 }
 
 // Simulator wires N GPUs onto one host: each device has its own driver
-// state, memory and PCIe link, while the host VM, the injectors and the one
+// state, memory and PCIe link, while the host VM, the injector and the one
 // host fault-servicing slot (the Arbiter) are shared — the paper's
 // client-server architecture (§2.1), where the serial host driver services
 // every client. The single-GPU system is the N=1 case.
@@ -192,12 +187,10 @@ type Simulator struct {
 	HostVM *hostos.VM
 	// Arbiter serializes batch servicing across the drivers and records
 	// device-loss recoveries.
-	Arbiter  *uvm.Arbiter
-	Injector *faultinject.Injector
-	// HW is the shared hardware fault-domain injector (nil unless
-	// SystemConfig.HW enables a fault regime). Link-health draws stay
+	Arbiter *uvm.Arbiter
+	// Injector is the shared fault injector. Link-health draws stay
 	// independent per device: each decision folds in the link index.
-	HW *faultinject.HardwareInjector
+	Injector *faultinject.Injector
 	// Obs is the attached observer (nil unless SystemConfig.Obs is
 	// active). A nil observer is safe to call everywhere.
 	Obs *obs.Observer
@@ -242,19 +235,12 @@ func NewMultiSimulator(cfg SystemConfig, n int) (*Simulator, error) {
 		Arbiter:  uvm.NewArbiter(eng),
 		Injector: inj,
 	}
-	if cfg.HW.Enabled() {
-		hw, err := faultinject.NewHardware(cfg.HW)
-		if err != nil {
-			return nil, err
-		}
-		if cfg.HW.KillBatch > 0 && cfg.HW.KillDevice >= n {
-			return nil, fmt.Errorf("guvm: HW.KillDevice = %d, system has %d devices",
-				cfg.HW.KillDevice, n)
-		}
-		s.HW = hw
+	if cfg.Inject.KillBatch > 0 && cfg.Inject.KillDevice >= n {
+		return nil, fmt.Errorf("guvm: Inject.KillDevice = %d, system has %d devices",
+			cfg.Inject.KillDevice, n)
 	}
-	// With several drivers sharing one injector and hardware domain, the
-	// per-device audit checks that reconcile against them are disabled.
+	// With several drivers sharing one injector, the per-device audit
+	// checks that reconcile against it are disabled.
 	shared := n > 1
 	for i := 0; i < n; i++ {
 		link := interconnect.NewLink(cfg.Link)
@@ -270,13 +256,9 @@ func NewMultiSimulator(cfg SystemConfig, n int) (*Simulator, error) {
 		}
 		drv.Attach(dev)
 		drv.SetArbiter(s.Arbiter)
-		drv.SetInjector(inj)
+		drv.SetInjector(inj, i)
 		dev.SetInjector(inj)
-		if s.HW != nil {
-			link.SetHardware(s.HW, i, eng.Now)
-			drv.SetHardware(s.HW, i)
-		}
-		if a := audit.New(cfg.Audit, shared, eng, drv, dev, vm, inj, s.HW); a != nil {
+		if a := audit.New(cfg.Audit, shared, eng, drv, dev, vm, inj); a != nil {
 			s.Auditors = append(s.Auditors, a)
 		}
 		s.Drivers = append(s.Drivers, drv)
@@ -364,17 +346,17 @@ func (s *Simulator) registerMetrics() {
 	r.Func("guvm_link_bytes_to_host_total", "Bytes moved GPU-to-host",
 		func() float64 { return float64(s.Driver.Link().Stats().BytesToHost) })
 
-	if s.HW != nil {
+	if s.Injector.Hardware() {
 		r.Func("guvm_hw_link_health", "Current link health (0 healthy, 1 degraded, 2 flapping, 3 dead)",
 			func() float64 { return float64(s.Driver.Link().Health()) })
 		r.Func("guvm_hw_degraded_epochs_total", "Link-health epochs drawn degraded so far",
 			func() float64 {
-				_, deg, _ := s.HW.EpochHealthCounts(0, s.Engine.Now())
+				_, deg, _ := s.Injector.EpochHealthCounts(0, s.Engine.Now())
 				return float64(deg)
 			})
 		r.Func("guvm_hw_flapping_epochs_total", "Link-health epochs drawn flapping so far",
 			func() float64 {
-				_, _, flap := s.HW.EpochHealthCounts(0, s.Engine.Now())
+				_, _, flap := s.Injector.EpochHealthCounts(0, s.Engine.Now())
 				return float64(flap)
 			})
 		r.Func("guvm_hw_link_retries_total", "Transfer operations re-carried after injected drops",
@@ -384,13 +366,13 @@ func (s *Simulator) registerMetrics() {
 		r.Func("guvm_hw_rehomed_pages_total", "Pages re-homed to the host after device death",
 			func() float64 { return float64(s.Driver.Stats().RehomedPages) })
 		r.Func("guvm_hw_devices_killed_total", "Devices killed by the fault schedule",
-			func() float64 { return float64(s.HW.Stats().DevicesKilled) })
+			func() float64 { return float64(s.Injector.Stats().DevicesKilled) })
 		r.Func("guvm_hw_transfer_injected_total", "Injected link-transfer drops",
-			func() float64 { return float64(s.HW.Stats().LinkTransfer.Injected) })
+			func() float64 { return float64(s.Injector.Stats().LinkTransfer.Injected) })
 		r.Func("guvm_hw_transfer_recovered_total", "Transfers recovered after injected drops",
-			func() float64 { return float64(s.HW.Stats().LinkTransfer.Recovered) })
+			func() float64 { return float64(s.Injector.Stats().LinkTransfer.Recovered) })
 		r.Func("guvm_hw_transfer_unrecovered_total", "Transfers that exhausted their retry budget",
-			func() float64 { return float64(s.HW.Stats().LinkTransfer.Unrecovered) })
+			func() float64 { return float64(s.Injector.Stats().LinkTransfer.Unrecovered) })
 	}
 
 	for _, cat := range []struct {
@@ -595,7 +577,6 @@ func (s *Simulator) run(ws []workloads.Workload, explicit bool) ([]*Result, erro
 			HostStats:    s.HostVM.Stats(),
 			LinkStats:    drv.Link().Stats(),
 			InjectStats:  s.Injector.Stats(),
-			HWStats:      s.HW.Stats(),
 			DeviceFailed: drv.Dead(),
 			Audit:        auditReps[i],
 		}

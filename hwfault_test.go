@@ -9,7 +9,6 @@ import (
 	"errors"
 	"testing"
 
-	"guvm/internal/faultinject"
 	"guvm/internal/workloads"
 )
 
@@ -18,8 +17,7 @@ import (
 func hwTestConfig() SystemConfig {
 	cfg := testConfig()
 	cfg.Audit.Enabled = true
-	cfg.HW = faultinject.DefaultHardwareConfig()
-	cfg.HW.EpochLength = cfg.HW.EpochLength / 4
+	cfg.Inject.EpochLength = cfg.Inject.EpochLength / 4
 	return cfg
 }
 
@@ -46,14 +44,14 @@ func TestSimulatorReuseSentinel(t *testing.T) {
 // the retry ledgers agreeing across layers.
 func TestDegradedLinkAuditedRun(t *testing.T) {
 	cfg := hwTestConfig()
-	cfg.HW.LinkDegradeRate = 0.4
-	cfg.HW.LinkFlapRate = 0.3
+	cfg.Inject.LinkDegradeRate = 0.4
+	cfg.Inject.LinkFlapRate = 0.3
 
 	res := mustRun(t, cfg, workloads.NewStream(8<<20, 16))
 	if res.LinkStats.DegradedOps == 0 {
 		t.Fatal("no degraded operations recorded — fault regime never engaged")
 	}
-	n := res.HWStats.LinkTransfer
+	n := res.InjectStats.LinkTransfer
 	if n.Injected == 0 {
 		t.Fatal("no transfer drops injected at flap rate 0.3")
 	}
@@ -73,8 +71,8 @@ func TestDegradedLinkAuditedRun(t *testing.T) {
 // streams even while the link degrades and flaps.
 func TestDegradedLinkDeterminism(t *testing.T) {
 	cfg := hwTestConfig()
-	cfg.HW.LinkDegradeRate = 0.4
-	cfg.HW.LinkFlapRate = 0.3
+	cfg.Inject.LinkDegradeRate = 0.4
+	cfg.Inject.LinkFlapRate = 0.3
 	rep, err := VerifyDeterminism(cfg, workloads.NewStream(8<<20, 16))
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +87,7 @@ func TestDegradedLinkDeterminism(t *testing.T) {
 // audit-clean run with every resident page re-homed.
 func TestSingleDeviceKillRehomesPages(t *testing.T) {
 	cfg := hwTestConfig()
-	cfg.HW.KillBatch = 3
+	cfg.Inject.KillBatch = 3
 
 	res := mustRun(t, cfg, workloads.NewStream(8<<20, 16))
 	if !res.DeviceFailed {
@@ -102,8 +100,8 @@ func TestSingleDeviceKillRehomesPages(t *testing.T) {
 	if st.RehomedPages != st.ResidentAtKill {
 		t.Fatalf("re-homed %d pages, %d were resident at kill", st.RehomedPages, st.ResidentAtKill)
 	}
-	if res.HWStats.DevicesKilled != 1 {
-		t.Fatalf("DevicesKilled = %d, want 1", res.HWStats.DevicesKilled)
+	if res.InjectStats.DevicesKilled != 1 {
+		t.Fatalf("DevicesKilled = %d, want 1", res.InjectStats.DevicesKilled)
 	}
 	if got := len(res.Batches); got != 3 {
 		t.Fatalf("serviced %d batches, want exactly 3 before the kill", got)
@@ -117,16 +115,16 @@ func TestSingleDeviceKillRehomesPages(t *testing.T) {
 // construction error, not a silent no-op.
 func TestKillDeviceValidation(t *testing.T) {
 	cfg := testConfig()
-	cfg.HW.KillBatch = 1
-	cfg.HW.KillDevice = 1
+	cfg.Inject.KillBatch = 1
+	cfg.Inject.KillDevice = 1
 	if _, err := NewSimulator(cfg); err == nil {
 		t.Fatal("NewSimulator accepted KillDevice=1 on a single-GPU system")
 	}
-	cfg.HW.KillDevice = 2
+	cfg.Inject.KillDevice = 2
 	if _, err := NewMultiSimulator(cfg, 2); err == nil {
 		t.Fatal("NewMultiSimulator accepted KillDevice=2 with 2 devices")
 	}
-	cfg.HW.KillDevice = 1
+	cfg.Inject.KillDevice = 1
 	if _, err := NewMultiSimulator(cfg, 2); err != nil {
 		t.Fatalf("NewMultiSimulator rejected valid kill schedule: %v", err)
 	}
@@ -139,8 +137,8 @@ func TestKillDeviceValidation(t *testing.T) {
 func TestMultiGPUDeviceDeathDrill(t *testing.T) {
 	mkCfg := func() SystemConfig {
 		cfg := hwTestConfig()
-		cfg.HW.KillDevice = 1
-		cfg.HW.KillBatch = 3
+		cfg.Inject.KillDevice = 1
+		cfg.Inject.KillBatch = 3
 		return cfg
 	}
 	mkWs := func() []workloads.Workload {
@@ -206,7 +204,7 @@ func TestMultiGPUDeviceDeathDrill(t *testing.T) {
 // the link is unhealthy and stay selectable through the registry.
 func TestDegradedAwareBatchSizing(t *testing.T) {
 	cfg := hwTestConfig()
-	cfg.HW.LinkDegradeRate = 1 // every epoch degraded
+	cfg.Inject.LinkDegradeRate = 1 // every epoch degraded
 	cfg.Policies.BatchSizing = "degraded-aware"
 
 	res := mustRun(t, cfg, workloads.NewStream(8<<20, 16))
@@ -217,11 +215,11 @@ func TestDegradedAwareBatchSizing(t *testing.T) {
 	// The same policy on a healthy link behaves like plain adaptive:
 	// no degraded shrinks.
 	cfg2 := hwTestConfig()
-	cfg2.HW.LinkFlapRate = 0.0
-	cfg2.HW.LinkDegradeRate = 0.0
-	cfg2.HW.KillBatch = 0
+	cfg2.Inject.LinkFlapRate = 0.0
+	cfg2.Inject.LinkDegradeRate = 0.0
+	cfg2.Inject.KillBatch = 0
 	cfg2.Policies.BatchSizing = "degraded-aware"
-	// HW disabled entirely: the policy still validates and runs.
+	// No hardware regime at all: the policy still validates and runs.
 	res2 := mustRun(t, cfg2, workloads.NewStream(8<<20, 16))
 	if res2.DriverStats.DegradedShrinks != 0 {
 		t.Fatalf("%d degraded shrinks on a healthy link", res2.DriverStats.DegradedShrinks)

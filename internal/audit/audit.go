@@ -120,8 +120,8 @@ func (r *Report) Err() error {
 // injector they are wired to) and checks invariants at batch boundaries.
 type Auditor struct {
 	// shared disables the cross-layer injection equalities: with one
-	// injector and one hardware domain serving several devices, each
-	// device's counters are a fraction of their totals.
+	// injector serving several devices, each device's counters are a
+	// fraction of its totals.
 	shared bool
 	eng    *sim.Engine
 	drv    *uvm.Driver
@@ -129,7 +129,6 @@ type Auditor struct {
 	vm     *hostos.VM
 	link   *interconnect.Link
 	inj    *faultinject.Injector
-	hw     *faultinject.HardwareInjector
 
 	// Running link-conservation ledgers, accumulated per observed batch.
 	sumMigrated uint64
@@ -161,10 +160,9 @@ type driverView interface {
 // New builds an auditor for an assembled system and attaches it to the
 // driver, so it must be called before the run starts. It returns nil, and
 // attaches nothing, unless cfg enables auditing. shared marks an injector
-// and a hardware domain serving several devices; hw may be nil, which
-// skips the hardware checks.
+// serving several devices.
 func New(cfg Config, shared bool, eng *sim.Engine, drv *uvm.Driver, dev *gpu.Device, vm *hostos.VM,
-	inj *faultinject.Injector, hw *faultinject.HardwareInjector) *Auditor {
+	inj *faultinject.Injector) *Auditor {
 	if !cfg.Enabled {
 		return nil
 	}
@@ -176,7 +174,6 @@ func New(cfg Config, shared bool, eng *sim.Engine, drv *uvm.Driver, dev *gpu.Dev
 		vm:       vm,
 		link:     drv.Link(),
 		inj:      inj,
-		hw:       hw,
 		owners:   make(map[gpumem.ChunkID]mem.VABlockID),
 		serviced: make(map[mem.VABlockID]bool),
 	}
@@ -239,9 +236,6 @@ func (a *Auditor) checkBatch(id int, rec *trace.BatchRecord) *ViolationError {
 	if v := a.stamp(a.checkInjection(&st), id); v != nil {
 		return v
 	}
-	if v := a.stamp(a.checkHardware(&st), id); v != nil {
-		return v
-	}
 	if v := a.stamp(a.checkPageConservation(a.drv, &st), id); v != nil {
 		return v
 	}
@@ -267,9 +261,6 @@ func (a *Auditor) CheckNow() []*ViolationError {
 	}
 	st := a.drv.Stats()
 	if v := a.stamp(a.checkInjection(&st), -1); v != nil {
-		vs = append(vs, v)
-	}
-	if v := a.stamp(a.checkHardware(&st), -1); v != nil {
 		vs = append(vs, v)
 	}
 	if v := a.stamp(a.checkPageConservation(a.drv, &st), -1); v != nil {
@@ -308,7 +299,7 @@ func (a *Auditor) finalChecks() []*ViolationError {
 // checkLinkConservation reconciles the link's byte counters against the
 // driver-side ledgers: every byte to the GPU is a batch migration, an
 // explicit bulk copy, injected-retry traffic, or a re-carried transfer
-// the hardware domain dropped; every byte to the host is eviction
+// a flapping link dropped; every byte to the host is eviction
 // writeback, a dropped writeback attempt, or device-loss re-homing.
 func (a *Auditor) checkLinkConservation(st *uvm.Stats) *ViolationError {
 	a.rep.ChecksRun++
@@ -327,43 +318,6 @@ func (a *Auditor) checkLinkConservation(st *uvm.Stats) *ViolationError {
 			Check: "link-conservation",
 			Detail: fmt.Sprintf("BytesToHost = %d, want %d (eviction writeback %d + hw re-carries %d + re-homed %d)",
 				ls.BytesToHost, wantToHost, a.sumEvicted, st.HWRetryToHostBytes, st.RehomedBytes),
-		}
-	}
-	return nil
-}
-
-// checkHardware verifies the hardware fault domain's conservation
-// ledgers: every injected transfer drop is either retried or
-// unrecovered, recoveries never exceed retries, and (single-link wiring
-// only) the driver's retry count equals the injected drops.
-func (a *Auditor) checkHardware(st *uvm.Stats) *ViolationError {
-	if a.hw == nil {
-		return nil
-	}
-	a.rep.ChecksRun++
-	hs := a.hw.Stats()
-	n := hs.LinkTransfer
-	if n.Injected != n.Retried+n.Unrecovered {
-		return &ViolationError{
-			Check: "hw-injection-conservation",
-			Detail: fmt.Sprintf("link-transfer: injected %d != retried %d + unrecovered %d",
-				n.Injected, n.Retried, n.Unrecovered),
-		}
-	}
-	if n.Recovered > n.Retried {
-		return &ViolationError{
-			Check:  "hw-injection-conservation",
-			Detail: fmt.Sprintf("link-transfer: recovered %d > retried %d", n.Recovered, n.Retried),
-		}
-	}
-	if a.shared {
-		return nil
-	}
-	if uint64(st.HWLinkRetries) != n.Injected {
-		return &ViolationError{
-			Check: "hw-injection-conservation",
-			Detail: fmt.Sprintf("driver link re-carries %d != injected transfer drops %d",
-				st.HWLinkRetries, n.Injected),
 		}
 	}
 	return nil
@@ -424,7 +378,7 @@ func (a *Auditor) checkPageConservation(dst driverView, st *uvm.Stats) *Violatio
 func (a *Auditor) checkInjection(st *uvm.Stats) *ViolationError {
 	a.rep.ChecksRun++
 	is := a.inj.Stats()
-	for _, c := range []faultinject.Category{faultinject.BufferDrop, faultinject.Migrate, faultinject.HostAlloc} {
+	for c := faultinject.BufferDrop; c <= faultinject.LinkTransfer; c++ {
 		n := is.Of(c)
 		if n.Injected != n.Retried+n.Unrecovered {
 			return &ViolationError{
@@ -470,6 +424,13 @@ func (a *Auditor) checkInjection(st *uvm.Stats) *ViolationError {
 			Check: "injection-conservation",
 			Detail: fmt.Sprintf("driver host-alloc failures %d != injector host-alloc injections %d",
 				st.HostAllocFailures, is.HostAlloc.Injected),
+		}
+	}
+	if uint64(st.HWLinkRetries) != is.LinkTransfer.Injected {
+		return &ViolationError{
+			Check: "injection-conservation",
+			Detail: fmt.Sprintf("driver link re-carries %d != injector link-transfer injections %d",
+				st.HWLinkRetries, is.LinkTransfer.Injected),
 		}
 	}
 	return nil

@@ -212,7 +212,7 @@ func testSystem(t *testing.T) *Auditor {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return New(Config{Enabled: true}, false, eng, drv, dev, vm, inj, nil)
+	return New(Config{Enabled: true}, false, eng, drv, dev, vm, inj)
 }
 
 // TestCheckNowCleanSystem: a freshly wired, never-run system satisfies
@@ -336,14 +336,27 @@ func TestCheckInjectionCleanSystem(t *testing.T) {
 		t.Fatalf("idle injector flagged: %v", v)
 	}
 	// A driver counter with no injector-side injections breaks the
-	// cross-layer equality.
-	st.MigRetries = 3
-	v := a.checkInjection(&st)
-	if v == nil {
-		t.Fatal("driver/injector mismatch not detected")
+	// cross-layer equality, for a software category and for the link.
+	for _, corrupt := range []func(*uvm.Stats){
+		func(st *uvm.Stats) { st.MigRetries = 3 },
+		func(st *uvm.Stats) { st.HWLinkRetries = 2 },
+	} {
+		st := uvm.Stats{}
+		corrupt(&st)
+		v := a.checkInjection(&st)
+		if v == nil {
+			t.Fatalf("driver/injector mismatch not detected: %+v", st)
+		}
+		if v.Check != "injection-conservation" {
+			t.Fatalf("reported check %q, want injection-conservation", v.Check)
+		}
 	}
-	if v.Check != "injection-conservation" {
-		t.Fatalf("reported check %q, want injection-conservation", v.Check)
+	// A link-transfer retry with no injected drop breaks the
+	// category's own ledger in the same check.
+	a.inj.NoteRetried(faultinject.LinkTransfer)
+	v := a.checkInjection(&st)
+	if v == nil || v.Check != "injection-conservation" || !strings.Contains(v.Detail, "link-transfer") {
+		t.Fatalf("link-transfer ledger imbalance reported as %v", v)
 	}
 }
 

@@ -2,14 +2,13 @@
 // fault-injection subsystem. It lets experiments controllably stress the
 // degradation behaviours the paper studies only at their onset —
 // fault-buffer pressure, migration stalls, host memory exhaustion — and
+// the degraded platform the paper's client-server driver (§2.1) assumes
+// away: a link that slows down or flaps, a device that dies mid-run. It
 // turns failure scenarios into first-class, regression-testable
-// experiments: the same seed and the same injection configuration always
-// produce the same injected faults, the same retries and the same
-// telemetry.
+// experiments: the same seed and the same configuration always produce
+// the same injected faults, the same retries and the same telemetry.
 //
-// Three injection categories are modeled, each with its own independent
-// RNG stream derived from the seed (so enabling one category never
-// perturbs another's draw sequence):
+// One Config, one Seed and one Injector cover four categories:
 //
 //   - BufferDrop: an arriving fault-buffer record is dropped as if the
 //     circular buffer had overflowed. Hardware-style replay retry
@@ -21,6 +20,19 @@
 //   - HostAlloc: a host-OS page allocation (population) request fails.
 //     The driver degrades gracefully — shrinking its effective batch size
 //     and forcing eviction pressure — and retries instead of aborting.
+//   - LinkTransfer: a transfer operation on a flapping link is dropped
+//     after carrying its bytes; the driver re-carries it with backoff.
+//
+// The three software categories each draw from their own sequential RNG
+// stream derived from the seed, so enabling one never perturbs another's
+// draw sequence. The hardware draws — link health per (link, epoch),
+// flap drops per (link, op sequence number) — are stateless hashes keyed
+// by identity, so they are reproducible no matter when or how often they
+// are asked: sim time is cut into fixed-length epochs and each (link,
+// epoch) pair gets its own verdict. A hardware regime (link degradation,
+// flapping or a scheduled device death) is configured separately from
+// the software rates; without one the link and driver take their
+// fault-free paths, bit for bit.
 //
 // A nil *Injector is valid and injects nothing, so model code can hold an
 // optional injector without guarding every call site.
@@ -28,6 +40,7 @@ package faultinject
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"guvm/internal/sim"
@@ -40,13 +53,19 @@ const (
 	saltBufferDrop = 0x9e3779b97f4a7c15
 	saltMigrate    = 0xbf58476d1ce4e5b9
 	saltHostAlloc  = 0x94d049bb133111eb
+
+	saltLinkDegrade = 0xc2b2ae3d27d4eb4f
+	saltLinkFlap    = 0x165667b19e3779f9
+	saltLinkDrop    = 0x27d4eb2f165667c5
 )
 
-// Config holds the injection knobs. The zero value (all rates zero)
-// disables injection entirely: no RNG draws happen and the simulation is
-// bit-identical to one without an injector.
+// Config holds the injection knobs. The zero value (all rates zero, no
+// kill scheduled) disables injection entirely: no RNG draws happen and
+// the simulation is bit-identical to one without an injector.
 type Config struct {
-	// Seed derives every category's deterministic RNG stream.
+	// Seed derives every category's deterministic RNG stream and every
+	// hardware draw; hardware draws also fold in the link ID and the
+	// epoch (or op sequence) they apply to.
 	Seed uint64
 
 	// BufferDropRate is the probability in [0, 1] that a fault record
@@ -77,43 +96,91 @@ type Config struct {
 	// HostAllocMaxRetries bounds the driver's degrade-and-retry attempts
 	// per allocation request.
 	HostAllocMaxRetries int
+
+	// EpochLength is the virtual-time length of one link-health epoch.
+	// Each link redraws its health state at every epoch boundary.
+	EpochLength sim.Time
+
+	// LinkDegradeRate is the probability in [0, 1] that a (link, epoch)
+	// pair runs at degraded bandwidth.
+	LinkDegradeRate float64
+	// DegradedBandwidthFactor multiplies the link bandwidth during a
+	// degraded epoch (0 < factor <= 1; the paper-testbed default models
+	// a throttled x4 lane at 0.25).
+	DegradedBandwidthFactor float64
+
+	// LinkFlapRate is the probability in [0, 1] that a (link, epoch)
+	// pair is flapping: transfers run at full bandwidth but each
+	// operation may be dropped after carrying its bytes.
+	LinkFlapRate float64
+	// FlapDropRate is the probability in [0, 1] that one transfer
+	// operation fails during a flapping epoch.
+	FlapDropRate float64
+
+	// LinkRetryLimit bounds the driver's transfer retries after a flap
+	// drop; exhausting it is a fatal link failure.
+	LinkRetryLimit int
+	// LinkRetryBackoff is the virtual-time backoff charged before the
+	// first retry; it doubles on every further attempt.
+	LinkRetryBackoff sim.Time
+
+	// KillDevice is the index of the device to kill when KillBatch
+	// fires (0 in single-device systems).
+	KillDevice int
+	// KillBatch kills the device after it completes this many fault
+	// batches (a 1-based count, so 1 kills after the first batch);
+	// zero disables device death.
+	KillBatch int
 }
 
-// DefaultConfig returns an inert configuration (all rates zero) with
-// sensible retry budgets and delays, so callers only need to raise the
-// rate of the category they want to stress.
+// DefaultConfig returns an inert configuration (all rates zero, no
+// kill) with sensible retry budgets, delays, epoch and degraded factor,
+// so callers only need to raise the rate of the category or regime they
+// want to stress.
 func DefaultConfig() Config {
 	return Config{
-		Seed:                1,
-		BufferDropRetries:   3,
-		BufferRetryDelay:    5 * sim.Microsecond,
-		MigrateMaxRetries:   4,
-		MigrateBackoff:      10 * sim.Microsecond,
-		HostAllocMaxRetries: 6,
+		Seed:                    1,
+		BufferDropRetries:       3,
+		BufferRetryDelay:        5 * sim.Microsecond,
+		MigrateMaxRetries:       4,
+		MigrateBackoff:          10 * sim.Microsecond,
+		HostAllocMaxRetries:     6,
+		EpochLength:             100 * sim.Microsecond,
+		DegradedBandwidthFactor: 0.25,
+		FlapDropRate:            0.5,
+		LinkRetryLimit:          6,
+		LinkRetryBackoff:        5 * sim.Microsecond,
 	}
 }
 
-// Enabled reports whether any category can inject.
-func (c Config) Enabled() bool {
+// SoftwareEnabled reports whether any software category (BufferDrop,
+// Migrate, HostAlloc) can inject.
+func (c Config) SoftwareEnabled() bool {
 	return c.BufferDropRate > 0 || c.MigrateFailRate > 0 || c.HostAllocFailRate > 0
+}
+
+// HardwareEnabled reports whether a hardware regime is configured: link
+// degradation, link flapping or a scheduled device death.
+func (c Config) HardwareEnabled() bool {
+	return c.LinkDegradeRate > 0 || c.LinkFlapRate > 0 || c.KillBatch > 0
 }
 
 // Validate checks the configuration for values injection cannot run with.
 func (c Config) Validate() error {
-	check := func(name string, rate float64) error {
-		if rate < 0 || rate > 1 {
-			return fmt.Errorf("faultinject: %s = %v, need in [0, 1]", name, rate)
+	for _, r := range []struct {
+		name string
+		rate float64
+	}{
+		{"BufferDropRate", c.BufferDropRate},
+		{"MigrateFailRate", c.MigrateFailRate},
+		{"HostAllocFailRate", c.HostAllocFailRate},
+		{"LinkDegradeRate", c.LinkDegradeRate},
+		{"LinkFlapRate", c.LinkFlapRate},
+		{"FlapDropRate", c.FlapDropRate},
+	} {
+		if math.IsNaN(r.rate) || r.rate < 0 || r.rate > 1 {
+			return fmt.Errorf("faultinject: %s = %v, need in [0, 1]", r.name, r.rate)
 		}
-		return nil
-	}
-	if err := check("BufferDropRate", c.BufferDropRate); err != nil {
-		return err
-	}
-	if err := check("MigrateFailRate", c.MigrateFailRate); err != nil {
-		return err
-	}
-	if err := check("HostAllocFailRate", c.HostAllocFailRate); err != nil {
-		return err
 	}
 	switch {
 	case c.BufferDropRetries < 0:
@@ -126,6 +193,19 @@ func (c Config) Validate() error {
 		return fmt.Errorf("faultinject: BufferRetryDelay = %d, need >= 0", c.BufferRetryDelay)
 	case c.MigrateBackoff < 0:
 		return fmt.Errorf("faultinject: MigrateBackoff = %d, need >= 0", c.MigrateBackoff)
+	case (c.LinkDegradeRate > 0 || c.LinkFlapRate > 0) && c.EpochLength <= 0:
+		return fmt.Errorf("faultinject: EpochLength = %v, need > 0 with link fault rates set", c.EpochLength)
+	case c.LinkDegradeRate > 0 &&
+		(math.IsNaN(c.DegradedBandwidthFactor) || c.DegradedBandwidthFactor <= 0 || c.DegradedBandwidthFactor > 1):
+		return fmt.Errorf("faultinject: DegradedBandwidthFactor = %v, need in (0, 1]", c.DegradedBandwidthFactor)
+	case c.LinkRetryLimit < 0:
+		return fmt.Errorf("faultinject: LinkRetryLimit = %d, need >= 0", c.LinkRetryLimit)
+	case c.LinkRetryBackoff < 0:
+		return fmt.Errorf("faultinject: LinkRetryBackoff = %v, need >= 0", c.LinkRetryBackoff)
+	case c.KillDevice < 0:
+		return fmt.Errorf("faultinject: KillDevice = %d, need >= 0", c.KillDevice)
+	case c.KillBatch < 0:
+		return fmt.Errorf("faultinject: KillBatch = %d, need >= 0 (0 disables)", c.KillBatch)
 	}
 	return nil
 }
@@ -140,6 +220,9 @@ const (
 	Migrate
 	// HostAlloc is the host-OS allocation failure category.
 	HostAlloc
+	// LinkTransfer is the flap-dropped link transfer category. It has no
+	// stream of its own: its drops are stateless per-operation hashes.
+	LinkTransfer
 	numCategories
 )
 
@@ -152,6 +235,8 @@ func (c Category) String() string {
 		return "migrate"
 	case HostAlloc:
 		return "host-alloc"
+	case LinkTransfer:
+		return "link-transfer"
 	}
 	return "unknown"
 }
@@ -169,11 +254,14 @@ type Counters struct {
 	Unrecovered uint64
 }
 
-// Stats is the full per-category counter set.
+// Stats is the full per-category counter set, plus the device deaths
+// the kill schedule caused.
 type Stats struct {
-	BufferDrop Counters
-	Migrate    Counters
-	HostAlloc  Counters
+	BufferDrop    Counters
+	Migrate       Counters
+	HostAlloc     Counters
+	LinkTransfer  Counters
+	DevicesKilled uint64
 }
 
 // Of returns the counters of one category.
@@ -185,6 +273,8 @@ func (s Stats) Of(c Category) Counters {
 		return s.Migrate
 	case HostAlloc:
 		return s.HostAlloc
+	case LinkTransfer:
+		return s.LinkTransfer
 	}
 	return Counters{}
 }
@@ -209,20 +299,25 @@ func (c *counterCell) load() Counters {
 	}
 }
 
-// Injector draws injection decisions from seeded per-category RNG streams
-// and accounts their outcomes. All methods are nil-receiver safe: a nil
-// Injector never injects and counts nothing. The decision methods
-// (ShouldDropFault, HostAllocFails, MigrateFailures) consume per-category
-// RNG streams and must stay on the simulation goroutine; the Note*
-// reporters and Stats are safe from any goroutine.
+// Injector draws injection decisions and accounts their outcomes. All
+// methods are nil-receiver safe: a nil Injector never injects and counts
+// nothing. The software decision methods (ShouldDropFault,
+// HostAllocFails, MigrateFailures) consume per-category RNG streams and
+// must stay on the simulation goroutine; the hardware draws are
+// stateless, so they are safe to call in any order and any number of
+// times; the Note* reporters and Stats are safe from any goroutine.
 type Injector struct {
-	cfg      Config
-	rng      [numCategories]*sim.RNG
+	cfg Config
+	// rng holds one sequential stream per software category (the
+	// categories before LinkTransfer).
+	rng      [LinkTransfer]*sim.RNG
 	counters [numCategories]counterCell
+	killed   atomic.Uint64
 }
 
 // New builds an injector. The returned injector is inert (but non-nil)
-// when no rate is set, so wiring it unconditionally costs nothing.
+// when no rate is set and no kill is scheduled, so wiring it
+// unconditionally costs nothing.
 func New(cfg Config) (*Injector, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -242,8 +337,10 @@ func (in *Injector) Config() Config {
 	return in.cfg
 }
 
-// Enabled reports whether any category can inject.
-func (in *Injector) Enabled() bool { return in != nil && in.cfg.Enabled() }
+// Hardware reports whether a hardware regime is configured. It is the
+// one gate for the fallible link path, the kill schedule, the hardware
+// digest fields and the hardware metrics.
+func (in *Injector) Hardware() bool { return in != nil && in.cfg.HardwareEnabled() }
 
 // Stats returns a copy of the per-category counters.
 func (in *Injector) Stats() Stats {
@@ -251,9 +348,11 @@ func (in *Injector) Stats() Stats {
 		return Stats{}
 	}
 	return Stats{
-		BufferDrop: in.counters[BufferDrop].load(),
-		Migrate:    in.counters[Migrate].load(),
-		HostAlloc:  in.counters[HostAlloc].load(),
+		BufferDrop:    in.counters[BufferDrop].load(),
+		Migrate:       in.counters[Migrate].load(),
+		HostAlloc:     in.counters[HostAlloc].load(),
+		LinkTransfer:  in.counters[LinkTransfer].load(),
+		DevicesKilled: in.killed.Load(),
 	}
 }
 
@@ -342,10 +441,10 @@ func (in *Injector) MigrateBackoffFor(i int) sim.Time {
 	return in.cfg.MigrateBackoff << uint(i)
 }
 
-// NoteRetried counts one retry attempt in category c. BufferDrop and
-// HostAlloc retries are driven by the device and driver respectively, so
-// those layers report the outcomes; Migrate accounts internally in
-// MigrateFailures. Safe from any goroutine.
+// NoteRetried counts one retry attempt in category c. BufferDrop retries
+// are driven by the device, HostAlloc and LinkTransfer retries by the
+// driver, so those layers report the outcomes; Migrate accounts
+// internally in MigrateFailures. Safe from any goroutine.
 func (in *Injector) NoteRetried(c Category) {
 	if in != nil {
 		in.counters[c].retried.Add(1)
@@ -366,4 +465,108 @@ func (in *Injector) NoteUnrecovered(c Category) {
 	if in != nil {
 		in.counters[c].unrecovered.Add(1)
 	}
+}
+
+// NoteDeviceKilled counts one device death. Safe from any goroutine.
+func (in *Injector) NoteDeviceKilled() {
+	if in != nil {
+		in.killed.Add(1)
+	}
+}
+
+// EpochOf maps a virtual time to its health epoch (0 when epochs are
+// not configured).
+func (in *Injector) EpochOf(now sim.Time) int64 {
+	if in == nil || in.cfg.EpochLength <= 0 {
+		return 0
+	}
+	return int64(now / in.cfg.EpochLength)
+}
+
+// hwKey folds a link ID and an epoch (or op sequence) into one decision
+// key; distinct odd multipliers keep nearby identities decorrelated.
+func hwKey(link int, n int64) uint64 {
+	return (uint64(link)+1)*0x9e3779b97f4a7c15 ^ (uint64(n)+1)*0xbf58476d1ce4e5b9
+}
+
+// LinkEpochDraws returns the health verdicts for one (link, epoch)
+// pair: whether the epoch is degraded and whether it is flapping. Both
+// can be true; the link model gives flapping precedence. Zero-rate
+// regimes perform no draw.
+func (in *Injector) LinkEpochDraws(link int, epoch int64) (degraded, flapping bool) {
+	if in == nil {
+		return false, false
+	}
+	key := hwKey(link, epoch)
+	if in.cfg.LinkDegradeRate > 0 {
+		degraded = draw(in.cfg.Seed^saltLinkDegrade, key, 0) < in.cfg.LinkDegradeRate
+	}
+	if in.cfg.LinkFlapRate > 0 {
+		flapping = draw(in.cfg.Seed^saltLinkFlap, key, 0) < in.cfg.LinkFlapRate
+	}
+	return degraded, flapping
+}
+
+// TransferDrops decides whether one transfer operation on a flapping
+// link fails, counting a LinkTransfer injection when it does. Keyed by
+// the link's per-operation sequence number, which deterministic event
+// ordering makes reproducible.
+func (in *Injector) TransferDrops(link int, opSeq uint64) bool {
+	if in == nil || in.cfg.FlapDropRate <= 0 {
+		return false
+	}
+	if draw(in.cfg.Seed^saltLinkDrop, hwKey(link, int64(opSeq)), 0) < in.cfg.FlapDropRate {
+		in.counters[LinkTransfer].injected.Add(1)
+		return true
+	}
+	return false
+}
+
+// DegradedFactor returns the bandwidth multiplier for degraded epochs.
+func (in *Injector) DegradedFactor() float64 {
+	if in == nil || in.cfg.DegradedBandwidthFactor <= 0 {
+		return 1
+	}
+	return in.cfg.DegradedBandwidthFactor
+}
+
+// LinkRetryLimit returns the transfer retry budget after a flap drop.
+func (in *Injector) LinkRetryLimit() int {
+	if in == nil {
+		return 0
+	}
+	return in.cfg.LinkRetryLimit
+}
+
+// LinkBackoffFor returns the exponential virtual-time backoff charged
+// before link retry i (0-based): LinkRetryBackoff << i.
+func (in *Injector) LinkBackoffFor(i int) sim.Time {
+	if in == nil {
+		return 0
+	}
+	return in.cfg.LinkRetryBackoff << uint(i)
+}
+
+// EpochHealthCounts replays the health schedule of one link up to (and
+// including) the epoch containing now, returning how many epochs were
+// healthy, degraded, and flapping. The draws are stateless, so this is
+// a pure function of (seed, link, now) — observability gauges call it
+// at sample points without perturbing any stream.
+func (in *Injector) EpochHealthCounts(link int, now sim.Time) (healthy, degraded, flapping int64) {
+	if in == nil || in.cfg.EpochLength <= 0 {
+		return 0, 0, 0
+	}
+	last := in.EpochOf(now)
+	for e := int64(0); e <= last; e++ {
+		deg, flap := in.LinkEpochDraws(link, e)
+		switch {
+		case flap:
+			flapping++
+		case deg:
+			degraded++
+		default:
+			healthy++
+		}
+	}
+	return healthy, degraded, flapping
 }

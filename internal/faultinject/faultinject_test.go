@@ -1,6 +1,7 @@
 package faultinject
 
 import (
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -27,6 +28,21 @@ func TestConfigValidate(t *testing.T) {
 		{"negative host retries", func(c *Config) { c.HostAllocMaxRetries = -2 }},
 		{"negative retry delay", func(c *Config) { c.BufferRetryDelay = -1 }},
 		{"negative backoff", func(c *Config) { c.MigrateBackoff = -5 }},
+		{"NaN drop rate", func(c *Config) { c.BufferDropRate = math.NaN() }},
+		{"negative degrade rate", func(c *Config) { c.LinkDegradeRate = -0.1 }},
+		{"degrade rate > 1", func(c *Config) { c.LinkDegradeRate = 1.5 }},
+		{"NaN degrade rate", func(c *Config) { c.LinkDegradeRate = math.NaN() }},
+		{"flap rate > 1", func(c *Config) { c.LinkFlapRate = 2 }},
+		{"negative flap drop rate", func(c *Config) { c.FlapDropRate = -1 }},
+		{"degrade without epochs", func(c *Config) { c.LinkDegradeRate = 0.5; c.EpochLength = 0 }},
+		{"flap with negative epochs", func(c *Config) { c.LinkFlapRate = 0.5; c.EpochLength = -1 }},
+		{"zero degraded factor", func(c *Config) { c.LinkDegradeRate = 0.5; c.DegradedBandwidthFactor = 0 }},
+		{"degraded factor > 1", func(c *Config) { c.LinkDegradeRate = 0.5; c.DegradedBandwidthFactor = 1.5 }},
+		{"NaN degraded factor", func(c *Config) { c.LinkDegradeRate = 0.5; c.DegradedBandwidthFactor = math.NaN() }},
+		{"negative link retries", func(c *Config) { c.LinkRetryLimit = -1 }},
+		{"negative link backoff", func(c *Config) { c.LinkRetryBackoff = -1 }},
+		{"negative kill device", func(c *Config) { c.KillDevice = -1 }},
+		{"negative kill batch", func(c *Config) { c.KillBatch = -1 }},
 	}
 	for _, tc := range cases {
 		cfg := DefaultConfig()
@@ -41,17 +57,33 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestEnabled(t *testing.T) {
-	if DefaultConfig().Enabled() {
-		t.Fatal("default (all-zero-rate) config reports enabled")
+	for _, c := range []Config{{}, DefaultConfig()} {
+		if c.SoftwareEnabled() || c.HardwareEnabled() {
+			t.Fatalf("inert config %+v reports enabled", c)
+		}
 	}
 	cfg := DefaultConfig()
 	cfg.MigrateFailRate = 0.01
-	if !cfg.Enabled() {
-		t.Fatal("non-zero rate reports disabled")
+	if !cfg.SoftwareEnabled() || cfg.HardwareEnabled() {
+		t.Fatal("a software rate must enable software injection only")
+	}
+	for _, mutate := range []func(*Config){
+		func(c *Config) { c.LinkDegradeRate = 0.1 },
+		func(c *Config) { c.LinkFlapRate = 0.1 },
+		func(c *Config) { c.KillBatch = 3 },
+	} {
+		c := DefaultConfig()
+		mutate(&c)
+		if !c.HardwareEnabled() || c.SoftwareEnabled() {
+			t.Errorf("config %+v: want a hardware regime only", c)
+		}
+		if in, _ := New(c); !in.Hardware() {
+			t.Errorf("config %+v: injector reports no hardware regime", c)
+		}
 	}
 	var nilInj *Injector
-	if nilInj.Enabled() {
-		t.Fatal("nil injector reports enabled")
+	if nilInj.Hardware() {
+		t.Fatal("nil injector reports a hardware regime")
 	}
 }
 
@@ -64,14 +96,29 @@ func TestNilInjectorIsInert(t *testing.T) {
 		t.Fatal("nil injector planned migration failures")
 	}
 	if in.BufferRetryBudget() != 0 || in.BufferRetryDelay() != 0 ||
-		in.HostAllocRetryBudget() != 0 || in.MigrateBackoffFor(3) != 0 {
+		in.HostAllocRetryBudget() != 0 || in.MigrateBackoffFor(3) != 0 ||
+		in.LinkRetryLimit() != 0 || in.LinkBackoffFor(3) != 0 {
 		t.Fatal("nil injector returned non-zero budgets")
+	}
+	if deg, flap := in.LinkEpochDraws(0, 5); deg || flap || in.TransferDrops(0, 1) {
+		t.Fatal("nil injector drew a link fault")
+	}
+	if in.EpochOf(sim.Time(1e9)) != 0 || in.DegradedFactor() != 1 {
+		t.Fatal("nil injector returned a non-neutral epoch or factor")
+	}
+	if h, d, f := in.EpochHealthCounts(0, sim.Time(1e9)); h != 0 || d != 0 || f != 0 {
+		t.Fatal("nil EpochHealthCounts nonzero")
 	}
 	in.NoteRetried(BufferDrop)
 	in.NoteRecovered(Migrate)
 	in.NoteUnrecovered(HostAlloc)
+	in.NoteRetried(LinkTransfer)
+	in.NoteDeviceKilled()
 	if in.Stats() != (Stats{}) {
 		t.Fatal("nil injector accumulated stats")
+	}
+	if in.Config() != (Config{}) {
+		t.Fatal("nil injector has a non-zero config")
 	}
 }
 
@@ -88,6 +135,9 @@ func TestZeroRateDrawsNothing(t *testing.T) {
 		}
 		if f, _ := in.MigrateFailures(); f != 0 {
 			t.Fatal("zero-rate injector planned failures")
+		}
+		if deg, flap := in.LinkEpochDraws(0, int64(i)); deg || flap {
+			t.Fatalf("epoch %d: zero-rate link draw returned (%v, %v)", i, deg, flap)
 		}
 	}
 	if in.Stats() != (Stats{}) {
@@ -141,6 +191,19 @@ func TestCategoryStreamsIndependent(t *testing.T) {
 	}
 	if !reflect.DeepEqual(da, db) {
 		t.Fatal("migrate draws perturbed the buffer-drop stream")
+	}
+
+	// Under the one shared seed, the stateless link draws leave every
+	// software stream where it was.
+	cfg.LinkFlapRate = 1
+	cfg.FlapDropRate = 0.5
+	c, _ := New(cfg)
+	for i := 0; i < 200; i++ {
+		c.LinkEpochDraws(0, int64(i))
+		c.TransferDrops(0, uint64(i))
+		if c.ShouldDropFault() != da[i] {
+			t.Fatalf("draw %d: link draws perturbed the buffer-drop stream", i)
+		}
 	}
 }
 
@@ -207,6 +270,8 @@ func TestNoteCounters(t *testing.T) {
 	in.NoteRetried(BufferDrop)
 	in.NoteRecovered(BufferDrop)
 	in.NoteUnrecovered(HostAlloc)
+	in.NoteRetried(LinkTransfer)
+	in.NoteDeviceKilled()
 	s := in.Stats()
 	if s.BufferDrop.Retried != 2 || s.BufferDrop.Recovered != 1 {
 		t.Fatalf("buffer-drop counters = %+v", s.BufferDrop)
@@ -214,7 +279,10 @@ func TestNoteCounters(t *testing.T) {
 	if s.HostAlloc.Unrecovered != 1 {
 		t.Fatalf("host-alloc counters = %+v", s.HostAlloc)
 	}
-	if s.Of(BufferDrop) != s.BufferDrop || s.Of(Migrate) != s.Migrate {
+	if s.LinkTransfer.Retried != 1 || s.DevicesKilled != 1 {
+		t.Fatalf("link-transfer counters = %+v, devices killed %d", s.LinkTransfer, s.DevicesKilled)
+	}
+	if s.Of(BufferDrop) != s.BufferDrop || s.Of(Migrate) != s.Migrate || s.Of(LinkTransfer) != s.LinkTransfer {
 		t.Fatal("Stats.Of disagrees with fields")
 	}
 }
@@ -224,6 +292,7 @@ func TestCategoryString(t *testing.T) {
 		BufferDrop:    "buffer-drop",
 		Migrate:       "migrate",
 		HostAlloc:     "host-alloc",
+		LinkTransfer:  "link-transfer",
 		Category(200): "unknown",
 	}
 	for c, want := range names {
@@ -241,7 +310,7 @@ func TestCategoryString(t *testing.T) {
 // exact, since atomic increments cannot lose updates.
 func TestInjectorConcurrentCounters(t *testing.T) {
 	const (
-		goroutines = 15 // divisible by numCategories for exact tallies
+		goroutines = 16 // divisible by numCategories for exact tallies
 		iters      = 500
 	)
 	in, err := New(DefaultConfig())
@@ -270,7 +339,7 @@ func TestInjectorConcurrentCounters(t *testing.T) {
 
 	s := in.Stats()
 	perCat := uint64(goroutines / int(numCategories) * iters)
-	for _, c := range []Category{BufferDrop, Migrate, HostAlloc} {
+	for c := BufferDrop; c < numCategories; c++ {
 		got := s.Of(c)
 		if got.Retried != perCat || got.Recovered != perCat {
 			t.Errorf("%s: retried/recovered = %d/%d, want %d/%d",
@@ -371,5 +440,115 @@ func TestServiceConfigValidate(t *testing.T) {
 	}
 	if _, err := NewService(ServiceConfig{}); err != nil {
 		t.Errorf("zero config rejected: %v", err)
+	}
+}
+
+// Same seed → identical schedule; draws are stateless, so query order and
+// repetition change nothing.
+func TestLinkDrawDeterminism(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.LinkDegradeRate = 0.3
+	cfg.LinkFlapRate = 0.2
+	a, _ := New(cfg)
+	b, _ := New(cfg)
+
+	type verdict struct{ deg, flap bool }
+	forward := make([]verdict, 200)
+	for e := 0; e < 200; e++ {
+		deg, flap := a.LinkEpochDraws(1, int64(e))
+		forward[e] = verdict{deg, flap}
+	}
+	// Query b backwards, twice, and expect the identical schedule.
+	for pass := 0; pass < 2; pass++ {
+		for e := 199; e >= 0; e-- {
+			deg, flap := b.LinkEpochDraws(1, int64(e))
+			if (verdict{deg, flap}) != forward[e] {
+				t.Fatalf("pass %d epoch %d: draws (%v,%v) != first-pass %+v",
+					pass, e, deg, flap, forward[e])
+			}
+		}
+	}
+
+	// A different seed must give a different schedule somewhere.
+	cfg2 := cfg
+	cfg2.Seed = 99
+	c, _ := New(cfg2)
+	same := true
+	for e := 0; e < 200; e++ {
+		deg, flap := c.LinkEpochDraws(1, int64(e))
+		if (verdict{deg, flap}) != forward[e] {
+			same = false
+			break
+		}
+	}
+	if same {
+		t.Fatal("seeds 1 and 99 produced identical 200-epoch schedules")
+	}
+
+	// Distinct links must be decorrelated under the same seed.
+	same = true
+	for e := 0; e < 200; e++ {
+		deg, flap := a.LinkEpochDraws(2, int64(e))
+		if (verdict{deg, flap}) != forward[e] {
+			same = false
+			break
+		}
+	}
+	if same {
+		t.Fatal("links 1 and 2 drew identical 200-epoch schedules")
+	}
+}
+
+func TestLinkTransferCounting(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.LinkFlapRate = 1
+	cfg.FlapDropRate = 1
+	in, _ := New(cfg)
+	for i := uint64(1); i <= 3; i++ {
+		if !in.TransferDrops(0, i) {
+			t.Fatalf("op %d: drop rate 1 did not drop", i)
+		}
+	}
+	in.NoteRetried(LinkTransfer)
+	in.NoteRetried(LinkTransfer)
+	in.NoteUnrecovered(LinkTransfer)
+	in.NoteRecovered(LinkTransfer)
+	in.NoteDeviceKilled()
+	st := in.Stats()
+	if st.LinkTransfer.Injected != 3 || st.LinkTransfer.Retried != 2 ||
+		st.LinkTransfer.Unrecovered != 1 || st.LinkTransfer.Recovered != 1 {
+		t.Fatalf("link-transfer counters = %+v", st.LinkTransfer)
+	}
+	if st.DevicesKilled != 1 {
+		t.Fatalf("DevicesKilled = %d, want 1", st.DevicesKilled)
+	}
+}
+
+func TestEpochHealthCounts(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.LinkDegradeRate = 0.4
+	cfg.LinkFlapRate = 0.3
+	in, _ := New(cfg)
+	now := 99 * cfg.EpochLength // epochs 0..99 inclusive
+	healthy, degraded, flapping := in.EpochHealthCounts(0, now)
+	if healthy+degraded+flapping != 100 {
+		t.Fatalf("epoch counts %d+%d+%d != 100", healthy, degraded, flapping)
+	}
+	// Cross-check against the raw draws with flapping precedence.
+	var wantH, wantD, wantF int64
+	for e := int64(0); e < 100; e++ {
+		deg, flap := in.LinkEpochDraws(0, e)
+		switch {
+		case flap:
+			wantF++
+		case deg:
+			wantD++
+		default:
+			wantH++
+		}
+	}
+	if healthy != wantH || degraded != wantD || flapping != wantF {
+		t.Fatalf("counts (%d,%d,%d) != raw draws (%d,%d,%d)",
+			healthy, degraded, flapping, wantH, wantD, wantF)
 	}
 }

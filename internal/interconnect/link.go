@@ -3,13 +3,13 @@
 // are charged per-DMA-operation latency plus bandwidth time; contiguous
 // pages coalesce into single operations, as the real driver arranges.
 //
-// With a hardware fault domain attached (SetHardware), the link also
-// models degraded-mode operation: a seeded, sim-time epoch schedule puts
-// the link in one of four health states — healthy, degraded-bandwidth
-// (transfers slow down), flapping (operations can drop after carrying
-// their bytes), or dead (a killed device's link refuses all traffic).
-// Without a hardware domain the link behaves, bit for bit, exactly as it
-// always has.
+// With an injector that configures a hardware regime attached
+// (SetInjector), the link also models degraded-mode operation: a seeded,
+// sim-time epoch schedule puts the link in one of four health states —
+// healthy, degraded-bandwidth (transfers slow down), flapping
+// (operations can drop after carrying their bytes), or dead (a killed
+// device's link refuses all traffic). Without a hardware regime the link
+// behaves, bit for bit, exactly as it always has.
 package interconnect
 
 import (
@@ -68,8 +68,8 @@ type Health uint8
 const (
 	// Healthy: full bandwidth, no drops.
 	Healthy Health = iota
-	// Degraded: transfers run at the hardware domain's reduced
-	// bandwidth factor.
+	// Degraded: transfers run at the injector's reduced bandwidth
+	// factor.
 	Degraded
 	// Flapping: full bandwidth, but each operation may drop after
 	// carrying its bytes (the caller retries).
@@ -112,7 +112,7 @@ type Stats struct {
 	TransferTime sim.Time
 	// DegradedOps counts operations carried during degraded epochs;
 	// FlapDrops counts operations dropped by a flapping link. Both stay
-	// zero without a hardware fault domain.
+	// zero without a hardware regime.
 	DegradedOps int
 	FlapDrops   int
 }
@@ -125,10 +125,10 @@ type Link struct {
 	cfg   Config
 	stats Stats
 
-	// Hardware fault domain (nil in the default, always-healthy
-	// wiring): hw draws the health schedule, id names this link in the
-	// draws, now reads the virtual clock for epoch lookup.
-	hw  *faultinject.HardwareInjector
+	// Hardware regime (nil inj in the default, always-healthy wiring):
+	// inj draws the health schedule, id names this link in the draws,
+	// now reads the virtual clock for epoch lookup.
+	inj *faultinject.Injector
 	id  int
 	now func() sim.Time
 	// dead latches after Kill; opSeq sequences AttemptSpans operations
@@ -146,10 +146,15 @@ func NewLink(cfg Config) *Link {
 	return &Link{cfg: cfg}
 }
 
-// SetHardware attaches a hardware fault domain: hw draws this link's
-// health schedule under identity id, and now supplies the virtual clock.
-func (l *Link) SetHardware(hw *faultinject.HardwareInjector, id int, now func() sim.Time) {
-	l.hw = hw
+// SetInjector attaches the system's fault injector: when it configures a
+// hardware regime, it draws this link's health schedule under identity
+// id, and now supplies the virtual clock. An injector without one leaves
+// the link always healthy.
+func (l *Link) SetInjector(in *faultinject.Injector, id int, now func() sim.Time) {
+	if !in.Hardware() {
+		return
+	}
+	l.inj = in
 	l.id = id
 	l.now = now
 }
@@ -162,7 +167,7 @@ func (l *Link) Kill() { l.dead = true }
 func (l *Link) Dead() bool { return l.dead }
 
 // Health returns the link's current fault-domain state. Without a
-// hardware domain the link is always healthy; with one, the state is a
+// hardware regime the link is always healthy; with one, the state is a
 // stateless per-(link, epoch) draw, so querying it never perturbs any
 // stream. Flapping takes precedence over degraded when an epoch draws
 // both.
@@ -170,10 +175,10 @@ func (l *Link) Health() Health {
 	if l.dead {
 		return Dead
 	}
-	if l.hw == nil || l.now == nil {
+	if l.inj == nil {
 		return Healthy
 	}
-	degraded, flapping := l.hw.LinkEpochDraws(l.id, l.hw.EpochOf(l.now()))
+	degraded, flapping := l.inj.LinkEpochDraws(l.id, l.inj.EpochOf(l.now()))
 	switch {
 	case flapping:
 		return Flapping
@@ -191,15 +196,14 @@ func (l *Link) Stats() Stats { return l.stats }
 func (l *Link) AuditState() Stats { return l.stats }
 
 // Digest returns the FNV-1a digest of the canonical link state. The
-// hardware-domain fields are folded in only when a domain is attached,
-// so default-wiring digests are unchanged from the pre-fault-domain
-// model.
+// hardware fields are folded in only under a hardware regime, so
+// default-wiring digests are unchanged from the pre-fault-domain model.
 func (l *Link) Digest() uint64 {
 	h := digest.New()
 	h = h.Int(l.stats.Ops)
 	h = h.Uint64(l.stats.BytesToGPU).Uint64(l.stats.BytesToHost)
 	h = h.Int64(int64(l.stats.TransferTime))
-	if l.hw != nil {
+	if l.inj != nil {
 		h = h.Int(l.stats.DegradedOps).Int(l.stats.FlapDrops)
 		h = h.Uint64(l.opSeq).Bool(l.dead)
 	}
@@ -221,7 +225,7 @@ func (s Stats) Dump() string {
 func (l *Link) bytesTimeAt(bytes uint64, h Health) sim.Time {
 	bw := l.cfg.BandwidthBytesPerSec
 	if h == Degraded {
-		bw *= l.hw.DegradedFactor()
+		bw *= l.inj.DegradedFactor()
 	}
 	return sim.Time(float64(bytes) / bw * float64(sim.Second))
 }
@@ -278,7 +282,7 @@ func (l *Link) AttemptSpans(spans []mem.Span, toGPU bool) (sim.Time, error) {
 	cost := l.carrySpans(spans, toGPU, h)
 	if h == Flapping {
 		l.opSeq++
-		if l.hw.TransferDrops(l.id, l.opSeq) {
+		if l.inj.TransferDrops(l.id, l.opSeq) {
 			l.stats.FlapDrops++
 			return cost, ErrLinkFlapped
 		}

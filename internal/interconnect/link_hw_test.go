@@ -35,16 +35,16 @@ func TestNewLinkValidationEdgeCases(t *testing.T) {
 	}
 }
 
-// hwLink builds a link wired to a hardware domain and a settable clock.
-func hwLink(t *testing.T, cfg faultinject.HardwareConfig) (*Link, *sim.Time) {
+// hwLink builds a link wired to an injector and a settable clock.
+func hwLink(t *testing.T, cfg faultinject.Config) (*Link, *sim.Time) {
 	t.Helper()
-	hw, err := faultinject.NewHardware(cfg)
+	in, err := faultinject.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	now := new(sim.Time)
 	l := NewLink(DefaultPCIe3x16())
-	l.SetHardware(hw, 0, func() sim.Time { return *now })
+	l.SetInjector(in, 0, func() sim.Time { return *now })
 	return l, now
 }
 
@@ -64,7 +64,7 @@ func findEpoch(t *testing.T, l *Link, now *sim.Time, epochLen sim.Time, want Hea
 // Degraded epochs must slow the link: the same spans cost strictly more
 // than on a healthy epoch, and monotonically more for more bytes.
 func TestDegradedBandwidthCost(t *testing.T) {
-	cfg := faultinject.DefaultHardwareConfig()
+	cfg := faultinject.DefaultConfig()
 	cfg.LinkDegradeRate = 0.5
 	l, now := hwLink(t, cfg)
 
@@ -89,7 +89,7 @@ func TestDegradedBandwidthCost(t *testing.T) {
 // A dead link refuses AttemptSpans at no cost but still carries the
 // guaranteed path (re-homing uses it).
 func TestDeadLinkRefusesAttempts(t *testing.T) {
-	cfg := faultinject.DefaultHardwareConfig()
+	cfg := faultinject.DefaultConfig()
 	cfg.LinkFlapRate = 0.5 // any enabled regime
 	l, _ := hwLink(t, cfg)
 	l.Kill()
@@ -114,7 +114,7 @@ func TestDeadLinkRefusesAttempts(t *testing.T) {
 
 // A flapping link with drop rate 1 charges the bytes, then fails.
 func TestFlappingLinkDropsAfterCharging(t *testing.T) {
-	cfg := faultinject.DefaultHardwareConfig()
+	cfg := faultinject.DefaultConfig()
 	cfg.LinkFlapRate = 1
 	cfg.FlapDropRate = 1
 	l, _ := hwLink(t, cfg)
@@ -140,7 +140,7 @@ func TestFlappingLinkDropsAfterCharging(t *testing.T) {
 
 // Flapping takes precedence over degraded when an epoch draws both.
 func TestFlapPrecedesDegraded(t *testing.T) {
-	cfg := faultinject.DefaultHardwareConfig()
+	cfg := faultinject.DefaultConfig()
 	cfg.LinkDegradeRate = 1
 	cfg.LinkFlapRate = 1
 	l, _ := hwLink(t, cfg)
@@ -152,7 +152,7 @@ func TestFlapPrecedesDegraded(t *testing.T) {
 // Digest must be stable across pure health-state transitions (no
 // transfers), and must change once hw-visible activity differs.
 func TestLinkDigestAcrossHealthTransitions(t *testing.T) {
-	cfg := faultinject.DefaultHardwareConfig()
+	cfg := faultinject.DefaultConfig()
 	cfg.LinkDegradeRate = 0.5
 	l, now := hwLink(t, cfg)
 	d0 := l.Digest()
@@ -171,10 +171,10 @@ func TestLinkDigestAcrossHealthTransitions(t *testing.T) {
 }
 
 // Two identically-seeded links replay identical schedules and digests;
-// a link without a hardware domain digests exactly like the historical
-// model after the same traffic.
+// a link given an injector without a hardware regime digests exactly
+// like the historical model after the same traffic.
 func TestLinkDigestDeterminismAndGating(t *testing.T) {
-	cfg := faultinject.DefaultHardwareConfig()
+	cfg := faultinject.DefaultConfig()
 	cfg.LinkFlapRate = 0.3
 	cfg.FlapDropRate = 0.5
 	run := func() uint64 {
@@ -190,16 +190,20 @@ func TestLinkDigestDeterminismAndGating(t *testing.T) {
 	}
 
 	plain := NewLink(DefaultPCIe3x16())
-	wired, _ := hwLink(t, faultinject.DefaultHardwareConfig()) // inert rates
+	wired, _ := hwLink(t, faultinject.DefaultConfig()) // inert rates
 	spans := []mem.Span{{First: 0, Count: 16}}
 	cp := plain.TransferSpans(spans, true)
 	cw := wired.TransferSpans(spans, true)
 	if cp != cw {
-		t.Fatalf("inert hw domain changed transfer cost: %d != %d", cw, cp)
+		t.Fatalf("inert injector changed transfer cost: %d != %d", cw, cp)
 	}
-	// The wired link's digest folds hw fields in; the plain one must
-	// keep the historical layout (gating is on attachment, not traffic).
+	// Without a hardware regime the injector does not attach, so both
+	// keep the historical digest layout (gating is on the regime, not
+	// traffic).
 	if plain.Stats() != wired.Stats() {
 		t.Fatalf("stats diverged: %+v != %+v", plain.Stats(), wired.Stats())
+	}
+	if plain.Digest() != wired.Digest() {
+		t.Fatalf("inert injector changed the digest: %#x != %#x", wired.Digest(), plain.Digest())
 	}
 }

@@ -15,23 +15,17 @@ const batchCSVHeader = "id,start_ns,end_ns,duration_ns,raw_faults,unique_pages,"
 	"t_fetch_ns,t_dedup_ns,t_blockmgmt_ns,t_populate_ns,t_pagetable_ns," +
 	"t_dmamap_ns,t_unmap_ns,t_transfer_ns,t_evict_ns,t_replay_ns\n"
 
-// injectCSVColumns are the opt-in injected-fault columns appended by
-// WriteBatchesCSVWith; the default export omits them so existing consumers
-// see a bit-identical file.
+// injectCSVColumns are the injected-fault columns appended when the run
+// injects software faults; the default export omits them so uninjected
+// runs see a bit-identical file.
 const injectCSVColumns = ",inj_mig_failures,inj_host_alloc_fails"
 
 // WriteBatchesCSV streams batch records as CSV — the same per-batch log
 // the paper's instrumented driver emitted to the system log, in a form
-// external plotting tools consume directly.
-func WriteBatchesCSV(w io.Writer, batches []BatchRecord) error {
-	return WriteBatchesCSVWith(w, batches, false)
-}
-
-// WriteBatchesCSVWith is WriteBatchesCSV with optional injected-fault
-// columns (per-batch injected migration failures and host allocation
-// failures). With injectCols false the output is byte-identical to
-// WriteBatchesCSV.
-func WriteBatchesCSVWith(w io.Writer, batches []BatchRecord, injectCols bool) error {
+// external plotting tools consume directly. With injectCols it appends
+// the injected-fault columns (per-batch injected migration failures and
+// host allocation failures).
+func WriteBatchesCSV(w io.Writer, batches []BatchRecord, injectCols bool) error {
 	header := batchCSVHeader
 	if injectCols {
 		header = batchCSVHeader[:len(batchCSVHeader)-1] + injectCSVColumns + "\n"

@@ -35,8 +35,8 @@ type BatchRecord struct {
 	NewDMABlocks    int // VABlocks that paid first-touch DMA mapping setup
 
 	// Injected-fault recovery work (zero unless fault injection is on;
-	// absent from the default CSV export to keep uninjected runs
-	// bit-identical — WriteBatchesCSVWith opts in).
+	// the CSV export carries it only for injected runs, keeping
+	// uninjected exports bit-identical).
 	InjMigFailures    int // transient migration transfer failures retried
 	InjHostAllocFails int // host allocation failures degraded around
 

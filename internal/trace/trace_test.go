@@ -144,7 +144,7 @@ func TestWriteBatchesCSV(t *testing.T) {
 		{ID: 1, Start: 500, End: 900, Type1Dups: 2},
 	}
 	var sb strings.Builder
-	if err := WriteBatchesCSV(&sb, batches); err != nil {
+	if err := WriteBatchesCSV(&sb, batches, false); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")

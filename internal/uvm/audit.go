@@ -225,9 +225,9 @@ func (d *Driver) Digest() uint64 {
 	if s.RemoteMappedPages != 0 || s.CounterPromotions != 0 {
 		h = h.Int(s.RemoteMappedPages).Int(s.CounterPromotions)
 	}
-	// Hardware fault-domain state folds in only when the domain is
-	// attached, so default runs keep their historical digests.
-	if d.hw != nil {
+	// Hardware fault-domain state folds in only under a hardware
+	// regime, so default runs keep their historical digests.
+	if d.hw {
 		h = h.Bool(hd.Dead)
 		h = h.Int(s.HWLinkRetries).Int(s.DegradedShrinks)
 		h = h.Uint64(s.HWRetryToGPUBytes).Uint64(s.HWRetryToHostBytes)

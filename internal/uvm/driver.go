@@ -88,8 +88,8 @@ type Stats struct {
 	RemoteMappedPages int
 	CounterPromotions int
 
-	// Hardware fault-domain telemetry (all zero unless a hardware
-	// injector is attached; see SetHardware).
+	// Hardware fault-domain telemetry (all zero unless the injector
+	// configures a hardware regime; see SetInjector).
 	//
 	// HWLinkRetries counts transfer attempts dropped by a flapping
 	// link (each drop triggers a retry unless the budget is exhausted);
@@ -217,13 +217,14 @@ type Driver struct {
 	evictRNG *sim.RNG
 	inj      *faultinject.Injector
 
-	// hw, when set, is the hardware fault domain: the transfer paths
-	// retry flap-dropped link operations against it, and its kill
-	// schedule may name this driver's device (hwIndex). dead latches
-	// once the device was killed and its pages re-homed (rehome.go).
-	hw      *faultinject.HardwareInjector
-	hwIndex int
-	dead    bool
+	// hw is set when inj configures a hardware regime: the transfer
+	// paths retry flap-dropped link operations, and its kill schedule
+	// may name this driver's device (index, the device's place in the
+	// system). dead latches once the device was killed and its pages
+	// re-homed (rehome.go).
+	hw    bool
+	index int
+	dead  bool
 
 	// arbiter, when set, serializes batch servicing with other drivers
 	// sharing the host (multi-GPU).
@@ -310,23 +311,20 @@ func (d *Driver) Attach(dev *gpu.Device) {
 // before each batch (multi-GPU configurations).
 func (d *Driver) SetArbiter(a *Arbiter) { d.arbiter = a }
 
-// SetInjector attaches a fault injector to the driver's migration and
-// host-allocation paths (and to the backing host VM). A nil injector (the
-// default) disables injection.
-func (d *Driver) SetInjector(in *faultinject.Injector) {
+// SetInjector attaches a fault injector to the driver of the system's
+// index-th device: to its migration and host-allocation paths, to the
+// backing host VM and to its link. When the injector configures a
+// hardware regime, link transfers become fallible (retried with
+// deterministic backoff), and when its kill schedule names this device
+// the driver kills it after batch KillBatch (rehome.go). A nil injector
+// (the default) disables injection and keeps every transfer on the
+// guaranteed path, bit-identical to the pre-fault-domain model.
+func (d *Driver) SetInjector(in *faultinject.Injector, index int) {
 	d.inj = in
+	d.hw = in.Hardware()
+	d.index = index
 	d.vm.SetInjector(in)
-}
-
-// SetHardware attaches the hardware fault domain for the driver's device,
-// the index-th of the system: link transfers become fallible (retried
-// with deterministic backoff), and when the domain's kill schedule names
-// this device the driver kills it after batch KillBatch (rehome.go). A
-// nil injector (the default) keeps every transfer on the guaranteed
-// path, bit-identical to the pre-fault-domain model.
-func (d *Driver) SetHardware(hw *faultinject.HardwareInjector, index int) {
-	d.hw = hw
-	d.hwIndex = index
+	d.link.SetInjector(in, index, d.eng.Now)
 }
 
 // Dead reports whether this driver's device was killed and its resident

@@ -30,7 +30,7 @@ func TestMigrationRetryRecovers(t *testing.T) {
 	in := mustInjector(t, icfg)
 
 	eng, drv, dev := newSystem(smallGPU(), noPrefetch())
-	drv.SetInjector(in)
+	drv.SetInjector(in, 0)
 	dev.SetInjector(in)
 	base := drv.Alloc(2 * mem.VABlockSize)
 	runKernel(t, eng, dev, streamKernel(base, 600))
@@ -56,7 +56,7 @@ func TestMigrationRetryRecovers(t *testing.T) {
 func TestMigrationRetryCostsVirtualTime(t *testing.T) {
 	run := func(in *faultinject.Injector) sim.Time {
 		eng, drv, dev := newSystem(smallGPU(), noPrefetch())
-		drv.SetInjector(in)
+		drv.SetInjector(in, 0)
 		dev.SetInjector(in)
 		base := drv.Alloc(2 * mem.VABlockSize)
 		runKernel(t, eng, dev, streamKernel(base, 600))
@@ -81,7 +81,7 @@ func TestMigrationExhaustionFails(t *testing.T) {
 	in := mustInjector(t, icfg)
 
 	eng, drv, dev := newSystem(smallGPU(), noPrefetch())
-	drv.SetInjector(in)
+	drv.SetInjector(in, 0)
 	dev.SetInjector(in)
 	base := drv.Alloc(mem.VABlockSize)
 	if err := dev.LaunchKernel(streamKernel(base, 64), func() {}); err != nil {
@@ -108,7 +108,7 @@ func TestHostAllocDegradation(t *testing.T) {
 	ucfg := noPrefetch()
 	ucfg.AdaptiveMin = 16
 	eng, drv, dev := newSystem(smallGPU(), ucfg)
-	drv.SetInjector(in)
+	drv.SetInjector(in, 0)
 	dev.SetInjector(in)
 	base := drv.Alloc(2 * mem.VABlockSize)
 	runKernel(t, eng, dev, streamKernel(base, 600))
@@ -141,7 +141,7 @@ func TestHostAllocExhaustionFails(t *testing.T) {
 	in := mustInjector(t, icfg)
 
 	eng, drv, dev := newSystem(smallGPU(), noPrefetch())
-	drv.SetInjector(in)
+	drv.SetInjector(in, 0)
 	dev.SetInjector(in)
 	base := drv.Alloc(mem.VABlockSize)
 	if err := dev.LaunchKernel(streamKernel(base, 64), func() {}); err != nil {
@@ -162,7 +162,7 @@ func TestInertInjectorBitIdentical(t *testing.T) {
 	run := func(in *faultinject.Injector) ([]sim.Time, Stats) {
 		eng, drv, dev := newSystem(smallGPU(), noPrefetch())
 		if in != nil {
-			drv.SetInjector(in)
+			drv.SetInjector(in, 0)
 			dev.SetInjector(in)
 		}
 		base := drv.Alloc(2 * mem.VABlockSize)

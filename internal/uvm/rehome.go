@@ -12,7 +12,7 @@ package uvm
 // retries until completion — and its cost is charged to the virtual
 // clock by the caller.
 //
-// The hardware domain's kill schedule runs here too: the driver whose
+// The injector's kill schedule runs here too: the driver whose
 // device it names kills that device at the end of batch KillBatch,
 // after the batch observers (so an auditor checks that batch first).
 
@@ -36,11 +36,11 @@ type RehomeReport struct {
 // killDue reports whether the hardware kill schedule ends this driver's
 // device at the batch just completed.
 func (d *Driver) killDue() bool {
-	if d.hw == nil {
+	if !d.hw {
 		return false
 	}
-	c := d.hw.Config()
-	return c.KillBatch == d.batchCount && c.KillDevice == d.hwIndex
+	c := d.inj.Config()
+	return c.KillBatch == d.batchCount && c.KillDevice == d.index
 }
 
 // killDevice runs the device-death schedule at a batch boundary: kill
@@ -51,11 +51,11 @@ func (d *Driver) killDue() bool {
 func (d *Driver) killDevice() {
 	d.dev.Kill()
 	rep := d.RehomeToHost()
-	d.hw.NoteDeviceKilled()
+	d.inj.NoteDeviceKilled()
 	d.link.Kill()
 	if d.arbiter != nil {
 		d.arbiter.NoteRehome(RehomeRecord{
-			Device: d.hwIndex,
+			Device: d.index,
 			Batch:  d.batchCount,
 			Blocks: rep.Blocks,
 			Pages:  rep.Pages,

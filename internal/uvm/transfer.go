@@ -178,23 +178,23 @@ func (d *Driver) transferWithRetry(bid mem.VABlockID, spans []mem.Span, rec *tra
 
 // carryOverLink moves spans over the link, surviving the hardware fault
 // domain: a flap-dropped operation is retried with deterministic
-// exponential backoff up to the domain's budget, with the dropped
+// exponential backoff up to the injector's LinkRetryLimit, with the dropped
 // attempts' bytes accounted as HW retry traffic (the link charged them,
-// but no batch record counts them). Without a hardware domain this is
+// but no batch record counts them). Without a hardware regime this is
 // exactly one guaranteed TransferSpans — the default hot path pays a
-// single nil check.
+// single flag check.
 func (d *Driver) carryOverLink(bid mem.VABlockID, spans []mem.Span, toGPU bool) (sim.Time, error) {
-	if d.hw == nil {
+	if !d.hw {
 		return d.link.TransferSpans(spans, toGPU), nil
 	}
-	limit := d.hw.RetryLimit()
+	limit := d.inj.LinkRetryLimit()
 	var cost sim.Time
 	for attempt := 0; ; attempt++ {
 		t, err := d.link.AttemptSpans(spans, toGPU)
 		cost += t
 		if err == nil {
 			if attempt > 0 {
-				d.hw.NoteTransferRecovered()
+				d.inj.NoteRecovered(faultinject.LinkTransfer)
 			}
 			return cost, nil
 		}
@@ -212,11 +212,11 @@ func (d *Driver) carryOverLink(bid mem.VABlockID, spans []mem.Span, toGPU bool) 
 		}
 		d.stats.HWLinkRetries++
 		if attempt >= limit {
-			d.hw.NoteTransferUnrecovered()
+			d.inj.NoteUnrecovered(faultinject.LinkTransfer)
 			return cost, fmt.Errorf("uvm: transferring block %d: %d flapping-link attempts failed: %w",
 				bid, attempt+1, ErrLinkFailed)
 		}
-		d.hw.NoteTransferRetried()
-		cost += d.hw.RetryBackoffFor(attempt)
+		d.inj.NoteRetried(faultinject.LinkTransfer)
+		cost += d.inj.LinkBackoffFor(attempt)
 	}
 }

@@ -10,7 +10,6 @@ import (
 
 	"guvm"
 	"guvm/internal/experiments"
-	"guvm/internal/faultinject"
 	"guvm/internal/uvm"
 	"guvm/internal/workloads"
 )
@@ -71,10 +70,9 @@ func TestMultiGPUGolden(t *testing.T) {
 
 	drill := multiGPUTestConfig()
 	drill.Audit.Enabled = true
-	drill.HW = faultinject.DefaultHardwareConfig()
-	drill.HW.EpochLength /= 4
-	drill.HW.KillDevice = 1
-	drill.HW.KillBatch = 3
+	drill.Inject.EpochLength /= 4
+	drill.Inject.KillDevice = 1
+	drill.Inject.KillBatch = 3
 	writeMultiGPURun(t, &b, "device-death drill", drill)
 
 	got := b.String()

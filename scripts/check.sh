@@ -19,12 +19,17 @@ go run ./cmd/uvmsim -workload stream -mb 16 -verify-determinism > /dev/null
 go run ./cmd/uvmsim -workload stream -mb 16 -audit -verify-determinism > /dev/null
 
 # Degraded-mode gate: the same stream run must stay audit-clean and
-# digest-deterministic with the hardware fault domain engaged, and the
-# multi-GPU device-death drill must conserve every page and replay
+# digest-deterministic with the hardware fault domain engaged, alone and
+# together with every software injection category, and the multi-GPU
+# device-death drill must conserve every page and replay
 # digest-identically under the same seed.
 go run ./cmd/uvmsim -workload stream -mb 16 -audit -hw-fault > /dev/null
 go run ./cmd/uvmsim -workload stream -mb 16 -hw-fault -verify-determinism > /dev/null
 go run ./cmd/uvmsim -workload stream -mb 16 -audit -hw-fault -hw-kill-batch 3 > /dev/null
+go run ./cmd/uvmsim -workload stream -mb 16 -audit -hw-fault \
+  -inject-drop-rate 0.02 -inject-mig-rate 0.02 -inject-host-rate 0.02 > /dev/null
+go run ./cmd/uvmsim -workload stream -mb 16 -hw-fault -verify-determinism \
+  -inject-drop-rate 0.02 -inject-mig-rate 0.02 -inject-host-rate 0.02 > /dev/null
 go test -run 'TestMultiGPUDeviceDeathDrill|TestSingleDeviceKillRehomesPages' -count=1 .
 
 # Observability gate: the audited vecadd Chrome trace must match the
@@ -47,6 +52,12 @@ cmp testdata/vecadd_breakdown.golden.csv "$tmpdir/prof/breakdown.csv"
 go run ./cmd/uvmsweep -workload stream -mb 4 -batches 128,256 -caps 8,16 \
   -prefetch on,off -evict lru,fifo -arch host-driven,gpu-driven -jobs 2 > "$tmpdir/sweep.csv"
 cmp testdata/uvmsweep_mixed.golden.csv "$tmpdir/sweep.csv"
+
+# Results gate: the committed results/ must be exactly what a full
+# paperfigs regeneration writes, so a change that moves an artifact
+# commits it.
+go run ./cmd/paperfigs -jobs 2 -out "$tmpdir/results" > /dev/null
+diff -r results "$tmpdir/results"
 
 go build -o "$tmpdir/uvmsim" ./cmd/uvmsim
 "$tmpdir/uvmsim" -workload stream -mb 16 -metrics-addr 127.0.0.1:0 -metrics-hold 20s \

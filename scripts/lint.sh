@@ -280,6 +280,20 @@ for f in $(find . -name '*.go' ! -name '*_test.go' ! -path './determinism.go'); 
   fi
 done
 
+# 18. One fault-injection domain (DESIGN.md §7): faultinject.Injector
+#     draws every simulated fault, software and hardware, under one
+#     Config and one seed, so the separate hardware injector, its config,
+#     stats and wiring call stay gone, and so do the flags that only
+#     served them.
+for f in $(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*'); do
+  if grep -nE '(^|[^[:alnum:]_])(HardwareInjector|HardwareConfig|DefaultHardwareConfig|HardwareStats|NewHardware|SetHardware|HWStats)([^[:alnum:]_]|$)|\.HW([^[:alnum:]_]|$)|^[[:space:]]+HW[[:space:]]' "$f"; then
+    fail "$f brings back the separate hardware injector; hardware faults are faultinject.Injector's"
+  fi
+done
+if grep -rnE 'hw-seed|csv-inject' cmd; then
+  fail "cmd/ brings back -hw-seed or -csv-inject; -inject-seed seeds every fault and -csv derives its columns"
+fi
+
 if [ "$status" -ne 0 ]; then
   exit 1
 fi
