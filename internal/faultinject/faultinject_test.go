@@ -29,6 +29,26 @@ func TestConfigValidate(t *testing.T) {
 		{"negative retry delay", func(c *Config) { c.BufferRetryDelay = -1 }},
 		{"negative backoff", func(c *Config) { c.MigrateBackoff = -5 }},
 		{"NaN drop rate", func(c *Config) { c.BufferDropRate = math.NaN() }},
+	}
+	for _, tc := range cases {
+		cfg := DefaultConfig()
+		tc.mut(&cfg)
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted bad config", tc.name)
+		}
+		if _, err := New(cfg); err == nil {
+			t.Errorf("%s: New accepted bad config", tc.name)
+		}
+	}
+}
+
+// The hardware-regime fields (link epochs, flaps, retries, the kill
+// schedule) are validated by the same Config.Validate and New.
+func TestHardwareConfigValidate(t *testing.T) {
+	cases := []struct {
+		name string
+		mut  func(*Config)
+	}{
 		{"negative degrade rate", func(c *Config) { c.LinkDegradeRate = -0.1 }},
 		{"degrade rate > 1", func(c *Config) { c.LinkDegradeRate = 1.5 }},
 		{"NaN degrade rate", func(c *Config) { c.LinkDegradeRate = math.NaN() }},
@@ -67,6 +87,12 @@ func TestEnabled(t *testing.T) {
 	if !cfg.SoftwareEnabled() || cfg.HardwareEnabled() {
 		t.Fatal("a software rate must enable software injection only")
 	}
+	if in, _ := New(cfg); in.Hardware() {
+		t.Fatal("a software rate must not give the injector a hardware regime")
+	}
+}
+
+func TestHardwareEnabled(t *testing.T) {
 	for _, mutate := range []func(*Config){
 		func(c *Config) { c.LinkDegradeRate = 0.1 },
 		func(c *Config) { c.LinkFlapRate = 0.1 },
@@ -81,10 +107,6 @@ func TestEnabled(t *testing.T) {
 			t.Errorf("config %+v: injector reports no hardware regime", c)
 		}
 	}
-	var nilInj *Injector
-	if nilInj.Hardware() {
-		t.Fatal("nil injector reports a hardware regime")
-	}
 }
 
 func TestNilInjectorIsInert(t *testing.T) {
@@ -96,9 +118,27 @@ func TestNilInjectorIsInert(t *testing.T) {
 		t.Fatal("nil injector planned migration failures")
 	}
 	if in.BufferRetryBudget() != 0 || in.BufferRetryDelay() != 0 ||
-		in.HostAllocRetryBudget() != 0 || in.MigrateBackoffFor(3) != 0 ||
-		in.LinkRetryLimit() != 0 || in.LinkBackoffFor(3) != 0 {
+		in.HostAllocRetryBudget() != 0 || in.MigrateBackoffFor(3) != 0 {
 		t.Fatal("nil injector returned non-zero budgets")
+	}
+	in.NoteRetried(BufferDrop)
+	in.NoteRecovered(Migrate)
+	in.NoteUnrecovered(HostAlloc)
+	if in.Stats() != (Stats{}) {
+		t.Fatal("nil injector accumulated stats")
+	}
+	if in.Config() != (Config{}) {
+		t.Fatal("nil injector has a non-zero config")
+	}
+}
+
+// Every hardware-regime decision and reporting method must be safe on a
+// nil injector: that is the disabled-wiring contract of the link and the
+// kill schedule.
+func TestHardwareNilReceiverSafe(t *testing.T) {
+	var in *Injector
+	if in.Hardware() {
+		t.Fatal("nil injector reports a hardware regime")
 	}
 	if deg, flap := in.LinkEpochDraws(0, 5); deg || flap || in.TransferDrops(0, 1) {
 		t.Fatal("nil injector drew a link fault")
@@ -106,19 +146,18 @@ func TestNilInjectorIsInert(t *testing.T) {
 	if in.EpochOf(sim.Time(1e9)) != 0 || in.DegradedFactor() != 1 {
 		t.Fatal("nil injector returned a non-neutral epoch or factor")
 	}
+	if in.LinkRetryLimit() != 0 || in.LinkBackoffFor(3) != 0 {
+		t.Fatal("nil injector returned non-zero link retry knobs")
+	}
 	if h, d, f := in.EpochHealthCounts(0, sim.Time(1e9)); h != 0 || d != 0 || f != 0 {
 		t.Fatal("nil EpochHealthCounts nonzero")
 	}
-	in.NoteRetried(BufferDrop)
-	in.NoteRecovered(Migrate)
-	in.NoteUnrecovered(HostAlloc)
 	in.NoteRetried(LinkTransfer)
+	in.NoteRecovered(LinkTransfer)
+	in.NoteUnrecovered(LinkTransfer)
 	in.NoteDeviceKilled()
 	if in.Stats() != (Stats{}) {
 		t.Fatal("nil injector accumulated stats")
-	}
-	if in.Config() != (Config{}) {
-		t.Fatal("nil injector has a non-zero config")
 	}
 }
 
@@ -136,12 +175,27 @@ func TestZeroRateDrawsNothing(t *testing.T) {
 		if f, _ := in.MigrateFailures(); f != 0 {
 			t.Fatal("zero-rate injector planned failures")
 		}
-		if deg, flap := in.LinkEpochDraws(0, int64(i)); deg || flap {
-			t.Fatalf("epoch %d: zero-rate link draw returned (%v, %v)", i, deg, flap)
-		}
 	}
 	if in.Stats() != (Stats{}) {
 		t.Fatalf("zero-rate injector counted: %+v", in.Stats())
+	}
+}
+
+func TestHardwareZeroRatesDrawNothing(t *testing.T) {
+	in, err := New(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e := int64(0); e < 50; e++ {
+		if deg, flap := in.LinkEpochDraws(0, e); deg || flap {
+			t.Fatalf("epoch %d: zero-rate link draw returned (%v, %v)", e, deg, flap)
+		}
+	}
+	if in.TransferDrops(0, 7) {
+		t.Fatal("zero-rate TransferDrops dropped")
+	}
+	if in.Stats() != (Stats{}) {
+		t.Fatalf("stats = %+v, want all zero", in.Stats())
 	}
 }
 
@@ -445,7 +499,7 @@ func TestServiceConfigValidate(t *testing.T) {
 
 // Same seed → identical schedule; draws are stateless, so query order and
 // repetition change nothing.
-func TestLinkDrawDeterminism(t *testing.T) {
+func TestHardwareDrawDeterminism(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.LinkDegradeRate = 0.3
 	cfg.LinkFlapRate = 0.2
@@ -499,7 +553,7 @@ func TestLinkDrawDeterminism(t *testing.T) {
 	}
 }
 
-func TestLinkTransferCounting(t *testing.T) {
+func TestHardwareTransferDropCounting(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.LinkFlapRate = 1
 	cfg.FlapDropRate = 1
@@ -524,7 +578,7 @@ func TestLinkTransferCounting(t *testing.T) {
 	}
 }
 
-func TestEpochHealthCounts(t *testing.T) {
+func TestHardwareEpochHealthCounts(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.LinkDegradeRate = 0.4
 	cfg.LinkFlapRate = 0.3
