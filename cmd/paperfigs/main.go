@@ -26,7 +26,6 @@ import (
 
 	"guvm/internal/experiments"
 	"guvm/internal/obs"
-	"guvm/internal/sim"
 	"guvm/internal/uvm"
 )
 
@@ -82,65 +81,24 @@ func main() {
 		os.Exit(1)
 	}
 
-	// Optional harness trace: one wall-clock span per experiment, placed
-	// at [collection-elapsed, collection] relative to program start. The
-	// collect callback runs in experiment order on the main goroutine, so
-	// span placement is approximate for experiments that finished while an
-	// earlier one was still pending collection.
-	var harness *obs.Tracer
-	progStart := time.Now()
-	if ofl.TraceOut != "" {
-		harness = obs.NewTracer()
-		harness.Lanes = map[int]string{}
-	}
-
-	// Opt-in harness progress metrics: counters advance only in the
-	// ordered collect callback, keyed by completed-experiment count, so
-	// the sampled series is deterministic at any -jobs value.
-	var prog *obs.Observer
-	doneCount := 0
-	if ofl.SamplingRequested() {
-		prog = obs.New(obs.Config{SampleInterval: ofl.SampleEvery()})
-		total := prog.Registry.Gauge("guvm_experiments_total", "Experiments in this run")
-		total.Set(float64(len(gens)))
-		prog.Registry.Func("guvm_experiments_done_total", "Experiments completed",
-			func() float64 { return float64(doneCount) })
-		prog.SetStatusFunc(func() any {
-			return map[string]any{"experiments": len(gens), "done": doneCount}
-		})
-		prog.Publish()
-		if ofl.MetricsAddr != "" {
-			srv, err := obs.Serve(ofl.MetricsAddr, prog)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "paperfigs: %v\n", err)
-				os.Exit(2)
-			}
-			defer srv.Close()
-			fmt.Printf("metrics: serving on %s\n", srv.Addr())
-		}
+	// Opt-in harness trace (one lane per experiment) and progress
+	// metrics, advanced only in the ordered collect callback.
+	prog, err := ofl.StartProgress(os.Stdout, len(gens), obs.ProgressMetrics{
+		Total: "guvm_experiments_total", TotalHelp: "Experiments in this run",
+		Done: "guvm_experiments_done_total", DoneHelp: "Experiments completed",
+	}, nil, func(done int) any {
+		return map[string]any{"experiments": len(gens), "done": done}
+	})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "paperfigs: %v\n", err)
+		os.Exit(2)
 	}
 
 	var summary strings.Builder
 	var failed []string
 	interrupted := experiments.RunParallel(ctx, gens, *jobs, func(r experiments.RunResult) {
 		fmt.Printf("== %s: %s\n", r.Gen.ID, r.Gen.Title)
-		if harness != nil {
-			end := sim.Time(time.Since(progStart).Nanoseconds())
-			start := end - sim.Time(r.Elapsed.Nanoseconds())
-			if start < 0 {
-				start = 0
-			}
-			lane := r.Index + 1
-			harness.Lanes[lane] = r.Gen.ID
-			harness.Add(lane, "experiment", r.Gen.ID, start, end-start, r.Index)
-		}
-		doneCount++
-		if prog != nil {
-			if r.Index%prog.Sampler.Interval == 0 {
-				prog.Sampler.Sample(sim.Time(doneCount), r.Index)
-			}
-			prog.Publish()
-		}
+		prog.Collect(r.Index, r.Index+1, r.Gen.ID, "experiment", r.Gen.ID, r.Elapsed)
 		if r.Err != nil {
 			// One broken experiment must not take down the sweep: record
 			// it, keep going, and exit non-zero at the end.
@@ -172,11 +130,7 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("== summary notes: %s\n", notesFile)
-	var sampler *obs.Sampler
-	if prog != nil {
-		sampler = prog.Sampler
-	}
-	if err := ofl.WriteArtifacts(harness, sampler, fmt.Printf); err != nil {
+	if err := prog.Finish(); err != nil {
 		fmt.Fprintf(os.Stderr, "paperfigs: %v\n", err)
 		os.Exit(1)
 	}

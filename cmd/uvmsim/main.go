@@ -17,6 +17,7 @@ import (
 
 	"guvm"
 	"guvm/internal/analysis"
+	"guvm/internal/faultinject"
 	"guvm/internal/obs"
 	"guvm/internal/sim"
 	"guvm/internal/stats"
@@ -25,43 +26,10 @@ import (
 	"guvm/internal/workloads"
 )
 
-func buildWorkload(name string, mb uint64, n, hostThreads int, seed uint64) (workloads.Workload, error) {
-	bytes := mb << 20
-	switch name {
-	case "vecadd":
-		return workloads.NewVecAddPaper(), nil
-	case "vecadd-prefetch":
-		return workloads.NewVecAddPrefetch(), nil
-	case "vecadd-coalesced":
-		return workloads.NewVecAddCoalesced(), nil
-	case "regular":
-		return workloads.NewRegular(bytes, 160), nil
-	case "random":
-		return workloads.NewRandom(bytes, 160, 300, seed), nil
-	case "stream":
-		return workloads.NewStream(bytes, 24), nil
-	case "sgemm":
-		return workloads.NewSGEMM(n), nil
-	case "dgemm":
-		return workloads.NewDGEMM(n), nil
-	case "fft":
-		return workloads.NewFFT(int(bytes/8), 10), nil
-	case "gauss-seidel":
-		return workloads.NewGaussSeidel(n, 3), nil
-	case "hpgmg":
-		return workloads.NewHPGMG(bytes, hostThreads), nil
-	case "spmv":
-		return workloads.NewSpMV(n*n/64, 16, seed), nil
-	}
-	return nil, fmt.Errorf("unknown workload %q", name)
-}
-
-var workloadNames = []string{
-	"vecadd", "vecadd-prefetch", "vecadd-coalesced", "regular", "random", "stream",
-	"sgemm", "dgemm", "fft", "gauss-seidel", "hpgmg", "spmv",
-}
-
 func main() {
+	// Injection flag defaults come from the injector's own defaults, so
+	// the CLI cannot drift from them.
+	inj := faultinject.DefaultConfig()
 	var (
 		name        = flag.String("workload", "stream", "workload name (see -list)")
 		mb          = flag.Uint64("mb", 64, "workload footprint knob in MiB (per array / fine grid)")
@@ -104,31 +72,31 @@ func main() {
 		metricsHold = flag.Duration("metrics-hold", 0, "keep the -metrics-addr endpoint up this long after the run finishes")
 
 		// Deterministic fault injection (all rates default to 0 = off).
-		injSeed        = flag.Uint64("inject-seed", 1, "fault-injection RNG seed (software categories and hardware regimes)")
+		injSeed        = flag.Uint64("inject-seed", inj.Seed, "fault-injection RNG seed (software categories and hardware regimes)")
 		injDropRate    = flag.Float64("inject-drop-rate", 0, "probability a fault record is dropped before reaching the fault buffer")
-		injDropRetries = flag.Int("inject-drop-retries", 3, "hardware re-emission attempts for a dropped fault record")
+		injDropRetries = flag.Int("inject-drop-retries", inj.BufferDropRetries, "hardware re-emission attempts for a dropped fault record")
 		injMigRate     = flag.Float64("inject-mig-rate", 0, "probability a DMA transfer attempt fails transiently")
-		injMigRetries  = flag.Int("inject-mig-retries", 4, "transfer retries (with exponential backoff) before a migration is fatal")
+		injMigRetries  = flag.Int("inject-mig-retries", inj.MigrateMaxRetries, "transfer retries (with exponential backoff) before a migration is fatal")
 		injHostRate    = flag.Float64("inject-host-rate", 0, "probability a host page-population call fails")
-		injHostRetries = flag.Int("inject-host-retries", 6, "population retries (with batch shrinking and forced eviction) before fatal")
+		injHostRetries = flag.Int("inject-host-retries", inj.HostAllocMaxRetries, "population retries (with batch shrinking and forced eviction) before fatal")
 
 		// Hardware regimes of the same injector: seeded link
 		// degradation/flapping epochs and scheduled device death. Off by
 		// default; -hw-fault enables the link regimes at the rates below,
 		// -hw-kill-batch schedules device death on its own.
 		hwFault         = flag.Bool("hw-fault", false, "enable the hardware fault domain (degraded/flapping link epochs)")
-		hwEpoch         = flag.Duration("hw-epoch", 100*time.Microsecond, "virtual-time length of one link-health epoch")
+		hwEpoch         = flag.Duration("hw-epoch", time.Duration(inj.EpochLength), "virtual-time length of one link-health epoch")
 		hwDegradeRate   = flag.Float64("hw-degrade-rate", 0.2, "probability a link-health epoch runs at degraded bandwidth (with -hw-fault)")
-		hwDegradeFactor = flag.Float64("hw-degrade-factor", 0.25, "bandwidth multiplier during a degraded epoch")
+		hwDegradeFactor = flag.Float64("hw-degrade-factor", inj.DegradedBandwidthFactor, "bandwidth multiplier during a degraded epoch")
 		hwFlapRate      = flag.Float64("hw-flap-rate", 0.1, "probability a link-health epoch is flapping (with -hw-fault)")
-		hwFlapDrop      = flag.Float64("hw-flap-drop-rate", 0.5, "probability one transfer operation drops during a flapping epoch")
-		hwRetryLimit    = flag.Int("hw-retry-limit", 6, "driver transfer retries after a dropped operation before the link failure is fatal")
+		hwFlapDrop      = flag.Float64("hw-flap-drop-rate", inj.FlapDropRate, "probability one transfer operation drops during a flapping epoch")
+		hwRetryLimit    = flag.Int("hw-retry-limit", inj.LinkRetryLimit, "driver transfer retries after a dropped operation before the link failure is fatal")
 		hwKillBatch     = flag.Int("hw-kill-batch", 0, "kill the device after it completes this many fault batches (1-based; 0 disables)")
 	)
 	flag.Parse()
 
 	if *list {
-		for _, w := range workloadNames {
+		for _, w := range workloads.CatalogNames() {
 			fmt.Println(w)
 		}
 		return
@@ -148,7 +116,11 @@ func main() {
 		w, err = workloads.ParseTrace(f)
 		f.Close()
 	} else {
-		w, err = buildWorkload(*name, *mb, *n, *hostThreads, *seed)
+		var mk func() workloads.Workload
+		mk, err = workloads.ByName(*name, *mb, *n, *seed, *hostThreads)
+		if err == nil {
+			w = mk()
+		}
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "uvmsim: %v\n", err)

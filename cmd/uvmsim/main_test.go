@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"os/exec"
@@ -9,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"guvm/internal/experiments"
 	"guvm/internal/uvm"
 )
 
@@ -211,5 +214,88 @@ func TestCLICSVInjectColumns(t *testing.T) {
 				t.Fatalf("%s: row %d has %d columns, header %d", tc.name, i, strings.Count(l, ",")+1, strings.Count(lines[0], ",")+1)
 			}
 		}
+	}
+}
+
+// faultRecord is the part of a -faults-jsonl record that Figure 3 plots.
+type faultRecord struct {
+	Batch int    `json:"batch"`
+	Page  uint64 `json:"page"`
+	Kind  string `json:"kind"`
+}
+
+// faultRecords runs the CLI with -faults-jsonl and decodes the per-fault
+// records it writes.
+func faultRecords(t *testing.T, bin string, args ...string) []faultRecord {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "faults.jsonl")
+	if out, err := exec.Command(bin, append(args, "-faults-jsonl", path)...).CombinedOutput(); err != nil {
+		t.Fatalf("%v: %v\n%s", args, err, out)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var recs []faultRecord
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		var r faultRecord
+		if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
+			t.Fatalf("record %d: %v", len(recs), err)
+		}
+		recs = append(recs, r)
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return recs
+}
+
+// TestCLIFaultsMatchFig03 checks that the per-fault timeline of the
+// paper's Listing 1 reaches users through uvmsim: -workload vecadd
+// -prefetch=false -faults-jsonl writes experiments.Fig03's series record
+// for record (batch id, vector, page in vector, is_write). The JSONL
+// holds absolute pages, so each vector's base is taken as page minus
+// page-in-vector and must be one value per vector, in allocation order.
+// The prefetch-instruction kernel of Figure 5 must yield its 768 faults.
+func TestCLIFaultsMatchFig03(t *testing.T) {
+	bin := buildCLI(t)
+	recs := faultRecords(t, bin, "-workload", "vecadd", "-prefetch=false")
+	a, err := experiments.Fig03()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := a.Series[0].Rows
+	if len(recs) != len(rows) || len(rows) == 0 {
+		t.Fatalf("uvmsim wrote %d fault records, Fig03 has %d", len(recs), len(rows))
+	}
+	var bases [3]uint64
+	var seen [3]bool
+	for i, row := range rows {
+		r := recs[i]
+		batch, vec, off, write := int(row[1]), int(row[2]), uint64(row[3]), row[4] == 1
+		if r.Batch != batch || (r.Kind == "write") != write {
+			t.Fatalf("fault %d: uvmsim batch %d kind %s, Fig03 batch %d is_write %v",
+				i, r.Batch, r.Kind, batch, write)
+		}
+		base := r.Page - off
+		if !seen[vec] {
+			bases[vec], seen[vec] = base, true
+		} else if base != bases[vec] {
+			t.Fatalf("fault %d: page %d is not page %d of vector %d (base %d)", i, r.Page, off, vec, bases[vec])
+		}
+	}
+	if !(bases[0] < bases[1] && bases[1] < bases[2]) {
+		t.Errorf("vector bases %v are not in allocation order", bases)
+	}
+	for i, row := range rows {
+		if vec := int(row[2]); vec < 2 && recs[i].Page >= bases[vec+1] {
+			t.Errorf("fault %d: page %d lies past vector %d", i, recs[i].Page, vec)
+		}
+	}
+
+	if n := len(faultRecords(t, bin, "-workload", "vecadd-prefetch", "-prefetch=false")); n != 768 {
+		t.Errorf("vecadd-prefetch wrote %d fault records, want 768", n)
 	}
 }

@@ -26,7 +26,6 @@ import (
 
 	"guvm/internal/experiments"
 	"guvm/internal/obs"
-	"guvm/internal/sim"
 	"guvm/internal/sweep"
 	"guvm/internal/uvm"
 )
@@ -70,46 +69,23 @@ func main() {
 		os.Exit(2)
 	}
 
-	// Opt-in live progress endpoint and sampled progress series. Counters
-	// advance only in the ordered collect callback (main goroutine), so
-	// publishing never races the worker pool and the CSV stays
-	// byte-identical at any -jobs value. The sampled series is keyed by
-	// completed-point count (not wall time), so -metrics-csv/-metrics-json
-	// are deterministic too.
-	var prog *obs.Observer
-	done := 0
+	// Opt-in progress surface: one trace span per grid point on a single
+	// lane, and metrics that advance only in the ordered collect callback
+	// (main goroutine), so they never race the worker pool. Status lines
+	// go to stderr: stdout is the sweep CSV.
 	faults := 0
-	if ofl.SamplingRequested() {
-		prog = obs.New(obs.Config{SampleInterval: ofl.SampleEvery()})
-		total := prog.Registry.Gauge("guvm_sweep_points_total", "Grid points in this sweep")
-		total.Set(float64(len(grid)))
-		prog.Registry.Func("guvm_sweep_points_done_total", "Grid points completed",
-			func() float64 { return float64(done) })
-		prog.Registry.Func("guvm_sweep_faults_total", "Faults across completed grid points",
+	prog, err := ofl.StartProgress(os.Stderr, len(grid), obs.ProgressMetrics{
+		Total: "guvm_sweep_points_total", TotalHelp: "Grid points in this sweep",
+		Done: "guvm_sweep_points_done_total", DoneHelp: "Grid points completed",
+	}, func(reg *obs.Registry) {
+		reg.Func("guvm_sweep_faults_total", "Faults across completed grid points",
 			func() float64 { return float64(faults) })
-		prog.SetStatusFunc(func() any {
-			return map[string]any{"workload": spec.Workload, "points": len(grid), "done": done}
-		})
-		prog.Publish()
-		if ofl.MetricsAddr != "" {
-			srv, err := obs.Serve(ofl.MetricsAddr, prog)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "uvmsweep: %v\n", err)
-				os.Exit(2)
-			}
-			defer srv.Close()
-			fmt.Fprintf(os.Stderr, "metrics: serving on %s\n", srv.Addr())
-		}
-	}
-	// Optional harness trace: one wall-clock span per grid point on a
-	// single lane, placed at [collection-elapsed, collection] relative to
-	// program start (approximate for points that finished while an earlier
-	// one was pending collection).
-	var harness *obs.Tracer
-	progStart := time.Now()
-	if ofl.TraceOut != "" {
-		harness = obs.NewTracer()
-		harness.Lanes = map[int]string{1: "sweep points"}
+	}, func(done int) any {
+		return map[string]any{"workload": spec.Workload, "points": len(grid), "done": done}
+	})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "uvmsweep: %v\n", err)
+		os.Exit(2)
 	}
 
 	type outcome struct {
@@ -132,41 +108,18 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Println(o.row)
-		done++
 		faults += o.faults
-		if harness != nil {
-			end := sim.Time(time.Since(progStart).Nanoseconds())
-			start := end - sim.Time(o.elapsed.Nanoseconds())
-			if start < 0 {
-				start = 0
-			}
-			p := grid[i]
-			harness.Add(1, "point", fmt.Sprintf("bs=%d cap=%d %s/%s/%s/%s",
-				p.BatchSize, p.CapMB, p.Prefetch, p.Evict, p.Sizing, p.Arch),
-				start, end-start, i)
-		}
-		if prog != nil {
-			if i%prog.Sampler.Interval == 0 {
-				prog.Sampler.Sample(sim.Time(done), i)
-			}
-			prog.Publish()
-		}
+		p := grid[i]
+		prog.Collect(i, 1, "sweep points", "point", fmt.Sprintf("bs=%d cap=%d %s/%s/%s/%s",
+			p.BatchSize, p.CapMB, p.Prefetch, p.Evict, p.Sizing, p.Arch), o.elapsed)
 	})
-	// Artifact tails go to stderr: stdout is the sweep CSV.
-	logf := func(format string, a ...any) (int, error) {
-		return fmt.Fprintf(os.Stderr, format, a...)
-	}
-	var sampler *obs.Sampler
-	if prog != nil {
-		sampler = prog.Sampler
-	}
-	if err := ofl.WriteArtifacts(harness, sampler, logf); err != nil {
+	if err := prog.Finish(); err != nil {
 		fmt.Fprintf(os.Stderr, "uvmsweep: %v\n", err)
 		os.Exit(1)
 	}
 	if runErr != nil {
 		fmt.Fprintf(os.Stderr, "uvmsweep: interrupted (%v): emitted %d of %d grid points\n",
-			runErr, done, len(grid))
+			runErr, prog.Done(), len(grid))
 		os.Exit(130)
 	}
 }

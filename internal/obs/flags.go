@@ -2,9 +2,9 @@ package obs
 
 // flags.go — the shared CLI flag surface of the obs layer. Every CLI in
 // cmd/ registers the same five flags through RegisterFlags, so the flag
-// names, defaults and help text cannot drift between tools (they had:
-// faultviz lacked -metrics-addr and sweepd lacked -trace-out before this
-// helper). The artifact-writing tails of the CLIs are shared here too.
+// names, defaults and help text cannot drift between tools. The
+// artifact-writing tails of the CLIs are shared here too, and the harness
+// CLIs' progress surface built from these flags is in progress.go.
 
 import (
 	"flag"

@@ -7,7 +7,7 @@ import (
 )
 
 // ASCIIPlot renders a scatter of (x, y) pairs from two series columns as a
-// terminal plot — the quick-look view `paperfigs -v` and faultviz use so
+// terminal plot — the quick-look view `paperfigs -v` uses so
 // figure shapes are inspectable without leaving the shell.
 func (s *Series) ASCIIPlot(xCol, yCol string, width, height int) string {
 	xi, yi := -1, -1

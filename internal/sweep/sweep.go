@@ -69,7 +69,7 @@ func (s Spec) withDefaults(d uvm.PolicySelection) Spec {
 // spec is rejected up front, never mid-sweep.
 func (s Spec) Points(defaults uvm.PolicySelection) ([]Point, error) {
 	s = s.withDefaults(defaults)
-	if _, err := workloads.ByName(s.Workload, s.MB, s.N, s.Seed); err != nil {
+	if _, err := workloads.ByName(s.Workload, s.MB, s.N, s.Seed, 1); err != nil {
 		return nil, err
 	}
 	for _, bs := range s.Batches {
@@ -205,7 +205,7 @@ type Result struct {
 // returns the simulator's final state digest, the bit-identity witness
 // of the run; without it no auditor is attached and the digest is 0.
 func Run(p Point, audit bool) (Result, uint64, error) {
-	mk, err := workloads.ByName(p.Workload, p.MB, p.N, p.Seed)
+	mk, err := workloads.ByName(p.Workload, p.MB, p.N, p.Seed, 1)
 	if err != nil {
 		return Result{}, 0, err
 	}

@@ -1,7 +1,7 @@
 package uvm
 
 // flags.go — the shared CLI policy flag block. The single-choice CLIs
-// (uvmsim, faultviz, paperfigs, and sweepd for its defaults) select
+// (uvmsim, paperfigs, and sweepd for its defaults) select
 // driver policies along the registry dimensions; this file is the single
 // definition of those flags, mirroring obs.RegisterFlags for the
 // observability block. The sweep grid's list flags live with the grid,

@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"strings"
 	"testing"
 
 	"guvm/internal/gpu"
@@ -494,5 +495,29 @@ func TestBlockProgramAllocs(t *testing.T) {
 			t.Errorf("stream warp %d: %d ops over %d runs at 64 MiB, %d over %d at 1 GiB",
 				i, len(small[i].Ops), len(small[i].Runs), len(large[i].Ops), len(large[i].Runs))
 		}
+	}
+}
+
+// TestCatalogByName checks that every catalog name builds a workload,
+// that each call of the returned constructor builds a fresh one, that
+// hpgmg takes its host-thread count, and that an unknown name is
+// rejected with the valid names.
+func TestCatalogByName(t *testing.T) {
+	for _, name := range CatalogNames() {
+		mk, err := ByName(name, 4, 256, 11, 2)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if a, b := mk(), mk(); a == nil || a == b {
+			t.Errorf("%s: constructor returned %p and %p, want two fresh workloads", name, a, b)
+		}
+	}
+	mk, _ := ByName("hpgmg", 4, 0, 0, 3)
+	if got := mk().(*HPGMG).HostThreads; got != 3 {
+		t.Errorf("hpgmg HostThreads = %d, want 3", got)
+	}
+	_, err := ByName("nope", 4, 256, 11, 1)
+	if err == nil || !strings.Contains(err.Error(), strings.Join(CatalogNames(), " ")) {
+		t.Errorf("unknown name: error %v does not list the catalog", err)
 	}
 }

@@ -53,6 +53,16 @@ go run ./cmd/uvmsweep -workload stream -mb 4 -batches 128,256 -caps 8,16 \
   -prefetch on,off -evict lru,fifo -arch host-driven,gpu-driven -jobs 2 > "$tmpdir/sweep.csv"
 cmp testdata/uvmsweep_mixed.golden.csv "$tmpdir/sweep.csv"
 
+# Progress-series gate: the sweep's sampled progress series is keyed by
+# completed-point count, so its -metrics-csv must be byte-identical
+# whether the points run on one worker or on four.
+for jobs in 1 4; do
+  go run ./cmd/uvmsweep -workload stream -mb 4 -batches 128,256 -caps 8,16 \
+    -prefetch on,off -evict lru,fifo -arch host-driven,gpu-driven -jobs "$jobs" \
+    -metrics-csv "$tmpdir/progress$jobs.csv" > /dev/null
+done
+cmp "$tmpdir/progress1.csv" "$tmpdir/progress4.csv"
+
 # Results gate: the committed results/ must be exactly what a full
 # paperfigs regeneration writes, so a change that moves an artifact
 # commits it.

@@ -116,7 +116,7 @@ done
 #    dimension, sweep.RegisterFlags for the sweep grid's lists) they must
 #    also not re-declare the policy flags locally, so names and help text
 #    cannot drift between tools.
-for cli in uvmsim uvmsweep faultviz paperfigs sweepd; do
+for cli in uvmsim uvmsweep paperfigs sweepd; do
   if grep -qn 'Driver\.Eviction[[:space:]]*=' "cmd/$cli/main.go"; then
     fail "cmd/$cli sets Driver.Eviction directly; route it through Policies (the registry)"
   fi
@@ -293,6 +293,15 @@ done
 if grep -rnE 'hw-seed|csv-inject' cmd; then
   fail "cmd/ brings back -hw-seed or -csv-inject; -inject-seed seeds every fault and -csv derives its columns"
 fi
+
+# 19. One workload catalog: a name becomes a workload only in
+#     workloads.ByName (internal/workloads/catalog.go), so no CLI builds
+#     a workload with a constructor of its own.
+for f in cmd/*/main.go; do
+  if grep -nF 'workloads.New' "$f"; then
+    fail "$f constructs a workload directly; resolve names through workloads.ByName"
+  fi
+done
 
 if [ "$status" -ne 0 ]; then
   exit 1
