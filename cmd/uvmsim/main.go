@@ -51,12 +51,10 @@ func main() {
 		workers    = flag.Int("workers", 1, "parallel VABlock service workers")
 		lpt        = flag.Bool("lpt", false, "LPT load balancing across workers")
 		asyncUnmap = flag.Bool("async-unmap", false, "preemptive CPU unmapping at kernel launch")
-		xblock     = flag.Int("xblock-prefetch", 0, "cross-VABlock prefetch scope (blocks ahead)")
 
 		// Named policy selection (the registry in internal/uvm): the shared
 		// -evict/-prefetch-policy/-batch-sizing/-arch/-list-policies block.
-		// An empty -prefetch-policy keeps -prefetch and -xblock-prefetch;
-		// a named one overrides them.
+		// A named -prefetch-policy wins over -prefetch.
 		pol       = uvm.RegisterPolicyFlags(flag.CommandLine)
 		analyze   = flag.Bool("analyze", false, "print post-run telemetry analysis")
 		traceFile = flag.String("trace", "", "replay a recorded access trace instead of a named workload")
@@ -130,12 +128,13 @@ func main() {
 	cfg := guvm.DefaultConfig()
 	cfg.Driver.GPUMemBytes = *gpuMB << 20
 	cfg.Driver.BatchSize = *batch
-	cfg.Driver.PrefetchEnabled = *prefetch
 	cfg.Driver.ServiceWorkers = *workers
 	cfg.Driver.LoadBalanceLPT = *lpt
 	cfg.Driver.AsyncUnmap = *asyncUnmap
-	cfg.Driver.CrossBlockPrefetch = *xblock
 	cfg.Policies = pol.Selection()
+	if !*prefetch && cfg.Policies.Prefetch == "" {
+		cfg.Policies.Prefetch = "off"
+	}
 	// Validate eagerly so an unregistered name is rejected (with the valid
 	// options) before any simulation runs, for every run mode.
 	if err := cfg.Policies.Validate(); err != nil {

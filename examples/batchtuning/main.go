@@ -25,7 +25,7 @@ func main() {
 	fmt.Println("batch_size  batches  kernel_ms  dups_per_batch")
 	for _, bs := range []int{64, 128, 256, 512, 1024, 2048} {
 		cfg := guvm.DefaultConfig()
-		cfg.Driver.PrefetchEnabled = false
+		cfg.Policies.Prefetch = "off"
 		cfg.Driver.BatchSize = bs
 		s, err := guvm.NewSimulator(cfg)
 		if err != nil {

@@ -68,9 +68,9 @@ func main() {
 		return &graphWalk{nodesBytes: 96 << 20, walkers: 64, hops: 200, seed: 1}
 	}
 
-	runCase := func(label string, pf bool, capMB uint64) *guvm.Result {
+	runCase := func(label, prefetch string, capMB uint64) *guvm.Result {
 		cfg := guvm.DefaultConfig()
-		cfg.Driver.PrefetchEnabled = pf
+		cfg.Policies.Prefetch = prefetch
 		cfg.Driver.GPUMemBytes = capMB << 20
 		s, err := guvm.NewSimulator(cfg)
 		if err != nil {
@@ -87,12 +87,12 @@ func main() {
 	}
 
 	fmt.Println("-- in-core (256 MB GPU): prefetching trades traffic for batches --")
-	runCase("demand, in-core", false, 256)
-	runCase("prefetch, in-core", true, 256)
+	runCase("demand, in-core", "off", 256)
+	runCase("prefetch, in-core", "tree", 256)
 
 	fmt.Println("\n-- oversubscribed (64 MB GPU, 96 MB graph): the §5.3 pathology --")
-	runCase("demand, oversubscribed", false, 64)
-	runCase("prefetch, oversubscribed", true, 64)
+	runCase("demand, oversubscribed", "off", 64)
+	runCase("prefetch, oversubscribed", "tree", 64)
 
 	fmt.Println("\nIrregular access + oversubscription is where prefetching hurts:")
 	fmt.Println("64 KB regions prefetched around single-page hops must be evicted")

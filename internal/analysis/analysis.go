@@ -1,36 +1,16 @@
 // Package analysis post-processes driver telemetry the way the paper's
-// evaluation scripts do: fault inter-arrival behaviour, batch service
-// gaps, duplicate breakdowns, residency timelines, workload-imbalance
-// metrics, and phase segmentation of batch-size series.
+// evaluation scripts do: batch service gaps, duplicate breakdowns,
+// workload-imbalance metrics, and phase segmentation of batch-size
+// series.
 package analysis
 
 import (
 	"math"
 	"sort"
 
-	"guvm/internal/gpu"
-	"guvm/internal/sim"
 	"guvm/internal/stats"
 	"guvm/internal/trace"
 )
-
-// InterArrival summarizes the gaps between consecutive fault arrivals —
-// the Figure 4 "faults happen in rapid succession" measurement. Faults
-// must be in arrival order (as fetched).
-func InterArrival(faults []gpu.Fault) stats.Summary {
-	if len(faults) < 2 {
-		return stats.Summary{}
-	}
-	gaps := make([]float64, 0, len(faults)-1)
-	for i := 1; i < len(faults); i++ {
-		d := faults[i].Time - faults[i-1].Time
-		if d < 0 {
-			d = 0 // fetched order can interleave µTLB streams
-		}
-		gaps = append(gaps, float64(d))
-	}
-	return stats.Summarize(gaps)
-}
 
 // ServiceGaps summarizes the idle gaps between consecutive batches (end
 // of one to start of the next): driver sleep plus interrupt and wakeup
@@ -111,25 +91,6 @@ func VABlockImbalance(batches []trace.BatchRecord) float64 {
 		}
 	}
 	return Gini(xs)
-}
-
-// ResidencyPoint is one step of the residency timeline.
-type ResidencyPoint struct {
-	Time  sim.Time
-	Bytes int64 // net resident managed bytes (migrated in - evicted)
-}
-
-// ResidencyTimeline reconstructs net GPU residency over time from batch
-// records (the fill-then-steady-state curve behind Figures 12/16/17).
-func ResidencyTimeline(batches []trace.BatchRecord) []ResidencyPoint {
-	pts := make([]ResidencyPoint, 0, len(batches))
-	var cur int64
-	for i := range batches {
-		b := &batches[i]
-		cur += int64(b.BytesMigrated) - int64(b.EvictedBytes)
-		pts = append(pts, ResidencyPoint{Time: b.End, Bytes: cur})
-	}
-	return pts
 }
 
 // Phase is a contiguous run of batches with similar size.

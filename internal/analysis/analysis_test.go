@@ -5,25 +5,8 @@ import (
 	"testing"
 	"testing/quick"
 
-	"guvm/internal/gpu"
 	"guvm/internal/trace"
 )
-
-func TestInterArrival(t *testing.T) {
-	faults := []gpu.Fault{{Time: 100}, {Time: 150}, {Time: 300}}
-	s := InterArrival(faults)
-	if s.N != 2 || s.Min != 50 || s.Max != 150 {
-		t.Fatalf("summary = %+v", s)
-	}
-	if InterArrival(nil).N != 0 || InterArrival(faults[:1]).N != 0 {
-		t.Fatal("degenerate inputs not zero")
-	}
-	// Out-of-order (interleaved µTLB streams) clamps to zero, no panic.
-	s2 := InterArrival([]gpu.Fault{{Time: 200}, {Time: 100}})
-	if s2.Min != 0 {
-		t.Fatalf("negative gap not clamped: %+v", s2)
-	}
-}
 
 func TestServiceGaps(t *testing.T) {
 	batches := []trace.BatchRecord{
@@ -94,24 +77,6 @@ func TestVABlockImbalance(t *testing.T) {
 	skewed := []trace.BatchRecord{{VABlockFaults: []uint16{1, 1, 1, 200}}}
 	if gb, gs := VABlockImbalance(balanced), VABlockImbalance(skewed); gb >= gs {
 		t.Fatalf("balanced gini %v >= skewed %v", gb, gs)
-	}
-}
-
-func TestResidencyTimeline(t *testing.T) {
-	batches := []trace.BatchRecord{
-		{End: 10, BytesMigrated: 1000},
-		{End: 20, BytesMigrated: 500, EvictedBytes: 200},
-		{End: 30, EvictedBytes: 1300},
-	}
-	pts := ResidencyTimeline(batches)
-	if len(pts) != 3 {
-		t.Fatalf("points = %d", len(pts))
-	}
-	want := []int64{1000, 1300, 0}
-	for i, w := range want {
-		if pts[i].Bytes != w {
-			t.Fatalf("point %d = %d, want %d", i, pts[i].Bytes, w)
-		}
 	}
 }
 

@@ -122,9 +122,11 @@ func baseConfig() guvm.SystemConfig {
 	return cfg
 }
 
-// noPrefetch disables the prefetcher (and with it the 64K upgrade).
+// noPrefetch disables the prefetcher (and with it the 64K upgrade). It
+// names the "off" policy, so it holds under a SetPolicies prefetch
+// override.
 func noPrefetch(cfg guvm.SystemConfig) guvm.SystemConfig {
-	cfg.Driver.PrefetchEnabled = false
+	cfg.Policies.Prefetch = "off"
 	return cfg
 }
 

@@ -146,3 +146,24 @@ func TestAdaptiveSizingChangesBatching(t *testing.T) {
 		t.Fatal("fixed and adaptive batch sizing produced identical digest streams — the adaptive policy never engaged")
 	}
 }
+
+// TestNoPrefetchBeatsOverride checks that an experiment's own prefetch
+// choice wins over a SetPolicies prefetch override: noPrefetch runs
+// migrate no prefetched page under any named override.
+func TestNoPrefetchBeatsOverride(t *testing.T) {
+	defer SetPolicies(uvm.PolicySelection{})
+	for _, pol := range []string{"tree", "cross-block", "off"} {
+		t.Run(pol, func(t *testing.T) {
+			if err := SetPolicies(uvm.PolicySelection{Prefetch: pol}); err != nil {
+				t.Fatal(err)
+			}
+			res, err := run(noPrefetch(baseConfig()), workloads.NewStream(4<<20, 8))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := res.DriverStats.PrefetchedPages; n != 0 {
+				t.Errorf("override %q: noPrefetch run prefetched %d pages", pol, n)
+			}
+		})
+	}
+}

@@ -76,9 +76,11 @@ func TestEmptyTransferCostsNothing(t *testing.T) {
 }
 
 // Property: cost is monotone in bytes and always at least OpLatency for a
-// non-empty transfer.
+// non-empty transfer. The one-page transfer, the smallest and closest to
+// the bound, is checked on every run, not only when quick draws it.
 func TestTransferMonotone(t *testing.T) {
-	l := NewLink(DefaultPCIe3x16())
+	cfg := DefaultPCIe3x16()
+	l := NewLink(cfg)
 	f := func(a, b uint16) bool {
 		x, y := uint64(a)+1, uint64(b)+1
 		if x > y {
@@ -86,7 +88,10 @@ func TestTransferMonotone(t *testing.T) {
 		}
 		cx := l.TransferBytes(x*mem.PageSize, true)
 		cy := l.TransferBytes(y*mem.PageSize, true)
-		return cx <= cy && cx >= sim.Time(4*sim.Microsecond)
+		return cx <= cy && cx >= cfg.OpLatency
+	}
+	if !f(0, 0) || !f(0, 1) {
+		t.Error("one-page transfer breaks the property")
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -71,12 +71,13 @@ type Config struct {
 	// GPUMemBytes is the device memory capacity available to managed
 	// allocations; exceeding it triggers VABlock-granular eviction.
 	GPUMemBytes uint64
-	// PrefetchEnabled enables the density (tree-based) prefetcher, which
-	// also migrates whole 64 KB regions per fault (the x86 4KB->64KB
-	// upgrade, §2.2). A named prefetch policy overrides it.
+	// PrefetchEnabled picks the prefetch policy when PolicySelection
+	// names none: "tree" when set, "off" when not. A named prefetch
+	// policy ignores it.
 	PrefetchEnabled bool
 	// PrefetchThreshold is the subtree occupancy fraction above which
-	// the whole subtree is prefetched. UVM's default is 0.51.
+	// the tree planner prefetches the whole subtree. UVM's default is
+	// 0.51; NewDriver checks it whenever the tree planner runs.
 	PrefetchThreshold float64
 
 	// ServiceWorkers parallelizes per-VABlock servicing across this
@@ -101,13 +102,6 @@ type Config struct {
 	// operations asynchronously and preemptively may be preferable when
 	// an application shifts to GPU compute").
 	AsyncUnmap bool
-
-	// CrossBlockPrefetch extends the prefetcher beyond a single VABlock
-	// (§6: "increasing the prefetching scope"): when a faulting block
-	// becomes fully resident, up to N following blocks of the same
-	// allocation are migrated eagerly in the same batch. A named prefetch
-	// policy overrides it.
-	CrossBlockPrefetch int
 
 	// EvictionSeed seeds the "random" eviction policy.
 	EvictionSeed uint64
@@ -145,12 +139,8 @@ func (c Config) Validate() error {
 	case c.GPUMemBytes < mem.VABlockSize:
 		return fmt.Errorf("uvm: GPUMemBytes = %d, need >= one VABlock (%d)",
 			c.GPUMemBytes, mem.VABlockSize)
-	case c.PrefetchEnabled && (c.PrefetchThreshold <= 0 || c.PrefetchThreshold > 1):
-		return fmt.Errorf("uvm: PrefetchThreshold = %v, need in (0, 1]", c.PrefetchThreshold)
 	case c.ServiceWorkers < 1:
 		return fmt.Errorf("uvm: ServiceWorkers = %d, need >= 1", c.ServiceWorkers)
-	case c.CrossBlockPrefetch < 0:
-		return fmt.Errorf("uvm: CrossBlockPrefetch = %d, need >= 0", c.CrossBlockPrefetch)
 	case c.AccessCounterThreshold < 0:
 		return fmt.Errorf("uvm: AccessCounterThreshold = %d, need >= 0", c.AccessCounterThreshold)
 	}

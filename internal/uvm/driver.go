@@ -201,15 +201,16 @@ type Driver struct {
 	// batch sizer adjusts it and host allocation pressure shrinks it.
 	effBatch int
 
-	// evict/planner/sizer are the policies resolved from the registry at
-	// construction (registry.go): victim selection, migration planning,
-	// and effective-batch-size adjustment. arch is the resolved
-	// architecture payload — the stage graph plus device wiring (arch.go);
+	// evict/prefetch/sizer are the policies resolved from the registry at
+	// construction (registry.go): victim selection, migration planning
+	// (in-block planner and cross-block scope), and effective-batch-size
+	// adjustment. arch is the resolved architecture payload — the stage
+	// graph plus device wiring (arch.go);
 	// stepCosts is runBlock's per-step cost scratch (a fixed array so
 	// construction stays allocation-neutral; architectures declare at
 	// most maxBlockSteps steps).
 	evict     EvictionStrategy
-	planner   PrefetchPlanner
+	prefetch  prefetchPolicy
 	sizer     BatchSizer
 	arch      *archPayload
 	stepCosts [maxBlockSteps]sim.Time
@@ -269,6 +270,9 @@ func NewDriver(cfg Config, pol PolicySelection, eng *sim.Engine, vm *hostos.VM, 
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	if _, tree := p.prefetch.planner.(treePlanner); tree && (cfg.PrefetchThreshold <= 0 || cfg.PrefetchThreshold > 1) {
+		return nil, fmt.Errorf("uvm: PrefetchThreshold = %v, need in (0, 1]", cfg.PrefetchThreshold)
+	}
 	if p.arch.configure != nil {
 		// Architecture-specific config rewrites (cost model, threshold
 		// defaults) apply to this driver's copy only.
@@ -284,7 +288,7 @@ func NewDriver(cfg Config, pol PolicySelection, eng *sim.Engine, vm *hostos.VM, 
 		sleeping:  true,
 		effBatch:  cfg.BatchSize,
 		evict:     p.evict,
-		planner:   p.planner,
+		prefetch:  p.prefetch,
 		sizer:     p.sizer,
 		evictRNG:  sim.NewRNG(cfg.EvictionSeed),
 		Collector: &trace.Collector{},

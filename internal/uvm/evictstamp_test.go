@@ -49,14 +49,19 @@ func randomKernel(rng *rand.Rand, first mem.PageID, n, blocks int) gpu.Kernel {
 // stamps and the inBatch search agree on every candidate block.
 func TestEvictionBatchStampMatchesSearch(t *testing.T) {
 	for _, arch := range []string{"host-driven", "gpu-driven", "access-counter"} {
-		for _, xblock := range []int{0, 2} {
+		for _, pf := range []struct {
+			name  string
+			scope int
+		}{{"tree", 0}, {"cross-block", 2}} {
 			for seed := int64(1); seed <= 3; seed++ {
-				name := fmt.Sprintf("%s/xblock=%d/seed=%d", arch, xblock, seed)
+				name := fmt.Sprintf("%s/xblock=%d/seed=%d", arch, pf.scope, seed)
 				t.Run(name, func(t *testing.T) {
 					ucfg := DefaultConfig()
 					ucfg.GPUMemBytes = 4 * mem.VABlockSize
-					ucfg.CrossBlockPrefetch = xblock
-					eng, drv, dev := newPolicySystem(smallGPU(), ucfg, PolicySelection{Architecture: arch})
+					eng, drv, dev := newPolicySystem(smallGPU(), ucfg, PolicySelection{Prefetch: pf.name, Architecture: arch})
+					if drv.prefetch.scope != pf.scope {
+						t.Fatalf("prefetch %q resolved scope %d, want %d", pf.name, drv.prefetch.scope, pf.scope)
+					}
 					check := &stampCheck{t: t, inner: drv.evict}
 					drv.evict = check
 					npages := 12 * mem.PagesPerVABlock

@@ -194,9 +194,7 @@ func TestAsyncUnmapMovesCostOffFaultPath(t *testing.T) {
 }
 
 func TestCrossBlockPrefetchEliminatesFirstTouches(t *testing.T) {
-	ucfg := DefaultConfig()
-	ucfg.CrossBlockPrefetch = 2
-	eng, drv, dev := newSystem(smallGPU(), ucfg)
+	eng, drv, dev := newPolicySystem(smallGPU(), DefaultConfig(), PolicySelection{Prefetch: "cross-block"})
 	base := drv.Alloc(6 * mem.VABlockSize)
 	// Touch only the first block; cross-block prefetch should walk the
 	// allocation forward.
@@ -214,9 +212,7 @@ func TestCrossBlockPrefetchEliminatesFirstTouches(t *testing.T) {
 }
 
 func TestCrossBlockPrefetchStopsAtAllocationEnd(t *testing.T) {
-	ucfg := DefaultConfig()
-	ucfg.CrossBlockPrefetch = 8
-	eng, drv, dev := newSystem(smallGPU(), ucfg)
+	eng, drv, dev := newPolicySystem(smallGPU(), DefaultConfig(), PolicySelection{Prefetch: "cross-block"})
 	base := drv.Alloc(2 * mem.VABlockSize) // short allocation
 	drv.Alloc(4 * mem.VABlockSize)         // neighbour must stay cold
 	runKernel(t, eng, dev, streamKernel(base, mem.PagesPerVABlock))

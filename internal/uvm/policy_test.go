@@ -23,51 +23,60 @@ func newBareDriver(t *testing.T, cfg Config, pol PolicySelection) *Driver {
 	return d
 }
 
-// TestPrefetchPolicyKnobs pins the one name-to-knob mapping left: each
-// prefetch name against PrefetchEnabled and CrossBlockPrefetch {0, 3}.
-// The expected planner and cross-block scope are what the knob-rewriting
-// resolution produced before names and knobs were separated, including
-// the odd empty-name case where PrefetchEnabled=false with
-// CrossBlockPrefetch=3 runs no tree prefetch but still migrates three
-// whole blocks ahead.
+// prefetchNameCases is every prefetch name, the empty-name alias
+// included, against PrefetchEnabled: a named policy ignores the field,
+// and the empty name selects "tree" when it is true and "off" when it is
+// false.
+var prefetchNameCases = []struct {
+	name      string
+	enabled   bool
+	wantTree  bool
+	wantScope int
+}{
+	{"", true, true, 0},
+	{"", false, false, 0},
+	{"tree", true, true, 0},
+	{"tree", false, true, 0},
+	{"off", true, false, 0},
+	{"off", false, false, 0},
+	{"cross-block", true, true, 2},
+	{"cross-block", false, true, 2},
+}
+
+// TestPrefetchPolicyKnobs pins what each prefetch name resolves to: its
+// planner and cross-block scope.
 func TestPrefetchPolicyKnobs(t *testing.T) {
-	cases := []struct {
-		name      string
-		enabled   bool
-		xblock    int
-		wantTree  bool
-		wantScope int
-	}{
-		{"", true, 0, true, 0},
-		{"", true, 3, true, 3},
-		{"", false, 0, false, 0},
-		{"", false, 3, false, 3},
-		{"tree", true, 0, true, 0},
-		{"tree", true, 3, true, 0},
-		{"tree", false, 0, true, 0},
-		{"tree", false, 3, true, 0},
-		{"off", true, 0, false, 0},
-		{"off", true, 3, false, 0},
-		{"off", false, 0, false, 0},
-		{"off", false, 3, false, 0},
-		{"cross-block", true, 0, true, 2},
-		{"cross-block", true, 3, true, 3},
-		{"cross-block", false, 0, true, 2},
-		{"cross-block", false, 3, true, 3},
-	}
-	for _, c := range cases {
-		t.Run(fmt.Sprintf("%q/enabled=%v/xblock=%d", c.name, c.enabled, c.xblock), func(t *testing.T) {
+	for _, c := range prefetchNameCases {
+		t.Run(fmt.Sprintf("%q/enabled=%v", c.name, c.enabled), func(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.PrefetchEnabled = c.enabled
-			cfg.CrossBlockPrefetch = c.xblock
 			d := newBareDriver(t, cfg, PolicySelection{Prefetch: c.name})
-			_, tree := d.planner.(treePlanner)
-			if tree != c.wantTree || d.Config().PrefetchEnabled != c.wantTree {
-				t.Errorf("planner %T (PrefetchEnabled %v), want tree=%v",
-					d.planner, d.Config().PrefetchEnabled, c.wantTree)
+			if _, tree := d.prefetch.planner.(treePlanner); tree != c.wantTree {
+				t.Errorf("planner %T, want tree=%v", d.prefetch.planner, c.wantTree)
 			}
-			if got := d.Config().CrossBlockPrefetch; got != c.wantScope {
-				t.Errorf("cross-block scope %d, want %d", got, c.wantScope)
+			if d.prefetch.scope != c.wantScope {
+				t.Errorf("cross-block scope %d, want %d", d.prefetch.scope, c.wantScope)
+			}
+		})
+	}
+}
+
+// TestPrefetchThresholdValidated checks that NewDriver rejects a
+// PrefetchThreshold outside (0, 1] exactly when the resolved planner is
+// the tree, whatever PrefetchEnabled says; the off planner never reads
+// the threshold.
+func TestPrefetchThresholdValidated(t *testing.T) {
+	for _, c := range prefetchNameCases {
+		t.Run(fmt.Sprintf("%q/enabled=%v", c.name, c.enabled), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.PrefetchEnabled = c.enabled
+			for _, th := range []float64{0, 1.5} {
+				cfg.PrefetchThreshold = th
+				_, err := NewDriver(cfg, PolicySelection{Prefetch: c.name}, sim.NewEngine(),
+					hostos.NewVM(hostos.DefaultCostModel()), interconnect.NewLink(interconnect.DefaultPCIe3x16()))
+				if (err != nil) != c.wantTree {
+					t.Errorf("PrefetchThreshold %v: err = %v, want rejected=%v", th, err, c.wantTree)
+				}
 			}
 		})
 	}

@@ -273,8 +273,6 @@ func TestConfigValidate(t *testing.T) {
 	bad := []Config{
 		{BatchSize: 0, GPUMemBytes: 4 << 20},
 		{BatchSize: 256, GPUMemBytes: 1 << 20},
-		{BatchSize: 256, GPUMemBytes: 4 << 20, PrefetchEnabled: true, PrefetchThreshold: 0},
-		{BatchSize: 256, GPUMemBytes: 4 << 20, PrefetchEnabled: true, PrefetchThreshold: 1.5},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

@@ -14,6 +14,17 @@ package uvm
 
 import "guvm/internal/mem"
 
+// prefetchPolicy is a prefetch registry entry: the in-block planner, and
+// how many whole blocks past each fully resident faulting block the
+// cross-block stage migrates (0 for none).
+type prefetchPolicy struct {
+	planner PrefetchPlanner
+	scope   int
+}
+
+// crossBlockScope is the "cross-block" policy's scope: two blocks ahead.
+const crossBlockScope = 2
+
 // prefetchPlanStep builds the block's migration set: the deduplicated
 // faulted pages plus whatever the configured planner adds. An eager
 // cross-block migration plans the whole block unconditionally.
@@ -30,7 +41,7 @@ func (prefetchPlanStep) run(d *Driver, bc *batchCtx, blk *blockCtx) error {
 		blk.faulted.Set(p.IndexInBlock())
 	}
 	blk.toMigrate.Union(&blk.faulted)
-	extra := d.planner.PlanBlock(d, &blk.b.resident, &blk.faulted)
+	extra := d.prefetch.planner.PlanBlock(d, &blk.b.resident, &blk.faulted)
 	nExtra := extra.Count()
 	bc.rec.PrefetchedPages += nExtra
 	d.stats.PrefetchedPages += nExtra
@@ -56,18 +67,17 @@ func (offPlanner) PlanBlock(d *Driver, resident, faulted *mem.PageSet) mem.PageS
 
 // crossBlockStage extends prefetching beyond a single VABlock (§6:
 // "increasing the prefetching scope"): after the serviced blocks, up to
-// CrossBlockPrefetch whole blocks following each fully-resident faulting
-// block of the same allocation are migrated eagerly through the block
-// pipeline. This trades upfront work (and possible evictions — the §5.3
-// hazard) for eliminating future first-touch batches. The scope is the
-// driver's effective knob, whichever planner runs: a PrefetchEnabled=false
-// config with CrossBlockPrefetch set still migrates whole blocks ahead.
+// the prefetch policy's scope of whole blocks following each
+// fully-resident faulting block of the same allocation are migrated
+// eagerly through the block pipeline. This trades upfront work (and
+// possible evictions — the §5.3 hazard) for eliminating future
+// first-touch batches.
 type crossBlockStage struct{}
 
 func (crossBlockStage) name() string { return "cross-block" }
 
 func (crossBlockStage) run(d *Driver, bc *batchCtx) error {
-	scope := d.cfg.CrossBlockPrefetch
+	scope := d.prefetch.scope
 	if scope <= 0 {
 		return nil
 	}

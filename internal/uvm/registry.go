@@ -90,7 +90,7 @@ type BatchSizer interface {
 }
 
 // policyEntry is one registered policy; payload holds the kind-specific
-// implementation (EvictionStrategy, prefetch knob setter, BatchSizer, or
+// implementation (EvictionStrategy, prefetchPolicy, BatchSizer, or
 // *archPayload).
 type policyEntry struct {
 	info    PolicyInfo
@@ -168,28 +168,15 @@ func init() {
 		"evict the block with the fewest GPU access-counter hits (the page-hit signal §5.4 says LRU lacks)",
 		lfuStrategy{})
 
-	// A prefetch policy sets the two prefetch knobs on the driver's copy
-	// of the config; the planner then follows PrefetchEnabled.
 	prefetchRegistry.register("tree",
 		"density (tree-based) prefetching within the faulting VABlock (shipped driver, §5.2)",
-		func(c *Config) {
-			c.PrefetchEnabled = true
-			c.CrossBlockPrefetch = 0
-		})
+		prefetchPolicy{planner: treePlanner{}})
 	prefetchRegistry.register("off",
 		"no prefetching: migrate only deduplicated faulted pages",
-		func(c *Config) {
-			c.PrefetchEnabled = false
-			c.CrossBlockPrefetch = 0
-		})
+		prefetchPolicy{planner: offPlanner{}})
 	prefetchRegistry.register("cross-block",
 		"tree prefetching plus eager whole-block migration beyond the faulting VABlock (§6 proposal)",
-		func(c *Config) {
-			c.PrefetchEnabled = true
-			if c.CrossBlockPrefetch < 1 {
-				c.CrossBlockPrefetch = 2
-			}
-		})
+		prefetchPolicy{planner: treePlanner{}, scope: crossBlockScope})
 
 	sizingRegistry.register("fixed",
 		"fixed effective batch size (shipped driver: BatchSize faults per batch)",
@@ -228,8 +215,8 @@ func PoliciesOf(kind PolicyKind) []PolicyInfo {
 // PolicySelection names the driver's policies, one registry name per
 // kind. It is the only place a policy is chosen: NewDriver resolves each
 // name once, at construction. An empty field selects the default: "lru",
-// "fixed" and "host-driven"; an empty Prefetch keeps the PrefetchEnabled
-// and CrossBlockPrefetch knobs as configured.
+// "fixed" and "host-driven"; an empty Prefetch selects "tree" when
+// Config.PrefetchEnabled is set and "off" when it is not.
 type PolicySelection struct {
 	Eviction     string
 	Prefetch     string
@@ -262,17 +249,16 @@ func (s PolicySelection) Validate() error {
 
 // resolvedPolicies holds the runtime implementations a selection names.
 type resolvedPolicies struct {
-	evict   EvictionStrategy
-	planner PrefetchPlanner
-	sizer   BatchSizer
-	arch    *archPayload
+	evict    EvictionStrategy
+	prefetch prefetchPolicy
+	sizer    BatchSizer
+	arch     *archPayload
 }
 
 // resolve looks each name up once ("" takes the default) and applies the
-// knob adjustments of the chosen policies to cfg, the driver's own copy:
-// a named prefetch policy sets PrefetchEnabled and CrossBlockPrefetch
-// (the planner then follows PrefetchEnabled), and the adaptive batch
-// sizers clamp AdaptiveMin into [1, BatchSize] (64 when unset).
+// one knob adjustment of the chosen policies to cfg, the driver's own
+// copy: the adaptive batch sizers clamp AdaptiveMin into [1, BatchSize]
+// (64 when unset).
 func (s PolicySelection) resolve(cfg *Config) (resolvedPolicies, error) {
 	if err := s.Validate(); err != nil {
 		return resolvedPolicies{}, err
@@ -281,10 +267,11 @@ func (s PolicySelection) resolve(cfg *Config) (resolvedPolicies, error) {
 	evict, _ := evictionRegistry.resolve(s.Eviction, "lru")
 	sizer, _ := sizingRegistry.resolve(s.BatchSizing, "fixed")
 	arch, _ := resolveArchitecture(s.Architecture)
-	if s.Prefetch != "" {
-		setKnobs, _ := prefetchRegistry.resolve(s.Prefetch, "")
-		setKnobs.(func(*Config))(cfg)
+	defPrefetch := "off"
+	if cfg.PrefetchEnabled {
+		defPrefetch = "tree"
 	}
+	prefetch, _ := prefetchRegistry.resolve(s.Prefetch, defPrefetch)
 	if _, fixed := sizer.(fixedSizer); !fixed {
 		if cfg.AdaptiveMin < 1 {
 			cfg.AdaptiveMin = 64
@@ -293,9 +280,10 @@ func (s PolicySelection) resolve(cfg *Config) (resolvedPolicies, error) {
 			cfg.AdaptiveMin = cfg.BatchSize
 		}
 	}
-	p := resolvedPolicies{evict: evict.(EvictionStrategy), planner: offPlanner{}, sizer: sizer.(BatchSizer), arch: arch}
-	if cfg.PrefetchEnabled {
-		p.planner = treePlanner{}
-	}
-	return p, nil
+	return resolvedPolicies{
+		evict:    evict.(EvictionStrategy),
+		prefetch: prefetch.(prefetchPolicy),
+		sizer:    sizer.(BatchSizer),
+		arch:     arch,
+	}, nil
 }

@@ -71,7 +71,10 @@ func (f *fuzzWorkload) Phases(bases []mem.Addr) []workloads.Phase {
 func fuzzConfig(oversub, prefetch bool) SystemConfig {
 	cfg := DefaultConfig()
 	cfg.GPU.NumSMs = 4
-	cfg.Driver.PrefetchEnabled = prefetch
+	cfg.Policies.Prefetch = "off"
+	if prefetch {
+		cfg.Policies.Prefetch = "tree"
+	}
 	if oversub {
 		cfg.Driver.GPUMemBytes = 4 << 20 // 2 chunks vs 12 MB of data
 	} else {

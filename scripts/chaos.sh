@@ -25,6 +25,9 @@ start_daemon() {
   log=$1
   dir=$2
   shift 2
+  # Create the log before the daemon starts: the scrape below must not
+  # race the background redirect that would otherwise create it.
+  : > "$log"
   "$tmpdir/sweepd" -addr 127.0.0.1:0 -store "$dir" -jobs 2 "$@" > "$log" 2>&1 &
   pid=$!
   pids="$pids $pid"

@@ -115,7 +115,8 @@ done
 #    shared flag blocks (uvm.RegisterPolicyFlags for one choice per
 #    dimension, sweep.RegisterFlags for the sweep grid's lists) they must
 #    also not re-declare the policy flags locally, so names and help text
-#    cannot drift between tools.
+#    cannot drift between tools. The cross-block scope is the
+#    "cross-block" policy's constant, so no CLI takes it as a flag.
 for cli in uvmsim uvmsweep paperfigs sweepd; do
   if grep -qn 'Driver\.Eviction[[:space:]]*=' "cmd/$cli/main.go"; then
     fail "cmd/$cli sets Driver.Eviction directly; route it through Policies (the registry)"
@@ -124,6 +125,9 @@ for cli in uvmsim uvmsweep paperfigs sweepd; do
     fail "cmd/$cli declares its own policy flags; use uvm.RegisterPolicyFlags, or sweep.RegisterFlags for a sweep grid"
   fi
 done
+if grep -rn 'xblock-prefetch' cmd; then
+  fail "cmd/ brings back -xblock-prefetch; the cross-block scope is the \"cross-block\" prefetch policy's"
+fi
 
 # 8. One simulator, N devices: the single-GPU system is the N=1 case of
 #    the multi-GPU one, so the root package keeps a single construction
@@ -181,13 +185,24 @@ done
 #     uvm.PolicySelection (SystemConfig.Policies), which NewDriver
 #     resolves once. uvm.Config keeps parameters, never a second copy of
 #     a name or a knob that duplicates one, and nothing maps a selection
-#     back onto config knobs.
+#     back onto config knobs. The prefetch scope is the registry entry's
+#     value (no CrossBlockPrefetch knob anywhere), and PrefetchEnabled
+#     only picks the name an empty selection defaults to: outside tests,
+#     only bench/ assigns it.
 if grep -nE '^[[:space:]]+(Eviction|Architecture|BatchSizing|AdaptiveBatch|Upgrade64K)[[:space:]]' internal/uvm/config.go; then
   fail "internal/uvm/config.go declares a policy field; policy names live only in uvm.PolicySelection"
 fi
 for f in $(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*'); do
   if grep -nF 'PolicySelection) Apply' "$f"; then
     fail "$f defines PolicySelection.Apply; NewDriver resolves the selection, nothing rewrites Config from it"
+  fi
+  if grep -nE 'PrefetchEnabled[[:space:]]*=([^=]|$)' "$f"; then
+    fail "$f assigns PrefetchEnabled; select the prefetch policy by name (Policies.Prefetch)"
+  fi
+done
+for f in $(find . -name '*.go' ! -path './bench/*' ! -path './.bench_build/*'); do
+  if grep -nE '(^|[^[:alnum:]_])CrossBlockPrefetch([^[:alnum:]_]|$)' "$f"; then
+    fail "$f names the CrossBlockPrefetch knob; the cross-block scope is the \"cross-block\" prefetch policy's"
   fi
 done
 
