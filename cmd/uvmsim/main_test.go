@@ -145,6 +145,24 @@ func TestCLIPolicyFlags(t *testing.T) {
 	}
 }
 
+// TestCLIHostThreadLimit: -host-threads past the host VM's 64-thread
+// mask exits 2 with the typed error's message instead of silently
+// modelling 64 threads, and 64 still runs.
+func TestCLIHostThreadLimit(t *testing.T) {
+	bin := buildCLI(t)
+	out, err := exec.Command(bin, "-workload", "hpgmg", "-mb", "16", "-host-threads", "65").CombinedOutput()
+	var exitErr *exec.ExitError
+	if !errors.As(err, &exitErr) || exitErr.ExitCode() != 2 {
+		t.Fatalf("-host-threads 65: want exit code 2, got %v\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "65 host threads, want 1 to 64") {
+		t.Errorf("rejection does not name the count and the limit:\n%s", out)
+	}
+	if out, err := exec.Command(bin, "-workload", "hpgmg", "-mb", "16", "-host-threads", "64").CombinedOutput(); err != nil {
+		t.Fatalf("-host-threads 64: %v\n%s", err, out)
+	}
+}
+
 // TestCLIHWFaultDrill builds the real binary and runs the audited
 // device-death drill end to end: the run must exit zero, report the
 // re-homing, and show a clean audit.

@@ -421,8 +421,11 @@ func first(rs []*Result, err error) (*Result, error) {
 	return rs[0], err
 }
 
-// run drives workload i on device i. Every input is validated before the
-// first allocation, so a rejected call leaves the simulator unused.
+// run drives workload i on device i. Every allocation is validated before
+// the first one is made, so a rejected allocation leaves the simulator
+// unused. The phases bind to the allocated bases, so their host-thread
+// counts are checked after allocation, before the engine starts; that
+// rejection consumes the simulator.
 func (s *Simulator) run(ws []workloads.Workload, explicit bool) ([]*Result, error) {
 	if s.used {
 		return nil, fmt.Errorf("guvm: Simulator already ran: %w", ErrSimulatorReused)
@@ -437,6 +440,11 @@ func (s *Simulator) run(ws []workloads.Workload, explicit bool) ([]*Result, erro
 		for j, a := range allocs[i] {
 			if a.Bytes == 0 {
 				return nil, fmt.Errorf("guvm: workload %q allocation %d is empty", w.Name(), j)
+			}
+			if a.HostInit {
+				if err := hostos.CheckThreads(a.HostThreads); err != nil {
+					return nil, fmt.Errorf("guvm: workload %q allocation %d: %w", w.Name(), j, err)
+				}
 			}
 			totalBytes += a.Bytes
 		}
@@ -455,7 +463,8 @@ func (s *Simulator) run(ws []workloads.Workload, explicit bool) ([]*Result, erro
 		return fmt.Sprintf("device %d ", i)
 	}
 	bases := make([][]mem.Addr, len(ws))
-	for i := range ws {
+	phaseLists := make([][]workloads.Phase, len(ws))
+	for i, w := range ws {
 		bases[i] = make([]mem.Addr, len(allocs[i]))
 		for j, a := range allocs[i] {
 			var opts []uvm.AllocOption
@@ -463,6 +472,14 @@ func (s *Simulator) run(ws []workloads.Workload, explicit bool) ([]*Result, erro
 				opts = append(opts, uvm.WithHostInit(a.HostThreads))
 			}
 			bases[i][j] = s.Drivers[i].Alloc(a.Bytes, opts...)
+		}
+		phaseLists[i] = w.Phases(bases[i])
+		for p, ph := range phaseLists[i] {
+			for _, ht := range ph.HostTouches {
+				if err := hostos.CheckThreads(ht.Threads); err != nil {
+					return nil, fmt.Errorf("guvm: %sworkload %q phase %d: %w", where(i), w.Name(), p, err)
+				}
+			}
 		}
 	}
 
@@ -480,9 +497,9 @@ func (s *Simulator) run(ws []workloads.Workload, explicit bool) ([]*Result, erro
 	}
 
 	kernelTimes := make([]sim.Time, len(ws))
-	for i, w := range ws {
+	for i := range ws {
 		drv, dev := s.Drivers[i], s.Devices[i]
-		phases := w.Phases(bases[i])
+		phases := phaseLists[i]
 		var runPhase func(p int)
 		runPhase = func(p int) {
 			if p >= len(phases) {

@@ -1,8 +1,10 @@
 package guvm
 
 import (
+	"errors"
 	"testing"
 
+	"guvm/internal/hostos"
 	"guvm/internal/mem"
 	"guvm/internal/workloads"
 )
@@ -73,6 +75,43 @@ func TestSimulatorSingleShot(t *testing.T) {
 	}
 	if _, err := s.Run(workloads.NewStream(4<<20, 8)); err == nil {
 		t.Fatal("second Run on same Simulator succeeded")
+	}
+}
+
+// touchThreads runs a workload with every host phase's thread count
+// replaced.
+type touchThreads struct {
+	workloads.Workload
+	threads int
+}
+
+func (w touchThreads) Phases(bases []mem.Addr) []workloads.Phase {
+	phases := w.Workload.Phases(bases)
+	for i := range phases {
+		for j := range phases[i].HostTouches {
+			phases[i].HostTouches[j].Threads = w.threads
+		}
+	}
+	return phases
+}
+
+// TestHostThreadLimit: an allocation's or a host phase's thread count
+// past hostos.MaxThreads is a *hostos.ThreadCountError before the engine
+// starts; a rejected allocation leaves the simulator unused, and the
+// limit itself runs.
+func TestHostThreadLimit(t *testing.T) {
+	over := hostos.MaxThreads + 1
+	var te *hostos.ThreadCountError
+	s := mustSim(t, testConfig())
+	if _, err := s.Run(workloads.NewHPGMG(16<<20, over)); !errors.As(err, &te) || te.Threads != over {
+		t.Fatalf("allocation with %d host threads: error %v, want a *hostos.ThreadCountError", over, err)
+	}
+	if _, err := s.Run(workloads.NewHPGMG(16<<20, hostos.MaxThreads)); err != nil {
+		t.Fatalf("%d host threads after a rejected run: %v", hostos.MaxThreads, err)
+	}
+	w := touchThreads{workloads.NewHPGMG(16<<20, 4), over}
+	if _, err := mustSim(t, testConfig()).Run(w); !errors.As(err, &te) || te.Threads != over {
+		t.Fatalf("host phase with %d threads: error %v, want a *hostos.ThreadCountError", over, err)
 	}
 }
 

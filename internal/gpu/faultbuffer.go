@@ -57,6 +57,14 @@ func (b *FaultBuffer) Push(f Fault) bool {
 		b.Dropped++
 		return false
 	}
+	if len(b.entries) == cap(b.entries) {
+		// Double, as the run logs do, but never past the modelled
+		// buffer's capacity. slices.Grow only sets a minimum: append's
+		// own growth would overshoot the capacity on the last step.
+		grown := make([]Fault, len(b.entries), min(2*len(b.entries)+1, b.capacity))
+		copy(grown, b.entries)
+		b.entries = grown
+	}
 	b.entries = append(b.entries, f)
 	b.Pushed++
 	return true

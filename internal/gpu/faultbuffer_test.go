@@ -234,3 +234,21 @@ func TestDeviceCountsExcludeFaults(t *testing.T) {
 		t.Fatalf("counters = %d, want 0 for all-faulting kernel", got)
 	}
 }
+
+// TestFaultBufferGrowthStopsAtCapacity: the buffer grows by doubling but
+// never past its capacity, so a full buffer's array holds exactly
+// capacity records.
+func TestFaultBufferGrowthStopsAtCapacity(t *testing.T) {
+	for _, capacity := range []int{100, 1000, 4096} {
+		b := NewFaultBuffer(capacity)
+		for i := range 2 * capacity {
+			b.Push(Fault{Page: mem.PageID(i)})
+		}
+		if b.Len() != capacity || b.Dropped != capacity {
+			t.Fatalf("capacity %d: Len %d, Dropped %d", capacity, b.Len(), b.Dropped)
+		}
+		if c := cap(b.entries); c != capacity {
+			t.Errorf("capacity %d: backing array holds %d records", capacity, c)
+		}
+	}
+}

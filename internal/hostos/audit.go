@@ -24,8 +24,10 @@ type MappingAudit struct {
 type AuditState struct {
 	Mappings   []MappingAudit
 	RadixNodes int
-	DMANext    uint64
-	Stats      Stats
+	// DMANext is the DMA address space handed out so far: one page per
+	// DMA-mapped page (Stats.DMAPagesMapped × PageSize).
+	DMANext uint64
+	Stats   Stats
 }
 
 // MappedPages returns a copy of the live-CPU-mapping page set of block.
@@ -40,7 +42,7 @@ func (vm *VM) MappedPages(block mem.VABlockID) mem.PageSet {
 func (vm *VM) AuditState() AuditState {
 	st := AuditState{
 		RadixNodes: vm.dma.Nodes(),
-		DMANext:    vm.dmaNext,
+		DMANext:    vm.dmaBytes(),
 		Stats:      vm.stats,
 	}
 	// BlockDir ranges in ascending block order — the canonical order the
@@ -57,6 +59,13 @@ func (vm *VM) AuditState() AuditState {
 		return true
 	})
 	return st
+}
+
+// dmaBytes is the DMA address space handed out so far. Every mapped page
+// takes one page of it, so it follows from the page count; the digests
+// keep hashing it so their values do not move.
+func (vm *VM) dmaBytes() uint64 {
+	return uint64(vm.stats.DMAPagesMapped) * mem.PageSize
 }
 
 // Digest returns the FNV-1a digest of the canonical host VM state. Two
@@ -83,7 +92,7 @@ func (vm *VM) Digest() uint64 {
 		return true
 	})
 	h = h.Int(vm.dma.Nodes())
-	h = h.Uint64(vm.dmaNext)
+	h = h.Uint64(vm.dmaBytes())
 	s := &vm.stats
 	h = h.Int(s.UnmapCalls).Int(s.PagesUnmapped).Int(s.PagesPopulated)
 	h = h.Int(s.DMAPagesMapped).Int(s.RadixNodes).Int(s.PopulateFailures)

@@ -2,7 +2,7 @@
 // the UVM fault path: the virtual-memory subsystem whose
 // unmap_mapping_range() the driver invokes when the GPU touches a VABlock
 // partially resident on the CPU, page population (zero-filling), and the
-// radix tree in which the driver stores reverse DMA address mappings.
+// radix tree in which the driver records which pages hold DMA mappings.
 //
 // The paper (§4.4, §5.2) identifies these host components as significant,
 // cross-implementation costs: they will be paid by any HMM backend, not
@@ -18,11 +18,13 @@ const (
 	radixMask   = radixFanout - 1
 )
 
-// radixNode is one node of the tree. Leaf nodes, the bottom level, keep
-// their values in values; typed slots store a value without boxing it,
-// so filling a leaf that already exists allocates nothing. Interior
-// nodes keep their children in children, an array of its own, so the
-// leaves, nearly every node, are half the size.
+// radixNode is one node of the tree. Interior nodes keep their children
+// in children and leaves, the bottom level, keep their values in values;
+// each is an array of its own, so a node is small. A leaf allocates
+// values only when it first stores a non-zero value: a slot whose bit is
+// set in used but that has no array holds 0. The driver stores presence
+// only, so its leaves never carry the array, and filling a leaf that
+// already exists allocates nothing.
 type radixNode struct {
 	parent *radixNode
 	// children is nil in a leaf.
@@ -30,12 +32,15 @@ type radixNode struct {
 	// used has bit i set while slot i holds a child or a value.
 	used   uint64
 	offset int // slot index in parent (for delete path)
-	values [radixFanout]uint64
+	// values is nil in an interior node and in a leaf that has stored
+	// only zeros.
+	values *[radixFanout]uint64
 }
 
 // RadixTree is a Linux-style radix tree keyed by uint64 (page indices in
-// the driver's usage) storing uint64 values (DMA addresses). The driver
-// charges time per node allocated, so Insert reports allocations.
+// the driver's usage) storing uint64 values. The driver stores 0 under
+// every DMA-mapped page and charges time per node allocated, so Insert
+// reports allocations.
 //
 // The zero value is an empty tree.
 type RadixTree struct {
@@ -126,7 +131,12 @@ func (t *RadixTree) Insert(key, value uint64) (newNodes int) {
 		n.used |= 1 << idx
 		t.size++
 	}
-	n.values[idx] = value
+	if n.values != nil {
+		n.values[idx] = value
+	} else if value != 0 {
+		n.values = new([radixFanout]uint64)
+		n.values[idx] = value
+	}
 	return newNodes
 }
 
@@ -137,7 +147,13 @@ func (t *RadixTree) Lookup(key uint64) (uint64, bool) {
 		return 0, false
 	}
 	idx := slot(key, 0)
-	return n.values[idx], n.used&(1<<idx) != 0
+	if n.used&(1<<idx) == 0 {
+		return 0, false
+	}
+	if n.values == nil {
+		return 0, true
+	}
+	return n.values[idx], true
 }
 
 // Delete removes key and returns whether it was present. Empty nodes are
@@ -149,7 +165,9 @@ func (t *RadixTree) Delete(key uint64) bool {
 		return false
 	}
 	n.used &^= 1 << idx
-	n.values[idx] = 0
+	if n.values != nil {
+		n.values[idx] = 0
+	}
 	t.size--
 	// Free empty nodes up the spine.
 	for n != nil && n.used == 0 && n != t.root {

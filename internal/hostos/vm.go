@@ -68,19 +68,22 @@ type blockMapping struct {
 
 // VM models the host virtual-memory subsystem for one process: which pages
 // hold live CPU mappings, which CPU threads touched them, and the radix
-// tree of reverse DMA mappings. All methods return the virtual-time cost
-// of the operation; the caller (the UVM driver model) advances the clock.
+// tree recording which pages hold DMA mappings. All methods return the
+// virtual-time cost of the operation; the caller (the UVM driver model)
+// advances the clock.
 type VM struct {
 	cost CostModel
 	// mapped is the per-VABlock CPU-mapping directory — a sparse
 	// two-level structure rather than a map, for the same reason as the
 	// driver's block directory: CPUMappedPages sits on every block's
 	// service path and must stay an array probe at GB-scale VA spans.
-	mapped  mem.BlockDir[*blockMapping]
-	dma     RadixTree
-	dmaNext uint64
-	stats   Stats
-	inj     *faultinject.Injector
+	mapped mem.BlockDir[*blockMapping]
+	// dma holds a key for every DMA-mapped page. Only its shape is
+	// modelled: each node it allocates costs DMAMapPerNode, and no
+	// address is stored.
+	dma   RadixTree
+	stats Stats
+	inj   *faultinject.Injector
 	// next is the process's managed-address cursor. Every device's
 	// driver reserves its allocations here, so devices sharing this VM
 	// never alias each other's VABlocks.
@@ -110,7 +113,8 @@ func (vm *VM) SetInjector(in *faultinject.Injector) { vm.inj = in }
 // TouchCPU records that CPU thread `thread` wrote page index pageIdx of
 // block: a host PTE now exists, so a later GPU fault in the block must pay
 // unmap_mapping_range. This models application host-side initialization
-// (e.g. OpenMP-parallel data init in HPGMG).
+// (e.g. OpenMP-parallel data init in HPGMG). thread is below MaxThreads
+// (see CheckThreads).
 func (vm *VM) TouchCPU(block mem.VABlockID, pageIdx, thread int) {
 	bm := vm.mapped.Lookup(block)
 	if bm == nil {
@@ -118,7 +122,7 @@ func (vm *VM) TouchCPU(block mem.VABlockID, pageIdx, thread int) {
 		vm.mapped.Set(block, bm)
 	}
 	bm.pages.Set(pageIdx)
-	bm.threads |= 1 << (uint(thread) & 63)
+	bm.threads |= 1 << (uint(thread) % MaxThreads)
 }
 
 // CPUMappedPages returns how many pages of block hold live CPU mappings.
@@ -179,15 +183,14 @@ func (vm *VM) Populate(n int) (sim.Time, error) {
 	return cost, nil
 }
 
-// MapDMA creates DMA mappings for every page of block and stores the
-// reverse mappings in the radix tree, returning the total cost. The driver
-// performs this for the whole 2 MB region on first GPU touch (§5.2).
+// MapDMA creates DMA mappings for every page of block and records each
+// page in the radix tree, returning the total cost. The driver performs
+// this for the whole 2 MB region on first GPU touch (§5.2).
 func (vm *VM) MapDMA(block mem.VABlockID) sim.Time {
 	var cost sim.Time
 	first := uint64(block.FirstPage())
 	for i := 0; i < mem.PagesPerVABlock; i++ {
-		vm.dmaNext += mem.PageSize
-		newNodes := vm.dma.Insert(first+uint64(i), vm.dmaNext)
+		newNodes := vm.dma.Insert(first+uint64(i), 0)
 		cost += vm.cost.DMAMapPerPage + sim.Time(newNodes)*vm.cost.DMAMapPerNode
 		vm.stats.RadixNodes += newNodes
 	}

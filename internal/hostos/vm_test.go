@@ -1,6 +1,7 @@
 package hostos
 
 import (
+	"runtime"
 	"testing"
 
 	"guvm/internal/mem"
@@ -120,6 +121,29 @@ func TestMapDMAReusedLeavesAllocateNothing(t *testing.T) {
 	}
 	if vm.Stats().RadixNodes != nodes {
 		t.Fatalf("remapping grew the tree: %d nodes, was %d", vm.Stats().RadixNodes, nodes)
+	}
+}
+
+// TestMapDMAFreshBlockBytes: the tree records presence only, so mapping
+// a fresh VABlock allocates its eight 64-slot leaves with no value
+// arrays, plus a share of an interior node: a few hundred bytes, where
+// leaves carrying 64 addresses each cost about 8 × 576 B.
+func TestMapDMAFreshBlockBytes(t *testing.T) {
+	const blocks = 256
+	vm := NewVM(DefaultCostModel())
+	vm.MapDMA(0)
+	nodes := vm.Stats().RadixNodes
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for b := 1; b <= blocks; b++ {
+		vm.MapDMA(mem.VABlockID(b))
+	}
+	runtime.ReadMemStats(&after)
+	if perBlock := (after.TotalAlloc - before.TotalAlloc) / blocks; perBlock > 640 {
+		t.Fatalf("mapping a fresh block allocates %d B, want at most 640", perBlock)
+	}
+	if got := vm.Stats().RadixNodes - nodes; got < blocks*mem.PagesPerVABlock/radixFanout {
+		t.Fatalf("%d fresh blocks allocated %d radix nodes, want a leaf per 64 pages", blocks, got)
 	}
 }
 

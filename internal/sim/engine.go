@@ -240,38 +240,45 @@ func (e *Engine) dispatch(ev *event) bool {
 	if e.OnEvent != nil {
 		e.OnEvent(e.now)
 	}
-	e.runCallback(ev)
+	if ev.afn != nil {
+		ev.afn(ev.arg)
+	} else {
+		ev.fn()
+	}
 	return true
 }
 
-// runCallback executes one event callback, converting a panic into the
-// run's terminal *CallbackPanicError instead of unwinding through Run.
-func (e *Engine) runCallback(ev *event) {
-	defer func() {
-		if r := recover(); r != nil {
-			e.Fail(&CallbackPanicError{
-				Value:    r,
-				At:       e.now,
-				Executed: e.executed,
-				Stack:    string(debug.Stack()),
-			})
-		}
-	}()
-	if ev.afn != nil {
-		ev.afn(ev.arg)
+// recoverCallback ends a dispatch loop that a panicking event callback
+// unwound: the panic becomes the run's terminal *CallbackPanicError, the
+// loop's state is trimmed as on a normal exit, and the loop returns the
+// clock and the error through at and err. Run and RunUntil each defer it
+// once, so a panic aborts one simulation, not the process, without a
+// recovery frame per event.
+func (e *Engine) recoverCallback(at *Time, err *error) {
+	r := recover()
+	if r == nil {
 		return
 	}
-	ev.fn()
+	e.Fail(&CallbackPanicError{
+		Value:    r,
+		At:       e.now,
+		Executed: e.executed,
+		Stack:    string(debug.Stack()),
+	})
+	e.trimFree()
+	e.q.trim()
+	*at, *err = e.now, e.err
 }
 
 // Run dispatches events in timestamp order until the queue drains, Stop or
 // Fail is called, or a watchdog fires. It returns the final virtual time
 // and the terminal error, if any; a run that already failed returns its
 // error without dispatching further events.
-func (e *Engine) Run() (Time, error) {
+func (e *Engine) Run() (at Time, err error) {
 	if e.err != nil {
 		return e.now, e.err
 	}
+	defer e.recoverCallback(&at, &err)
 	e.stopped = false
 	for !e.stopped {
 		ev := e.q.PopMin()
@@ -294,10 +301,11 @@ func (e *Engine) Run() (Time, error) {
 // of its current value and the deadline. A run aborted by Fail or a
 // watchdog leaves the clock at the failure instant instead, so failure
 // diagnostics (e.g. LivelockError.At) and Now agree.
-func (e *Engine) RunUntil(deadline Time) (Time, error) {
+func (e *Engine) RunUntil(deadline Time) (at Time, err error) {
 	if e.err != nil {
 		return e.now, e.err
 	}
+	defer e.recoverCallback(&at, &err)
 	e.stopped = false
 	for !e.stopped {
 		ev := e.q.PopMinUntil(deadline)

@@ -6,6 +6,8 @@
 package trace
 
 import (
+	"slices"
+
 	"guvm/internal/gpu"
 	"guvm/internal/mem"
 	"guvm/internal/sim"
@@ -158,6 +160,11 @@ type Collector struct {
 	// KeepSpans retains per-batch serviced page spans.
 	KeepSpans bool
 
+	// The logs grow by doubling (slices.Grow by their own length). Past
+	// 256 elements append's step falls from 2× toward 1.25×, so a log
+	// appended a record at a time would copy itself several times over;
+	// doubling bounds what it allocates at about twice its final
+	// capacity.
 	Batches []BatchRecord
 	Faults  []gpu.Fault
 	// FaultBatch[i] is the batch ID that fetched Faults[i].
@@ -170,6 +177,9 @@ func (c *Collector) AddBatch(b BatchRecord) int {
 	if !c.KeepSpans {
 		b.ServicedSpans = nil
 	}
+	if len(c.Batches) == cap(c.Batches) {
+		c.Batches = slices.Grow(c.Batches, len(c.Batches))
+	}
 	c.Batches = append(c.Batches, b)
 	return b.ID
 }
@@ -179,7 +189,13 @@ func (c *Collector) AddFaults(id int, faults []gpu.Fault) {
 	if !c.KeepFaults {
 		return
 	}
+	if len(c.Faults)+len(faults) > cap(c.Faults) {
+		c.Faults = slices.Grow(c.Faults, max(len(c.Faults), len(faults)))
+	}
 	c.Faults = append(c.Faults, faults...)
+	if len(c.FaultBatch)+len(faults) > cap(c.FaultBatch) {
+		c.FaultBatch = slices.Grow(c.FaultBatch, max(len(c.FaultBatch), len(faults)))
+	}
 	for range faults {
 		c.FaultBatch = append(c.FaultBatch, id)
 	}

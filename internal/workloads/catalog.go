@@ -1,6 +1,10 @@
 package workloads
 
-import "fmt"
+import (
+	"fmt"
+
+	"guvm/internal/hostos"
+)
 
 // CatalogNames lists the workloads constructible by name through ByName,
 // in a stable order (for `uvmsim -list`, error messages and API listings).
@@ -21,7 +25,11 @@ func CatalogNames() []string {
 // here, which keeps their config digests comparable. The returned
 // constructor is reusable — each call builds a fresh workload with fresh
 // seeded RNG state, so one grid point never perturbs another.
+// hostThreads outside [1, hostos.MaxThreads] is a *hostos.ThreadCountError.
 func ByName(name string, mb uint64, n int, seed uint64, hostThreads int) (func() Workload, error) {
+	if err := hostos.CheckThreads(hostThreads); err != nil {
+		return nil, fmt.Errorf("workloads: %s: %w", name, err)
+	}
 	bytes := mb << 20
 	switch name {
 	case "vecadd":

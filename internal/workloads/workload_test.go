@@ -1,10 +1,12 @@
 package workloads
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"guvm/internal/gpu"
+	"guvm/internal/hostos"
 	"guvm/internal/mem"
 )
 
@@ -519,5 +521,21 @@ func TestCatalogByName(t *testing.T) {
 	_, err := ByName("nope", 4, 256, 11, 1)
 	if err == nil || !strings.Contains(err.Error(), strings.Join(CatalogNames(), " ")) {
 		t.Errorf("unknown name: error %v does not list the catalog", err)
+	}
+}
+
+// TestCatalogRejectsHostThreads: a host-thread count the host VM cannot
+// tell apart is a *hostos.ThreadCountError from ByName, not a run that
+// silently models fewer threads; the limit itself builds.
+func TestCatalogRejectsHostThreads(t *testing.T) {
+	for _, threads := range []int{0, hostos.MaxThreads + 1, 128} {
+		_, err := ByName("hpgmg", 4, 0, 0, threads)
+		var te *hostos.ThreadCountError
+		if !errors.As(err, &te) || te.Threads != threads {
+			t.Errorf("ByName with %d host threads: error %v, want a *hostos.ThreadCountError", threads, err)
+		}
+	}
+	if _, err := ByName("hpgmg", 4, 0, 0, hostos.MaxThreads); err != nil {
+		t.Errorf("ByName with %d host threads: %v", hostos.MaxThreads, err)
 	}
 }

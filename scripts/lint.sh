@@ -318,6 +318,17 @@ for f in cmd/*/main.go; do
   fi
 done
 
+# 20. The DMA radix tree records presence only (DESIGN.md §13.4): the
+#     host VM stores 0 under every mapped page, so its leaves allocate no
+#     value arrays, and derives the DMA address span from the page count
+#     instead of keeping an address cursor.
+if grep -rnE '(^|[^[:alnum:]_])dmaNext([^[:alnum:]_]|$)' internal/hostos; then
+  fail "internal/hostos brings back the dmaNext address cursor; DMANext follows from DMAPagesMapped"
+fi
+if grep -nF 'dma.Insert(' internal/hostos/vm.go | grep -vE 'dma\.Insert\([^,]+, 0\)'; then
+  fail "internal/hostos/vm.go stores a non-zero value in the DMA radix tree; it records presence only"
+fi
+
 if [ "$status" -ne 0 ]; then
   exit 1
 fi
