@@ -548,15 +548,7 @@ func (s *Simulator) run(ws []workloads.Workload, explicit bool) ([]*Result, erro
 		})
 	}
 
-	var failure error
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				failure = fmt.Errorf("guvm: simulation panicked: %v", r)
-			}
-		}()
-		_, failure = s.Engine.Run()
-	}()
+	_, failure := s.Engine.Run()
 	for i, dev := range s.Devices {
 		if failure == nil && dev.Running() {
 			// The event queue drained with the kernel incomplete: a fault

@@ -111,20 +111,24 @@ func TestCheckBatchRecordParallelWorkers(t *testing.T) {
 	}
 }
 
-// TestCheckBatchRecordSaturatedHistograms verifies the uint16 clamp guard:
-// a batch at the histogram saturation point must not be failed for lossy
-// cells.
+// TestCheckBatchRecordSaturatedHistograms: a batch of the largest size
+// the driver accepts fills a uint16 cell exactly and sums back, and a
+// batch whose histograms lose faults is flagged at that size too (there
+// is no clamp exemption).
 func TestCheckBatchRecordSaturatedHistograms(t *testing.T) {
 	rec := validRecord()
-	rec.RawFaults = 70000
-	rec.UniquePages = 70000
+	rec.RawFaults = 65535
+	rec.UniquePages = 65535
 	rec.Type1Dups, rec.Type2Dups = 0, 0
 	rec.StalePages = 0
-	// Histograms saturate at 65535 per cell and no longer sum back.
 	rec.FaultsPerSM = []uint16{65535}
-	rec.VABlockFaults = []uint16{65535, 100}
+	rec.VABlockFaults = []uint16{65000, 535}
 	if v := checkRecord(&rec, 1); v != nil {
-		t.Fatalf("saturated histograms must be exempt: %v", v)
+		t.Fatalf("full histograms that sum back flagged: %v", v)
+	}
+	rec.VABlockFaults = []uint16{65535, 100}
+	if v := checkRecord(&rec, 1); v == nil || v.Check != "fault-accounting" {
+		t.Fatalf("per-VABlock histogram off by 100 not flagged: %v", v)
 	}
 }
 

@@ -32,28 +32,26 @@ func checkBatchRecord(rec *trace.BatchRecord, workers int, seen map[mem.VABlockI
 			Detail: fmt.Sprintf("stale pages %d > unique pages %d", rec.StalePages, rec.UniquePages),
 		}
 	}
-	// The histograms store uint16 cells; a batch at or past the clamp
-	// point cannot be summed back losslessly, so only audit below it.
-	if rec.RawFaults < 65535 {
-		sum := 0
-		for _, n := range rec.FaultsPerSM {
-			sum += int(n)
+	// The histograms store uint16 cells, which a batch (at most
+	// uvm.MaxBatchSize faults) cannot overflow, so they sum back exactly.
+	sum := 0
+	for _, n := range rec.FaultsPerSM {
+		sum += int(n)
+	}
+	if len(rec.FaultsPerSM) > 0 && sum != rec.RawFaults {
+		return &ViolationError{
+			Check:  "fault-accounting",
+			Detail: fmt.Sprintf("per-SM histogram sums to %d, want raw faults %d", sum, rec.RawFaults),
 		}
-		if len(rec.FaultsPerSM) > 0 && sum != rec.RawFaults {
-			return &ViolationError{
-				Check:  "fault-accounting",
-				Detail: fmt.Sprintf("per-SM histogram sums to %d, want raw faults %d", sum, rec.RawFaults),
-			}
-		}
-		sum = 0
-		for _, n := range rec.VABlockFaults {
-			sum += int(n)
-		}
-		if sum != rec.RawFaults {
-			return &ViolationError{
-				Check:  "fault-accounting",
-				Detail: fmt.Sprintf("per-VABlock histogram sums to %d, want raw faults %d", sum, rec.RawFaults),
-			}
+	}
+	sum = 0
+	for _, n := range rec.VABlockFaults {
+		sum += int(n)
+	}
+	if sum != rec.RawFaults {
+		return &ViolationError{
+			Check:  "fault-accounting",
+			Detail: fmt.Sprintf("per-VABlock histogram sums to %d, want raw faults %d", sum, rec.RawFaults),
 		}
 	}
 	// VABlocks counts the distinct blocks serviced for faults; the raw

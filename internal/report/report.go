@@ -108,26 +108,6 @@ func (s *Series) CSV() string {
 	return sb.String()
 }
 
-// Preview renders the first n rows as an aligned table for terminals.
-func (s *Series) Preview(n int) string {
-	t := Table{Title: s.Title, Headers: s.Columns}
-	for i, row := range s.Rows {
-		if i >= n {
-			break
-		}
-		cells := make([]interface{}, len(row))
-		for j, v := range row {
-			cells[j] = fmt.Sprintf("%g", v)
-		}
-		t.AddRow(cells...)
-	}
-	out := t.String()
-	if len(s.Rows) > n {
-		out += fmt.Sprintf("... (%d more rows)\n", len(s.Rows)-n)
-	}
-	return out
-}
-
 func writeCSVRow(sb *strings.Builder, cells []string) {
 	for i, c := range cells {
 		if i > 0 {

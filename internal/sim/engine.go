@@ -46,22 +46,13 @@ type event struct {
 	arg any
 }
 
-// maxFreeEvents bounds the event free list across runs. Within a run
-// the list grows to the peak Pending() so steady-state scheduling
-// allocates nothing; it used to stay at that peak forever, pinning one
-// large job's worth of memory for the life of a long-running process
-// (e.g. sweepd). Run and RunUntil now decay it back to this bound on
-// exit, reallocating the backing array so the old peak is collectable.
-const maxFreeEvents = 1024
-
 // Engine is a discrete-event simulation executive. The zero value is ready
 // to use at virtual time zero.
 type Engine struct {
-	q       laneQueue
-	now     Time
-	seq     uint64
-	stopped bool
-	err     error
+	q   laneQueue
+	now Time
+	seq uint64
+	err error
 	// executed counts events that have been dispatched, for diagnostics.
 	executed uint64
 	// stall counts consecutive events dispatched without the virtual
@@ -77,7 +68,8 @@ type Engine struct {
 	// this watchdog catches it long before MaxEvents would.
 	MaxStallEvents uint64
 	// free recycles dispatched event structs so steady-state scheduling
-	// allocates nothing. Bounded by maxFreeEvents.
+	// allocates nothing. It grows to the most events alive at once: the
+	// run's peak Pending() plus the one being dispatched.
 	free []*event
 	// OnEvent, when set, observes every dispatched event just before its
 	// callback runs. Observers must not schedule events or mutate model
@@ -111,50 +103,29 @@ func (e *Engine) Scheduled() uint64 { return e.seq }
 // for that instant. A delay so large that now+delay overflows saturates
 // at MaxTime instead of wrapping.
 func (e *Engine) Schedule(delay Time, fn func()) {
-	e.At(e.deadline(delay), fn)
+	ev := e.newEvent(delay)
+	ev.fn = fn
+	e.q.Push(ev, e.now)
 }
 
 // ScheduleArg enqueues fn(arg) to run after delay, with the same delay
 // semantics as Schedule. Passing the argument through the event instead
 // of a closure lets hot paths schedule without allocating.
 func (e *Engine) ScheduleArg(delay Time, fn func(any), arg any) {
-	e.AtArg(e.deadline(delay), fn, arg)
-}
-
-// deadline converts a relative delay to an absolute time, clamping
-// negative delays to zero and saturating overflow at MaxTime.
-func (e *Engine) deadline(delay Time) Time {
-	if delay < 0 {
-		delay = 0
-	}
-	t := e.now + delay
-	if t < e.now { // signed overflow: now + delay wrapped
-		t = MaxTime
-	}
-	return t
-}
-
-// At enqueues fn to run at absolute virtual time t. Times in the past are
-// clamped to the present.
-func (e *Engine) At(t Time, fn func()) {
-	ev := e.newEvent(t)
-	ev.fn = fn
-	e.q.Push(ev, e.now)
-}
-
-// AtArg enqueues fn(arg) to run at absolute virtual time t, clamped like At.
-func (e *Engine) AtArg(t Time, fn func(any), arg any) {
-	ev := e.newEvent(t)
+	ev := e.newEvent(delay)
 	ev.afn = fn
 	ev.arg = arg
 	e.q.Push(ev, e.now)
 }
 
 // newEvent takes an event struct from the free list (or allocates one)
-// and stamps it with the clamped time and the next sequence number.
-func (e *Engine) newEvent(t Time) *event {
-	if t < e.now {
-		t = e.now
+// and stamps it with the next sequence number and its deadline: now +
+// delay, with a negative delay clamped to zero and overflow saturated at
+// MaxTime.
+func (e *Engine) newEvent(delay Time) *event {
+	t := e.now + max(delay, 0)
+	if t < e.now { // signed overflow: now + delay wrapped
+		t = MaxTime
 	}
 	e.seq++
 	var ev *event
@@ -179,39 +150,54 @@ func (e *Engine) recycle(ev *event) {
 	e.free = append(e.free, ev)
 }
 
-// trimFree decays the free list to maxFreeEvents at a run boundary,
-// moving the survivors to a right-sized backing array so the large
-// one — grown to the run's peak Pending() — becomes garbage.
-func (e *Engine) trimFree() {
-	if len(e.free) <= maxFreeEvents {
-		return
-	}
-	kept := make([]*event, maxFreeEvents)
-	copy(kept, e.free)
-	e.free = kept
-}
-
-// Stop makes Run return after the currently executing event completes.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Fail records err as the run's terminal error and stops the dispatch
-// loop. The first error wins; later calls only stop the loop. Models use
-// it to surface unrecoverable conditions from inside event callbacks,
-// where no return path to the Run caller exists.
+// Fail records err, which must be non-nil, as the run's terminal error;
+// the dispatch loop ends after the current event. The first error wins.
+// It is the one way to end a run early: models use it to surface
+// unrecoverable conditions from inside event callbacks, where no return
+// path to the Run caller exists.
 func (e *Engine) Fail(err error) {
 	if e.err == nil {
 		e.err = err
 	}
-	e.stopped = true
 }
 
 // Err returns the terminal error recorded by Fail or a watchdog, if any.
 func (e *Engine) Err() error { return e.err }
 
-// dispatch runs one popped event, enforcing the livelock watchdogs. It
-// reports false when a watchdog aborted the run (the event is not
-// executed).
-func (e *Engine) dispatch(ev *event) bool {
+// Run dispatches events in timestamp order until the queue drains, Fail
+// is called, or a watchdog fires. It returns the final virtual time and
+// the terminal error, if any; a run that already failed returns its
+// error without dispatching further events.
+//
+// A panicking callback becomes the run's terminal *CallbackPanicError:
+// one deferred recover covers the whole loop, so a model bug aborts one
+// simulation, not the process, without a recovery frame per event.
+func (e *Engine) Run() (at Time, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			e.Fail(&CallbackPanicError{
+				Value:    r,
+				At:       e.now,
+				Executed: e.executed,
+				Stack:    string(debug.Stack()),
+			})
+			at, err = e.now, e.err
+		}
+	}()
+	for e.err == nil {
+		ev := e.q.PopMin()
+		if ev == nil {
+			break
+		}
+		e.dispatch(ev)
+		e.recycle(ev)
+	}
+	return e.now, e.err
+}
+
+// dispatch runs one popped event, enforcing the livelock watchdogs. A
+// watchdog that fires fails the run instead, and the event does not run.
+func (e *Engine) dispatch(ev *event) {
 	if ev.at > e.now {
 		e.stall = 0
 	} else {
@@ -223,7 +209,7 @@ func (e *Engine) dispatch(ev *event) bool {
 				Executed: e.executed,
 				Pending:  e.q.size + 1,
 			})
-			return false
+			return
 		}
 	}
 	e.now = ev.at
@@ -235,7 +221,7 @@ func (e *Engine) dispatch(ev *event) bool {
 			Executed: e.executed,
 			Pending:  e.q.size + 1,
 		})
-		return false
+		return
 	}
 	if e.OnEvent != nil {
 		e.OnEvent(e.now)
@@ -245,83 +231,4 @@ func (e *Engine) dispatch(ev *event) bool {
 	} else {
 		ev.fn()
 	}
-	return true
-}
-
-// recoverCallback ends a dispatch loop that a panicking event callback
-// unwound: the panic becomes the run's terminal *CallbackPanicError, the
-// loop's state is trimmed as on a normal exit, and the loop returns the
-// clock and the error through at and err. Run and RunUntil each defer it
-// once, so a panic aborts one simulation, not the process, without a
-// recovery frame per event.
-func (e *Engine) recoverCallback(at *Time, err *error) {
-	r := recover()
-	if r == nil {
-		return
-	}
-	e.Fail(&CallbackPanicError{
-		Value:    r,
-		At:       e.now,
-		Executed: e.executed,
-		Stack:    string(debug.Stack()),
-	})
-	e.trimFree()
-	e.q.trim()
-	*at, *err = e.now, e.err
-}
-
-// Run dispatches events in timestamp order until the queue drains, Stop or
-// Fail is called, or a watchdog fires. It returns the final virtual time
-// and the terminal error, if any; a run that already failed returns its
-// error without dispatching further events.
-func (e *Engine) Run() (at Time, err error) {
-	if e.err != nil {
-		return e.now, e.err
-	}
-	defer e.recoverCallback(&at, &err)
-	e.stopped = false
-	for !e.stopped {
-		ev := e.q.PopMin()
-		if ev == nil {
-			break
-		}
-		ok := e.dispatch(ev)
-		e.recycle(ev)
-		if !ok {
-			break
-		}
-	}
-	e.trimFree()
-	e.q.trim()
-	return e.now, e.err
-}
-
-// RunUntil dispatches events with timestamps <= deadline and then returns.
-// Events beyond the deadline remain queued; the clock is left at the later
-// of its current value and the deadline. A run aborted by Fail or a
-// watchdog leaves the clock at the failure instant instead, so failure
-// diagnostics (e.g. LivelockError.At) and Now agree.
-func (e *Engine) RunUntil(deadline Time) (at Time, err error) {
-	if e.err != nil {
-		return e.now, e.err
-	}
-	defer e.recoverCallback(&at, &err)
-	e.stopped = false
-	for !e.stopped {
-		ev := e.q.PopMinUntil(deadline)
-		if ev == nil {
-			break
-		}
-		ok := e.dispatch(ev)
-		e.recycle(ev)
-		if !ok {
-			break
-		}
-	}
-	e.trimFree()
-	e.q.trim()
-	if e.err == nil && e.now < deadline {
-		e.now = deadline
-	}
-	return e.now, e.err
 }

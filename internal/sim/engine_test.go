@@ -90,98 +90,23 @@ func TestEngineNegativeDelayClamped(t *testing.T) {
 	}
 }
 
-func TestEngineAtClampsPast(t *testing.T) {
-	e := NewEngine()
-	e.Schedule(100, func() {
-		e.At(10, func() {
-			if e.Now() != 100 {
-				t.Errorf("past At ran at %d, want clamp to 100", e.Now())
-			}
-		})
-	})
-	e.Run()
-}
-
-func TestEngineStop(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	for i := 1; i <= 10; i++ {
-		e.Schedule(Time(i), func() {
-			count++
-			if count == 3 {
-				e.Stop()
-			}
-		})
-	}
-	e.Run()
-	if count != 3 {
-		t.Fatalf("executed %d events after Stop, want 3", count)
-	}
-	if e.Pending() != 7 {
-		t.Fatalf("pending = %d, want 7", e.Pending())
-	}
-}
-
-func TestEngineRunUntil(t *testing.T) {
-	e := NewEngine()
-	var got []Time
-	for i := 1; i <= 5; i++ {
-		tt := Time(i * 10)
-		e.Schedule(tt, func() { got = append(got, tt) })
-	}
-	e.RunUntil(30)
-	if len(got) != 3 {
-		t.Fatalf("RunUntil(30) executed %d events, want 3", len(got))
-	}
-	if e.Now() != 30 {
-		t.Fatalf("clock = %d, want 30", e.Now())
-	}
-	e.Run()
-	if len(got) != 5 {
-		t.Fatalf("resumed Run executed %d total, want 5", len(got))
-	}
-}
-
-func TestEngineRunUntilAdvancesIdleClock(t *testing.T) {
-	e := NewEngine()
-	e.RunUntil(500)
-	if e.Now() != 500 {
-		t.Fatalf("idle RunUntil left clock at %d, want 500", e.Now())
-	}
-}
-
-// Regression: RunUntil used to advance the clock to the deadline even
-// after Fail or a watchdog aborted dispatch mid-run, so the failure
-// diagnostics (LivelockError.At) and the engine clock disagreed.
-func TestEngineRunUntilFailureLeavesClockAtFailureInstant(t *testing.T) {
+// TestEngineFailureLeavesClockAtFailureInstant: a run that Fail ends
+// returns, and leaves the clock at, the failing event's instant, so the
+// diagnostics and Now agree; later events stay queued.
+func TestEngineFailureLeavesClockAtFailureInstant(t *testing.T) {
 	e := NewEngine()
 	boom := errors.New("boom")
 	e.Schedule(100, func() { e.Fail(boom) })
-	now, err := e.RunUntil(1000)
+	e.Schedule(1000, func() { t.Error("event after Fail ran") })
+	now, err := e.Run()
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
 	if now != 100 || e.Now() != 100 {
 		t.Fatalf("clock = %d (returned %d), want 100 (failure instant)", e.Now(), now)
 	}
-}
-
-func TestEngineRunUntilWatchdogLeavesClockAtStallInstant(t *testing.T) {
-	e := NewEngine()
-	e.MaxStallEvents = 20
-	var spin func()
-	spin = func() { e.Schedule(0, spin) } // never advances the clock
-	e.Schedule(40, spin)
-	now, err := e.RunUntil(1000)
-	if !errors.Is(err, ErrLivelock) {
-		t.Fatalf("err = %v, want ErrLivelock", err)
-	}
-	var le *LivelockError
-	if !errors.As(err, &le) {
-		t.Fatalf("err %T is not *LivelockError", err)
-	}
-	if now != 40 || le.At != now {
-		t.Fatalf("clock = %d, LivelockError.At = %d; want both 40 (stall instant)", now, le.At)
+	if e.Pending() != 1 {
+		t.Fatalf("pending = %d, want 1", e.Pending())
 	}
 }
 
@@ -221,12 +146,16 @@ func TestEngineStallWatchdog(t *testing.T) {
 	var spin func()
 	spin = func() { e.Schedule(0, spin) } // never advances the clock
 	e.Schedule(5, spin)
-	_, err := e.Run()
+	now, err := e.Run()
 	if !errors.Is(err, ErrLivelock) {
 		t.Fatalf("err = %v, want ErrLivelock", err)
 	}
-	if e.Now() != 5 {
-		t.Fatalf("aborted at %d, want 5 (stall instant)", e.Now())
+	var le *LivelockError
+	if !errors.As(err, &le) {
+		t.Fatalf("err %T is not *LivelockError", err)
+	}
+	if now != 5 || e.Now() != 5 || le.At != 5 {
+		t.Fatalf("clock = %d (returned %d), LivelockError.At = %d; want all 5 (stall instant)", e.Now(), now, le.At)
 	}
 }
 
@@ -264,6 +193,171 @@ func TestEngineFailStopsRun(t *testing.T) {
 	e.Fail(errors.New("later"))
 	if !errors.Is(e.Err(), boom) {
 		t.Fatal("later Fail overwrote first error")
+	}
+}
+
+// TestEngineZeroValueReady: a zero Engine, not built by NewEngine, runs
+// at virtual time zero.
+func TestEngineZeroValueReady(t *testing.T) {
+	var e Engine
+	ran := false
+	e.Schedule(3, func() { ran = true })
+	if at, err := e.Run(); err != nil || at != 3 || !ran {
+		t.Fatalf("zero Engine: ran=%v at=%d err=%v, want the event run at 3", ran, at, err)
+	}
+}
+
+// TestEngineNegativeDelayQueuesBehindInstant: a negative delay, through
+// Schedule or ScheduleArg, runs at the current instant after the events
+// already queued for it, in scheduling order.
+func TestEngineNegativeDelayQueuesBehindInstant(t *testing.T) {
+	e := NewEngine()
+	var order []string
+	note := func(v any) { order = append(order, v.(string)) }
+	e.Schedule(100, func() {
+		order = append(order, "first")
+		e.ScheduleArg(-5, note, "arg")
+		e.Schedule(-1, func() { order = append(order, "closure") })
+	})
+	e.Schedule(100, func() { order = append(order, "queued") })
+	if at, err := e.Run(); err != nil || at != 100 {
+		t.Fatalf("run ended at %d with %v, want 100 and no error", at, err)
+	}
+	want := []string{"first", "queued", "arg", "closure"}
+	if len(order) != len(want) {
+		t.Fatalf("order %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("order %v, want %v", order, want)
+		}
+	}
+}
+
+// TestEngineFailBeforeRun: a run that failed before it started dispatches
+// nothing and returns the error at virtual time zero, its events still
+// queued.
+func TestEngineFailBeforeRun(t *testing.T) {
+	e := NewEngine()
+	boom := errors.New("boom")
+	e.Schedule(1, func() { t.Error("event ran on an engine that had already failed") })
+	e.Fail(boom)
+	at, err := e.Run()
+	if !errors.Is(err, boom) || at != 0 {
+		t.Fatalf("Run = (%d, %v), want (0, boom)", at, err)
+	}
+	if e.Executed() != 0 || e.Pending() != 1 {
+		t.Fatalf("executed %d, pending %d; want 0 and 1", e.Executed(), e.Pending())
+	}
+}
+
+// TestEngineWatchdogSkipsTrippingEvent: the event that trips a watchdog
+// does not run. It counts as pending in the diagnostics, and events
+// behind it stay queued.
+func TestEngineWatchdogSkipsTrippingEvent(t *testing.T) {
+	e := NewEngine()
+	e.MaxEvents = 3
+	ran := 0
+	for i := 1; i <= 5; i++ {
+		e.Schedule(Time(10*i), func() { ran++ })
+	}
+	at, err := e.Run()
+	var le *LivelockError
+	if !errors.As(err, &le) {
+		t.Fatalf("MaxEvents: err = %v, want *LivelockError", err)
+	}
+	if ran != 3 || at != 40 || le.Pending != 2 || e.Pending() != 1 {
+		t.Fatalf("MaxEvents: ran %d, ended at %d, diagnostic pending %d, queue %d; want 3, 40, 2, 1",
+			ran, at, le.Pending, e.Pending())
+	}
+
+	e = NewEngine()
+	e.MaxStallEvents = 2
+	ran = 0
+	for i := 0; i < 4; i++ {
+		e.Schedule(5, func() { ran++ })
+	}
+	if _, err := e.Run(); !errors.As(err, &le) {
+		t.Fatalf("MaxStallEvents: err = %v, want *LivelockError", err)
+	}
+	if ran != 3 || le.Executed != 3 || le.Pending != 1 || e.Pending() != 0 {
+		t.Fatalf("MaxStallEvents: ran %d, diagnostic executed %d and pending %d, queue %d; want 3, 3, 1, 0",
+			ran, le.Executed, le.Pending, e.Pending())
+	}
+}
+
+// TestEngineOnEventObservesEachDispatch: the observer sees every
+// dispatched event once, at its instant, just before its callback.
+func TestEngineOnEventObservesEachDispatch(t *testing.T) {
+	e := NewEngine()
+	var log []Time
+	e.OnEvent = func(at Time) { log = append(log, -at) }
+	step := func(any) { log = append(log, e.Now()) }
+	e.ScheduleArg(7, step, nil)
+	e.Schedule(3, func() {
+		log = append(log, e.Now())
+		e.Schedule(0, func() { log = append(log, e.Now()) })
+	})
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := []Time{-3, 3, -3, 3, -7, 7}
+	if len(log) != len(want) || uint64(len(log)/2) != e.Executed() {
+		t.Fatalf("log %v over %d events, want %v", log, e.Executed(), want)
+	}
+	for i := range want {
+		if log[i] != want[i] {
+			t.Fatalf("log %v, want %v (observer negated, then callback)", log, want)
+		}
+	}
+}
+
+// TestEngineFreeListHoldsPeakLive: dispatched events are recycled within
+// the run, so the run allocates only as many event structs as were alive
+// at once: the peak Pending() plus the one being dispatched.
+func TestEngineFreeListHoldsPeakLive(t *testing.T) {
+	e := NewEngine()
+	const chains, links = 10, 100
+	left := chains * links
+	var fire func()
+	fire = func() {
+		if left--; left >= chains {
+			e.Schedule(Time(1+left%7), fire)
+		}
+	}
+	for i := 0; i < chains; i++ {
+		e.Schedule(Time(i), fire)
+	}
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if e.Executed() != chains*links {
+		t.Fatalf("executed %d events, want %d", e.Executed(), chains*links)
+	}
+	if n := len(e.free); n != chains+1 {
+		t.Fatalf("free list holds %d events after %d dispatches with %d pending at peak, want %d",
+			n, e.Executed(), chains, chains+1)
+	}
+}
+
+// TestEngineRecycleDropsReferences: a recycled event keeps no reference
+// to its callback or argument, so the free list never pins dead model
+// state.
+func TestEngineRecycleDropsReferences(t *testing.T) {
+	e := NewEngine()
+	payload := new([1 << 10]byte)
+	e.ScheduleArg(1, func(any) {}, payload)
+	e.Schedule(2, func() { _ = payload })
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(e.free) != 2 {
+		t.Fatalf("free list holds %d events, want 2", len(e.free))
+	}
+	for i, ev := range e.free {
+		if ev.fn != nil || ev.afn != nil || ev.arg != nil {
+			t.Fatalf("recycled event %d still references its callback or argument", i)
+		}
 	}
 }
 

@@ -65,10 +65,6 @@ const (
 	// 256 slots already collided into up to 1,097 pending lanes.
 	laneBits  = 10
 	laneSlots = 1 << laneBits
-	// maxIdleLanes and maxIdleCap bound what trim keeps at run exit:
-	// the idle lanes, and the events each one's array may hold.
-	maxIdleLanes = 64
-	maxIdleCap   = 64
 )
 
 // slotOf hashes a delay to its slot (Fibonacci hashing: the hot delays
@@ -115,12 +111,8 @@ func (q *laneQueue) newLane(d Time) *lane {
 
 // PopMin removes and returns the minimum (at, seq) event, or nil when
 // the queue is empty.
-func (q *laneQueue) PopMin() *event { return q.PopMinUntil(MaxTime) }
-
-// PopMinUntil removes and returns the minimum event if its timestamp is
-// <= deadline, or nil otherwise (the event stays queued).
-func (q *laneQueue) PopMinUntil(deadline Time) *event {
-	if len(q.heap) == 0 || q.heap[0].at > deadline {
+func (q *laneQueue) PopMin() *event {
+	if len(q.heap) == 0 {
 		return nil
 	}
 	l := q.heap[0].l
@@ -182,23 +174,4 @@ func (q *laneQueue) down(i int) {
 		i = c
 	}
 	h[i] = x
-}
-
-// trim decays the memory the queue keeps at a run boundary, the way
-// Engine.trimFree decays the event free list: at most maxIdleLanes
-// drained lanes survive, none with an array above maxIdleCap events, and
-// a heap grown past maxIdleLanes entries and twice the pending lanes is
-// reallocated at its live size.
-func (q *laneQueue) trim() {
-	if len(q.free) > maxIdleLanes {
-		q.free = append([]*lane(nil), q.free[:maxIdleLanes]...)
-	}
-	for _, l := range q.free {
-		if cap(l.evs) > maxIdleCap {
-			l.evs = nil
-		}
-	}
-	if cap(q.heap) > maxIdleLanes && cap(q.heap) > 2*len(q.heap) {
-		q.heap = append([]laneHead(nil), q.heap...)
-	}
 }

@@ -12,8 +12,6 @@ import "testing"
 // big-endian 16-bit raw value. Byte 0 selects the op:
 //
 //   - odd: pop, when non-empty;
-//   - even with bit 7 set: RunUntil now + raw µs, advancing the idle
-//     clock past the popped events;
 //   - even with bit 6 set: push with hot delay raw % len(hotDelays), so
 //     lanes fill, drain, refill and compact;
 //   - other even: push with a delay of scale (op>>1)%5: zero-delay ties,
@@ -44,8 +42,6 @@ func FuzzEventQueueOrder(f *testing.F) {
 			switch {
 			case op&1 == 1:
 				s.pop()
-			case op&0x80 != 0:
-				s.runUntil(s.now + raw*Microsecond)
 			case op&0x40 != 0:
 				s.push(hotDelays[int(raw)%len(hotDelays)])
 			default:

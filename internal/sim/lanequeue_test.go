@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 )
 
@@ -32,8 +31,8 @@ func (h *refHeap) Pop() any {
 }
 
 // lockstep drives a laneQueue and the refHeap oracle side by side with
-// an engine-like clock: now only moves forward, to a popped event's time
-// or to a RunUntil deadline, and every push is stamped at now or later.
+// an engine-like clock: now only moves forward, to a popped event's
+// time, and every push is stamped at now or later.
 type lockstep struct {
 	t   testing.TB
 	q   laneQueue
@@ -42,8 +41,8 @@ type lockstep struct {
 	now Time
 }
 
-// push schedules an event delay d after now, saturating at MaxTime the
-// way Engine.deadline does.
+// push schedules an event delay d after now, clamping a negative delay
+// to zero and saturating at MaxTime the way Engine.newEvent does.
 func (s *lockstep) push(d Time) {
 	at := s.now + d
 	if d < 0 {
@@ -78,21 +77,6 @@ func (s *lockstep) pop() {
 	}
 }
 
-// runUntil mirrors Engine.RunUntil: pop every event at or before the
-// deadline, then advance the idle clock to it.
-func (s *lockstep) runUntil(deadline Time) {
-	s.t.Helper()
-	for s.rh.Len() > 0 && s.rh[0].at <= deadline {
-		s.check(s.q.PopMinUntil(deadline))
-	}
-	if ev := s.q.PopMinUntil(deadline); ev != nil {
-		s.t.Fatalf("PopMinUntil(%d) returned (at=%d, seq=%d) past the oracle", deadline, ev.at, ev.seq)
-	}
-	if s.now < deadline {
-		s.now = deadline
-	}
-}
-
 func (s *lockstep) drain() {
 	s.t.Helper()
 	for s.rh.Len() > 0 {
@@ -124,8 +108,8 @@ func mixedDelay(rng *rand.Rand, now Time) Time {
 	}
 }
 
-// drive runs ops random pushes, pops and idle-clock advances in
-// lockstep, then drains both queues.
+// drive runs ops random pushes and pops in lockstep, then drains both
+// queues.
 func drive(t *testing.T, rng *rand.Rand, ops int) {
 	t.Helper()
 	s := &lockstep{t: t}
@@ -133,8 +117,6 @@ func drive(t *testing.T, rng *rand.Rand, ops int) {
 		switch r := rng.Intn(100); {
 		case r < 45 && s.rh.Len() > 0:
 			s.pop()
-		case r < 48:
-			s.runUntil(s.now + Time(rng.Intn(int(20*Microsecond))))
 		default:
 			s.push(mixedDelay(rng, s.now))
 		}
@@ -168,33 +150,24 @@ func TestLaneQueueZeroDelayFIFO(t *testing.T) {
 	}
 }
 
-// TestLaneQueuePopMinUntil checks the deadline-bounded pop: events past
-// the deadline stay queued and pop later in order.
-func TestLaneQueuePopMinUntil(t *testing.T) {
+// TestLaneQueuePopMinEmpty: an empty queue pops nil and allocates no
+// slot table; a lane that drains is cleared from its slot and kept for
+// reuse.
+func TestLaneQueuePopMinEmpty(t *testing.T) {
 	var q laneQueue
-	times := []Time{5, 10, 10, 3 * Millisecond, MaxTime}
-	for i, at := range times {
-		q.Push(&event{at: at, seq: uint64(i + 1)}, 0)
+	if q.PopMin() != nil || q.slots != nil {
+		t.Fatal("empty queue popped an event or allocated its slot table")
 	}
-	var got []Time
-	for {
-		ev := q.PopMinUntil(Millisecond)
-		if ev == nil {
-			break
-		}
-		got = append(got, ev.at)
+	ev := &event{at: 500, seq: 1}
+	q.Push(ev, 0)
+	if got := q.PopMin(); got != ev {
+		t.Fatalf("popped %v, want the one pushed event", got)
 	}
-	if len(got) != 3 || got[0] != 5 || got[1] != 10 || got[2] != 10 {
-		t.Fatalf("PopMinUntil(1ms) returned %v, want [5 10 10]", got)
+	if q.PopMin() != nil || q.size != 0 || len(q.heap) != 0 {
+		t.Fatalf("drained queue: size %d, %d lanes in the heap", q.size, len(q.heap))
 	}
-	if q.size != 2 {
-		t.Fatalf("events past deadline must stay queued: size %d, want 2", q.size)
-	}
-	if ev := q.PopMin(); ev == nil || ev.at != 3*Millisecond {
-		t.Fatalf("post-deadline pop got %+v, want at=3ms", ev)
-	}
-	if ev := q.PopMin(); ev == nil || ev.at != MaxTime {
-		t.Fatalf("final pop got %+v, want at=MaxTime", ev)
+	if q.slots[slotOf(500)] != nil || len(q.free) != 1 {
+		t.Fatalf("drained lane left in its slot or not kept: %d idle lanes", len(q.free))
 	}
 }
 
@@ -282,39 +255,6 @@ func TestLaneQueueCompactsLongLivedLane(t *testing.T) {
 	s.drain()
 }
 
-// TestLaneQueuePushAfterIdleAdvance moves the clock with RunUntil while
-// events are pending, as the engine does between host phases: later
-// pushes with the same delay land in the same lanes at later times, and
-// their pops interleave with the older events in (at, seq) order.
-func TestLaneQueuePushAfterIdleAdvance(t *testing.T) {
-	s := &lockstep{t: t}
-	for _, d := range []Time{400, 1000, 12000, 30 * Microsecond} {
-		s.push(d)
-		s.push(d)
-	}
-	s.runUntil(5 * Microsecond) // pops the 400 and 1000 lanes
-	for _, d := range []Time{0, 400, 1000, 12000, 30 * Microsecond} {
-		s.push(d)
-	}
-	s.runUntil(5*Microsecond + 12000)
-	s.push(12000)
-	s.drain()
-
-	// The same through the engine.
-	e := NewEngine()
-	var order []int
-	e.Schedule(Millisecond, func() { order = append(order, 1) })
-	e.RunUntil(Millisecond / 2)
-	e.Schedule(Millisecond/2, func() { order = append(order, 2) }) // same instant, later seq
-	e.Schedule(Millisecond/4, func() { order = append(order, 0) })
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 2 {
-		t.Fatalf("dispatch order after an idle advance %v, want [0 1 2]", order)
-	}
-}
-
 // TestLaneQueueMaxTime pushes saturated events from several clock
 // values: each lands in its own lane at MaxTime, and they pop after all
 // finite events in scheduling order.
@@ -334,122 +274,35 @@ func TestLaneQueueMaxTime(t *testing.T) {
 	s.drain()
 }
 
-// TestEventQueueRetainedMemoryBounded is the queue's analogue of
-// TestEventFreeListBounded: after a run with 10,000 distinct delays
-// pending at once, the idle lanes, their arrays and the lane heap decay
-// to a fixed bound at run exit.
-func TestEventQueueRetainedMemoryBounded(t *testing.T) {
-	retained := func() uint64 {
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
-	before := retained()
-	e := NewEngine()
-	const distinct = 10000
-	nop := func() {}
-	for i := 0; i < distinct; i++ {
-		e.Schedule(Time(i), nop)
-	}
-	for i := 0; i < 4*maxIdleCap; i++ {
-		e.Schedule(Time(distinct), nop) // one lane with a large array
-	}
-	if got := len(e.q.heap); got != distinct+1 {
-		t.Fatalf("%d lanes pending, want %d", got, distinct+1)
-	}
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	q := &e.q
-	if len(q.free) > maxIdleLanes {
-		t.Fatalf("%d idle lanes kept after the run, bound is %d", len(q.free), maxIdleLanes)
-	}
-	for _, l := range q.free {
-		if cap(l.evs) > maxIdleCap {
-			t.Fatalf("idle lane keeps an array of %d events, bound is %d", cap(l.evs), maxIdleCap)
-		}
-	}
-	for i, l := range q.slots {
-		if l != nil {
-			t.Fatalf("slot %d still holds a lane after the run drained", i)
-		}
-	}
-	if cap(q.heap) > maxIdleLanes {
-		t.Fatalf("lane heap keeps capacity %d, bound is %d", cap(q.heap), maxIdleLanes)
-	}
-	// Everything above plus the event free list: 10,000 lanes' worth of
-	// map, heap and lane storage would be several times this.
-	const bound = 256 << 10
-	if after := retained(); after > before+bound {
-		t.Fatalf("engine retains %d bytes after the run, bound is %d", after-before, bound)
-	}
-	runtime.KeepAlive(e)
-}
-
 // TestScheduleOverflowSaturates is the regression test for the
 // time-overflow bug: now+delay wrapping negative used to clamp the
 // event to the present, firing a far-future event immediately. It must
-// saturate at MaxTime and stay pending past any finite deadline.
+// saturate at MaxTime and fire after every finite event.
 func TestScheduleOverflowSaturates(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(10, func() {})
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if e.Now() != 10 {
-		t.Fatalf("clock at %d, want 10", e.Now())
-	}
-
 	fired := false
-	near := false
-	e.Schedule(MaxTime, func() { fired = true }) // now+MaxTime overflows
-	e.Schedule(Microsecond, func() { near = true })
-	if _, err := e.RunUntil(e.Now() + Second); err != nil {
-		t.Fatal(err)
-	}
-	if fired {
-		t.Fatal("overflowed far-future event fired within a 1s horizon")
-	}
-	if !near {
-		t.Fatal("near event did not fire")
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("saturated event must stay pending: Pending() = %d", e.Pending())
-	}
-
-	// The saturated event still fires eventually, at the end of time.
+	e.Schedule(10, func() {
+		e.Schedule(MaxTime, func() { fired = true }) // now+MaxTime overflows
+		e.Schedule(Second, func() {
+			if fired {
+				t.Error("overflowed far-future event fired before a 1s event")
+			}
+			if e.Pending() != 1 {
+				t.Errorf("saturated event must stay pending: Pending() = %d", e.Pending())
+			}
+		})
+	})
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if !fired {
-		t.Fatal("saturated event never fired on an unbounded run")
+		t.Fatal("saturated event never fired")
 	}
 	if e.Now() != MaxTime {
 		t.Fatalf("clock at %d, want MaxTime", e.Now())
 	}
 	if MaxTime != Time(math.MaxInt64) {
 		t.Fatal("MaxTime must be the maximum Time")
-	}
-}
-
-// TestEventFreeListBounded is the regression test for the free-list
-// leak: after a run with a huge pending peak, the recycle list must not
-// retain more than maxFreeEvents structs.
-func TestEventFreeListBounded(t *testing.T) {
-	e := NewEngine()
-	const n = 8 * maxFreeEvents
-	for i := 0; i < n; i++ {
-		e.Schedule(Time(i), func() {})
-	}
-	if e.Pending() != n {
-		t.Fatalf("Pending() = %d, want %d", e.Pending(), n)
-	}
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(e.free) > maxFreeEvents {
-		t.Fatalf("free list holds %d events after the run, cap is %d", len(e.free), maxFreeEvents)
 	}
 }
 

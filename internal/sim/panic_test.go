@@ -10,9 +10,9 @@ import (
 // Run — the engine converts it into the run's terminal error.
 func TestEnginePanicIsolated(t *testing.T) {
 	e := NewEngine()
-	e.At(5, func() {})
-	e.At(10, func() { panic("model bug") })
-	e.At(20, func() { t.Error("event after panic must not run") })
+	e.Schedule(5, func() {})
+	e.Schedule(10, func() { panic("model bug") })
+	e.Schedule(20, func() { t.Error("event after panic must not run") })
 
 	defer func() {
 		if r := recover(); r != nil {
@@ -35,8 +35,8 @@ func TestEnginePanicIsolated(t *testing.T) {
 // value, dispatch position and a stack trace.
 func TestEnginePanicDiagnostics(t *testing.T) {
 	e := NewEngine()
-	e.At(3, func() {})
-	e.At(7, func() { panic("boom at seven") })
+	e.Schedule(3, func() {})
+	e.Schedule(7, func() { panic("boom at seven") })
 	_, err := e.Run()
 
 	var pe *CallbackPanicError
@@ -65,7 +65,7 @@ func TestEnginePanicDiagnostics(t *testing.T) {
 func TestEnginePanicFirstErrorWins(t *testing.T) {
 	sentinel := errors.New("model failure")
 	e := NewEngine()
-	e.At(1, func() {
+	e.Schedule(1, func() {
 		e.Fail(sentinel)
 		panic("panic after fail")
 	})
@@ -79,14 +79,14 @@ func TestEnginePanicFirstErrorWins(t *testing.T) {
 // Run calls return the same error without dispatching anything.
 func TestEnginePanicTerminalAcrossRuns(t *testing.T) {
 	e := NewEngine()
-	e.At(1, func() { panic("dead") })
-	e.At(2, func() {})
+	e.Schedule(1, func() { panic("dead") })
+	e.Schedule(2, func() {})
 	_, first := e.Run()
 	if first == nil {
 		t.Fatal("expected a terminal error")
 	}
 	ran := false
-	e.At(3, func() { ran = true })
+	e.Schedule(3, func() { ran = true })
 	_, again := e.Run()
 	if again != first {
 		t.Fatalf("re-Run returned %v, want the original terminal error", again)
@@ -99,14 +99,18 @@ func TestEnginePanicTerminalAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestEngineRunUntilPanicIsolated: the bounded dispatch loop recovers
-// panics the same way Run does.
-func TestEngineRunUntilPanicIsolated(t *testing.T) {
+// TestEnginePanicLeavesLaterEventsPending: a panic ends the run at the
+// panicking event's instant, like Fail, and the events behind it stay
+// queued and unrun.
+func TestEnginePanicLeavesLaterEventsPending(t *testing.T) {
 	e := NewEngine()
-	e.At(4, func() { panic("bounded boom") })
-	e.At(50, func() {})
-	_, err := e.RunUntil(10)
-	if !errors.Is(err, ErrCallbackPanic) {
-		t.Fatalf("RunUntil error %v, want ErrCallbackPanic", err)
+	e.Schedule(10, func() { panic("model bug") })
+	e.Schedule(20, func() { t.Error("event after panic ran") })
+	e.Schedule(30, func() { t.Error("event after panic ran") })
+	if _, err := e.Run(); !errors.Is(err, ErrCallbackPanic) {
+		t.Fatalf("err = %v, want ErrCallbackPanic", err)
+	}
+	if e.Now() != 10 || e.Executed() != 1 || e.Pending() != 2 {
+		t.Fatalf("clock %d, executed %d, pending %d; want 10, 1, 2", e.Now(), e.Executed(), e.Pending())
 	}
 }

@@ -172,36 +172,6 @@ func Percentile(xs []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// Histogram buckets xs into nbins equal-width bins over [min, max].
-type Histogram struct {
-	Min, Max float64
-	Counts   []int
-}
-
-// NewHistogram builds a histogram of xs with nbins bins. Values outside
-// [min, max] clamp to the edge bins. It panics for nbins < 1.
-func NewHistogram(xs []float64, min, max float64, nbins int) Histogram {
-	if nbins < 1 {
-		panic("stats: NewHistogram with nbins < 1")
-	}
-	h := Histogram{Min: min, Max: max, Counts: make([]int, nbins)}
-	width := (max - min) / float64(nbins)
-	for _, x := range xs {
-		var b int
-		if width > 0 {
-			b = int((x - min) / width)
-		}
-		if b < 0 {
-			b = 0
-		}
-		if b >= nbins {
-			b = nbins - 1
-		}
-		h.Counts[b]++
-	}
-	return h
-}
-
 // GroupBy buckets values by an integer key, preserving insertion order of
 // first appearance. The experiment harness uses it to group batch records
 // (e.g. by eviction count for Figure 13's cost levels).

@@ -116,34 +116,6 @@ func TestPercentileDoesNotMutate(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	xs := []float64{0, 1, 2, 3, 4, 5, 9.9, 10, 11, -5}
-	h := NewHistogram(xs, 0, 10, 5)
-	total := 0
-	for _, c := range h.Counts {
-		total += c
-	}
-	if total != len(xs) {
-		t.Fatalf("histogram total = %d, want %d", total, len(xs))
-	}
-	// -5 clamps to bin 0; 10 and 11 clamp to bin 4.
-	if h.Counts[0] != 3 { // 0, 1, -5
-		t.Errorf("bin0 = %d", h.Counts[0])
-	}
-	if h.Counts[4] != 3 { // 9.9; 10 and 11 clamp into the top bin
-		t.Errorf("bin4 = %d", h.Counts[4])
-	}
-}
-
-func TestHistogramPanicsOnBadBins(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewHistogram(nil, 0, 1, 0)
-}
-
 func TestGroupBy(t *testing.T) {
 	order, groups := GroupBy([]int{2, 1, 2, 3, 1}, []float64{10, 20, 30, 40, 50})
 	if len(order) != 3 || order[0] != 2 || order[1] != 1 || order[2] != 3 {

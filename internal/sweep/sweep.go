@@ -73,8 +73,8 @@ func (s Spec) Points(defaults uvm.PolicySelection) ([]Point, error) {
 		return nil, err
 	}
 	for _, bs := range s.Batches {
-		if bs <= 0 {
-			return nil, fmt.Errorf("sweep: batch size %d out of range", bs)
+		if bs <= 0 || bs > uvm.MaxBatchSize {
+			return nil, fmt.Errorf("sweep: batch size %d out of range [1, %d]", bs, uvm.MaxBatchSize)
 		}
 	}
 	for _, c := range s.CapsMB {

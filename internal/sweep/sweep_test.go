@@ -27,7 +27,8 @@ func specFromArgs(t *testing.T, args ...string) Spec {
 
 // TestFlagsSelections covers the sweep flag expansion: alias
 // normalization, deterministic cross-product order with the architecture
-// innermost, and rejection of unknown names with the valid options.
+// innermost, rejection of unknown names with the valid options, and the
+// batch-size bound.
 func TestFlagsSelections(t *testing.T) {
 	pts, err := specFromArgs(t, "-workload", "stream", "-caps", "64",
 		"-prefetch", "on,off", "-evict", "lru", "-arch", "host-driven,gpu-driven").Points(uvm.PolicySelection{})
@@ -46,6 +47,14 @@ func TestFlagsSelections(t *testing.T) {
 
 	if _, err := specFromArgs(t, "-arch", "warp-speed").Points(uvm.PolicySelection{}); err == nil || !strings.Contains(err.Error(), "host-driven") {
 		t.Fatalf("unknown architecture not rejected with options: %v", err)
+	}
+	// A batch past the uint16 histogram cells fails the whole grid up
+	// front, valid sizes beside it included, so no point runs.
+	if _, err := specFromArgs(t, "-batches", "256,65536").Points(uvm.PolicySelection{}); err == nil || !strings.Contains(err.Error(), "65536") {
+		t.Fatalf("batch size 65536 not rejected by Points: %v", err)
+	}
+	if _, err := specFromArgs(t, "-batches", "256,65535").Points(uvm.PolicySelection{}); err != nil {
+		t.Fatalf("batch size 65535 rejected: %v", err)
 	}
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	f := RegisterFlags(fs)

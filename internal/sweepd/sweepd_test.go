@@ -456,6 +456,29 @@ func TestBadSpecRejected(t *testing.T) {
 	}
 }
 
+// TestBatchSizeBoundAtAdmission: a job whose grid holds a batch size
+// past uvm.MaxBatchSize is refused at Submit, valid sizes beside it
+// included, so it is never journaled or queued; the largest size itself
+// is admitted and runs.
+func TestBatchSizeBoundAtAdmission(t *testing.T) {
+	s := newTestService(t, testConfig(), nil)
+	over := JobSpec{Spec: sweep.Spec{Workload: "stream", MB: 1, Batches: []int{256, uvm.MaxBatchSize + 1}}}
+	if _, err := s.Submit(over); err == nil || !strings.Contains(err.Error(), "65536") {
+		t.Fatalf("batch size 65536 admitted or not named: %v", err)
+	}
+	if jobs := s.Jobs(); len(jobs) != 0 {
+		t.Fatalf("refused spec left %d job(s)", len(jobs))
+	}
+	v, err := s.Submit(JobSpec{Spec: sweep.Spec{Workload: "stream", MB: 1, Batches: []int{uvm.MaxBatchSize}}})
+	if err != nil {
+		t.Fatalf("batch size %d refused: %v", uvm.MaxBatchSize, err)
+	}
+	waitState(t, s, v.ID, JobDone)
+	if rows := rowsOf(s, v.ID); len(rows) != 1 || rows[0].Point.BatchSize != uvm.MaxBatchSize {
+		t.Fatalf("rows %+v, want one point at batch size %d", rows, uvm.MaxBatchSize)
+	}
+}
+
 // TestBackoffDeterministic pins the retry schedule to (seed, digest,
 // attempt) alone.
 func TestBackoffDeterministic(t *testing.T) {

@@ -65,8 +65,8 @@ func DefaultCostModel() CostModel {
 // policies read, plus the §6 extensions that are parameters rather than
 // policies: parallel VABlock servicing and asynchronous pre-unmapping.
 type Config struct {
-	// BatchSize is the maximum faults fetched per batch. UVM's default
-	// is 256; Figure 9 sweeps it up to 6144.
+	// BatchSize is the maximum faults fetched per batch, at most
+	// MaxBatchSize. UVM's default is 256; Figure 9 sweeps it up to 6144.
 	BatchSize int
 	// GPUMemBytes is the device memory capacity available to managed
 	// allocations; exceeding it triggers VABlock-granular eviction.
@@ -131,11 +131,17 @@ func DefaultConfig() Config {
 	}
 }
 
+// MaxBatchSize bounds Config.BatchSize: a batch's per-SM and per-VABlock
+// fault histograms (trace.BatchRecord) count in uint16 cells.
+const MaxBatchSize = 1<<16 - 1
+
 // Validate checks the configuration.
 func (c Config) Validate() error {
 	switch {
 	case c.BatchSize < 1:
 		return fmt.Errorf("uvm: BatchSize = %d, need >= 1", c.BatchSize)
+	case c.BatchSize > MaxBatchSize:
+		return fmt.Errorf("uvm: BatchSize = %d, need <= %d", c.BatchSize, MaxBatchSize)
 	case c.GPUMemBytes < mem.VABlockSize:
 		return fmt.Errorf("uvm: GPUMemBytes = %d, need >= one VABlock (%d)",
 			c.GPUMemBytes, mem.VABlockSize)

@@ -38,9 +38,9 @@ func (dedupStage) name() string { return "dedup" }
 
 // dedupPackBits is the arrival-index width inside a packed key. The
 // packed fast path needs every index under 1<<dedupPackBits and every
-// page below 1<<(64-dedupPackBits-1); batches are capped far below 64Ki
-// faults and pages live in a 48-bit VA, so the comparator fallback is
-// for adversarial configs only.
+// page below 1<<(64-dedupPackBits-1); a batch holds at most
+// MaxBatchSize faults and pages live in a 48-bit VA, so the comparator
+// fallback is for adversarial configs only.
 const dedupPackBits = 16
 
 func (dedupStage) run(d *Driver, bc *batchCtx) error {
@@ -143,9 +143,7 @@ func (dedupStage) run(d *Driver, bc *batchCtx) error {
 			curBlk = b
 			rec.VABlockFaults = append(rec.VABlockFaults, 0)
 		}
-		if last := len(rec.VABlockFaults) - 1; rec.VABlockFaults[last] < 65535 {
-			rec.VABlockFaults[last]++
-		}
+		rec.VABlockFaults[len(rec.VABlockFaults)-1]++
 	}
 
 	rec.ServicedBlocks = append(rec.ServicedBlocks, sc.blockOrder...)

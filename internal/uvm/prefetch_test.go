@@ -279,6 +279,16 @@ func TestConfigValidate(t *testing.T) {
 			t.Errorf("case %d: invalid config accepted", i)
 		}
 	}
+	// A batch's fault histograms count in uint16 cells.
+	c := DefaultConfig()
+	c.BatchSize = 65535
+	if err := c.Validate(); err != nil {
+		t.Errorf("BatchSize 65535 rejected: %v", err)
+	}
+	c.BatchSize = 65536
+	if err := c.Validate(); err == nil {
+		t.Error("BatchSize 65536 accepted")
+	}
 }
 
 func TestCapacityBlocks(t *testing.T) {

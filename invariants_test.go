@@ -9,6 +9,7 @@ import (
 	"guvm/internal/gpu"
 	"guvm/internal/mem"
 	"guvm/internal/sim"
+	"guvm/internal/uvm"
 	"guvm/internal/workloads"
 )
 
@@ -166,4 +167,38 @@ func FuzzSystemInvariants(f *testing.F) {
 			t.Fatalf("run failed: %v", err)
 		}
 	})
+}
+
+// TestMaxBatchSizeHistogramsSumBack runs at the largest batch size the
+// driver accepts with the auditor on. No histogram cell is clamped and
+// the auditor no longer exempts large batches, so every batch's per-SM
+// and per-VABlock fault histograms must sum back to its raw fault count.
+func TestMaxBatchSizeHistogramsSumBack(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Policies.Prefetch = "off"
+	cfg.Driver.BatchSize = uvm.MaxBatchSize
+	cfg.Audit.Enabled = true
+	res := mustRun(t, cfg, workloads.NewStream(16<<20, 256))
+	if err := res.Audit.Err(); err != nil {
+		t.Fatalf("audit: %v", err)
+	}
+	largest := 0
+	for i := range res.Batches {
+		b := &res.Batches[i]
+		sm, blk := 0, 0
+		for _, n := range b.FaultsPerSM {
+			sm += int(n)
+		}
+		for _, n := range b.VABlockFaults {
+			blk += int(n)
+		}
+		if sm != b.RawFaults || blk != b.RawFaults {
+			t.Fatalf("batch %d: per-SM sum %d, per-VABlock sum %d, raw faults %d", i, sm, blk, b.RawFaults)
+		}
+		largest = max(largest, b.RawFaults)
+	}
+	t.Logf("%d batches, largest %d faults", len(res.Batches), largest)
+	if largest <= DefaultConfig().Driver.BatchSize {
+		t.Fatalf("largest batch %d faults, want more than the default batch size %d", largest, DefaultConfig().Driver.BatchSize)
+	}
 }

@@ -329,6 +329,21 @@ if grep -nF 'dma.Insert(' internal/hostos/vm.go | grep -vE 'dma\.Insert\([^,]+, 
   fail "internal/hostos/vm.go stores a non-zero value in the DMA radix tree; it records presence only"
 fi
 
+# 21. The event engine runs one simulation (DESIGN.md §13): a run ends
+#     when its queue drains or Fail records an error, and the engine keeps
+#     nothing for a later run, so the partial-run API (RunUntil, Stop,
+#     absolute-time At/AtArg) and the run-exit trimming stay gone. The
+#     engine's one deferred recover is the only one on a run's path.
+for f in internal/sim/*.go; do
+  case "$f" in *_test.go) continue ;; esac
+  if grep -nE 'RunUntil|PopMinUntil|trimFree|maxFreeEvents|maxIdle|func \([[:alnum:]_]+ \*Engine\) (Stop|At|AtArg)\(' "$f"; then
+    fail "$f brings back partial-run or run-exit machinery; the engine runs one simulation"
+  fi
+done
+if grep -nF 'recover()' guvm.go; then
+  fail "guvm.go recovers panics itself; Engine.Run already turns a callback panic into the run's error"
+fi
+
 if [ "$status" -ne 0 ]; then
   exit 1
 fi
