@@ -4,116 +4,22 @@ import (
 	"slices"
 	"testing"
 
-	"guvm/internal/digest"
 	"guvm/internal/gpu"
-	"guvm/internal/hostos"
+	"guvm/internal/mem"
 	"guvm/internal/trace"
 	"guvm/internal/uvm"
 	"guvm/internal/workloads"
 )
 
-// The oracle digests below hash the snapshot-building AuditState of each
-// layer, field by field, as every Digest did before the digests walked
-// the live models in place. They survive here as the oracle the in-place
-// digests are checked against.
-
-func oracleDriverDigest(st uvm.AuditState, hw bool) uint64 {
-	h := digest.New()
-	h = h.Int(len(st.Blocks))
-	for i := range st.Blocks {
-		b := &st.Blocks[i]
-		h = h.Uint64(uint64(b.ID))
-		h = h.Words(b.Resident[:])
-		h = h.Words(b.Populated[:])
-		h = h.Bool(b.HasChunk)
-		if b.HasChunk {
-			h = h.Int(int(b.Chunk))
-		}
-		h = h.Bool(b.DMAMapped)
-		h = h.Int(b.LastTouch).Int(b.AllocSeq).Int(b.Evictions)
-		if b.RemoteMapped.Any() {
-			h = h.Words(b.RemoteMapped[:])
-		}
-	}
-	h = h.Int(len(st.AllocatedOrder))
-	for _, id := range st.AllocatedOrder {
-		h = h.Uint64(uint64(id))
-	}
-	h = h.Int(st.ChunksInUse).Int(st.CapacityBlocks)
-	h = h.Int(st.EffBatch).Int(st.BatchCount).Int(st.NextSeq)
-	h = h.Bool(st.Sleeping).Bool(st.InBatch)
-	s := st.Stats
-	h = h.Int(s.Batches).Int(s.TotalFaults).Int(s.StaleFaults).Int(s.Evictions)
-	h = h.Int(s.PrefetchedPages).Int(s.CrossBlockPages).Int(s.MigratedPages)
-	h = h.Int(s.WakeUps).Int(s.SpuriousWakeUps)
-	h = h.Int(s.AsyncUnmapCalls).Int64(int64(s.AsyncUnmapTime))
-	h = h.Int(s.MigRetries).Int(s.HostAllocFailures).Int(s.BatchShrinks)
-	h = h.Uint64(s.ExplicitBytes).Uint64(s.InjMigRetryBytes)
-	if s.RemoteMappedPages != 0 || s.CounterPromotions != 0 {
-		h = h.Int(s.RemoteMappedPages).Int(s.CounterPromotions)
-	}
-	if hw {
-		h = h.Bool(st.Dead)
-		h = h.Int(s.HWLinkRetries).Int(s.DegradedShrinks)
-		h = h.Uint64(s.HWRetryToGPUBytes).Uint64(s.HWRetryToHostBytes)
-		h = h.Int(s.RehomedBlocks).Int(s.RehomedPages).Uint64(s.RehomedBytes)
-		h = h.Int(s.ResidentAtKill)
-	}
-	return h.Sum()
-}
-
-func oracleDeviceDigest(st gpu.AuditState) uint64 {
-	h := digest.New()
-	h = h.Int(st.BufferLen).Bool(st.Running)
-	h = h.Int(st.LiveBlocks).Int(st.NextBlock).Int(st.NextWarpID)
-	for i := range st.PendingPerUTLB {
-		h = h.Int(st.PendingPerUTLB[i]).Int(st.PrefetchPerUTLB[i])
-		h = h.Int(st.DeferredPerUTLB[i]).Int(st.StalledPerUTLB[i])
-	}
-	h = h.Int(len(st.PendingPages))
-	for _, p := range st.PendingPages {
-		h = h.Uint64(uint64(p))
-	}
-	s := st.Stats
-	h = h.Int(s.FaultsEmitted).Int(s.DupFaults).Int(s.Refaults)
-	h = h.Int(s.ThrottleStalls).Int(s.UTLBFullStalls).Int(s.BlocksCompleted)
-	h = h.Int(s.InjectedDrops).Int(s.InjectedDropRetries).Int(s.InjectedDropsLost)
-	if s.RemoteAccesses != 0 || s.CounterNotices != 0 {
-		h = h.Int(s.RemoteAccesses).Int(s.CounterNotices)
-	}
-	if st.Killed {
-		h = h.Bool(true)
-	}
-	return h.Sum()
-}
-
-func oracleHostDigest(st hostos.AuditState) uint64 {
-	h := digest.New()
-	h = h.Int(len(st.Mappings))
-	for i := range st.Mappings {
-		m := &st.Mappings[i]
-		h = h.Uint64(uint64(m.Block))
-		h = h.Words(m.Pages[:])
-		h = h.Uint64(m.Threads)
-	}
-	h = h.Int(st.RadixNodes)
-	h = h.Uint64(st.DMANext)
-	s := st.Stats
-	h = h.Int(s.UnmapCalls).Int(s.PagesUnmapped).Int(s.PagesPopulated)
-	h = h.Int(s.DMAPagesMapped).Int(s.RadixNodes).Int(s.PopulateFailures)
-	h = h.Int64(int64(s.UnmapTime)).Int64(int64(s.PopulateTime)).Int64(int64(s.DMAMapTime))
-	return h.Sum()
-}
-
-// walkChecker is a batch-end observer that compares every in-place
-// digest and driver walk of one device with its snapshot oracle.
+// walkChecker is a batch-end observer that checks the driver's in-place
+// block walk against its block lookup and its header: the walk visits
+// strictly ascending IDs, each view equals LookupBlock's, and the blocks
+// holding a chunk number exactly the chunks in use and the entries of the
+// victim-scan list.
 type walkChecker struct {
 	t       *testing.T
 	name    string
 	drv     *uvm.Driver
-	dev     *gpu.Device
-	vm      *hostos.VM
-	hw      bool
 	batches int
 	failed  bool
 }
@@ -123,49 +29,46 @@ func (c *walkChecker) EndBatch(id int, _ *trace.BatchRecord, _ []gpu.Fault) {
 	c.check(id)
 }
 
-// check compares the live digests and walk with the oracles; it reports
-// only the first mismatch of a run.
+// check walks the driver once; it reports only the first mismatch of a
+// run.
 func (c *walkChecker) check(id int) {
 	if c.failed {
 		return
 	}
 	c.t.Helper()
-	drv := c.drv.AuditState()
-	var walked []uvm.BlockAudit
+	var prev mem.VABlockID
+	visited, withChunk := 0, 0
 	c.drv.VisitBlocks(func(b *uvm.BlockAudit) bool {
-		walked = append(walked, *b)
-		return true
-	})
-	switch {
-	case c.drv.Digest() != oracleDriverDigest(drv, c.hw):
-		c.t.Errorf("%s batch %d: driver digest %016x, oracle %016x", c.name, id, c.drv.Digest(), oracleDriverDigest(drv, c.hw))
-	case c.dev.Digest() != oracleDeviceDigest(c.dev.AuditState()):
-		c.t.Errorf("%s batch %d: device digest differs from its oracle", c.name, id)
-	case c.vm.Digest() != oracleHostDigest(c.vm.AuditState()):
-		c.t.Errorf("%s batch %d: host digest differs from its oracle", c.name, id)
-	case c.drv.AuditHeader() != drv.AuditHeader():
-		c.t.Errorf("%s batch %d: header %+v, oracle %+v", c.name, id, c.drv.AuditHeader(), drv.AuditHeader())
-	case len(walked) != len(drv.Blocks):
-		c.t.Errorf("%s batch %d: walk visits %d blocks, oracle %d", c.name, id, len(walked), len(drv.Blocks))
-	default:
-		for i := range walked {
-			got, ok := c.drv.LookupBlock(walked[i].ID)
-			if walked[i] != drv.Blocks[i] || !ok || got != drv.Blocks[i] {
-				c.t.Errorf("%s batch %d: block %d walks as %+v, oracle %+v", c.name, id, i, walked[i], drv.Blocks[i])
-				break
-			}
+		if got, ok := c.drv.LookupBlock(b.ID); !ok || got != *b {
+			c.t.Errorf("%s batch %d: block %d walks as %+v, looks up as %+v (known %v)", c.name, id, b.ID, *b, got, ok)
+			c.failed = true
+		} else if visited > 0 && b.ID <= prev {
+			c.t.Errorf("%s batch %d: walk visits block %d after block %d", c.name, id, b.ID, prev)
+			c.failed = true
 		}
+		prev = b.ID
+		visited++
+		if b.HasChunk {
+			withChunk++
+		}
+		return !c.failed
+	})
+	if c.failed {
 		return
 	}
-	c.failed = true
+	if h := c.drv.AuditHeader(); withChunk != h.ChunksInUse || withChunk != h.Allocated {
+		c.t.Errorf("%s batch %d: %d walked blocks hold chunks, header reports %d in use and %d in the victim-scan list",
+			c.name, id, withChunk, h.ChunksInUse, h.Allocated)
+		c.failed = true
+	}
 }
 
-// TestInPlaceDigestsMatchSnapshots checks the in-place digests, the
-// driver's block walk, header and block lookup against the AuditState
-// oracles at every batch end of the four digest-golden runs and of the
-// two multi-GPU golden runs (named-policy contention and the device-death
-// drill), and once more after each run.
-func TestInPlaceDigestsMatchSnapshots(t *testing.T) {
+// TestDriverWalkMatchesLookupAndHeader runs walkChecker at every batch
+// end of the four digest-golden runs and of the two multi-GPU golden runs
+// (named-policy contention and the device-death drill), and once more
+// after each run. The digest values themselves are pinned by those runs'
+// goldens.
+func TestDriverWalkMatchesLookupAndHeader(t *testing.T) {
 	type run struct {
 		name    string
 		cfg     SystemConfig
@@ -200,8 +103,8 @@ func TestInPlaceDigestsMatchSnapshots(t *testing.T) {
 			t.Fatal(err)
 		}
 		var checkers []*walkChecker
-		for i, drv := range s.Drivers {
-			c := &walkChecker{t: t, name: r.name, drv: drv, dev: s.Devices[i], vm: s.HostVM, hw: s.Injector.Hardware()}
+		for _, drv := range s.Drivers {
+			c := &walkChecker{t: t, name: r.name, drv: drv}
 			drv.Observe(c)
 			checkers = append(checkers, c)
 		}

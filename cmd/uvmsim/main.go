@@ -168,11 +168,19 @@ func main() {
 	pfl.Apply(&cfg.Obs)
 	cfg.Obs.EngineEvents = *traceEngine
 
+	if *verifyDet && *explicit {
+		fmt.Fprintln(os.Stderr, "uvmsim: -verify-determinism applies to UVM runs, not -explicit")
+		os.Exit(2)
+	}
+	// Building the simulator validates the configuration, so a config
+	// error exits 2 on every path, before any run.
+	s, err := guvm.NewSimulator(cfg)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "uvmsim: %v\n", err)
+		os.Exit(2)
+	}
 	if *verifyDet {
-		if *explicit {
-			fmt.Fprintln(os.Stderr, "uvmsim: -verify-determinism applies to UVM runs, not -explicit")
-			os.Exit(2)
-		}
+		// The verifier builds its own two simulators from cfg.
 		rep, err := guvm.VerifyDeterminism(cfg, w)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "uvmsim: %v\n", err)
@@ -187,12 +195,6 @@ func main() {
 		}
 		fmt.Printf("determinism verified: %d per-batch state digests identical across two runs\n", rep.Compared)
 		return
-	}
-
-	s, err := guvm.NewSimulator(cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "uvmsim: %v\n", err)
-		os.Exit(2)
 	}
 	var metricsSrv *obs.Server
 	if ofl.MetricsAddr != "" {

@@ -164,16 +164,20 @@ func TestCLIHostThreadLimit(t *testing.T) {
 }
 
 // TestCLIBatchSizeLimit: a batch size past the uint16 cells of a batch's
-// fault histograms is a config error (exit 2), not a silent wrap.
+// fault histograms is a config error (exit 2), not a silent wrap, on the
+// plain path and under -verify-determinism alike.
 func TestCLIBatchSizeLimit(t *testing.T) {
 	bin := buildCLI(t)
-	out, err := exec.Command(bin, "-workload", "stream", "-mb", "8", "-batch", "65536").CombinedOutput()
-	var exitErr *exec.ExitError
-	if !errors.As(err, &exitErr) || exitErr.ExitCode() != 2 {
-		t.Fatalf("-batch 65536: want exit code 2, got %v\n%s", err, out)
-	}
-	if !strings.Contains(string(out), "BatchSize = 65536, need <= 65535") {
-		t.Errorf("rejection does not name the size and the limit:\n%s", out)
+	for _, extra := range [][]string{nil, {"-verify-determinism"}} {
+		args := append([]string{"-workload", "stream", "-mb", "8", "-batch", "65536"}, extra...)
+		out, err := exec.Command(bin, args...).CombinedOutput()
+		var exitErr *exec.ExitError
+		if !errors.As(err, &exitErr) || exitErr.ExitCode() != 2 {
+			t.Fatalf("%v: want exit code 2, got %v\n%s", args, err, out)
+		}
+		if !strings.Contains(string(out), "BatchSize = 65536, need <= 65535") {
+			t.Errorf("%v: rejection does not name the size and the limit:\n%s", args, out)
+		}
 	}
 }
 

@@ -11,6 +11,9 @@ import (
 	"guvm/internal/audit"
 	"guvm/internal/digest"
 	"guvm/internal/faultinject"
+	"guvm/internal/gpu"
+	"guvm/internal/trace"
+	"guvm/internal/uvm"
 	"guvm/internal/workloads"
 )
 
@@ -60,14 +63,18 @@ func TestVerifyDeterminismUnderEviction(t *testing.T) {
 
 // recordedRun runs one workload with a recorder on the device and
 // returns the result, the per-batch snapshots and the final combined
-// digest.
-func recordedRun(t *testing.T, cfg SystemConfig, w workloads.Workload) (*Result, []audit.Snapshot, uint64) {
+// digest. Each attach function runs on the simulator after the recorder
+// is attached, before the run.
+func recordedRun(t *testing.T, cfg SystemConfig, w workloads.Workload, attach ...func(*Simulator)) (*Result, []audit.Snapshot, uint64) {
 	t.Helper()
 	s, err := NewSimulator(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := audit.Record(s.Driver, s.Device, s.HostVM)
+	for _, f := range attach {
+		f(s)
+	}
 	res, err := s.Run(w)
 	if err != nil {
 		t.Fatal(err)
@@ -76,10 +83,48 @@ func recordedRun(t *testing.T, cfg SystemConfig, w workloads.Workload) (*Result,
 	return res, rec.Snapshots, final
 }
 
+// blockCounter is a batch-end observer that records, per batch ID, how
+// many blocks the driver's in-place walk visits.
+type blockCounter struct {
+	drv    *uvm.Driver
+	counts map[int]int
+}
+
+func (c *blockCounter) EndBatch(id int, _ *trace.BatchRecord, _ []gpu.Fault) {
+	n := 0
+	c.drv.VisitBlocks(func(*uvm.BlockAudit) bool { n++; return true })
+	c.counts[id] = n
+}
+
+// countBlocks attaches a blockCounter to a simulator's driver.
+func countBlocks(c *blockCounter) func(*Simulator) {
+	return func(s *Simulator) {
+		c.drv, c.counts = s.Driver, make(map[int]int)
+		s.Driver.Observe(c)
+	}
+}
+
+// dumpSections splits a recorder dump into its per-model sections, keyed
+// by the name before each unindented line's colon; a section holds that
+// line and the indented lines below it.
+func dumpSections(dump string) map[string][]string {
+	secs := make(map[string][]string)
+	var name string
+	for _, line := range strings.Split(strings.TrimSuffix(dump, "\n"), "\n") {
+		if !strings.HasPrefix(line, " ") {
+			name, _, _ = strings.Cut(line, ":")
+		}
+		secs[name] = append(secs[name], line)
+	}
+	return secs
+}
+
 // TestCompareSnapshotsDetectsPerturbation is the negative control for the
 // determinism verifier: two runs that genuinely differ (the second's
 // fault batch size is halved, changing batching from the first batch on)
-// must be reported as divergent, with the first differing batch index.
+// must be reported as divergent, with the first differing batch index and
+// two differing dumps, each holding every model's section and one uvm
+// block line per block the driver's walk visited at that batch end.
 func TestCompareSnapshotsDetectsPerturbation(t *testing.T) {
 	base := DefaultConfig()
 	base.Driver.GPUMemBytes = 64 << 20
@@ -87,8 +132,9 @@ func TestCompareSnapshotsDetectsPerturbation(t *testing.T) {
 	perturbed := base
 	perturbed.Driver.BatchSize = base.Driver.BatchSize / 2
 
-	_, a, _ := recordedRun(t, base, fig08Workload())
-	_, b, _ := recordedRun(t, perturbed, fig08Workload())
+	var countA, countB blockCounter
+	_, a, _ := recordedRun(t, base, fig08Workload(), countBlocks(&countA))
+	_, b, _ := recordedRun(t, perturbed, fig08Workload(), countBlocks(&countB))
 
 	rep := audit.CompareSnapshots(a, b)
 	if rep.Match {
@@ -99,6 +145,31 @@ func TestCompareSnapshotsDetectsPerturbation(t *testing.T) {
 	}
 	if rep.A.Dump == "" || rep.B.Dump == "" {
 		t.Fatal("divergent report carries no state dumps")
+	}
+	if rep.A.Dump == rep.B.Dump {
+		t.Fatalf("divergent snapshots dump the same state:\n%s", rep.A.Dump)
+	}
+	for _, side := range []struct {
+		name   string
+		snap   audit.Snapshot
+		counts map[int]int
+	}{{"A", rep.A, countA.counts}, {"B", rep.B, countB.counts}} {
+		secs := dumpSections(side.snap.Dump)
+		for _, name := range []string{"uvm", "gpu", "hostos", "link"} {
+			if len(secs[name]) == 0 {
+				t.Errorf("run %s dump has no %s: section:\n%s", side.name, name, side.snap.Dump)
+			}
+		}
+		blocks := 0
+		for _, line := range secs["uvm"] {
+			if strings.HasPrefix(line, "  block ") {
+				blocks++
+			}
+		}
+		if want, ok := side.counts[side.snap.Batch]; !ok || blocks != want {
+			t.Errorf("run %s batch %d: uvm section has %d block lines, the walk visited %d blocks (counted %v)",
+				side.name, side.snap.Batch, blocks, want, ok)
+		}
 	}
 }
 

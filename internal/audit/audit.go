@@ -150,8 +150,8 @@ type Auditor struct {
 }
 
 // driverView is the driver state the structural checks read: the live
-// driver, walked in place, or in tests a forged uvm.AuditState standing
-// in for a corrupt one.
+// driver, walked in place, or in tests a forged header and block list
+// standing in for a corrupt one.
 type driverView interface {
 	AuditHeader() uvm.AuditHeader
 	VisitBlocks(fn func(*uvm.BlockAudit) bool)

@@ -228,8 +228,25 @@ func TestCheckNowCleanSystem(t *testing.T) {
 	}
 }
 
-// TestCheckDriverStateCorruptions forges driver audit states that break
-// each structural invariant and verifies the right check trips. The forged
+// forgedDriver is a driverView over a forged header and block list: the
+// state a buggy driver would expose.
+type forgedDriver struct {
+	header uvm.AuditHeader
+	blocks []uvm.BlockAudit
+}
+
+func (f *forgedDriver) AuditHeader() uvm.AuditHeader { return f.header }
+
+func (f *forgedDriver) VisitBlocks(fn func(*uvm.BlockAudit) bool) {
+	for i := range f.blocks {
+		if !fn(&f.blocks[i]) {
+			return
+		}
+	}
+}
+
+// TestCheckDriverStateCorruptions forges driver states that break each
+// structural invariant and verifies the right check trips. The forged
 // states never come from a real driver — they are the states a buggy
 // driver would expose.
 func TestCheckDriverStateCorruptions(t *testing.T) {
@@ -241,59 +258,57 @@ func TestCheckDriverStateCorruptions(t *testing.T) {
 	}
 	cases := []struct {
 		name  string
-		state uvm.AuditState
+		state forgedDriver
 		check string
 	}{
 		{
 			"capacity exceeded",
-			uvm.AuditState{ChunksInUse: 5, CapacityBlocks: 4},
+			forgedDriver{header: uvm.AuditHeader{ChunksInUse: 5, CapacityBlocks: 4}},
 			"residency-capacity",
 		},
 		{
 			"resident but never populated",
-			func() uvm.AuditState {
+			func() forgedDriver {
 				b := uvm.BlockAudit{ID: 1, HasChunk: true}
 				b.Resident.Set(3) // populated stays empty
-				return uvm.AuditState{Blocks: []uvm.BlockAudit{b}, ChunksInUse: 1, CapacityBlocks: 4}
+				return forgedDriver{header: uvm.AuditHeader{ChunksInUse: 1, CapacityBlocks: 4}, blocks: []uvm.BlockAudit{b}}
 			}(),
 			"residency-capacity",
 		},
 		{
 			"resident without a chunk",
-			func() uvm.AuditState {
+			func() forgedDriver {
 				b := uvm.BlockAudit{ID: 1}
 				b.Resident.Set(3)
 				b.Populated.Set(3)
-				return uvm.AuditState{Blocks: []uvm.BlockAudit{b}, CapacityBlocks: 4}
+				return forgedDriver{header: uvm.AuditHeader{CapacityBlocks: 4}, blocks: []uvm.BlockAudit{b}}
 			}(),
 			"residency-capacity",
 		},
 		{
 			"one chunk claimed twice",
-			uvm.AuditState{
-				Blocks:         []uvm.BlockAudit{blockWithChunk(1), blockWithChunk(2)},
-				AllocatedOrder: []mem.VABlockID{1, 2},
-				ChunksInUse:    2, CapacityBlocks: 4,
+			forgedDriver{
+				header: uvm.AuditHeader{ChunksInUse: 2, CapacityBlocks: 4, Allocated: 2},
+				blocks: []uvm.BlockAudit{blockWithChunk(1), blockWithChunk(2)},
 			},
 			"chunk-bijection",
 		},
 		{
 			"chunk unknown to the allocator",
-			uvm.AuditState{
-				Blocks:         []uvm.BlockAudit{blockWithChunk(1)},
-				AllocatedOrder: []mem.VABlockID{1},
-				ChunksInUse:    1, CapacityBlocks: 4,
+			forgedDriver{
+				header: uvm.AuditHeader{ChunksInUse: 1, CapacityBlocks: 4, Allocated: 1},
+				blocks: []uvm.BlockAudit{blockWithChunk(1)},
 			},
 			"chunk-bijection",
 		},
 		{
 			"chunk count disagrees with allocator",
-			uvm.AuditState{ChunksInUse: 1, CapacityBlocks: 4},
+			forgedDriver{header: uvm.AuditHeader{ChunksInUse: 1, CapacityBlocks: 4}},
 			"residency-capacity",
 		},
 		{
 			"victim list out of sync",
-			uvm.AuditState{AllocatedOrder: []mem.VABlockID{1}, CapacityBlocks: 4},
+			forgedDriver{header: uvm.AuditHeader{CapacityBlocks: 4, Allocated: 1}},
 			"residency-capacity",
 		},
 	}

@@ -34,18 +34,8 @@ func Record(drv *uvm.Driver, dev *gpu.Device, vm *hostos.VM) *Recorder {
 func (r *Recorder) EndBatch(id int, rec *trace.BatchRecord, _ []gpu.Fault) {
 	s := digests(r.drv, r.dev, r.vm)
 	s.Batch, s.At = id, rec.End
-	s.Dump = r.dump()
+	s.Dump = r.drv.Dump() + r.dev.Dump() + r.vm.Dump() + r.drv.Link().Stats().Dump()
 	r.Snapshots = append(r.Snapshots, s)
-}
-
-// dump renders every model's state. It is the audit package's one use of
-// the snapshot-building AuditState methods: the checks and digests read
-// the models in place.
-func (r *Recorder) dump() string {
-	drv := r.drv.AuditState()
-	dev := r.dev.AuditState()
-	host := r.vm.AuditState()
-	return drv.Dump() + dev.Dump() + host.Dump() + r.drv.Link().AuditState().Dump()
 }
 
 // digests hashes every model's canonical state into a snapshot's four

@@ -191,10 +191,6 @@ func (l *Link) Health() Health {
 // Stats returns a copy of the accumulated transfer statistics.
 func (l *Link) Stats() Stats { return l.stats }
 
-// AuditState returns the canonical link state: the stats are the whole
-// state, since the link is a pure cost model.
-func (l *Link) AuditState() Stats { return l.stats }
-
 // Digest returns the FNV-1a digest of the canonical link state. The
 // hardware fields are folded in only under a hardware regime, so
 // default-wiring digests are unchanged from the pre-fault-domain model.
@@ -210,7 +206,8 @@ func (l *Link) Digest() uint64 {
 	return h.Sum()
 }
 
-// Dump renders the audit state for divergence diagnostics.
+// Dump renders the link state for divergence diagnostics: the stats are
+// the whole state, since the link is a pure cost model.
 func (s Stats) Dump() string {
 	out := fmt.Sprintf("link: %d ops, %d B to GPU, %d B to host, %v busy\n",
 		s.Ops, s.BytesToGPU, s.BytesToHost, s.TransferTime)

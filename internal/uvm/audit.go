@@ -25,32 +25,8 @@ type BlockAudit struct {
 	RemoteMapped mem.PageSet
 }
 
-// AuditState is the canonical snapshot of the driver: every known VABlock
-// (ascending ID), the chunk-allocation order, capacity accounting, the
-// adaptive batch state, and the accumulated statistics. Building one
-// copies every block; the auditor and Digest walk the live driver instead
-// (VisitBlocks, AuditHeader), and AuditState remains the oracle they are
-// tested against and the source of the determinism recorder's dumps.
-type AuditState struct {
-	Blocks []BlockAudit
-	// AllocatedOrder is d.allocated in order: the LRU/FIFO victim scan
-	// sequence. Every listed block must hold a chunk.
-	AllocatedOrder []mem.VABlockID
-	ChunksInUse    int
-	CapacityBlocks int
-	EffBatch       int
-	BatchCount     int
-	NextSeq        int
-	Sleeping       bool
-	InBatch        bool
-	// Dead reports device-loss: the driver re-homed its pages and parked
-	// (rehome.go). Dead drivers must hold no chunks.
-	Dead  bool
-	Stats Stats
-}
-
-// AuditHeader is the driver's scalar audit state: AuditState without the
-// block list, the victim-scan order (only its length) and the stats.
+// AuditHeader is the driver's scalar audit state: the chunk and capacity
+// accounting, the length of the victim-scan order and the batch state.
 type AuditHeader struct {
 	ChunksInUse    int
 	CapacityBlocks int
@@ -62,40 +38,6 @@ type AuditHeader struct {
 	Sleeping   bool
 	InBatch    bool
 	Dead       bool
-}
-
-// ResidentPages sums GPU-resident pages across blocks.
-func (st *AuditState) ResidentPages() int {
-	n := 0
-	for i := range st.Blocks {
-		n += st.Blocks[i].Resident.Count()
-	}
-	return n
-}
-
-// AuditHeader returns the snapshot's scalar fields.
-func (st *AuditState) AuditHeader() AuditHeader {
-	return AuditHeader{
-		ChunksInUse:    st.ChunksInUse,
-		CapacityBlocks: st.CapacityBlocks,
-		Allocated:      len(st.AllocatedOrder),
-		EffBatch:       st.EffBatch,
-		BatchCount:     st.BatchCount,
-		NextSeq:        st.NextSeq,
-		Sleeping:       st.Sleeping,
-		InBatch:        st.InBatch,
-		Dead:           st.Dead,
-	}
-}
-
-// VisitBlocks calls fn for each of the snapshot's blocks in order until
-// fn returns false, as Driver.VisitBlocks does for the live driver.
-func (st *AuditState) VisitBlocks(fn func(*BlockAudit) bool) {
-	for i := range st.Blocks {
-		if !fn(&st.Blocks[i]) {
-			return
-		}
-	}
 }
 
 // ChunkOwner reports the VABlock backing a live chunk, resolving through
@@ -156,35 +98,9 @@ func (d *Driver) LookupBlock(id mem.VABlockID) (BlockAudit, bool) {
 	return b.audit(), true
 }
 
-// AuditState captures the canonical driver state as a snapshot.
-func (d *Driver) AuditState() AuditState {
-	h := d.AuditHeader()
-	st := AuditState{
-		ChunksInUse:    h.ChunksInUse,
-		CapacityBlocks: h.CapacityBlocks,
-		EffBatch:       h.EffBatch,
-		BatchCount:     h.BatchCount,
-		NextSeq:        h.NextSeq,
-		Sleeping:       h.Sleeping,
-		InBatch:        h.InBatch,
-		Dead:           h.Dead,
-		Stats:          d.stats,
-	}
-	st.Blocks = make([]BlockAudit, 0, d.blocks.Len())
-	// BlockDir ranges in ascending ID order — exactly the canonical
-	// order the former sorted-keys walk produced.
-	d.blocks.Range(func(_ mem.VABlockID, b *blockState) bool {
-		st.Blocks = append(st.Blocks, b.audit())
-		return true
-	})
-	for _, b := range d.allocated {
-		st.AllocatedOrder = append(st.AllocatedOrder, b.id)
-	}
-	return st
-}
-
-// Digest returns the FNV-1a digest of the canonical driver state. It
-// hashes the live blocks in place, in AuditState's order.
+// Digest returns the FNV-1a digest of the canonical driver state, read in
+// place: every known VABlock in ascending ID order, the victim-scan
+// order, the header and the accumulated statistics.
 func (d *Driver) Digest() uint64 {
 	h := digest.New()
 	h = h.Int(d.blocks.Len())
@@ -237,23 +153,25 @@ func (d *Driver) Digest() uint64 {
 	return h.Sum()
 }
 
-// Dump renders the audit state for divergence diagnostics.
-func (st AuditState) Dump() string {
+// Dump summarises the canonical driver state, read in place like Digest,
+// for divergence diagnostics: the header and stats, then one line per
+// known block in ascending ID order.
+func (d *Driver) Dump() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "uvm: %d blocks known, %d/%d chunks in use, effBatch %d, batch %d, stats %+v\n",
-		len(st.Blocks), st.ChunksInUse, st.CapacityBlocks, st.EffBatch, st.BatchCount, st.Stats)
-	for i := range st.Blocks {
-		blk := &st.Blocks[i]
+		d.blocks.Len(), d.pmm.InUse(), d.cfg.CapacityBlocks(), d.effBatch, d.batchCount, d.stats)
+	d.blocks.Range(func(_ mem.VABlockID, blk *blockState) bool {
 		fmt.Fprintf(&b, "  block %d: resident %d, populated %d, chunk %v",
-			blk.ID, blk.Resident.Count(), blk.Populated.Count(), blk.HasChunk)
-		if blk.HasChunk {
-			fmt.Fprintf(&b, " (#%d)", blk.Chunk)
+			blk.id, blk.resident.Count(), blk.populated.Count(), blk.hasChunk)
+		if blk.hasChunk {
+			fmt.Fprintf(&b, " (#%d)", blk.chunk)
 		}
-		if n := blk.RemoteMapped.Count(); n > 0 {
+		if n := blk.remoteMapped.Count(); n > 0 {
 			fmt.Fprintf(&b, ", remote %d", n)
 		}
 		fmt.Fprintf(&b, ", dma %v, lastTouch %d, seq %d, evictions %d\n",
-			blk.DMAMapped, blk.LastTouch, blk.AllocSeq, blk.Evictions)
-	}
+			blk.dmaMapped, blk.lastTouch, blk.allocSeq, blk.evictions)
+		return true
+	})
 	return b.String()
 }
