@@ -146,7 +146,8 @@ type Result struct {
 	// host (DriverStats.RehomedPages) and the workload was truncated.
 	DeviceFailed bool
 	// Audit is the invariant auditor's report (nil unless
-	// SystemConfig.Audit is enabled).
+	// SystemConfig.Audit is enabled). It is detached from the auditor:
+	// keeping a Result keeps no engine, driver, device or host VM alive.
 	Audit *audit.Report
 }
 

@@ -201,6 +201,8 @@ func (a *Auditor) violate(v *ViolationError) {
 // Finish records the final digest, runs the end-of-run checks when the
 // run itself completed cleanly, and returns the report. Violations found
 // here are appended to the report; the caller surfaces them as errors.
+// The returned report is a detached copy: it holds no reference into the
+// auditor, so a caller that keeps it does not keep the simulator alive.
 func (a *Auditor) Finish(runErr error) *Report {
 	a.rep.FinalDigest = digests(a.drv, a.dev, a.vm).Combined
 	if runErr == nil {
@@ -211,7 +213,8 @@ func (a *Auditor) Finish(runErr error) *Report {
 			a.rep.Violations = append(a.rep.Violations, v)
 		}
 	}
-	return &a.rep
+	rep := a.rep
+	return &rep
 }
 
 // checkBatch evaluates all per-batch invariants and returns the first

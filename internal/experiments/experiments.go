@@ -101,12 +101,15 @@ var policyOverride uvm.PolicySelection
 // SetPolicies installs a named policy selection into the shared experiment
 // profile; empty fields keep the per-experiment defaults. It validates the
 // names against the registry so callers (paperfigs) can reject an unknown
-// policy with the valid options before any experiment runs.
+// policy with the valid options before any experiment runs. A valid
+// selection also resets the memoized Table 2/3 runs (ResetCache), so no
+// generator reads a run made under the previous selection.
 func SetPolicies(p uvm.PolicySelection) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
 	policyOverride = p
+	ResetCache()
 	return nil
 }
 

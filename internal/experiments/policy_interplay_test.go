@@ -167,3 +167,31 @@ func TestNoPrefetchBeatsOverride(t *testing.T) {
 		})
 	}
 }
+
+// TestSetPoliciesResetsTableRuns checks that a policy change reaches the
+// memoized Table 2/3 runs: after the memo is filled under the default
+// selection, switching the architecture must change the stream run the
+// tables read, not serve the run made before the switch.
+func TestSetPoliciesResetsTableRuns(t *testing.T) {
+	defer func() {
+		SetPolicies(uvm.PolicySelection{})
+		ResetCache()
+	}()
+	if err := SetPolicies(uvm.PolicySelection{}); err != nil {
+		t.Fatal(err)
+	}
+	runs, err := tableRuns()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runs["stream"].DriverStats.Batches
+	if err := SetPolicies(uvm.PolicySelection{Architecture: "access-counter"}); err != nil {
+		t.Fatal(err)
+	}
+	if runs, err = tableRuns(); err != nil {
+		t.Fatal(err)
+	}
+	if after := runs["stream"].DriverStats.Batches; after == before {
+		t.Errorf("stream ran %d batches under both the default and the access-counter architecture: the Table 2/3 memo outlived SetPolicies", after)
+	}
+}

@@ -332,6 +332,17 @@ if grep -nF 'recover()' guvm.go; then
   fail "guvm.go recovers panics itself; Engine.Run already turns a callback panic into the run's error"
 fi
 
+# 22. An audit report is detached from its auditor (DESIGN.md §13.7):
+#     Finish hands back a copy, so a kept guvm.Result pins no engine,
+#     driver, device or host VM. No non-test audit file returns the
+#     address of an Auditor field.
+for f in internal/audit/*.go; do
+  case "$f" in *_test.go) continue ;; esac
+  if grep -nE 'return &a\.' "$f"; then
+    fail "$f returns the address of an Auditor field; hand back a detached copy so a kept report does not pin the simulator"
+  fi
+done
+
 if [ "$status" -ne 0 ]; then
   exit 1
 fi
