@@ -10,9 +10,12 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"guvm"
+	"guvm/internal/gpu"
 	"guvm/internal/mem"
+	"guvm/internal/trace"
 	"guvm/internal/workloads"
 )
 
@@ -104,8 +107,8 @@ func batchLogHash(r *guvm.Result) uint64 {
 // batchSpans returns each batch's serviced spans, indexed by batch.
 func batchSpans(r *guvm.Result) [][]mem.Span {
 	out := make([][]mem.Span, len(r.Batches))
-	for i := range r.Batches {
-		out[i] = r.Batches[i].ServicedSpans
+	for i, sp := range r.Spans {
+		out[r.SpanBatch[i]] = append(out[r.SpanBatch[i]], sp)
 	}
 	return out
 }
@@ -154,5 +157,45 @@ func TestBatchLogGolden(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Fatalf("batch log diverged from %s:\ngot:\n%swant:\n%s", path, got, want)
+	}
+}
+
+// TestBatchRecordLayout: a batch costs its log entry and one exact-size
+// copy of each of its lists. The record stays within its 248 bytes and a
+// fault record within 56, and on every batch-log run (the oversubscribed
+// random runs evict and prefetch, so their lists are long) each list has
+// len == cap and is nil when empty.
+func TestBatchRecordLayout(t *testing.T) {
+	if got := unsafe.Sizeof(trace.BatchRecord{}); got > 248 {
+		t.Errorf("trace.BatchRecord is %d bytes, want at most 248", got)
+	}
+	if got := unsafe.Sizeof(gpu.Fault{}); got > 56 {
+		t.Errorf("gpu.Fault is %d bytes, want at most 56", got)
+	}
+	for _, run := range batchLogRuns {
+		s, err := guvm.NewSimulator(run.cfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := s.Run(run.w())
+		if err != nil {
+			t.Fatalf("%s: %v", run.name, err)
+		}
+		for i := range r.Batches {
+			b := &r.Batches[i]
+			checkExact(t, run.name, i, "EvictedBlocks", len(b.EvictedBlocks), cap(b.EvictedBlocks), b.EvictedBlocks == nil)
+			checkExact(t, run.name, i, "ServicedBlocks", len(b.ServicedBlocks), cap(b.ServicedBlocks), b.ServicedBlocks == nil)
+			checkExact(t, run.name, i, "VABlockFaults", len(b.VABlockFaults), cap(b.VABlockFaults), b.VABlockFaults == nil)
+		}
+	}
+}
+
+func checkExact(t *testing.T, run string, batch int, list string, n, c int, isNil bool) {
+	t.Helper()
+	if n != c {
+		t.Errorf("%s batch %d: %s len %d cap %d, want an exact-size copy", run, batch, list, n, c)
+	}
+	if n == 0 && !isNil {
+		t.Errorf("%s batch %d: empty %s is not nil", run, batch, list)
 	}
 }

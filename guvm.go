@@ -72,7 +72,8 @@ type SystemConfig struct {
 	// KeepFaults retains every fetched fault record in the result
 	// (needed by fault-timeline experiments; memory-heavy).
 	KeepFaults bool
-	// KeepSpans retains per-batch serviced page spans.
+	// KeepSpans retains the page spans each batch migrated in
+	// (Result.Spans; needed by fault-behaviour plots).
 	KeepSpans bool
 	// Audit configures the runtime invariant auditor. The zero value
 	// attaches no auditor and leaves the run unobserved.
@@ -130,6 +131,11 @@ type Result struct {
 	// FaultBatch mapping each to its batch ID.
 	Faults     []gpu.Fault
 	FaultBatch []int
+	// Spans holds the page spans each batch migrated in when KeepSpans
+	// was set, in service order, with SpanBatch mapping each to its
+	// batch ID.
+	Spans     []mem.Span
+	SpanBatch []int
 	// Bases are the allocation base addresses, in workload Allocs order.
 	Bases []mem.Addr
 
@@ -581,6 +587,8 @@ func (s *Simulator) run(ws []workloads.Workload, explicit bool) ([]*Result, erro
 			Batches:      col.Batches,
 			Faults:       col.Faults,
 			FaultBatch:   col.FaultBatch,
+			Spans:        col.Spans,
+			SpanBatch:    col.SpanBatch,
 			Bases:        bases[i],
 			DriverStats:  drv.Stats(),
 			DeviceStats:  s.Devices[i].Stats(),

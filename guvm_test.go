@@ -247,25 +247,18 @@ func TestBatchRecordsInternallyConsistent(t *testing.T) {
 		if b.End <= b.Start {
 			t.Fatalf("batch %d empty interval", b.ID)
 		}
-		if b.UniquePages+b.DupFaults() != b.RawFaults {
+		if int(b.UniquePages)+b.DupFaults() != int(b.RawFaults) {
 			t.Fatalf("batch %d: unique %d + dups %d != raw %d",
 				b.ID, b.UniquePages, b.DupFaults(), b.RawFaults)
 		}
 		if b.PagesMigrated > 0 && b.BytesMigrated != uint64(b.PagesMigrated)*mem.PageSize {
 			t.Fatalf("batch %d: bytes/pages mismatch", b.ID)
 		}
-		var smSum int
-		for _, c := range b.FaultsPerSM {
-			smSum += int(c)
-		}
-		if smSum != b.RawFaults {
-			t.Fatalf("batch %d: per-SM counts sum %d != raw %d", b.ID, smSum, b.RawFaults)
-		}
 		var blkSum int
 		for _, c := range b.VABlockFaults {
 			blkSum += int(c)
 		}
-		if blkSum != b.RawFaults {
+		if blkSum != int(b.RawFaults) {
 			t.Fatalf("batch %d: per-block counts sum %d != raw %d", b.ID, blkSum, b.RawFaults)
 		}
 	}

@@ -45,10 +45,10 @@ func Duplicates(batches []trace.BatchRecord) DupBreakdown {
 	var d DupBreakdown
 	for i := range batches {
 		b := &batches[i]
-		d.Raw += b.RawFaults
-		d.Unique += b.UniquePages
-		d.Type1 += b.Type1Dups
-		d.Type2 += b.Type2Dups
+		d.Raw += int(b.RawFaults)
+		d.Unique += int(b.UniquePages)
+		d.Type1 += int(b.Type1Dups)
+		d.Type2 += int(b.Type2Dups)
 	}
 	if d.Raw > 0 {
 		d.DupPercent = 100 * float64(d.Type1+d.Type2) / float64(d.Raw)

@@ -103,7 +103,7 @@ func TestSegmentPhasesDetectsShift(t *testing.T) {
 func TestSegmentPhasesUniformSeries(t *testing.T) {
 	var batches []trace.BatchRecord
 	for i := 0; i < 50; i++ {
-		batches = append(batches, trace.BatchRecord{RawFaults: 100 + i%3})
+		batches = append(batches, trace.BatchRecord{RawFaults: int32(100 + i%3)})
 	}
 	phases := SegmentPhases(batches, 5, 0.5)
 	if len(phases) != 1 {
@@ -122,7 +122,7 @@ func TestSegmentPhasesTile(t *testing.T) {
 		}
 		batches := make([]trace.BatchRecord, len(sizes))
 		for i, s := range sizes {
-			batches[i].RawFaults = int(s)
+			batches[i].RawFaults = int32(s)
 		}
 		phases := SegmentPhases(batches, 3, 0.5)
 		if phases[0].FirstBatch != 0 {

@@ -528,7 +528,7 @@ func (a *Auditor) blockViolation(b *uvm.BlockAudit) *ViolationError {
 // resident pages. It looks up only the evicted blocks.
 func (a *Auditor) checkEvictions(rec *trace.BatchRecord) *ViolationError {
 	a.rep.ChecksRun++
-	if rec.Evictions != len(rec.EvictedBlocks) {
+	if int(rec.Evictions) != len(rec.EvictedBlocks) {
 		return &ViolationError{
 			Check:  "eviction-consistency",
 			Detail: fmt.Sprintf("Evictions = %d but %d evicted blocks recorded", rec.Evictions, len(rec.EvictedBlocks)),

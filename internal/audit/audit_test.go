@@ -38,7 +38,6 @@ func validRecord() trace.BatchRecord {
 		TTransfer: 1000,
 
 		ServicedBlocks: []mem.VABlockID{4, 9},
-		FaultsPerSM:    []uint16{4, 6},
 		VABlockFaults:  []uint16{7, 3},
 	}
 }
@@ -64,8 +63,8 @@ func TestCheckBatchRecordCorruptions(t *testing.T) {
 	}{
 		{"dedup sum broken", func(r *trace.BatchRecord) { r.UniquePages++ }, "fault-accounting"},
 		{"stale exceeds unique", func(r *trace.BatchRecord) { r.StalePages = r.UniquePages + 1 }, "fault-accounting"},
-		{"per-SM histogram broken", func(r *trace.BatchRecord) { r.FaultsPerSM[0]++ }, "fault-accounting"},
-		{"per-VABlock histogram broken", func(r *trace.BatchRecord) { r.VABlockFaults[1]-- }, "fault-accounting"},
+		{"per-VABlock histogram loses a fault", func(r *trace.BatchRecord) { r.VABlockFaults[1]-- }, "fault-accounting"},
+		{"per-VABlock histogram gains a fault", func(r *trace.BatchRecord) { r.VABlockFaults[0]++ }, "fault-accounting"},
 		{"more fault blocks than histogram", func(r *trace.BatchRecord) { r.VABlocks = 3 }, "fault-accounting"},
 		{"serviced list too short", func(r *trace.BatchRecord) { r.ServicedBlocks = r.ServicedBlocks[:1] }, "fault-accounting"},
 		{"block serviced twice", func(r *trace.BatchRecord) { r.ServicedBlocks[1] = r.ServicedBlocks[0] }, "fault-accounting"},
@@ -112,19 +111,23 @@ func TestCheckBatchRecordParallelWorkers(t *testing.T) {
 }
 
 // TestCheckBatchRecordSaturatedHistograms: a batch of the largest size
-// the driver accepts fills a uint16 cell exactly and sums back, and a
-// batch whose histograms lose faults is flagged at that size too (there
-// is no clamp exemption).
+// the driver accepts fills a uint16 cell exactly and sums back, split
+// over blocks or not, and a batch whose histogram gains faults is flagged
+// at that size too (there is no clamp exemption).
 func TestCheckBatchRecordSaturatedHistograms(t *testing.T) {
 	rec := validRecord()
 	rec.RawFaults = 65535
 	rec.UniquePages = 65535
 	rec.Type1Dups, rec.Type2Dups = 0, 0
 	rec.StalePages = 0
-	rec.FaultsPerSM = []uint16{65535}
+	rec.VABlocks = 1
+	rec.VABlockFaults = []uint16{65535}
+	if v := checkRecord(&rec, 1); v != nil {
+		t.Fatalf("full histogram cell that sums back flagged: %v", v)
+	}
 	rec.VABlockFaults = []uint16{65000, 535}
 	if v := checkRecord(&rec, 1); v != nil {
-		t.Fatalf("full histograms that sum back flagged: %v", v)
+		t.Fatalf("full histogram that sums back flagged: %v", v)
 	}
 	rec.VABlockFaults = []uint16{65535, 100}
 	if v := checkRecord(&rec, 1); v == nil || v.Check != "fault-accounting" {

@@ -32,23 +32,13 @@ func checkBatchRecord(rec *trace.BatchRecord, workers int, seen map[mem.VABlockI
 			Detail: fmt.Sprintf("stale pages %d > unique pages %d", rec.StalePages, rec.UniquePages),
 		}
 	}
-	// The histograms store uint16 cells, which a batch (at most
-	// uvm.MaxBatchSize faults) cannot overflow, so they sum back exactly.
+	// The histogram stores uint16 cells, which a batch (at most
+	// uvm.MaxBatchSize faults) cannot overflow, so it sums back exactly.
 	sum := 0
-	for _, n := range rec.FaultsPerSM {
-		sum += int(n)
-	}
-	if len(rec.FaultsPerSM) > 0 && sum != rec.RawFaults {
-		return &ViolationError{
-			Check:  "fault-accounting",
-			Detail: fmt.Sprintf("per-SM histogram sums to %d, want raw faults %d", sum, rec.RawFaults),
-		}
-	}
-	sum = 0
 	for _, n := range rec.VABlockFaults {
 		sum += int(n)
 	}
-	if sum != rec.RawFaults {
+	if sum != int(rec.RawFaults) {
 		return &ViolationError{
 			Check:  "fault-accounting",
 			Detail: fmt.Sprintf("per-VABlock histogram sums to %d, want raw faults %d", sum, rec.RawFaults),
@@ -58,13 +48,13 @@ func checkBatchRecord(rec *trace.BatchRecord, workers int, seen map[mem.VABlockI
 	// histogram may cover more (all-stale blocks), the serviced list may
 	// cover more (cross-block prefetch), and the serviced list must not
 	// repeat a block.
-	if rec.VABlocks > len(rec.VABlockFaults) {
+	if int(rec.VABlocks) > len(rec.VABlockFaults) {
 		return &ViolationError{
 			Check:  "fault-accounting",
 			Detail: fmt.Sprintf("%d serviced fault blocks > %d blocks with raw faults", rec.VABlocks, len(rec.VABlockFaults)),
 		}
 	}
-	if len(rec.ServicedBlocks) < rec.VABlocks {
+	if len(rec.ServicedBlocks) < int(rec.VABlocks) {
 		return &ViolationError{
 			Check:  "fault-accounting",
 			Detail: fmt.Sprintf("%d serviced blocks recorded, want at least %d", len(rec.ServicedBlocks), rec.VABlocks),

@@ -38,8 +38,10 @@ func caseStudy(id, title string, capacity uint64, w workloads.Workload, paperLRU
 		Title:   id + "-faults",
 		Columns: []string{"batch_id", "kind(0=alloc,1=evict)", "first_page", "last_page"},
 	}
+	next := 0 // cursor into the span log, which is in batch order
 	for _, b := range res.Batches {
-		for _, sp := range b.ServicedSpans {
+		for ; next < len(res.Spans) && res.SpanBatch[next] == int(b.ID); next++ {
+			sp := res.Spans[next]
 			behaviour.AddRow(float64(b.ID), 0, float64(sp.First), float64(sp.End()-1))
 		}
 		for _, eb := range b.EvictedBlocks {
@@ -60,10 +62,11 @@ func addCaseStudyNotes(a *Artifact, res *guvm.Result, paperLRUNote string) {
 	firstEvict := -1
 	prefetchAfter := 0
 	for _, b := range res.Batches {
+		id := int(b.ID)
 		if firstEvict < 0 && b.Evictions > 0 {
-			firstEvict = b.ID
+			firstEvict = id
 		}
-		if firstEvict >= 0 && b.ID > firstEvict && b.PrefetchedPages > 0 {
+		if firstEvict >= 0 && id > firstEvict && b.PrefetchedPages > 0 {
 			prefetchAfter++
 		}
 	}
@@ -76,13 +79,13 @@ func addCaseStudyNotes(a *Artifact, res *guvm.Result, paperLRUNote string) {
 	type evictEvent struct{ block mem.VABlockID }
 	var evicts []evictEvent
 	firstAlloc := map[mem.VABlockID]int{}
-	for _, b := range res.Batches {
-		for _, sp := range b.ServicedSpans {
-			blk := sp.First.VABlock()
-			if _, ok := firstAlloc[blk]; !ok {
-				firstAlloc[blk] = b.ID
-			}
+	for i, sp := range res.Spans {
+		blk := sp.First.VABlock()
+		if _, ok := firstAlloc[blk]; !ok {
+			firstAlloc[blk] = res.SpanBatch[i]
 		}
+	}
+	for _, b := range res.Batches {
 		for _, eb := range b.EvictedBlocks {
 			evicts = append(evicts, evictEvent{eb})
 		}

@@ -33,7 +33,7 @@ func Fig12() (*Artifact, error) {
 		} else {
 			evicting = append(evicting, us(b.Duration()))
 			if firstEvict < 0 {
-				firstEvict = b.ID
+				firstEvict = int(b.ID)
 			}
 		}
 	}
@@ -81,12 +81,13 @@ func Fig13() (*Artifact, error) {
 	sansUnmap := map[int][]float64{}
 	for _, b := range res.Batches {
 		s.AddRow(float64(b.ID), us(b.Duration()), float64(b.Evictions), float64(b.UnmapPages))
-		keys = append(keys, b.Evictions)
+		ev := int(b.Evictions)
+		keys = append(keys, ev)
 		durations = append(durations, us(b.Duration()))
 		if b.UnmapPages > 0 {
-			withUnmap[b.Evictions] = append(withUnmap[b.Evictions], us(b.Duration()))
+			withUnmap[ev] = append(withUnmap[ev], us(b.Duration()))
 		} else {
-			sansUnmap[b.Evictions] = append(sansUnmap[b.Evictions], us(b.Duration()))
+			sansUnmap[ev] = append(sansUnmap[ev], us(b.Duration()))
 		}
 	}
 	a.Series = append(a.Series, s)

@@ -84,16 +84,16 @@ func Fig15() (*Artifact, error) {
 		s.AddRow(float64(b.ID), us(b.Duration()), float64(b.BytesMigrated)/1024,
 			float64(b.PrefetchedPages), float64(b.Evictions), us(b.TUnmap), us(b.TDMAMap))
 		if b.Evictions > 0 {
-			evictions += b.Evictions
+			evictions += int(b.Evictions)
 			if firstEvict < 0 {
-				firstEvict = b.ID
+				firstEvict = int(b.ID)
 			}
 			if b.PrefetchedPages > 0 {
 				prefetchedAfterEviction++
 			}
 		}
 		if b.UnmapPages > 0 {
-			lastUnmap = b.ID
+			lastUnmap = int(b.ID)
 		}
 		if b.NewDMABlocks > 0 {
 			dmaBatches++

@@ -592,8 +592,8 @@ func (d *Device) emitFault(page mem.PageID, w *warp, kind AccessKind, dup bool) 
 		Page:   page,
 		SM:     w.sm.id,
 		UTLB:   w.sm.utlb.id,
-		Warp:   w.id,
-		Block:  w.block.index,
+		Warp:   int32(w.id),
+		Block:  int32(w.block.index),
 		Kind:   kind,
 		Dup:    dup,
 	}

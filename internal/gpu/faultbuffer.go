@@ -7,7 +7,9 @@ import (
 
 // Fault is one entry of the GPU fault buffer: the metadata the GMMU writes
 // and the instrumented driver of the paper logs per fault (timestamp, SM of
-// origin, µTLB, page, access type).
+// origin, µTLB, page, access type). The warp and block ids are 32-bit:
+// the buffer and a kept fault log hold one record per fault, so the record
+// stays at 56 bytes.
 type Fault struct {
 	Time sim.Time // arrival time in the fault buffer
 	// Issued is when the GMMU observed the faulting access — before the
@@ -17,8 +19,8 @@ type Fault struct {
 	Page   mem.PageID
 	SM     int
 	UTLB   int
-	Warp   int // global warp id
-	Block  int // thread block index
+	Warp   int32 // global warp id
+	Block  int32 // thread block index
 	Kind   AccessKind
 	// Dup marks a hardware-visible duplicate: a fault written while the
 	// same page already had a pending entry in the same µTLB.

@@ -229,7 +229,7 @@ func TestObserverSamplesAndPublishes(t *testing.T) {
 
 	for id := 0; id < 4; id++ {
 		start := sim.Time(id * 1000)
-		o.EndBatch(id, &trace.BatchRecord{ID: id, Start: start, End: start + 500, TSetup: 10, TFetch: 100, TReplay: 50}, nil)
+		o.EndBatch(id, &trace.BatchRecord{ID: int32(id), Start: start, End: start + 500, TSetup: 10, TFetch: 100, TReplay: 50}, nil)
 	}
 	if got := len(o.Sampler.Rows()); got != 2 {
 		t.Fatalf("sampled %d rows at interval 2 over 4 batches, want 2", got)

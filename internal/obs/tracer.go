@@ -136,21 +136,22 @@ func (t *Tracer) AddBatch(rec *trace.BatchRecord) {
 	if t == nil {
 		return
 	}
-	t.Add(LaneBatch, "batch", "batch", rec.Start, rec.Duration(), rec.ID)
+	id := int(rec.ID)
+	t.Add(LaneBatch, "batch", "batch", rec.Start, rec.Duration(), id)
 
 	st := rec.Stages()
 	cursor := rec.Start
 	for k := trace.StageSetup; k <= trace.StageDedup; k++ {
-		t.lay(LanePhase, "driver", trace.StageNames[k], &cursor, st[k], rec.ID)
+		t.lay(LanePhase, "driver", trace.StageNames[k], &cursor, st[k], id)
 	}
-	t.lay(LanePhase, "driver", "service", &cursor, serviceWindow(rec, &st), rec.ID)
-	t.lay(LanePhase, "driver", trace.StageNames[trace.StageReplay], &cursor, st[trace.StageReplay], rec.ID)
+	t.lay(LanePhase, "driver", "service", &cursor, serviceWindow(rec, &st), id)
+	t.lay(LanePhase, "driver", trace.StageNames[trace.StageReplay], &cursor, st[trace.StageReplay], id)
 
 	detail := rec.Start + st[trace.StageSetup] + st[trace.StageFetch] + st[trace.StageDedup]
 	for k := trace.StageBlockMgmt; k < trace.StageReplay; k++ {
-		t.lay(LaneDetail, "service", trace.StageNames[k], &detail, st[k], rec.ID)
+		t.lay(LaneDetail, "service", trace.StageNames[k], &detail, st[k], id)
 	}
-	t.lay(LaneDetail, "service", trace.StageNames[trace.StageOther], &detail, st[trace.StageOther], rec.ID)
+	t.lay(LaneDetail, "service", trace.StageNames[trace.StageOther], &detail, st[trace.StageOther], id)
 }
 
 // lay records a span of d at *cursor on lane and advances the cursor;

@@ -86,8 +86,8 @@ func WriteFaultsJSONL(w io.Writer, faults []gpu.Fault, faultBatch []int) error {
 			Page:  uint64(f.Page),
 			SM:    f.SM,
 			UTLB:  f.UTLB,
-			Warp:  f.Warp,
-			Block: f.Block,
+			Warp:  int(f.Warp),
+			Block: int(f.Block),
 			Kind:  f.Kind.String(),
 			Dup:   f.Dup,
 		}

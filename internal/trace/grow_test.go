@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"guvm/internal/gpu"
+	"guvm/internal/mem"
 )
 
 // TestRunLogsGrowByDoubling: a run log appended one record at a time
@@ -48,5 +49,22 @@ func TestRunLogsGrowByDoubling(t *testing.T) {
 		}
 		check("fault log", n, faultArrays, cap(c.Faults))
 		check("fault batch IDs", n, ids, cap(c.FaultBatch))
+
+		c = Collector{KeepSpans: true}
+		spans := make([]mem.Span, 3)
+		spanArrays, spanIDs, lastSpans, lastSpanIDs := 0, 0, 0, 0
+		for id := range n {
+			c.AddSpans(id, spans)
+			if cap(c.Spans) != lastSpans {
+				lastSpans = cap(c.Spans)
+				spanArrays += lastSpans
+			}
+			if cap(c.SpanBatch) != lastSpanIDs {
+				lastSpanIDs = cap(c.SpanBatch)
+				spanIDs += lastSpanIDs
+			}
+		}
+		check("span log", n, spanArrays, cap(c.Spans))
+		check("span batch IDs", n, spanIDs, cap(c.SpanBatch))
 	}
 }

@@ -13,34 +13,41 @@ import (
 	"guvm/internal/sim"
 )
 
-// BatchRecord is the per-batch metadata logged at the end of each batch.
+// BatchRecord is the per-batch metadata logged at the end of each batch:
+// one entry of the run's batch log, kept for every run. It holds only
+// what its readers use, at the narrowest width that fits. A batch holds
+// at most uvm.MaxBatchSize (65,535) faults, so its counters are int32;
+// byte counts and timers stay 64-bit. The per-batch lists are exact-size
+// copies (len == cap) made once when the batch lands, and an empty list
+// is nil. The serviced page spans, wanted only by fault-behaviour plots,
+// live in the Collector's span log instead.
 type BatchRecord struct {
-	ID    int
 	Start sim.Time // first fetch of the batch
 	End   sim.Time // replay completion
+	ID    int32
 
 	// Fault composition.
-	RawFaults   int // fault records fetched from the GPU buffer
-	Type1Dups   int // duplicates from the same µTLB (§4.2 type 1)
-	Type2Dups   int // duplicates across µTLBs (§4.2 type 2)
-	UniquePages int // distinct pages after dedup
-	StalePages  int // faulted pages already resident on arrival
-	VABlocks    int // distinct VABlocks touched
+	RawFaults   int32 // fault records fetched from the GPU buffer
+	Type1Dups   int32 // duplicates from the same µTLB (§4.2 type 1)
+	Type2Dups   int32 // duplicates across µTLBs (§4.2 type 2)
+	UniquePages int32 // distinct pages after dedup
+	StalePages  int32 // faulted pages already resident on arrival
+	VABlocks    int32 // distinct VABlocks touched
 
 	// Work performed.
-	PagesMigrated   int
+	PagesMigrated   int32
+	PrefetchedPages int32 // migrated pages beyond the faulted set
+	Evictions       int32 // VABlocks evicted
+	UnmapPages      int32 // CPU pages unmapped via unmap_mapping_range
+	NewDMABlocks    int32 // VABlocks that paid first-touch DMA mapping setup
 	BytesMigrated   uint64
-	PrefetchedPages int // migrated pages beyond the faulted set
-	Evictions       int // VABlocks evicted
 	EvictedBytes    uint64
-	UnmapPages      int // CPU pages unmapped via unmap_mapping_range
-	NewDMABlocks    int // VABlocks that paid first-touch DMA mapping setup
 
 	// Injected-fault recovery work (zero unless fault injection is on;
 	// the CSV export carries it only for injected runs, keeping
 	// uninjected exports bit-identical).
-	InjMigFailures    int // transient migration transfer failures retried
-	InjHostAllocFails int // host allocation failures degraded around
+	InjMigFailures    int32 // transient migration transfer failures retried
+	InjHostAllocFails int32 // host allocation failures degraded around
 
 	// Time components. TSetup is the driver's fixed batch-open cost in
 	// its effective cost model (a telemetry field: not in the batch CSV);
@@ -58,19 +65,14 @@ type BatchRecord struct {
 	TEvict     sim.Time
 	TReplay    sim.Time
 
-	// Footprint for fault-behaviour plots: the page spans migrated in
-	// and the blocks evicted.
-	ServicedSpans []mem.Span
+	// EvictedBlocks lists the blocks this batch evicted, in eviction
+	// order (fault-behaviour plots, eviction audits).
 	EvictedBlocks []mem.VABlockID
 	// ServicedBlocks lists the distinct VABlocks this batch migrated
 	// pages into (faulted blocks plus cross-block prefetch targets), in
-	// service order. Always retained: the audit subsystem needs it to
-	// reconcile evictions against same-batch re-servicing.
+	// service order. The audit subsystem needs it to reconcile evictions
+	// against same-batch re-servicing.
 	ServicedBlocks []mem.VABlockID
-
-	// FaultsPerSM[sm] counts this batch's raw faults per SM of origin
-	// (Table 2).
-	FaultsPerSM []uint16
 	// VABlockFaults holds the raw fault count of each distinct VABlock
 	// in the batch, in ascending block order (Table 3).
 	VABlockFaults []uint16
@@ -80,7 +82,7 @@ type BatchRecord struct {
 func (b *BatchRecord) Duration() sim.Time { return b.End - b.Start }
 
 // DupFaults returns the total duplicate faults in the batch.
-func (b *BatchRecord) DupFaults() int { return b.Type1Dups + b.Type2Dups }
+func (b *BatchRecord) DupFaults() int { return int(b.Type1Dups + b.Type2Dups) }
 
 // Batch-time stages, the indexes into Stages: the top-level phases plus
 // the service window's component timers, in breakdown-table order.
@@ -152,12 +154,13 @@ func (b *BatchRecord) Share(stage int) float64 {
 	return float64(b.Stages()[stage]) / float64(d)
 }
 
-// Collector accumulates batch and (optionally) fault records.
+// Collector holds a driver's run logs: the batch log, always, and the
+// fault and span logs when asked for.
 type Collector struct {
 	// KeepFaults retains every fetched fault (memory-heavy; enable for
 	// fault-timeline experiments only).
 	KeepFaults bool
-	// KeepSpans retains per-batch serviced page spans.
+	// KeepSpans retains the page spans each batch migrated in.
 	KeepSpans bool
 
 	// The logs grow by doubling (slices.Grow by their own length). Past
@@ -169,19 +172,21 @@ type Collector struct {
 	Faults  []gpu.Fault
 	// FaultBatch[i] is the batch ID that fetched Faults[i].
 	FaultBatch []int
+	// Spans holds the page spans each batch migrated in, in service
+	// order; SpanBatch[i] is the batch ID that migrated Spans[i].
+	Spans     []mem.Span
+	SpanBatch []int
 }
 
 // AddBatch appends a batch record, assigning its ID, and returns the ID.
 func (c *Collector) AddBatch(b BatchRecord) int {
-	b.ID = len(c.Batches)
-	if !c.KeepSpans {
-		b.ServicedSpans = nil
-	}
+	id := len(c.Batches)
+	b.ID = int32(id)
 	if len(c.Batches) == cap(c.Batches) {
 		c.Batches = slices.Grow(c.Batches, len(c.Batches))
 	}
 	c.Batches = append(c.Batches, b)
-	return b.ID
+	return id
 }
 
 // AddFaults appends the fetched faults of batch id.
@@ -189,14 +194,34 @@ func (c *Collector) AddFaults(id int, faults []gpu.Fault) {
 	if !c.KeepFaults {
 		return
 	}
-	if len(c.Faults)+len(faults) > cap(c.Faults) {
-		c.Faults = slices.Grow(c.Faults, max(len(c.Faults), len(faults)))
+	c.Faults = appendDoubling(c.Faults, faults)
+	c.FaultBatch = appendID(c.FaultBatch, id, len(faults))
+}
+
+// AddSpans appends the page spans batch id migrated in.
+func (c *Collector) AddSpans(id int, spans []mem.Span) {
+	if !c.KeepSpans {
+		return
 	}
-	c.Faults = append(c.Faults, faults...)
-	if len(c.FaultBatch)+len(faults) > cap(c.FaultBatch) {
-		c.FaultBatch = slices.Grow(c.FaultBatch, max(len(c.FaultBatch), len(faults)))
+	c.Spans = appendDoubling(c.Spans, spans)
+	c.SpanBatch = appendID(c.SpanBatch, id, len(spans))
+}
+
+// appendDoubling appends vs to log, growing it by at least its own length.
+func appendDoubling[T any](log, vs []T) []T {
+	if len(log)+len(vs) > cap(log) {
+		log = slices.Grow(log, max(len(log), len(vs)))
 	}
-	for range faults {
-		c.FaultBatch = append(c.FaultBatch, id)
+	return append(log, vs...)
+}
+
+// appendID appends n copies of id to log, growing it like appendDoubling.
+func appendID(log []int, id, n int) []int {
+	if len(log)+n > cap(log) {
+		log = slices.Grow(log, max(len(log), n))
 	}
+	for range n {
+		log = append(log, id)
+	}
+	return log
 }

@@ -112,16 +112,16 @@ func TestCollectorAddBatchAssignsIDs(t *testing.T) {
 }
 
 func TestCollectorSpanRetention(t *testing.T) {
-	spans := []mem.Span{{First: 0, Count: 4}}
+	spans := []mem.Span{{First: 0, Count: 4}, {First: 9, Count: 1}}
 	c := &Collector{}
-	c.AddBatch(BatchRecord{ServicedSpans: spans})
-	if c.Batches[0].ServicedSpans != nil {
+	c.AddSpans(0, spans)
+	if c.Spans != nil || c.SpanBatch != nil {
 		t.Fatal("spans retained without KeepSpans")
 	}
-	c2 := &Collector{KeepSpans: true}
-	c2.AddBatch(BatchRecord{ServicedSpans: spans})
-	if len(c2.Batches[0].ServicedSpans) != 1 {
-		t.Fatal("spans dropped despite KeepSpans")
+	c.KeepSpans = true
+	c.AddSpans(3, spans)
+	if len(c.Spans) != 2 || len(c.SpanBatch) != 2 || c.SpanBatch[1] != 3 {
+		t.Fatalf("spans %v batches %v, want both spans of batch 3", c.Spans, c.SpanBatch)
 	}
 }
 

@@ -11,8 +11,11 @@ import "testing"
 // (5667 before them), and the typed radix tree, whose leaves store DMA
 // addresses without boxing one per mapped page (5512 before it), and the
 // run-at-a-time resident path, on which only an access that waits on a
-// fault is a record, held by value (1419 before it).
-const batchServiceAllocsPerOp = 1295
+// fault is a record, held by value (1419 before it), and the batch path
+// that allocates only its log slot and one exact-size copy of each
+// per-batch list, with no per-SM histogram and no per-batch closures
+// (1295 before it).
+const batchServiceAllocsPerOp = 1100
 
 // oversubAllocsPerOp is BenchmarkBatchServiceOversub's allocs/op as
 // measured once migration spans came straight from the residency sets,
@@ -20,9 +23,10 @@ const batchServiceAllocsPerOp = 1295
 // ran on the delay-lane queue (14100 before it), warp programs, µTLB
 // tables and the fault-batch buffer stopped allocating per op, entry and
 // batch (12656 before them), and the radix tree stopped boxing a value
-// per DMA-mapped page (10499 before it), and resident accesses stopped
-// being pooled records (2311 before it).
-const oversubAllocsPerOp = 2170
+// per DMA-mapped page (10499 before it), resident accesses stopped
+// being pooled records (2311 before it), and a batch stopped allocating
+// beyond its log slot and exact-size list copies (2170 before it).
+const oversubAllocsPerOp = 1657
 
 // TestBatchServiceAllocGuard pins the hot-path allocation diet: with no
 // batch observers attached (the default), BenchmarkBatchService must

@@ -47,11 +47,6 @@ func (dedupStage) run(d *Driver, bc *batchCtx) error {
 	sc := bc.sc
 	rec := &bc.rec
 
-	// Per-SM fault histogram: order-independent counters.
-	for i := range bc.faults {
-		rec.FaultsPerSM[bc.faults[i].SM]++
-	}
-
 	n := len(bc.faults)
 	keys := sc.keys[:0]
 	packed := n <= 1<<dedupPackBits
@@ -114,7 +109,7 @@ func (dedupStage) run(d *Driver, bc *batchCtx) error {
 		}
 	}
 	rec.TDedup = sim.Time(n) * d.cfg.Costs.DedupPerFault
-	rec.UniquePages = len(sc.uniq)
+	rec.UniquePages = int32(len(sc.uniq))
 
 	// Group unique, non-stale pages by VABlock: uniq is already sorted
 	// ascending (it mirrors the key order), so each VABlock's group is a
@@ -131,7 +126,7 @@ func (dedupStage) run(d *Driver, bc *batchCtx) error {
 		}
 		sc.nonStale = append(sc.nonStale, p)
 	}
-	rec.VABlocks = len(sc.blockOrder)
+	rec.VABlocks = int32(len(sc.blockOrder))
 
 	// Raw fault distribution over VABlocks (Table 3): counts include
 	// duplicates, in ascending block order — VABlock runs are contiguous
@@ -141,12 +136,11 @@ func (dedupStage) run(d *Driver, bc *batchCtx) error {
 		b := pageOf(k).VABlock()
 		if ki == 0 || b != curBlk {
 			curBlk = b
-			rec.VABlockFaults = append(rec.VABlockFaults, 0)
+			sc.blockFaults = append(sc.blockFaults, 0)
 		}
-		rec.VABlockFaults[len(rec.VABlockFaults)-1]++
+		sc.blockFaults[len(sc.blockFaults)-1]++
 	}
 
-	rec.ServicedBlocks = append(rec.ServicedBlocks, sc.blockOrder...)
 	bc.total += rec.TSetup + bc.tFetch + rec.TDedup
 	return nil
 }

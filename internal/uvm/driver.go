@@ -117,61 +117,6 @@ type allocSpan struct {
 	first, last mem.VABlockID // inclusive
 }
 
-// batchScratch holds the per-batch working structures of the fault
-// servicing pipeline. serviceBatch used to rebuild all of them for every
-// 256-fault batch, which dominated the hot path's allocation profile;
-// instead they are pooled here and cleared (never carried over, never
-// shared) at the start of each batch. Nothing in a batch record may alias
-// these buffers — everything retained by the trace.Collector is copied.
-//
-// Ownership across the stage pipeline: keys/uniq/nonStale/blockOrder
-// are written by the dedup stage and read-only afterwards; inBatchExtra
-// is appended by the cross-block stage; inBatch() (blockOrder plus
-// inBatchExtra) is mirrored into the blocks' batch stamps, which
-// eviction reads; blockCosts accumulates across the service and
-// cross-block stages and is consumed by replay; spans is the
-// transfer step's migration staging, and candidates/evictSpans are
-// evictOne's (a separate buffer because an eviction firing while a
-// block's migration spans are staged is impossible today, but the split
-// keeps the lifetimes trivially disjoint).
-type batchScratch struct {
-	// keys holds the dedup stage's packed (page, arrival) sort keys —
-	// the struct-of-arrays replacement for the old per-batch maps.
-	keys []uint64
-	// uniq collects deduplicated pages (ascending); nonStale is uniq
-	// minus already-resident pages, so per-VABlock groups are contiguous
-	// runs and need no map.
-	uniq     []mem.PageID
-	nonStale []mem.PageID
-	// blockOrder lists serviced VABlocks in ascending order; it doubles
-	// as the eviction-avoidance set (inBatch, mirrored by the stamps),
-	// with inBatchExtra holding the blocks the cross-block stage adds
-	// after dedup.
-	blockOrder   []mem.VABlockID
-	inBatchExtra []mem.VABlockID
-	// stamp identifies the current batch; every block inBatch reports
-	// carries it in blockState.batch (see markInBatch).
-	stamp      uint64
-	blockCosts []sim.Time
-	// spans holds the transfer step's migration spans. candidates is
-	// evictOne's victim list, handed to EvictionStrategy.Pick, and
-	// evictSpans its writeback spans.
-	spans      []mem.Span
-	candidates []int
-	evictSpans []mem.Span
-}
-
-// reset clears every buffer for a new batch, keeping capacity.
-func (sc *batchScratch) reset(faults int) {
-	sc.keys = sc.keys[:0]
-	sc.uniq = sc.uniq[:0]
-	sc.nonStale = sc.nonStale[:0]
-	sc.blockOrder = sc.blockOrder[:0]
-	sc.inBatchExtra = sc.inBatchExtra[:0]
-	sc.stamp++
-	sc.blockCosts = sc.blockCosts[:0]
-}
-
 // Driver is the modeled nvidia-uvm driver: one worker servicing the fault
 // buffer of one device, backed by the host OS and the interconnect.
 type Driver struct {
@@ -249,6 +194,10 @@ type Driver struct {
 	// installment to the replay completion callback. The consumers that
 	// outlive a batch (Collector.AddFaults, observers) copy.
 	faultBuf []gpu.Fault
+	// The batch's scheduled steps, bound once in NewDriver so that
+	// scheduling one allocates no method value or closure; each reads
+	// its state from batch.
+	startFn, beginFn, fetchFn, fetchedFn, landFn func()
 	// auditRec is the one record VisitBlocks fills for every block, so
 	// an audit walk allocates nothing (audit.go).
 	auditRec BlockAudit
@@ -278,7 +227,7 @@ func NewDriver(cfg Config, pol PolicySelection, eng *sim.Engine, vm *hostos.VM, 
 		// defaults) apply to this driver's copy only.
 		p.arch.configure(&cfg)
 	}
-	return &Driver{
+	d := &Driver{
 		cfg:       cfg,
 		arch:      p.arch,
 		eng:       eng,
@@ -292,7 +241,10 @@ func NewDriver(cfg Config, pol PolicySelection, eng *sim.Engine, vm *hostos.VM, 
 		sizer:     p.sizer,
 		evictRNG:  sim.NewRNG(cfg.EvictionSeed),
 		Collector: &trace.Collector{},
-	}, nil
+	}
+	d.startFn, d.beginFn = d.startBatch, d.beginBatch
+	d.fetchFn, d.fetchedFn, d.landFn = d.fetchLoop, d.fetched, d.landBatch
+	return d, nil
 }
 
 // Attach wires the driver to its device and registers the interrupt

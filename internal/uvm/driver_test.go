@@ -100,7 +100,7 @@ func TestDriverServicesSimpleKernel(t *testing.T) {
 	}
 	// Every record respects the batch size cap and accounting sanity.
 	for _, b := range drv.Collector.Batches {
-		if b.RawFaults > drv.Config().BatchSize {
+		if int(b.RawFaults) > drv.Config().BatchSize {
 			t.Fatalf("batch %d has %d faults > cap %d", b.ID, b.RawFaults, drv.Config().BatchSize)
 		}
 		if b.Duration() <= 0 {
@@ -190,8 +190,8 @@ func TestFirstTouchPaysDMAAndUnmap(t *testing.T) {
 	var dmaBlocks, unmapPages int
 	var tDMA, tUnmap sim.Time
 	for _, b := range drv.Collector.Batches {
-		dmaBlocks += b.NewDMABlocks
-		unmapPages += b.UnmapPages
+		dmaBlocks += int(b.NewDMABlocks)
+		unmapPages += int(b.UnmapPages)
 		tDMA += b.TDMAMap
 		tUnmap += b.TUnmap
 	}
@@ -318,7 +318,7 @@ func TestEvictedBlockSkipsUnmapOnRefetch(t *testing.T) {
 	// Unmap happened exactly once per block (first touch): 3*512 pages.
 	unmap := 0
 	for _, b := range drv.Collector.Batches {
-		unmap += b.UnmapPages
+		unmap += int(b.UnmapPages)
 	}
 	if unmap != 3*512 {
 		t.Fatalf("unmapped %d pages, want %d (no unmap on re-fetch)", unmap, 3*512)
@@ -338,7 +338,7 @@ func TestTouchHostRestoresUnmapCost(t *testing.T) {
 	runKernel(t, eng, dev, streamKernel(base, mem.PagesPerVABlock))
 	unmap := 0
 	for _, b := range drv.Collector.Batches {
-		unmap += b.UnmapPages
+		unmap += int(b.UnmapPages)
 	}
 	if unmap != 4*512 {
 		t.Fatalf("unmapped %d pages, want %d (host re-touch restores cost)", unmap, 4*512)
@@ -362,8 +362,8 @@ func TestDuplicateClassification(t *testing.T) {
 	})
 	t1, t2 := 0, 0
 	for _, b := range drv.Collector.Batches {
-		t1 += b.Type1Dups
-		t2 += b.Type2Dups
+		t1 += int(b.Type1Dups)
+		t2 += int(b.Type2Dups)
 	}
 	if t2 == 0 {
 		t.Fatal("no type-2 (cross-µTLB) duplicates for shared pages")
@@ -400,7 +400,7 @@ func TestBatchSizeCapSweep(t *testing.T) {
 		base := drv.Alloc(2 * mem.VABlockSize)
 		runKernel(t, eng, dev, streamKernel(base, 2*mem.PagesPerVABlock))
 		for _, b := range drv.Collector.Batches {
-			if b.RawFaults > bs {
+			if int(b.RawFaults) > bs {
 				t.Fatalf("batchSize=%d: batch with %d faults", bs, b.RawFaults)
 			}
 		}

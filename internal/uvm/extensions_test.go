@@ -160,7 +160,7 @@ func TestAdaptiveBatchGrowsBack(t *testing.T) {
 }
 
 func batchRec(raw, dups int) *trace.BatchRecord {
-	return &trace.BatchRecord{RawFaults: raw, Type1Dups: dups}
+	return &trace.BatchRecord{RawFaults: int32(raw), Type1Dups: int32(dups)}
 }
 
 func TestAsyncUnmapMovesCostOffFaultPath(t *testing.T) {

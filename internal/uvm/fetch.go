@@ -7,10 +7,7 @@ package uvm
 // arriving during the drain extend the batch, and the drain re-schedules
 // itself until the batch limit is reached or the buffer stays empty.
 
-import (
-	"guvm/internal/gpu"
-	"guvm/internal/sim"
-)
+import "guvm/internal/sim"
 
 // onInterrupt is the device's interrupt line: wake the worker if asleep.
 func (d *Driver) onInterrupt() {
@@ -23,7 +20,7 @@ func (d *Driver) onInterrupt() {
 	}
 	d.sleeping = false
 	d.stats.WakeUps++
-	d.eng.Schedule(d.cfg.Costs.WakeupLatency, d.startBatch)
+	d.eng.Schedule(d.cfg.Costs.WakeupLatency, d.startFn)
 }
 
 // startBatch opens a batch: acquire the (possibly shared) service slot,
@@ -38,39 +35,46 @@ func (d *Driver) startBatch() {
 	}
 	d.inBatch = true
 	if d.arbiter != nil {
-		d.arbiter.Acquire(d.beginBatch)
+		d.arbiter.Acquire(d.beginFn)
 		return
 	}
 	d.beginBatch()
 }
 
-// beginBatch runs once the service slot is held.
+// beginBatch runs once the service slot is held: the batch starts now,
+// and its first fetch follows the setup cost.
 func (d *Driver) beginBatch() {
-	start := d.eng.Now()
-	d.eng.Schedule(d.cfg.Costs.BatchSetup, func() {
-		d.fetchLoop(start, d.faultBuf[:0], 0)
-	})
+	bc := &d.batch
+	bc.start = d.eng.Now()
+	bc.faults = d.faultBuf[:0]
+	bc.tFetch = 0
+	d.eng.Schedule(d.cfg.Costs.BatchSetup, d.fetchFn)
 }
 
 // fetchLoop reads fault records until the batch limit is reached or the
 // buffer stays empty. Reading takes time (MMIO/BAR reads are slow), so
-// the loop re-checks the buffer after each drain installment and hands
-// the completed batch to the stage pipeline.
-func (d *Driver) fetchLoop(start sim.Time, faults []gpu.Fault, tFetch sim.Time) {
-	n0 := len(faults)
-	faults = d.dev.Buffer.FetchInto(faults, d.effBatch-n0)
-	d.faultBuf = faults
-	got := faults[n0:]
+// each drain installment is followed by fetched, which re-checks the
+// buffer and hands the completed batch to the stage pipeline.
+func (d *Driver) fetchLoop() {
+	bc := &d.batch
+	n0 := len(bc.faults)
+	bc.faults = d.dev.Buffer.FetchInto(bc.faults, d.effBatch-n0)
+	d.faultBuf = bc.faults
+	got := bc.faults[n0:]
 	cost := sim.Time(len(got)) * d.cfg.Costs.FetchPerFault
-	tFetch += cost
+	bc.tFetch += cost
 	for _, o := range d.stageObs {
 		o.FetchInstallment(d.eng.Now()+cost, got)
 	}
-	d.eng.Schedule(cost, func() {
-		if len(faults) < d.effBatch && d.dev.Buffer.Len() > 0 {
-			d.fetchLoop(start, faults, tFetch)
-			return
-		}
-		d.serviceBatch(start, faults, tFetch)
-	})
+	d.eng.Schedule(cost, d.fetchedFn)
+}
+
+// fetched ends a drain installment: drain again while the batch has room
+// and faults wait, else service the batch.
+func (d *Driver) fetched() {
+	if len(d.batch.faults) < d.effBatch && d.dev.Buffer.Len() > 0 {
+		d.fetchLoop()
+		return
+	}
+	d.serviceBatch()
 }

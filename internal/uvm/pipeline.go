@@ -32,9 +32,9 @@ package uvm
 // are pooled on the Driver and valid only while inBatch is true; stages
 // are stateless singletons and receive everything through the contexts.
 // The batchScratch buffers inside batchCtx are owned by exactly one
-// stage at a time (see the field comments in driver.go); nothing
-// retained past the batch — trace records, observer arguments — may
-// alias them.
+// stage at a time (see batchScratch below); nothing retained past the
+// batch — trace records, observer arguments — may alias them: the record's
+// lists are exact-size copies made when the batch lands (replay.go).
 
 import (
 	"guvm/internal/gpu"
@@ -43,9 +43,10 @@ import (
 	"guvm/internal/trace"
 )
 
-// batchCtx carries one batch through the pipeline: the raw faults and
-// fetch cost from the async front-end, the record under construction,
-// the accumulated virtual-time cost, and the pooled scratch.
+// batchCtx carries one batch through the pipeline: its start, raw faults
+// and fetch cost, gathered by the async front-end (fetch.go), the record
+// under construction, the accumulated virtual-time cost, and the pooled
+// scratch.
 type batchCtx struct {
 	start  sim.Time
 	faults []gpu.Fault
@@ -53,6 +54,80 @@ type batchCtx struct {
 	rec    trace.BatchRecord
 	total  sim.Time
 	sc     *batchScratch
+}
+
+// batchScratch holds the per-batch working structures of the fault
+// servicing pipeline. serviceBatch used to rebuild all of them for every
+// 256-fault batch, which dominated the hot path's allocation profile;
+// instead they are pooled here and cleared (never carried over, never
+// shared) at the start of each batch. Nothing in a batch record may alias
+// these buffers — everything retained by the trace.Collector is copied.
+//
+// Ownership across the stage pipeline: keys/uniq/nonStale/blockOrder/
+// blockFaults are written by the dedup stage and read-only afterwards;
+// evicted is appended by eviction, crossServiced by the cross-block
+// migrations and keptSpans by the transfer step, and all three are read
+// when the batch lands; inBatchExtra is appended by the cross-block
+// stage; inBatch() (blockOrder plus
+// inBatchExtra) is mirrored into the blocks' batch stamps, which
+// eviction reads; blockCosts accumulates across the service and
+// cross-block stages and is consumed by replay; spans is the
+// transfer step's migration staging, and candidates/evictSpans are
+// evictOne's (a separate buffer because an eviction firing while a
+// block's migration spans are staged is impossible today, but the split
+// keeps the lifetimes trivially disjoint).
+type batchScratch struct {
+	// keys holds the dedup stage's packed (page, arrival) sort keys —
+	// the struct-of-arrays replacement for the old per-batch maps.
+	keys []uint64
+	// uniq collects deduplicated pages (ascending); nonStale is uniq
+	// minus already-resident pages, so per-VABlock groups are contiguous
+	// runs and need no map.
+	uniq     []mem.PageID
+	nonStale []mem.PageID
+	// blockOrder lists serviced VABlocks in ascending order; it doubles
+	// as the eviction-avoidance set (inBatch, mirrored by the stamps),
+	// with inBatchExtra holding the blocks the cross-block stage adds
+	// after dedup.
+	blockOrder   []mem.VABlockID
+	inBatchExtra []mem.VABlockID
+	// stamp identifies the current batch; every block inBatch reports
+	// carries it in blockState.batch (see markInBatch).
+	stamp      uint64
+	blockCosts []sim.Time
+	// spans holds the transfer step's migration spans. candidates is
+	// evictOne's victim list, handed to EvictionStrategy.Pick, and
+	// evictSpans its writeback spans.
+	spans      []mem.Span
+	candidates []int
+	evictSpans []mem.Span
+
+	// The batch record's lists and the span log's entries are built
+	// here and copied out, each once at its exact length, when the
+	// batch lands (replay.go): blockFaults is dedup's per-VABlock raw
+	// fault histogram, evicted evictOne's victims, crossServiced the
+	// cross-block stage's migrated blocks (the record's ServicedBlocks
+	// is blockOrder followed by them), and keptSpans the transfer
+	// step's spans when the collector keeps them.
+	blockFaults   []uint16
+	evicted       []mem.VABlockID
+	crossServiced []mem.VABlockID
+	keptSpans     []mem.Span
+}
+
+// reset clears every buffer for a new batch, keeping capacity.
+func (sc *batchScratch) reset() {
+	sc.keys = sc.keys[:0]
+	sc.uniq = sc.uniq[:0]
+	sc.nonStale = sc.nonStale[:0]
+	sc.blockOrder = sc.blockOrder[:0]
+	sc.inBatchExtra = sc.inBatchExtra[:0]
+	sc.stamp++
+	sc.blockCosts = sc.blockCosts[:0]
+	sc.blockFaults = sc.blockFaults[:0]
+	sc.evicted = sc.evicted[:0]
+	sc.crossServiced = sc.crossServiced[:0]
+	sc.keptSpans = sc.keptSpans[:0]
 }
 
 // blockCtx carries one VABlock through the block steps. For an eager
@@ -90,27 +165,21 @@ type blockStep interface {
 // architecture (arch.go) declares them, and the driver dispatches through
 // d.arch. Stages stay stateless singletons shared by every driver.
 
-// serviceBatch runs the batch through the stage pipeline. It is entered
-// from the fetch front-end with the engine clock at batch start +
-// TSetup + tFetch; the replay stage schedules the remainder of the
-// batch's virtual cost.
-func (d *Driver) serviceBatch(start sim.Time, faults []gpu.Fault, tFetch sim.Time) {
+// serviceBatch runs the batch the fetch front-end gathered in d.batch
+// through the stage pipeline. It is entered with the engine clock at
+// batch start + TSetup + tFetch; the replay stage schedules the
+// remainder of the batch's virtual cost.
+func (d *Driver) serviceBatch() {
 	bc := &d.batch
-	bc.start = start
-	bc.faults = faults
-	bc.tFetch = tFetch
 	bc.rec = trace.BatchRecord{
-		Start:     start,
-		RawFaults: len(faults),
+		Start:     bc.start,
+		RawFaults: int32(len(bc.faults)),
 		TSetup:    d.cfg.Costs.BatchSetup,
-		TFetch:    tFetch,
-	}
-	if d.dev != nil {
-		bc.rec.FaultsPerSM = make([]uint16, d.dev.Config().NumSMs)
+		TFetch:    bc.tFetch,
 	}
 	bc.total = 0
 	bc.sc = &d.scratch
-	bc.sc.reset(len(faults))
+	bc.sc.reset()
 	for _, st := range d.arch.stages {
 		if err := st.run(d, bc); err != nil {
 			d.fail(err)

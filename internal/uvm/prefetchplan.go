@@ -43,7 +43,7 @@ func (prefetchPlanStep) run(d *Driver, bc *batchCtx, blk *blockCtx) error {
 	blk.toMigrate.Union(&blk.faulted)
 	extra := d.prefetch.planner.PlanBlock(d, &blk.b.resident, &blk.faulted)
 	nExtra := extra.Count()
-	bc.rec.PrefetchedPages += nExtra
+	bc.rec.PrefetchedPages += int32(nExtra)
 	d.stats.PrefetchedPages += nExtra
 	blk.toMigrate.Union(&extra)
 	return nil

@@ -24,33 +24,58 @@ func (replayStage) run(d *Driver, bc *batchCtx) error {
 	bc.rec.TReplay = d.cfg.Costs.ReplayCost
 	bc.total += bc.rec.TReplay
 
-	d.eng.Schedule(bc.total-bc.tFetch-bc.rec.TSetup, func() {
-		d.dev.Buffer.Flush()
-		d.dev.Replay()
-		bc.rec.End = d.eng.Now()
-		id := d.Collector.AddBatch(bc.rec)
-		d.Collector.AddFaults(id, bc.faults)
-		d.sizer.Update(d, &bc.rec)
-		d.batchCount++
-		d.stats.Batches++
-		d.stats.TotalFaults += len(bc.faults)
-		d.inBatch = false
-		if d.arbiter != nil {
-			d.arbiter.Release()
-		}
-		for _, o := range d.observers {
-			o.EndBatch(id, &d.Collector.Batches[id], bc.faults)
-		}
-		// After the observers, so an auditor checks the kill batch
-		// before the device dies.
-		if d.killDue() {
-			d.killDevice()
-		}
-		// Service the next batch if faults are already waiting;
-		// otherwise sleep until the next interrupt.
-		d.startBatch()
-	})
+	d.eng.Schedule(bc.total-bc.tFetch-bc.rec.TSetup, d.landFn)
 	return nil
+}
+
+// landBatch completes the batch in d.batch once its virtual cost has
+// elapsed: flush the buffer, replay, land the record with exact-size
+// copies of its lists, then size the next batch, notify the observers
+// and service whatever faults are already waiting.
+func (d *Driver) landBatch() {
+	bc, sc := &d.batch, &d.scratch
+	d.dev.Buffer.Flush()
+	d.dev.Replay()
+	bc.rec.End = d.eng.Now()
+	bc.rec.EvictedBlocks = exactCopy(sc.evicted)
+	bc.rec.ServicedBlocks = exactConcat(sc.blockOrder, sc.crossServiced)
+	bc.rec.VABlockFaults = exactCopy(sc.blockFaults)
+	id := d.Collector.AddBatch(bc.rec)
+	d.Collector.AddFaults(id, bc.faults)
+	d.Collector.AddSpans(id, sc.keptSpans)
+	d.sizer.Update(d, &bc.rec)
+	d.batchCount++
+	d.stats.Batches++
+	d.stats.TotalFaults += len(bc.faults)
+	d.inBatch = false
+	if d.arbiter != nil {
+		d.arbiter.Release()
+	}
+	for _, o := range d.observers {
+		o.EndBatch(id, &d.Collector.Batches[id], bc.faults)
+	}
+	// After the observers, so an auditor checks the kill batch
+	// before the device dies.
+	if d.killDue() {
+		d.killDevice()
+	}
+	// Service the next batch if faults are already waiting;
+	// otherwise sleep until the next interrupt.
+	d.startBatch()
+}
+
+// exactCopy copies a per-batch list out of the reused scratch at its
+// exact length (len == cap); an empty list stays nil.
+func exactCopy[T any](s []T) []T { return exactConcat(s, nil) }
+
+// exactConcat is exactCopy of a followed by b, in one allocation.
+func exactConcat[T any](a, b []T) []T {
+	if len(a)+len(b) == 0 {
+		return nil
+	}
+	out := make([]T, len(a)+len(b))
+	copy(out[copy(out, a):], b)
+	return out
 }
 
 // fixedSizer keeps the effective batch size at the configured maximum
@@ -77,7 +102,7 @@ func (adaptiveSizer) Update(d *Driver, rec *trace.BatchRecord) {
 		if d.effBatch < d.cfg.AdaptiveMin {
 			d.effBatch = d.cfg.AdaptiveMin
 		}
-	case dupFrac < 0.2 && rec.RawFaults >= d.effBatch:
+	case dupFrac < 0.2 && int(rec.RawFaults) >= d.effBatch:
 		d.effBatch *= 2
 		if d.effBatch > d.cfg.BatchSize {
 			d.effBatch = d.cfg.BatchSize

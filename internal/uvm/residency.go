@@ -64,7 +64,7 @@ func (residencyStep) run(d *Driver, bc *batchCtx, blk *blockCtx) error {
 		t, n := d.vm.UnmapMappingRange(blk.bid)
 		blk.cost += t
 		bc.rec.TUnmap += t
-		bc.rec.UnmapPages += n
+		bc.rec.UnmapPages += int32(n)
 	}
 	return nil
 }
@@ -221,7 +221,7 @@ func (d *Driver) evictOne(current mem.VABlockID, bc *batchCtx) (sim.Time, error)
 	d.allocated = append(d.allocated[:vi], d.allocated[vi+1:]...)
 
 	bc.rec.Evictions++
-	bc.rec.EvictedBlocks = append(bc.rec.EvictedBlocks, victim.id)
+	bc.sc.evicted = append(bc.sc.evicted, victim.id)
 	bc.rec.TEvict += cost
 	d.stats.Evictions++
 	return cost, nil

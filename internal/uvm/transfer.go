@@ -62,19 +62,19 @@ func (transferStep) run(d *Driver, bc *batchCtx, blk *blockCtx) error {
 		return err
 	}
 	rec.TTransfer += t
-	rec.PagesMigrated += migrating
+	rec.PagesMigrated += int32(migrating)
 	rec.BytesMigrated += uint64(migrating) * mem.PageSize
 	d.stats.MigratedPages += migrating
 	// The collector drops the spans unless it keeps them; only then are
-	// they worth copying into the record.
+	// they worth staging for the span log.
 	if d.Collector.KeepSpans {
-		rec.ServicedSpans = append(rec.ServicedSpans, spans...)
+		sc.keptSpans = append(sc.keptSpans, spans...)
 	}
 	if blk.eager {
 		// Cross-block migrations account their pages as prefetched and
 		// record the block as serviced (it had no faults of its own).
 		rec.PrefetchedPages += mem.PagesPerVABlock
-		rec.ServicedBlocks = append(rec.ServicedBlocks, blk.bid)
+		sc.crossServiced = append(sc.crossServiced, blk.bid)
 		d.stats.PrefetchedPages += mem.PagesPerVABlock
 		d.stats.CrossBlockPages += mem.PagesPerVABlock
 	}

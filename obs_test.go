@@ -89,7 +89,7 @@ func TestObsPhaseSpansPartitionBatches(t *testing.T) {
 	}
 	for i := range res.Batches {
 		b := &res.Batches[i]
-		spans := byBatch[b.ID]
+		spans := byBatch[int(b.ID)]
 		if len(spans) == 0 {
 			t.Fatalf("batch %d has no phase spans", b.ID)
 		}
@@ -278,7 +278,7 @@ func TestStageConsumersAgree(t *testing.T) {
 				st := b.Stages()
 				var detail sim.Time
 				for k, d := range st {
-					if got := spans[spanKey{b.ID, trace.StageNames[k]}]; got != max(d, 0) {
+					if got := spans[spanKey{int(b.ID), trace.StageNames[k]}]; got != max(d, 0) {
 						t.Fatalf("batch %d: tracer %s span %d, Stages says %d", b.ID, trace.StageNames[k], got, d)
 					}
 					if k >= trace.StageBlockMgmt && k < trace.StageReplay {
@@ -286,7 +286,7 @@ func TestStageConsumersAgree(t *testing.T) {
 					}
 					cols[k] += int64(d)
 				}
-				if detail > spans[spanKey{b.ID, "service"}] {
+				if detail > spans[spanKey{int(b.ID), "service"}] {
 					overflowed = true
 				}
 				total += float64(b.Duration())

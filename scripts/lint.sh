@@ -343,6 +343,21 @@ for f in internal/audit/*.go; do
   fi
 done
 
+# 23. A batch costs its log entry and nothing more (DESIGN.md §13.7): the
+#     per-SM fault histogram, which only a check that held by construction
+#     read, stays gone, and the fetch and replay stages schedule funcs the
+#     driver bound once, not a closure allocated per batch.
+for f in $(find . -name '*.go' ! -path './.bench_build/*'); do
+  if grep -nw 'FaultsPerSM' "$f"; then
+    fail "$f brings back FaultsPerSM; Table 2 reads RawFaults/NumSMs and the audit checks the per-VABlock histogram"
+  fi
+done
+for f in internal/uvm/fetch.go internal/uvm/replay.go; do
+  if grep -nE 'Schedule\(.*func\(\) \{' "$f"; then
+    fail "$f schedules a closure per batch; schedule a func bound once in NewDriver"
+  fi
+done
+
 if [ "$status" -ne 0 ]; then
   exit 1
 fi
