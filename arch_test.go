@@ -85,30 +85,39 @@ func TestAlternativeArchitecturesDeterministic(t *testing.T) {
 }
 
 // TestAlternativeArchitecturesPassAudit runs the oversubscribed stream
-// workload (heavy eviction) under both alternative architectures with
-// the invariant auditor on every batch: the lifted stage graphs must
-// uphold the same residency/accounting invariants as the default.
+// workload (heavy eviction) under both alternative architectures, with
+// tree and with cross-block prefetch, and the invariant auditor on every
+// batch: the lifted stage graphs must uphold the same residency/accounting
+// invariants as the default. Under access-counter a faulted block can end
+// its service with nothing resident (remote-mapped), so only its batch
+// stamp keeps the cross-block stage from servicing it a second time.
 func TestAlternativeArchitecturesPassAudit(t *testing.T) {
 	for _, arch := range []string{"gpu-driven", "access-counter"} {
 		arch := arch
 		t.Run(arch, func(t *testing.T) {
-			cfg := DefaultConfig()
-			cfg.Driver.GPUMemBytes = 12 << 20 // 3x16 MB stream -> 400% oversubscribed
-			cfg.Policies.Architecture = arch
-			cfg.Audit.Enabled = true
-			s, err := NewSimulator(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := s.Run(workloads.NewStream(16<<20, 24))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Audit == nil || res.Audit.BatchesAudited == 0 {
-				t.Fatal("auditor did not run")
-			}
-			if n := len(res.Audit.Violations); n != 0 {
-				t.Fatalf("%s: %d invariant violations, first: %+v", arch, n, res.Audit.Violations[0])
+			for _, pf := range []string{"tree", "cross-block"} {
+				pf := pf
+				t.Run(pf, func(t *testing.T) {
+					cfg := DefaultConfig()
+					cfg.Driver.GPUMemBytes = 12 << 20 // 3x16 MB stream -> 400% oversubscribed
+					cfg.Policies.Architecture = arch
+					cfg.Policies.Prefetch = pf
+					cfg.Audit.Enabled = true
+					s, err := NewSimulator(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					res, err := s.Run(workloads.NewStream(16<<20, 24))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.Audit == nil || res.Audit.BatchesAudited == 0 {
+						t.Fatal("auditor did not run")
+					}
+					if n := len(res.Audit.Violations); n != 0 {
+						t.Fatalf("%s/%s: %d invariant violations, first: %+v", arch, pf, n, res.Audit.Violations[0])
+					}
+				})
 			}
 		})
 	}

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"guvm/internal/audit"
 	"guvm/internal/gpu"
 	"guvm/internal/mem"
 	"guvm/internal/trace"
@@ -120,13 +121,34 @@ func TestDriverWalkMatchesLookupAndHeader(t *testing.T) {
 	}
 }
 
+// batchEndReplay measures, at the first batch end that evicted a block
+// the batch did not service, what the auditor allocates to check that
+// batch end again. It runs after the auditor, while the driver's serviced
+// list is still the batch's, so every per-batch check runs, the
+// eviction lookups too. The replayed record's migration bytes are
+// zeroed, so the link ledger stays balanced across the repeats.
+type batchEndReplay struct {
+	a      *audit.Auditor
+	drv    *uvm.Driver
+	id     int
+	allocs float64
+}
+
+func (r *batchEndReplay) EndBatch(id int, rec *trace.BatchRecord, _ []gpu.Fault) {
+	unserviced := func(bid mem.VABlockID) bool { return !slices.Contains(r.drv.ServicedBlocks(), bid) }
+	if r.id >= 0 || !slices.ContainsFunc(rec.EvictedBlocks, unserviced) {
+		return
+	}
+	r.id = id
+	replay := *rec
+	replay.PagesMigrated, replay.BytesMigrated, replay.EvictedBytes = 0, 0, 0
+	r.allocs = testing.AllocsPerRun(20, func() { r.a.EndBatch(id, &replay, nil) })
+}
+
 // TestAuditedBatchEndAllocGuard pins the auditor's per-batch path at zero
 // allocations: it walks the live driver and reuses its maps, so auditing
-// a batch copies no model state. The guard replays a batch of an
-// oversubscribed, audited stream run: the latest one with evictions whose
-// evicted blocks are still empty, so the eviction check runs too. Its
-// migration bytes are zeroed, so the link ledger stays balanced across
-// the repeats.
+// a batch copies no model state. The guard replays a batch end of an
+// oversubscribed, audited stream run (see batchEndReplay).
 func TestAuditedBatchEndAllocGuard(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Driver.GPUMemBytes = 12 << 20
@@ -135,33 +157,15 @@ func TestAuditedBatchEndAllocGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Run(workloads.NewStream(16<<20, 24))
-	if err != nil {
-		t.Fatal(err)
+	r := &batchEndReplay{a: s.Auditors[0], drv: s.Driver, id: -1}
+	s.Driver.Observe(r)
+	if _, err := s.Run(workloads.NewStream(16<<20, 24)); err != nil {
+		t.Fatalf("replayed batch end tripped the auditor: %v", err)
 	}
-	stillEmpty := func(rec *trace.BatchRecord) bool {
-		for _, bid := range rec.EvictedBlocks {
-			b, ok := s.Driver.LookupBlock(bid)
-			if !ok || b.HasChunk || b.Resident.Any() || slices.Contains(rec.ServicedBlocks, bid) {
-				return false
-			}
-		}
-		return len(rec.EvictedBlocks) > 0
+	if r.id < 0 {
+		t.Fatal("no batch evicted a block it did not service")
 	}
-	id := len(res.Batches) - 1
-	for id >= 0 && !stillEmpty(&res.Batches[id]) {
-		id--
-	}
-	if id < 0 {
-		t.Fatal("no batch evicted a block that is still empty")
-	}
-	rec := res.Batches[id]
-	rec.PagesMigrated, rec.BytesMigrated, rec.EvictedBytes = 0, 0, 0
-	a := s.Auditors[0]
-	if n := testing.AllocsPerRun(20, func() { a.EndBatch(id, &rec, nil) }); n != 0 {
-		t.Fatalf("an audited batch end allocates %v times, want 0", n)
-	}
-	if err := a.Finish(nil).Err(); err != nil {
-		t.Fatalf("replayed batch tripped the auditor: %v", err)
+	if r.allocs != 0 {
+		t.Fatalf("an audited batch end allocates %v times, want 0", r.allocs)
 	}
 }

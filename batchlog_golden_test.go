@@ -8,6 +8,7 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -16,6 +17,7 @@ import (
 	"guvm/internal/gpu"
 	"guvm/internal/mem"
 	"guvm/internal/trace"
+	"guvm/internal/uvm"
 	"guvm/internal/workloads"
 )
 
@@ -64,12 +66,43 @@ var batchLogRuns = []struct {
 	}, func() workloads.Workload { return workloads.NewGaussSeidel(1536, 3) }},
 }
 
+// servicedLog copies each batch's serviced-block list from the driver at
+// EndBatch, the one moment it is valid, indexed by batch.
+type servicedLog struct {
+	drv   *uvm.Driver
+	lists [][]mem.VABlockID
+}
+
+func (l *servicedLog) EndBatch(_ int, _ *trace.BatchRecord, _ []gpu.Fault) {
+	l.lists = append(l.lists, slices.Clone(l.drv.ServicedBlocks()))
+}
+
+// runBatchLog runs the named batch-log run and returns its result and
+// each batch's serviced list.
+func runBatchLog(t *testing.T, name string, cfg guvm.SystemConfig, w workloads.Workload) (*guvm.Result, [][]mem.VABlockID) {
+	t.Helper()
+	s, err := guvm.NewSimulator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := &servicedLog{drv: s.Driver}
+	s.Driver.Observe(log)
+	r, err := s.Run(w)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if len(log.lists) != len(r.Batches) {
+		t.Fatalf("%s: observer saw %d batches, the log holds %d", name, len(log.lists), len(r.Batches))
+	}
+	return r, log.lists
+}
+
 // batchLogHash hashes a run's batch log over an explicit field list, so
 // the hash depends on the values logged and not on how a record stores
 // them: every counter, byte count and timer of each record, then its
-// evicted, serviced and per-VABlock fault lists, then the spans it
-// serviced.
-func batchLogHash(r *guvm.Result) uint64 {
+// evicted list, its serviced list (from serviced, indexed by batch) and
+// its per-VABlock fault list, then the spans it serviced.
+func batchLogHash(r *guvm.Result, serviced [][]mem.VABlockID) uint64 {
 	h := fnv.New64a()
 	spans := batchSpans(r)
 	for i := range r.Batches {
@@ -88,8 +121,8 @@ func batchLogHash(r *guvm.Result) uint64 {
 		for _, v := range b.EvictedBlocks {
 			putInts(h, int64(v))
 		}
-		putInts(h, int64(len(b.ServicedBlocks)))
-		for _, v := range b.ServicedBlocks {
+		putInts(h, int64(len(serviced[i])))
+		for _, v := range serviced[i] {
 			putInts(h, int64(v))
 		}
 		putInts(h, int64(len(b.VABlockFaults)))
@@ -130,18 +163,11 @@ func TestBatchLogGolden(t *testing.T) {
 	var b strings.Builder
 	b.WriteString("# run: batches batch-log-fnv64\n")
 	for _, run := range batchLogRuns {
-		s, err := guvm.NewSimulator(run.cfg())
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := s.Run(run.w())
-		if err != nil {
-			t.Fatalf("%s: %v", run.name, err)
-		}
+		r, serviced := runBatchLog(t, run.name, run.cfg(), run.w())
 		if len(r.Batches) == 0 {
 			t.Fatalf("%s: no batches", run.name)
 		}
-		fmt.Fprintf(&b, "%s: %d %016x\n", run.name, len(r.Batches), batchLogHash(r))
+		fmt.Fprintf(&b, "%s: %d %016x\n", run.name, len(r.Batches), batchLogHash(r, serviced))
 	}
 	got := b.String()
 	path := filepath.Join("testdata", "batchlog.golden")
@@ -161,30 +187,22 @@ func TestBatchLogGolden(t *testing.T) {
 }
 
 // TestBatchRecordLayout: a batch costs its log entry and one exact-size
-// copy of each of its lists. The record stays within its 248 bytes and a
+// copy of each of its lists. The record stays within its 224 bytes and a
 // fault record within 56, and on every batch-log run (the oversubscribed
 // random runs evict and prefetch, so their lists are long) each list has
 // len == cap and is nil when empty.
 func TestBatchRecordLayout(t *testing.T) {
-	if got := unsafe.Sizeof(trace.BatchRecord{}); got > 248 {
-		t.Errorf("trace.BatchRecord is %d bytes, want at most 248", got)
+	if got := unsafe.Sizeof(trace.BatchRecord{}); got > 224 {
+		t.Errorf("trace.BatchRecord is %d bytes, want at most 224", got)
 	}
 	if got := unsafe.Sizeof(gpu.Fault{}); got > 56 {
 		t.Errorf("gpu.Fault is %d bytes, want at most 56", got)
 	}
 	for _, run := range batchLogRuns {
-		s, err := guvm.NewSimulator(run.cfg())
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := s.Run(run.w())
-		if err != nil {
-			t.Fatalf("%s: %v", run.name, err)
-		}
+		r, _ := runBatchLog(t, run.name, run.cfg(), run.w())
 		for i := range r.Batches {
 			b := &r.Batches[i]
 			checkExact(t, run.name, i, "EvictedBlocks", len(b.EvictedBlocks), cap(b.EvictedBlocks), b.EvictedBlocks == nil)
-			checkExact(t, run.name, i, "ServicedBlocks", len(b.ServicedBlocks), cap(b.ServicedBlocks), b.ServicedBlocks == nil)
 			checkExact(t, run.name, i, "VABlockFaults", len(b.VABlockFaults), cap(b.VABlockFaults), b.VABlockFaults == nil)
 		}
 	}

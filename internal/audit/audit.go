@@ -4,7 +4,8 @@
 // model must obey no matter the workload or configuration:
 //
 //   - fault accounting: unique pages plus duplicates equals raw faults,
-//     and the per-SM / per-VABlock histograms sum back to the raw count;
+//     the per-VABlock histogram sums back to the raw count, and the
+//     batch's serviced list covers its faulted blocks, none twice;
 //   - residency vs capacity: chunks in use never exceed capacity, resident
 //     pages are populated and chunk-backed, and chunk ownership is a
 //     bijection between live chunks and blocks;
@@ -184,7 +185,7 @@ func New(cfg Config, shared bool, eng *sim.Engine, drv *uvm.Driver, dev *gpu.Dev
 
 // EndBatch implements uvm.Observer: it runs at every batch end, after the
 // record was collected and the arbiter released, before the next batch
-// starts.
+// starts, so the driver's ServicedBlocks is still this batch's list.
 func (a *Auditor) EndBatch(id int, rec *trace.BatchRecord, _ []gpu.Fault) {
 	a.rep.BatchesAudited++
 	if v := a.checkBatch(id, rec); v != nil {
@@ -221,13 +222,14 @@ func (a *Auditor) Finish(runErr error) *Report {
 // violation found.
 func (a *Auditor) checkBatch(id int, rec *trace.BatchRecord) *ViolationError {
 	a.rep.ChecksRun++
-	if v := a.stamp(checkBatchRecord(rec, a.drv.Config().ServiceWorkers, a.serviced), id); v != nil {
+	serviced := a.drv.ServicedBlocks()
+	if v := a.stamp(checkBatchRecord(rec, serviced, a.drv.Config().ServiceWorkers, a.serviced), id); v != nil {
 		return v
 	}
 	if v := a.stamp(a.checkDriverState(a.drv), id); v != nil {
 		return v
 	}
-	if v := a.stamp(a.checkEvictions(rec), id); v != nil {
+	if v := a.stamp(a.checkEvictions(rec, serviced), id); v != nil {
 		return v
 	}
 	a.sumMigrated += rec.BytesMigrated
@@ -524,9 +526,10 @@ func (a *Auditor) blockViolation(b *uvm.BlockAudit) *ViolationError {
 }
 
 // checkEvictions verifies that every block this batch evicted — and did
-// not re-service afterwards — ended the batch with no chunk and no
-// resident pages. It looks up only the evicted blocks.
-func (a *Auditor) checkEvictions(rec *trace.BatchRecord) *ViolationError {
+// not re-service afterwards (serviced is the batch's serviced list) —
+// ended the batch with no chunk and no resident pages. It looks up only
+// the evicted blocks.
+func (a *Auditor) checkEvictions(rec *trace.BatchRecord, serviced []mem.VABlockID) *ViolationError {
 	a.rep.ChecksRun++
 	if int(rec.Evictions) != len(rec.EvictedBlocks) {
 		return &ViolationError{
@@ -538,7 +541,7 @@ func (a *Auditor) checkEvictions(rec *trace.BatchRecord) *ViolationError {
 		return nil
 	}
 	clear(a.serviced)
-	for _, bid := range rec.ServicedBlocks {
+	for _, bid := range serviced {
 		a.serviced[bid] = true
 	}
 	for _, bid := range rec.EvictedBlocks {

@@ -16,7 +16,8 @@ import (
 )
 
 // validRecord builds a batch record that passes every self-consistency
-// check; tests corrupt one field at a time.
+// check with the serviced list validServiced; tests corrupt one field at
+// a time.
 func validRecord() trace.BatchRecord {
 	return trace.BatchRecord{
 		ID:    3,
@@ -37,15 +38,23 @@ func validRecord() trace.BatchRecord {
 		TPopulate: 3000,
 		TTransfer: 1000,
 
-		ServicedBlocks: []mem.VABlockID{4, 9},
-		VABlockFaults:  []uint16{7, 3},
+		VABlockFaults: []uint16{7, 3},
 	}
 }
 
+// validServiced is the serviced list of validRecord's batch: its two
+// faulted blocks.
+func validServiced() []mem.VABlockID { return []mem.VABlockID{4, 9} }
+
 // checkRecord runs the batch-record checks the way the auditor does, with
-// workers servicing the batch.
+// workers servicing the batch and validServiced as its serviced list.
 func checkRecord(rec *trace.BatchRecord, workers int) *ViolationError {
-	return checkBatchRecord(rec, workers, make(map[mem.VABlockID]bool))
+	return checkServiced(rec, validServiced(), workers)
+}
+
+// checkServiced is checkRecord with the serviced list given.
+func checkServiced(rec *trace.BatchRecord, serviced []mem.VABlockID, workers int) *ViolationError {
+	return checkBatchRecord(rec, serviced, workers, make(map[mem.VABlockID]bool))
 }
 
 func TestCheckBatchRecordValid(t *testing.T) {
@@ -58,26 +67,26 @@ func TestCheckBatchRecordValid(t *testing.T) {
 func TestCheckBatchRecordCorruptions(t *testing.T) {
 	cases := []struct {
 		name    string
-		corrupt func(r *trace.BatchRecord)
+		corrupt func(r *trace.BatchRecord, serviced *[]mem.VABlockID)
 		check   string
 	}{
-		{"dedup sum broken", func(r *trace.BatchRecord) { r.UniquePages++ }, "fault-accounting"},
-		{"stale exceeds unique", func(r *trace.BatchRecord) { r.StalePages = r.UniquePages + 1 }, "fault-accounting"},
-		{"per-VABlock histogram loses a fault", func(r *trace.BatchRecord) { r.VABlockFaults[1]-- }, "fault-accounting"},
-		{"per-VABlock histogram gains a fault", func(r *trace.BatchRecord) { r.VABlockFaults[0]++ }, "fault-accounting"},
-		{"more fault blocks than histogram", func(r *trace.BatchRecord) { r.VABlocks = 3 }, "fault-accounting"},
-		{"serviced list too short", func(r *trace.BatchRecord) { r.ServicedBlocks = r.ServicedBlocks[:1] }, "fault-accounting"},
-		{"block serviced twice", func(r *trace.BatchRecord) { r.ServicedBlocks[1] = r.ServicedBlocks[0] }, "fault-accounting"},
-		{"bytes disagree with pages", func(r *trace.BatchRecord) { r.BytesMigrated++ }, "fault-accounting"},
-		{"batch ends before start", func(r *trace.BatchRecord) { r.End = r.Start - 1 }, "batch-times"},
-		{"negative component", func(r *trace.BatchRecord) { r.TUnmap = -1 }, "batch-times"},
-		{"components exceed duration", func(r *trace.BatchRecord) { r.TReplay = r.Duration() }, "batch-times"},
+		{"dedup sum broken", func(r *trace.BatchRecord, _ *[]mem.VABlockID) { r.UniquePages++ }, "fault-accounting"},
+		{"stale exceeds unique", func(r *trace.BatchRecord, _ *[]mem.VABlockID) { r.StalePages = r.UniquePages + 1 }, "fault-accounting"},
+		{"per-VABlock histogram loses a fault", func(r *trace.BatchRecord, _ *[]mem.VABlockID) { r.VABlockFaults[1]-- }, "fault-accounting"},
+		{"per-VABlock histogram gains a fault", func(r *trace.BatchRecord, _ *[]mem.VABlockID) { r.VABlockFaults[0]++ }, "fault-accounting"},
+		{"more fault blocks than histogram", func(r *trace.BatchRecord, _ *[]mem.VABlockID) { r.VABlocks = 3 }, "fault-accounting"},
+		{"serviced list too short", func(_ *trace.BatchRecord, s *[]mem.VABlockID) { *s = (*s)[:1] }, "fault-accounting"},
+		{"block serviced twice", func(_ *trace.BatchRecord, s *[]mem.VABlockID) { (*s)[1] = (*s)[0] }, "fault-accounting"},
+		{"bytes disagree with pages", func(r *trace.BatchRecord, _ *[]mem.VABlockID) { r.BytesMigrated++ }, "fault-accounting"},
+		{"batch ends before start", func(r *trace.BatchRecord, _ *[]mem.VABlockID) { r.End = r.Start - 1 }, "batch-times"},
+		{"negative component", func(r *trace.BatchRecord, _ *[]mem.VABlockID) { r.TUnmap = -1 }, "batch-times"},
+		{"components exceed duration", func(r *trace.BatchRecord, _ *[]mem.VABlockID) { r.TReplay = r.Duration() }, "batch-times"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rec := validRecord()
-			tc.corrupt(&rec)
-			v := checkRecord(&rec, 1)
+			rec, serviced := validRecord(), validServiced()
+			tc.corrupt(&rec, &serviced)
+			v := checkServiced(&rec, serviced, 1)
 			if v == nil {
 				t.Fatal("corruption not detected")
 			}

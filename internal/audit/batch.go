@@ -7,15 +7,16 @@ import (
 	"guvm/internal/trace"
 )
 
-// checkBatchRecord validates the self-consistency of one batch record —
-// the invariants that hold for the record alone, with no model state:
-// fault accounting, histogram sums, byte/page agreement and time-component
-// sanity. workers is the driver's servicing concurrency (see
-// checkBatchTimes). seen is the set it finds repeated serviced blocks in,
-// supplied by the caller; the auditor passes one it reuses, so an audited
-// batch allocates nothing. It clears seen first. It returns the violation
-// with Batch and At unset (the caller stamps detection context), or nil.
-func checkBatchRecord(rec *trace.BatchRecord, workers int, seen map[mem.VABlockID]bool) *ViolationError {
+// checkBatchRecord validates the self-consistency of one batch record and
+// its serviced-block list (uvm.Driver.ServicedBlocks) — the invariants
+// that hold for the batch alone, with no model state: fault accounting,
+// histogram sums, byte/page agreement and time-component sanity. workers
+// is the driver's servicing concurrency (see checkBatchTimes). seen is
+// the set it finds repeated serviced blocks in, supplied by the caller;
+// the auditor passes one it reuses, so an audited batch allocates
+// nothing. It clears seen first. It returns the violation with Batch and
+// At unset (the caller stamps detection context), or nil.
+func checkBatchRecord(rec *trace.BatchRecord, serviced []mem.VABlockID, workers int, seen map[mem.VABlockID]bool) *ViolationError {
 	if workers < 1 {
 		workers = 1
 	}
@@ -54,14 +55,14 @@ func checkBatchRecord(rec *trace.BatchRecord, workers int, seen map[mem.VABlockI
 			Detail: fmt.Sprintf("%d serviced fault blocks > %d blocks with raw faults", rec.VABlocks, len(rec.VABlockFaults)),
 		}
 	}
-	if len(rec.ServicedBlocks) < int(rec.VABlocks) {
+	if len(serviced) < int(rec.VABlocks) {
 		return &ViolationError{
 			Check:  "fault-accounting",
-			Detail: fmt.Sprintf("%d serviced blocks recorded, want at least %d", len(rec.ServicedBlocks), rec.VABlocks),
+			Detail: fmt.Sprintf("%d serviced blocks listed, want at least %d", len(serviced), rec.VABlocks),
 		}
 	}
 	clear(seen)
-	for _, bid := range rec.ServicedBlocks {
+	for _, bid := range serviced {
 		if seen[bid] {
 			return &ViolationError{
 				Check:  "fault-accounting",

@@ -158,7 +158,11 @@ func (vm *VM) UnmapMappingRange(block mem.VABlockID) (cost sim.Time, unmapped in
 	unmapped = bm.pages.Count()
 	threads := vm.TouchingThreads(block)
 	base := vm.cost.UnmapBase + sim.Time(unmapped)*vm.cost.UnmapPerPage
-	scale := 1 + vm.cost.UnmapThreadFactor*float64(threads-1)
+	// The explicit conversion rounds the product before the add, so no
+	// platform fuses the two into one multiply-add (the Go spec lets a
+	// compiler fuse x*y + z; arm64, ppc64le, s390x and riscv64 do), and
+	// the cost is the same nanosecond everywhere.
+	scale := 1 + float64(vm.cost.UnmapThreadFactor*float64(threads-1))
 	cost = sim.Time(float64(base) * scale)
 	bm.pages.Reset()
 	bm.threads = 0

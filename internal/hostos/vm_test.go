@@ -1,6 +1,8 @@
 package hostos
 
 import (
+	"math"
+	"math/big"
 	"runtime"
 	"testing"
 
@@ -70,6 +72,55 @@ func TestUnmapMultithreadedAmplification(t *testing.T) {
 	want := 1 + DefaultCostModel().UnmapThreadFactor*31
 	if ratio < 0.9*want || ratio > 1.1*want {
 		t.Fatalf("32-thread amplification ratio = %.2f, want ~%.2f", ratio, want)
+	}
+}
+
+// unmapCostRounded is UnmapMappingRange's cost computed with every
+// floating-point operation rounded to float64 on its own (53-bit
+// mantissa, round to nearest even), then truncated to nanoseconds: the
+// unfused reference every platform must reproduce.
+func unmapCostRounded(c CostModel, threads, pages int) sim.Time {
+	f := func(v float64) *big.Float { return big.NewFloat(v) }
+	op := func() *big.Float { return new(big.Float).SetPrec(53) }
+	base := c.UnmapBase + sim.Time(pages)*c.UnmapPerPage
+	prod := op().Mul(f(c.UnmapThreadFactor), f(float64(threads-1)))
+	scale := op().Add(f(1), prod)
+	ns, _ := op().Mul(f(float64(base)), scale).Int64()
+	return sim.Time(ns)
+}
+
+// TestUnmapCostUnfused checks the unmap cost for 1-64 touching threads
+// and 1-512 mapped pages against the individually rounded reference. A
+// build that fuses the thread scale's multiply-add into one rounding
+// gives a different nanosecond in some cells: 10 threads and 4 pages
+// cost 29,119 ns unfused and 29,120 ns fused, which the first check pins.
+func TestUnmapCostUnfused(t *testing.T) {
+	c := DefaultCostModel()
+	fused := func(threads, pages int) sim.Time {
+		base := c.UnmapBase + sim.Time(pages)*c.UnmapPerPage
+		return sim.Time(float64(base) * math.FMA(c.UnmapThreadFactor, float64(threads-1), 1))
+	}
+	if got, f := unmapCostRounded(c, 10, 4), fused(10, 4); got != 29119 || f != 29120 {
+		t.Fatalf("10 threads, 4 pages: reference %d ns, fused %d ns; want 29119 and 29120", got, f)
+	}
+	vm := NewVM(c)
+	b := mem.VABlockID(1)
+	for threads := 1; threads <= MaxThreads; threads++ {
+		for pages := 1; pages <= mem.PagesPerVABlock; pages++ {
+			for th := 0; th < threads; th++ {
+				vm.TouchCPU(b, 0, th)
+			}
+			for i := 1; i < pages; i++ {
+				vm.TouchCPU(b, i, 0)
+			}
+			got, n := vm.UnmapMappingRange(b)
+			if n != pages {
+				t.Fatalf("%d threads: unmapped %d pages, want %d", threads, n, pages)
+			}
+			if want := unmapCostRounded(c, threads, pages); got != want {
+				t.Fatalf("%d threads, %d pages: cost %d ns, want %d ns", threads, pages, got, want)
+			}
+		}
 	}
 }
 

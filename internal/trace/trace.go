@@ -68,11 +68,6 @@ type BatchRecord struct {
 	// EvictedBlocks lists the blocks this batch evicted, in eviction
 	// order (fault-behaviour plots, eviction audits).
 	EvictedBlocks []mem.VABlockID
-	// ServicedBlocks lists the distinct VABlocks this batch migrated
-	// pages into (faulted blocks plus cross-block prefetch targets), in
-	// service order. The audit subsystem needs it to reconcile evictions
-	// against same-batch re-servicing.
-	ServicedBlocks []mem.VABlockID
 	// VABlockFaults holds the raw fault count of each distinct VABlock
 	// in the batch, in ascending block order (Table 3).
 	VABlockFaults []uint16

@@ -14,8 +14,9 @@ import "testing"
 // fault is a record, held by value (1419 before it), and the batch path
 // that allocates only its log slot and one exact-size copy of each
 // per-batch list, with no per-SM histogram and no per-batch closures
-// (1295 before it).
-const batchServiceAllocsPerOp = 1100
+// (1295 before it), and the record without a serviced-block copy (1100
+// before it).
+const batchServiceAllocsPerOp = 1052
 
 // oversubAllocsPerOp is BenchmarkBatchServiceOversub's allocs/op as
 // measured once migration spans came straight from the residency sets,
@@ -24,9 +25,10 @@ const batchServiceAllocsPerOp = 1100
 // tables and the fault-batch buffer stopped allocating per op, entry and
 // batch (12656 before them), and the radix tree stopped boxing a value
 // per DMA-mapped page (10499 before it), resident accesses stopped
-// being pooled records (2311 before it), and a batch stopped allocating
-// beyond its log slot and exact-size list copies (2170 before it).
-const oversubAllocsPerOp = 1657
+// being pooled records (2311 before it), a batch stopped allocating
+// beyond its log slot and exact-size list copies (2170 before it), and
+// the record lost its serviced-block copy (1657 before it).
+const oversubAllocsPerOp = 1600
 
 // TestBatchServiceAllocGuard pins the hot-path allocation diet: with no
 // batch observers attached (the default), BenchmarkBatchService must

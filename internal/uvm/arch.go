@@ -21,8 +21,9 @@ package uvm
 //	                 until the block's access counter crosses a threshold.
 //
 // Stage implementations stay architecture-agnostic: they never branch on
-// the selected architecture. All dispatch goes through the stage and
-// block-step lists the registry entry declares.
+// the selected architecture. Every entry runs the batch stages of
+// hostBatchStages; block steps dispatch through the list the registry
+// entry declares.
 
 import "guvm/internal/mem"
 
@@ -42,19 +43,16 @@ type ArchitectureInfo struct {
 	// (page tables and residency live with the host driver) or "device"
 	// (the GPU's page-management unit updates them locally).
 	MappingOwner string
-	// Stages and BlockSteps are the profiler label contract: the batch
-	// stage list and the per-block step list this architecture runs, in
-	// execution order. The obs profiler labels its per-step attribution
-	// columns from BlockSteps.
-	Stages     []string
+	// BlockSteps is the profiler label contract: the per-block step list
+	// this architecture runs, in execution order. The obs profiler labels
+	// its per-step attribution columns from it.
 	BlockSteps []string
 }
 
-// archPayload is the executable half of an architecture entry: the stage
-// graph itself plus the wiring the driver applies at construction.
+// archPayload is the executable half of an architecture entry: its block
+// steps plus the wiring the driver applies at construction.
 type archPayload struct {
 	info       ArchitectureInfo
-	stages     []stage
 	blockSteps []blockStep
 	// configure rewrites the driver config at construction (cost model,
 	// thresholds); nil leaves it untouched. host-driven keeps a nil
@@ -70,23 +68,16 @@ type archPayload struct {
 	directObs bool
 }
 
-// The shipped stage graphs. host-driven and gpu-driven run the paper's
-// pipeline; access-counter prepends the gate that decides remote-map vs
-// migrate for each faulting block.
+// The shipped stage graphs. Every architecture runs the paper's batch
+// stages; host-driven and gpu-driven run its block steps, and
+// access-counter prepends the gate that decides remote-map vs migrate for
+// each faulting block.
 var (
 	hostBatchStages = []stage{dedupStage{}, serviceStage{}, crossBlockStage{}, replayStage{}}
 	hostBlockSteps  = []blockStep{residencyStep{}, prefetchPlanStep{}, populateStep{}, transferStep{}}
 
 	counterBlockSteps = []blockStep{counterGateStep{}, residencyStep{}, prefetchPlanStep{}, populateStep{}, transferStep{}}
 )
-
-func stageLabels(ss []stage) []string {
-	out := make([]string, len(ss))
-	for i, s := range ss {
-		out[i] = s.name()
-	}
-	return out
-}
 
 func blockStepLabels(ss []blockStep) []string {
 	out := make([]string, len(ss))
@@ -103,13 +94,12 @@ var architectureRegistry = &policyTable{kind: KindArchitecture}
 // the obs profiler's retention cap).
 const maxBlockSteps = 8
 
-// registerArchitecture fills in the label contract from the stage graph
-// itself, so the declared labels can never drift from what runs.
+// registerArchitecture fills in the label contract from the block steps
+// themselves, so the declared labels can never drift from what runs.
 func registerArchitecture(p *archPayload) {
 	if len(p.blockSteps) > maxBlockSteps {
 		panic("uvm: architecture " + p.info.Name + " declares too many block steps")
 	}
-	p.info.Stages = stageLabels(p.stages)
 	p.info.BlockSteps = blockStepLabels(p.blockSteps)
 	architectureRegistry.register(p.info.Name, p.info.Description, p)
 }
@@ -122,7 +112,6 @@ func init() {
 			FaultObservation: "host-interrupt",
 			MappingOwner:     "host-driver",
 		},
-		stages:     hostBatchStages,
 		blockSteps: hostBlockSteps,
 	})
 
@@ -133,7 +122,6 @@ func init() {
 			FaultObservation: "device",
 			MappingOwner:     "device",
 		},
-		stages:     hostBatchStages,
 		blockSteps: hostBlockSteps,
 		directObs:  true,
 		configure: func(c *Config) {
@@ -156,7 +144,6 @@ func init() {
 			FaultObservation: "host-interrupt",
 			MappingOwner:     "host-driver",
 		},
-		stages:     hostBatchStages,
 		blockSteps: counterBlockSteps,
 		counters:   true,
 		remote:     true,

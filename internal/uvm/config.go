@@ -131,8 +131,8 @@ func DefaultConfig() Config {
 	}
 }
 
-// MaxBatchSize bounds Config.BatchSize: a batch's per-SM and per-VABlock
-// fault histograms (trace.BatchRecord) count in uint16 cells.
+// MaxBatchSize bounds Config.BatchSize: a batch's per-VABlock fault
+// histogram (trace.BatchRecord.VABlockFaults) counts in uint16 cells.
 const MaxBatchSize = 1<<16 - 1
 
 // Validate checks the configuration.

@@ -26,15 +26,13 @@ import (
 // hash-map pass: each fault is packed into a single integer key
 // (page<<16 | arrival index), the keys are sorted once, and every
 // product of the old map pass falls out of one linear scan — page runs
-// are the unique pages (already ascending), the run head is the first
-// arrival whose µTLB classifies the later duplicates as type-1/type-2,
-// and VABlock run lengths are the raw histogram. A 256-fault batch
-// fires thousands of times per simulated second, so the map hashing and
-// the comparator sort this replaces were the driver's top profile
-// entries.
+// are the unique pages (already ascending, stale-filtered as each run
+// starts), the run head is the first arrival whose µTLB classifies the
+// later duplicates as type-1/type-2, and VABlock run lengths are the raw
+// histogram. A 256-fault batch fires thousands of times per simulated
+// second, so the map hashing and the comparator sort this replaces were
+// the driver's top profile entries.
 type dedupStage struct{}
-
-func (dedupStage) name() string { return "dedup" }
 
 // dedupPackBits is the arrival-index width inside a packed key. The
 // packed fast path needs every index under 1<<dedupPackBits and every
@@ -88,86 +86,50 @@ func (dedupStage) run(d *Driver, bc *batchCtx) error {
 		return int(k)
 	}
 
-	// Duplicate classification (§4.2): within each page run the head key
-	// carries the smallest arrival index — the first fault, whose µTLB
-	// is the reference. A repeat from the same µTLB is a type-1
-	// duplicate, from a different µTLB type-2.
+	// One scan of the sorted keys (§4.2). Within each page run the head
+	// key carries the smallest arrival index — the first fault, whose
+	// µTLB is the reference: a repeat from the same µTLB is a type-1
+	// duplicate, from a different µTLB type-2. Each run head is a unique
+	// page; a resident one is stale, the rest group by VABlock into
+	// contiguous runs of nonStale, so the serviced blocks come out
+	// ascending. VABlock runs of the keys are the raw per-block fault
+	// histogram (Table 3), duplicates included.
 	var curPage mem.PageID
+	var curBlk mem.VABlockID
 	var firstUTLB int
+	var unique int32
 	for ki, k := range keys {
 		p := pageOf(k)
-		if ki == 0 || p != curPage {
-			curPage = p
-			firstUTLB = bc.faults[idxOf(k)].UTLB
-			sc.uniq = append(sc.uniq, p)
+		if b := p.VABlock(); ki == 0 || b != curBlk {
+			curBlk = b
+			sc.blockFaults = append(sc.blockFaults, 0)
+		}
+		sc.blockFaults[len(sc.blockFaults)-1]++
+		if ki > 0 && p == curPage {
+			if bc.faults[idxOf(k)].UTLB == firstUTLB {
+				rec.Type1Dups++
+			} else {
+				rec.Type2Dups++
+			}
 			continue
 		}
-		if bc.faults[idxOf(k)].UTLB == firstUTLB {
-			rec.Type1Dups++
-		} else {
-			rec.Type2Dups++
-		}
-	}
-	rec.TDedup = sim.Time(n) * d.cfg.Costs.DedupPerFault
-	rec.UniquePages = int32(len(sc.uniq))
-
-	// Group unique, non-stale pages by VABlock: uniq is already sorted
-	// ascending (it mirrors the key order), so each VABlock's group is a
-	// contiguous run of nonStale and blockOrder stays ascending.
-	for _, p := range sc.uniq {
+		curPage = p
+		firstUTLB = bc.faults[idxOf(k)].UTLB
+		unique++
 		if d.IsResidentOnGPU(p) {
 			rec.StalePages++
 			d.stats.StaleFaults++
 			continue
 		}
-		if b := p.VABlock(); len(sc.blockOrder) == 0 || sc.blockOrder[len(sc.blockOrder)-1] != b {
-			sc.blockOrder = append(sc.blockOrder, b)
-			d.markInBatch(b)
+		if s := sc.serviced; len(s) == 0 || s[len(s)-1] != curBlk {
+			d.addServiced(curBlk)
 		}
 		sc.nonStale = append(sc.nonStale, p)
 	}
-	rec.VABlocks = int32(len(sc.blockOrder))
-
-	// Raw fault distribution over VABlocks (Table 3): counts include
-	// duplicates, in ascending block order — VABlock runs are contiguous
-	// in the sorted keys, so the histogram is their run lengths.
-	var curBlk mem.VABlockID
-	for ki, k := range keys {
-		b := pageOf(k).VABlock()
-		if ki == 0 || b != curBlk {
-			curBlk = b
-			sc.blockFaults = append(sc.blockFaults, 0)
-		}
-		sc.blockFaults[len(sc.blockFaults)-1]++
-	}
+	rec.TDedup = sim.Time(n) * d.cfg.Costs.DedupPerFault
+	rec.UniquePages = unique
+	rec.VABlocks = int32(len(sc.serviced))
 
 	bc.total += rec.TSetup + bc.tFetch + rec.TDedup
 	return nil
-}
-
-// markInBatch stamps bid's state, if it has one yet, as serviced by the
-// current batch. Dedup and the cross-block stage call it as they add a
-// block to inBatch's set; blockFor stamps a block created later.
-func (d *Driver) markInBatch(bid mem.VABlockID) {
-	if b := d.blocks.Lookup(bid); b != nil {
-		b.batch = d.scratch.stamp
-	}
-}
-
-// inBatch reports whether bid is being serviced by the current batch.
-// Serviced blocks live in two places: blockOrder (sorted ascending, from
-// dedup) and inBatchExtra (the handful the cross-block stage adds
-// afterwards). Eviction reads the same answer from blockState.batch;
-// this search serves the cross-block planner and blockFor, which probe
-// blocks that may have no state yet.
-func (sc *batchScratch) inBatch(bid mem.VABlockID) bool {
-	if _, ok := slices.BinarySearch(sc.blockOrder, bid); ok {
-		return true
-	}
-	for _, b := range sc.inBatchExtra {
-		if b == bid {
-			return true
-		}
-	}
-	return false
 }

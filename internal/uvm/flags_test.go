@@ -68,16 +68,13 @@ func TestArchitectureUnknownNameListsOptions(t *testing.T) {
 	}
 }
 
-// TestArchitectureLabelContract pins the declared stage/step labels to
-// the stage graph itself: registerArchitecture derives them from the
+// TestArchitectureLabelContract pins the declared block-step labels to
+// the block steps themselves: registerArchitecture derives them from the
 // name() methods, so a drifting label is a registration-time change.
 func TestArchitectureLabelContract(t *testing.T) {
 	host, err := ArchitectureByName("host-driven")
 	if err != nil {
 		t.Fatal(err)
-	}
-	if want := []string{"dedup", "service", "cross-block", "replay"}; !reflect.DeepEqual(host.Stages, want) {
-		t.Fatalf("host-driven stages %v, want %v", host.Stages, want)
 	}
 	if want := []string{"residency", "prefetch-plan", "populate", "transfer"}; !reflect.DeepEqual(host.BlockSteps, want) {
 		t.Fatalf("host-driven block steps %v, want %v", host.BlockSteps, want)

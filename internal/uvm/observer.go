@@ -30,7 +30,8 @@ import (
 type Observer interface {
 	// EndBatch reports batch id: its record has landed in the collector
 	// (rec.Stages() decomposes its time), the service slot is released,
-	// and the next batch has not started. faults are the batch's fetched
+	// and the next batch has not started, so Driver.ServicedBlocks still
+	// lists the batch's serviced blocks. faults are the batch's fetched
 	// fault records in fetch order.
 	EndBatch(id int, rec *trace.BatchRecord, faults []gpu.Fault)
 }

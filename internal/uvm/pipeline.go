@@ -34,7 +34,9 @@ package uvm
 // The batchScratch buffers inside batchCtx are owned by exactly one
 // stage at a time (see batchScratch below); nothing retained past the
 // batch — trace records, observer arguments — may alias them: the record's
-// lists are exact-size copies made when the batch lands (replay.go).
+// lists are exact-size copies made when the batch lands (replay.go). The
+// one scratch list observers read, ServicedBlocks, is lent only for the
+// EndBatch call.
 
 import (
 	"guvm/internal/gpu"
@@ -63,15 +65,12 @@ type batchCtx struct {
 // shared) at the start of each batch. Nothing in a batch record may alias
 // these buffers — everything retained by the trace.Collector is copied.
 //
-// Ownership across the stage pipeline: keys/uniq/nonStale/blockOrder/
-// blockFaults are written by the dedup stage and read-only afterwards;
-// evicted is appended by eviction, crossServiced by the cross-block
-// migrations and keptSpans by the transfer step, and all three are read
-// when the batch lands; inBatchExtra is appended by the cross-block
-// stage; inBatch() (blockOrder plus
-// inBatchExtra) is mirrored into the blocks' batch stamps, which
-// eviction reads; blockCosts accumulates across the service and
-// cross-block stages and is consumed by replay; spans is the
+// Ownership across the stage pipeline: keys/nonStale/blockFaults are
+// written by the dedup stage and read-only afterwards; serviced is
+// written by dedup and appended to by the cross-block stage; evicted is
+// appended by eviction and keptSpans by the transfer step, and both are
+// read when the batch lands; blockCosts accumulates across the service
+// and cross-block stages and is consumed by replay; spans is the
 // transfer step's migration staging, and candidates/evictSpans are
 // evictOne's (a separate buffer because an eviction firing while a
 // block's migration spans are staged is impossible today, but the split
@@ -80,19 +79,16 @@ type batchScratch struct {
 	// keys holds the dedup stage's packed (page, arrival) sort keys —
 	// the struct-of-arrays replacement for the old per-batch maps.
 	keys []uint64
-	// uniq collects deduplicated pages (ascending); nonStale is uniq
-	// minus already-resident pages, so per-VABlock groups are contiguous
-	// runs and need no map.
-	uniq     []mem.PageID
+	// nonStale lists the deduplicated pages not yet resident, ascending,
+	// so per-VABlock groups are contiguous runs and need no map.
 	nonStale []mem.PageID
-	// blockOrder lists serviced VABlocks in ascending order; it doubles
-	// as the eviction-avoidance set (inBatch, mirrored by the stamps),
-	// with inBatchExtra holding the blocks the cross-block stage adds
-	// after dedup.
-	blockOrder   []mem.VABlockID
-	inBatchExtra []mem.VABlockID
-	// stamp identifies the current batch; every block inBatch reports
-	// carries it in blockState.batch (see markInBatch).
+	// serviced lists the batch's serviced VABlocks: dedup's faulted
+	// blocks in ascending order (the first rec.VABlocks entries), then
+	// the blocks the cross-block stage adds, in the order it runs them.
+	// Every block on it that has state carries stamp in
+	// blockState.batch, so membership is a stamp compare (addServiced).
+	serviced []mem.VABlockID
+	// stamp identifies the current batch.
 	stamp      uint64
 	blockCosts []sim.Time
 	// spans holds the transfer step's migration spans. candidates is
@@ -105,30 +101,39 @@ type batchScratch struct {
 	// The batch record's lists and the span log's entries are built
 	// here and copied out, each once at its exact length, when the
 	// batch lands (replay.go): blockFaults is dedup's per-VABlock raw
-	// fault histogram, evicted evictOne's victims, crossServiced the
-	// cross-block stage's migrated blocks (the record's ServicedBlocks
-	// is blockOrder followed by them), and keptSpans the transfer
-	// step's spans when the collector keeps them.
-	blockFaults   []uint16
-	evicted       []mem.VABlockID
-	crossServiced []mem.VABlockID
-	keptSpans     []mem.Span
+	// fault histogram, evicted evictOne's victims, and keptSpans the
+	// transfer step's spans when the collector keeps them.
+	blockFaults []uint16
+	evicted     []mem.VABlockID
+	keptSpans   []mem.Span
 }
 
 // reset clears every buffer for a new batch, keeping capacity.
 func (sc *batchScratch) reset() {
 	sc.keys = sc.keys[:0]
-	sc.uniq = sc.uniq[:0]
 	sc.nonStale = sc.nonStale[:0]
-	sc.blockOrder = sc.blockOrder[:0]
-	sc.inBatchExtra = sc.inBatchExtra[:0]
+	sc.serviced = sc.serviced[:0]
 	sc.stamp++
 	sc.blockCosts = sc.blockCosts[:0]
 	sc.blockFaults = sc.blockFaults[:0]
 	sc.evicted = sc.evicted[:0]
-	sc.crossServiced = sc.crossServiced[:0]
 	sc.keptSpans = sc.keptSpans[:0]
 }
+
+// addServiced appends bid to the batch's serviced list and stamps its
+// state, if it has one yet; blockFor stamps a block it creates.
+func (d *Driver) addServiced(bid mem.VABlockID) {
+	d.scratch.serviced = append(d.scratch.serviced, bid)
+	if b := d.blocks.Lookup(bid); b != nil {
+		b.batch = d.scratch.stamp
+	}
+}
+
+// ServicedBlocks lists the VABlocks the current batch serviced: the
+// faulted blocks in ascending order, then the cross-block migrations in
+// service order. The list is driver scratch, valid only during an
+// Observer's EndBatch call; copy what outlives it.
+func (d *Driver) ServicedBlocks() []mem.VABlockID { return d.scratch.serviced }
 
 // blockCtx carries one VABlock through the block steps. For an eager
 // cross-block migration (§6) pages is nil and eager is set: the plan
@@ -151,7 +156,6 @@ type blockCtx struct {
 // stage is one batch-level phase. A stage reads and mutates the batch
 // context; a returned error aborts the run (injection-fatal paths).
 type stage interface {
-	name() string
 	run(d *Driver, bc *batchCtx) error
 }
 
@@ -161,9 +165,10 @@ type blockStep interface {
 	run(d *Driver, bc *batchCtx, blk *blockCtx) error
 }
 
-// The stage and block-step orders are no longer fixed here: the selected
-// architecture (arch.go) declares them, and the driver dispatches through
-// d.arch. Stages stay stateless singletons shared by every driver.
+// Every architecture runs the batch stages of hostBatchStages (arch.go);
+// the block-step order is the selected architecture's, dispatched
+// through d.arch. Stages stay stateless singletons shared by every
+// driver.
 
 // serviceBatch runs the batch the fetch front-end gathered in d.batch
 // through the stage pipeline. It is entered with the engine clock at
@@ -180,7 +185,7 @@ func (d *Driver) serviceBatch() {
 	bc.total = 0
 	bc.sc = &d.scratch
 	bc.sc.reset()
-	for _, st := range d.arch.stages {
+	for _, st := range hostBatchStages {
 		if err := st.run(d, bc); err != nil {
 			d.fail(err)
 			return
@@ -192,8 +197,6 @@ func (d *Driver) serviceBatch() {
 // sorted non-stale pages make every block a contiguous run, processed in
 // ascending block order exactly as the monolithic driver did.
 type serviceStage struct{}
-
-func (serviceStage) name() string { return "service" }
 
 func (serviceStage) run(d *Driver, bc *batchCtx) error {
 	sc := bc.sc

@@ -74,15 +74,16 @@ func (offPlanner) PlanBlock(d *Driver, resident, faulted *mem.PageSet) mem.PageS
 // first-touch batches.
 type crossBlockStage struct{}
 
-func (crossBlockStage) name() string { return "cross-block" }
-
+// run walks the faulted blocks, the dedup prefix of the serviced list;
+// each block it migrates joins the list, stamped, before it runs, so
+// the in-batch test below and eviction see it.
 func (crossBlockStage) run(d *Driver, bc *batchCtx) error {
 	scope := d.prefetch.scope
 	if scope <= 0 {
 		return nil
 	}
 	sc := bc.sc
-	for _, bid := range sc.blockOrder {
+	for _, bid := range sc.serviced[:bc.rec.VABlocks] {
 		b := d.blocks.Lookup(bid)
 		if b == nil || !b.resident.Full() {
 			continue
@@ -96,20 +97,18 @@ func (crossBlockStage) run(d *Driver, bc *batchCtx) error {
 			if next > sp.last {
 				break
 			}
+			// A block with no state yet is not in the batch: every
+			// serviced block got state from blockFor when it ran.
 			nb := d.blocks.Lookup(next)
-			if nb != nil && nb.resident.Any() {
-				break // already (partially) resident: stop the run
+			if nb != nil && (nb.resident.Any() || nb.batch == sc.stamp) {
+				break // already (partially) resident or serviced: stop the run
 			}
-			if sc.inBatch(next) {
-				break
-			}
+			d.addServiced(next)
 			c, err := d.runBlock(next, nil, true, bc)
 			if err != nil {
 				return err
 			}
 			sc.blockCosts = append(sc.blockCosts, c)
-			sc.inBatchExtra = append(sc.inBatchExtra, next)
-			d.markInBatch(next)
 		}
 	}
 	return nil

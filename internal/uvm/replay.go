@@ -17,8 +17,6 @@ import (
 // when the pipeline runs, so only the remainder is scheduled.
 type replayStage struct{}
 
-func (replayStage) name() string { return "replay" }
-
 func (replayStage) run(d *Driver, bc *batchCtx) error {
 	bc.total += makespan(bc.sc.blockCosts, d.cfg.ServiceWorkers, d.cfg.LoadBalanceLPT, d.cfg.WorkerSync)
 	bc.rec.TReplay = d.cfg.Costs.ReplayCost
@@ -38,7 +36,6 @@ func (d *Driver) landBatch() {
 	d.dev.Replay()
 	bc.rec.End = d.eng.Now()
 	bc.rec.EvictedBlocks = exactCopy(sc.evicted)
-	bc.rec.ServicedBlocks = exactConcat(sc.blockOrder, sc.crossServiced)
 	bc.rec.VABlockFaults = exactCopy(sc.blockFaults)
 	id := d.Collector.AddBatch(bc.rec)
 	d.Collector.AddFaults(id, bc.faults)
@@ -66,16 +63,11 @@ func (d *Driver) landBatch() {
 
 // exactCopy copies a per-batch list out of the reused scratch at its
 // exact length (len == cap); an empty list stays nil.
-func exactCopy[T any](s []T) []T { return exactConcat(s, nil) }
-
-// exactConcat is exactCopy of a followed by b, in one allocation.
-func exactConcat[T any](a, b []T) []T {
-	if len(a)+len(b) == 0 {
+func exactCopy[T any](s []T) []T {
+	if len(s) == 0 {
 		return nil
 	}
-	out := make([]T, len(a)+len(b))
-	copy(out[copy(out, a):], b)
-	return out
+	return append(make([]T, 0, len(s)), s...)
 }
 
 // fixedSizer keeps the effective batch size at the configured maximum

@@ -69,15 +69,14 @@ func (residencyStep) run(d *Driver, bc *batchCtx, blk *blockCtx) error {
 	return nil
 }
 
-// blockFor returns bid's state, creating it on first touch. A block
-// created while the current batch services it gets the batch's stamp.
+// blockFor returns bid's state, creating it on first touch. A batch
+// creates state only for the block it is running, which is on its
+// serviced list, so a new block gets the batch's stamp. (Outside a batch,
+// ExplicitCopyToGPU's blocks get a stamp the next batch's reset retires.)
 func (d *Driver) blockFor(bid mem.VABlockID) *blockState {
 	b := d.blocks.Lookup(bid)
 	if b == nil {
-		b = &blockState{id: bid}
-		if d.scratch.inBatch(bid) {
-			b.batch = d.scratch.stamp
-		}
+		b = &blockState{id: bid, batch: d.scratch.stamp}
 		d.blocks.Set(bid, b)
 	}
 	return b

@@ -71,10 +71,9 @@ func (transferStep) run(d *Driver, bc *batchCtx, blk *blockCtx) error {
 		sc.keptSpans = append(sc.keptSpans, spans...)
 	}
 	if blk.eager {
-		// Cross-block migrations account their pages as prefetched and
-		// record the block as serviced (it had no faults of its own).
+		// Cross-block migrations account their pages as prefetched (the
+		// block had no faults of its own).
 		rec.PrefetchedPages += mem.PagesPerVABlock
-		sc.crossServiced = append(sc.crossServiced, blk.bid)
 		d.stats.PrefetchedPages += mem.PagesPerVABlock
 		d.stats.CrossBlockPages += mem.PagesPerVABlock
 	}
