@@ -72,7 +72,7 @@ func Gini(xs []float64) float64 {
 		if x < 0 {
 			x = 0
 		}
-		cum += float64(i+1) * x
+		cum += float64(float64(i+1) * x) // rounded: see package stats
 		total += x
 	}
 	if total == 0 {

@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"fmt"
+	"slices"
 
 	"guvm/internal/faultinject"
 	"guvm/internal/mem"
@@ -662,17 +663,17 @@ func (d *Device) Replay() {
 	rechecks := d.recheckBuf[:0]
 	for _, u := range d.utlbs {
 		for _, e := range u.pending.entries {
-			rechecks = append(rechecks, e.waiters...)
+			rechecks = appendDoubling(rechecks, e.waiters)
 			d.freeFaultEntry(e)
 		}
 		for _, e := range u.prefetchPending.entries {
-			rechecks = append(rechecks, e.waiters...)
+			rechecks = appendDoubling(rechecks, e.waiters)
 			d.freeFaultEntry(e)
 		}
 		u.pending.reset()
 		u.prefetchPending.reset()
 		// Deferred re-faults from the previous replay go first.
-		rechecks = append(rechecks, u.deferred...)
+		rechecks = appendDoubling(rechecks, u.deferred)
 		u.deferred = u.deferred[:0]
 	}
 	for _, acc := range rechecks {
@@ -688,6 +689,17 @@ func (d *Device) Replay() {
 			d.eng.Schedule(0, w.wakeFn)
 		}
 	}
+}
+
+// appendDoubling appends vs to buf, growing it by at least its own length.
+// The replay scratch grows to the largest replay of the run, and append
+// alone would take it there past 256 elements in 1.25× steps, copying it
+// several times over.
+func appendDoubling[T any](buf, vs []T) []T {
+	if len(buf)+len(vs) > cap(buf) {
+		buf = slices.Grow(buf, max(len(buf), len(vs)))
+	}
+	return append(buf, vs...)
 }
 
 // recheck resolves one access after a replay: satisfy if now resident or
@@ -822,7 +834,7 @@ func (w *warp) run() {
 			return
 		}
 		runs := w.prog.Runs[op.Lo:op.Hi]
-		shift := mem.PageID(w.pass) * mem.PageID(op.Stride)
+		shift := op.shift(w.pass)
 		for ; w.ri < len(runs); w.ri++ {
 			r := runs[w.ri]
 			step := r.stride()

@@ -185,6 +185,8 @@ func TestBadProgramFailsRun(t *testing.T) {
 		"stride with no loop":  {compute, {Kind: OpWrite, Stride: 3}},
 		"stride before body":   {{Kind: OpWrite, Stride: 3}, compute, {Kind: OpLoop, Lo: 1, Hi: 2}},
 		"stride after loop":    {compute, {Kind: OpLoop, Lo: 0, Hi: 2}, {Kind: OpRead, Stride: 1}},
+		"hashed over no span":  {compute, {Kind: OpRead, Hashed: true, Dur: 7}, {Kind: OpLoop, Lo: 1, Hi: 2}},
+		"hashed compute":       {{Kind: OpCompute, Hashed: true, Stride: 4, Dur: sim.Microsecond}},
 	} {
 		eng := sim.NewEngine()
 		_, dev := newFakeDriver(eng, smallConfig())

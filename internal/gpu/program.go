@@ -65,8 +65,11 @@ const (
 	OpCompute
 	// OpLoop repeats ops [Lo, pc) until they have run Hi times in all,
 	// shifting each memory op's pages by that op's Stride more on each
-	// pass. It takes no simulated time and schedules nothing, so a looped
-	// program runs exactly as its unrolled twin. Loops do not nest.
+	// pass, or for a hashed op by the pass's draw (see Op.Hashed). A
+	// strided op's first pass is the op as built; a hashed op's is not,
+	// since pass 0 already shifts it by draw 0. The loop takes no
+	// simulated time and schedules nothing, so a looped program runs
+	// exactly as its unrolled twin. Loops do not nest.
 	OpLoop
 )
 
@@ -119,16 +122,43 @@ type Op struct {
 	Kind OpKind
 	// Dst is the scoreboard register written by OpRead; ignored otherwise.
 	Dst int8
+	// Hashed puts a memory op in hashed addressing mode: on pass pass of
+	// the enclosing loop, pass 0 and an op outside every loop included,
+	// its pages shift by sim.Draw(seed, pass) mod span instead of by
+	// pass·Stride, so the op reads a pseudo-random page sequence from no
+	// more storage than a strided op. A hashed op reuses two fields:
+	// Stride holds the span (at least 1), and Dur, which no memory op
+	// otherwise reads, holds the seed's bits. Hashed sits in the padding
+	// after Dst, so the op stays 32 bytes.
+	Hashed bool
 	// Lo and Hi bound the op's span of Runs (memory ops). For OpLoop, Lo
 	// is the first op of the body and Hi the number of passes.
 	Lo, Hi uint32
 	// Stride is a memory op's page shift per pass of the loop whose body
-	// holds it; 0 outside a loop body.
+	// holds it; 0 outside a loop body. A hashed op's Stride is its span.
 	Stride uint32
 	// Deps are the registers that must be ready before OpWrite/OpCompute
 	// issue.
 	Deps RegMask
 	Dur  sim.Time
+}
+
+// shift returns how far op's pages move on pass pass of the enclosing
+// loop: pass·Stride, or a hashed op's draw for the pass reduced to its
+// span. The device and the access expansion both take it from here.
+func (op *Op) shift(pass uint32) mem.PageID {
+	if op.Hashed {
+		return op.hashedShift(pass)
+	}
+	return mem.PageID(pass) * mem.PageID(op.Stride)
+}
+
+// hashedShift is shift for a hashed op. It stays out of line so that
+// warp.run, which inlines shift, grows by one call and not by the draw.
+//
+//go:noinline
+func (op *Op) hashedShift(pass uint32) mem.PageID {
+	return mem.PageID(sim.Draw(uint64(op.Dur), uint64(pass)) % uint64(op.Stride))
 }
 
 // Program is the instruction stream of one warp: its ops in program order
@@ -176,6 +206,29 @@ func (p *Program) Prefetch(first mem.PageID, n int) {
 	p.span(OpPrefetch, 0, 0, first, n)
 }
 
+// ReadHashed appends a one-page OpRead in hashed addressing mode, writing
+// scoreboard register dst, and an OpLoop that runs it passes times: pass
+// i reads page first + sim.Draw(seed, i) mod span, so the op reads the
+// pages first + NewRNG(seed).Uint64n(span) draws in order. Unlike Loop's
+// body, the op as built is not the first pass: its run holds first, the
+// base every pass's draw is added to, and pass 0 reads first plus draw
+// 0. With passes == 1 no OpLoop is appended and the lone op reads that
+// one page. ReadHashed panics on a span or pass count below 1 or above
+// what an op holds (math.MaxUint32).
+func (p *Program) ReadHashed(dst int, first mem.PageID, span, seed uint64, passes int) {
+	if span < 1 || span > math.MaxUint32 || passes < 1 || passes > math.MaxUint32 {
+		panic(fmt.Sprintf("gpu: hashed read over a span of %d pages: %d passes", span, passes))
+	}
+	mark := len(p.Ops)
+	p.span(OpRead, regOf(dst), 0, first, 1)
+	op := &p.Ops[mark]
+	op.Hashed, op.Stride, op.Dur = true, uint32(span), sim.Time(seed)
+	if passes > 1 {
+		loop := p.push(OpLoop)
+		loop.Lo, loop.Hi = uint32(mark), uint32(passes)
+	}
+}
+
 // Compute appends an OpCompute lasting dur once deps are ready.
 func (p *Program) Compute(dur sim.Time, deps RegMask) {
 	op := p.push(OpCompute)
@@ -184,10 +237,12 @@ func (p *Program) Compute(dur sim.Time, deps RegMask) {
 
 // Loop appends an OpLoop that repeats ops [mark, len(p.Ops)) until they
 // have run passes times. mark is len(p.Ops) taken before the body was
-// built, so the body as built is the first pass; with passes == 1 there
-// is nothing to repeat and Loop appends nothing. strides gives the body's
+// built, so the body as built is the first pass, but for a hashed op
+// (see OpLoop); with passes == 1 there is nothing to repeat and Loop
+// appends nothing. strides gives the body's
 // memory ops their page shift per pass: one stride applies to every
-// memory op, and k strides go to the body's k memory ops in order. Loop
+// memory op, and k strides go to the body's k memory ops in order. A
+// hashed op in the body is not one of them: it keeps its span. Loop
 // panics on a mark outside the program, on a pass count or stride an op
 // cannot hold, and on any other number of strides.
 func (p *Program) Loop(mark, passes int, strides ...int) {
@@ -197,7 +252,7 @@ func (p *Program) Loop(mark, passes int, strides ...int) {
 	body := p.Ops[mark:]
 	k := 0
 	for _, op := range body {
-		if op.Kind.IsMemory() {
+		if op.strided() {
 			k++
 		}
 	}
@@ -214,7 +269,7 @@ func (p *Program) Loop(mark, passes int, strides ...int) {
 	}
 	m := 0
 	for i := range body {
-		if !body[i].Kind.IsMemory() {
+		if !body[i].strided() {
 			continue
 		}
 		s := strides[0]
@@ -302,6 +357,9 @@ func (p *Program) pages(op Op, pages []mem.PageID) {
 // Runs: the kinds declared before OpCompute.
 func (k OpKind) IsMemory() bool { return k <= OpPrefetch }
 
+// strided reports whether op is a memory op whose loop shift is a stride.
+func (op Op) strided() bool { return op.Kind.IsMemory() && !op.Hashed }
+
 // NumPages returns how many page accesses one execution of op makes: the
 // summed length of its runs, 0 for a non-memory op.
 func (p *Program) NumPages(op Op) int {
@@ -316,7 +374,8 @@ func (p *Program) NumPages(op Op) int {
 }
 
 // AppendPages appends the pages of one unshifted execution of op, in
-// access order, to dst; a non-memory op appends nothing.
+// access order, to dst; a non-memory op appends nothing. For a hashed op
+// these are its base pages, which every pass shifts by its draw.
 func (p *Program) AppendPages(dst []mem.PageID, op Op) []mem.PageID {
 	return p.appendShifted(dst, op, 0)
 }
@@ -357,12 +416,12 @@ func (p *Program) Accesses() int {
 func (p *Program) AppendAccesses(dst []mem.PageID) []mem.PageID {
 	for pc, op := range p.Ops {
 		if op.Kind != OpLoop {
-			dst = p.AppendPages(dst, op)
+			dst = p.appendShifted(dst, op, op.shift(0))
 			continue
 		}
 		for pass := uint32(1); pass < op.Hi; pass++ {
 			for _, b := range p.Ops[op.Lo:pc] {
-				dst = p.appendShifted(dst, b, mem.PageID(pass)*mem.PageID(b.Stride))
+				dst = p.appendShifted(dst, b, b.shift(pass))
 			}
 		}
 	}
@@ -382,14 +441,19 @@ func regOf(r int) int8 {
 // validate checks p once, before its warp runs: every op has a known
 // kind, every read writes a register in 0..NumRegs-1, every memory op's
 // span lies within Runs, every loop repeats a non-empty body before it
-// at least twice, with no other loop inside that body, and only memory
-// ops inside a loop body have a stride. It returns the first fault
-// found, wrapping ErrBadProgram.
+// at least twice, with no other loop inside that body, only memory ops
+// inside a loop body have a stride, and only memory ops are hashed, each
+// over a span of at least one page. It returns the first fault found,
+// wrapping ErrBadProgram.
 func (p *Program) validate() error {
 	lastLoop := -1
 	strided := -1 // the first strided memory op after lastLoop, if any
 	for pc := range p.Ops {
 		op := &p.Ops[pc]
+		if op.Hashed && (!op.Kind.IsMemory() || op.Stride == 0) {
+			return fmt.Errorf("pc %d: op of kind %d hashed over a span of %d pages: %w",
+				pc, op.Kind, op.Stride, ErrBadProgram)
+		}
 		switch op.Kind {
 		case OpCompute:
 		case OpLoop:
@@ -415,7 +479,7 @@ func (p *Program) validate() error {
 				return fmt.Errorf("pc %d: runs [%d,%d) outside the program's %d: %w",
 					pc, op.Lo, op.Hi, len(p.Runs), ErrBadProgram)
 			}
-			if op.Stride != 0 && strided < 0 {
+			if op.Stride != 0 && !op.Hashed && strided < 0 {
 				strided = pc
 			}
 		default:

@@ -293,6 +293,127 @@ func TestLoopChecksAtBuild(t *testing.T) {
 	}
 }
 
+// hashedCase is a fuzz input decoded into a hashed read and the loop case
+// around it: the read's span, pass count, seed and register, and whether
+// it loops alone, through ReadHashed's own loop, or heads a body of the
+// loop case's ops that Loop repeats, so the body's other memory ops
+// stride while the hashed op keeps its span.
+type hashedCase struct {
+	around      loopCase // its passes go unused: the read's count
+	span, seed  uint64
+	passes, dst int
+	headsBody   bool
+}
+
+// decodeHashedCase reads a 6-byte header (span in three bytes, 1 to 2^20
+// pages; passes in two, 2 to 512; a mode byte whose bit 0 puts the read
+// at the head of the body and bits 1-2 pick its register), an 8-byte
+// little-endian seed, and then a loop case for the ops around the read.
+// Without a loop case the read runs alone in one block.
+func decodeHashedCase(data []byte) (hashedCase, bool) {
+	if len(data) < 14 {
+		return hashedCase{}, false
+	}
+	h := hashedCase{
+		span:      1 + (uint64(data[0])|uint64(data[1])<<8|uint64(data[2])<<16)%(1<<20),
+		passes:    2 + (int(data[3])|int(data[4])<<8)%511,
+		headsBody: data[5]&1 != 0,
+		dst:       int(data[5]>>1) % 3,
+	}
+	for i := range 8 {
+		h.seed |= uint64(data[6+i]) << (8 * i)
+	}
+	c, ok := decodeLoopCase(data[14:])
+	if !ok {
+		c = loopCase{blocks: 1}
+	}
+	h.around = c
+	return h, true
+}
+
+// build returns the case's program, looped or unrolled. The unrolled
+// twin draws its pages from a sim.RNG, one Uint64n(span) per pass.
+func (h hashedCase) build(looped bool) Program {
+	var p Program
+	unshifted := func(int) mem.PageID { return 0 }
+	emitOps(&p, h.around.lead, unshifted)
+	const first = 600 // above the loop case's pages, below 2^20
+	body := h.around.body
+	if !h.headsBody {
+		body = nil
+	}
+	if looped {
+		mark := len(p.Ops)
+		if !h.headsBody {
+			p.ReadHashed(h.dst, first, h.span, h.seed, h.passes)
+		} else {
+			p.ReadHashed(h.dst, first, h.span, h.seed, 1)
+			emitOps(&p, body, unshifted)
+			p.Loop(mark, h.passes, h.around.stride)
+		}
+	} else {
+		rng := sim.NewRNG(h.seed)
+		for pass := 0; pass < h.passes; pass++ {
+			p.Read(h.dst, first+mem.PageID(rng.Uint64n(h.span)), 1)
+			emitOps(&p, body, func(int) mem.PageID { return mem.PageID(pass * h.around.stride) })
+		}
+	}
+	emitOps(&p, h.around.tail, unshifted)
+	return p
+}
+
+// TestReadHashedChecksAtBuild: ReadHashed panics on a span or pass count
+// below 1 or past what an op holds. A valid call appends the hashed op,
+// its span and seed in Stride and Dur, and an OpLoop over it, or the op
+// alone for one pass. Loop over a body headed by a hashed op strides the
+// body's other memory ops and leaves the hashed op's span alone.
+func TestReadHashedChecksAtBuild(t *testing.T) {
+	for name, build := range map[string]func(p *Program){
+		"zero span":       func(p *Program) { p.ReadHashed(0, 10, 0, 1, 2) },
+		"span too wide":   func(p *Program) { p.ReadHashed(0, 10, math.MaxUint32+1, 1, 2) },
+		"zero passes":     func(p *Program) { p.ReadHashed(0, 10, 5, 1, 0) },
+		"too many passes": func(p *Program) { p.ReadHashed(0, 10, 5, 1, math.MaxUint32+1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: ReadHashed did not panic", name)
+				}
+			}()
+			var p Program
+			build(&p)
+		}()
+	}
+	var p Program
+	p.Compute(sim.Microsecond, 0)
+	p.ReadHashed(2, 10, math.MaxUint32, math.MaxUint64, 300)
+	want := []Op{
+		{Kind: OpCompute, Dur: sim.Microsecond},
+		{Kind: OpRead, Dst: 2, Hashed: true, Lo: 0, Hi: 1, Stride: math.MaxUint32, Dur: -1},
+		{Kind: OpLoop, Lo: 1, Hi: 300},
+	}
+	if !slices.Equal(p.Ops, want) || !slices.Equal(p.Runs, []PageRun{{First: 10, N: 1}}) {
+		t.Errorf("hashed loop built as %+v over %+v", p.Ops, p.Runs)
+	}
+	if err := p.validate(); err != nil {
+		t.Errorf("hashed loop: %v", err)
+	}
+	p = Program{}
+	p.ReadHashed(0, 10, 7, 3, 1)
+	if len(p.Ops) != 1 || !p.Ops[0].Hashed {
+		t.Errorf("a one-pass hashed read built as %+v", p.Ops)
+	}
+	if err := p.validate(); err != nil {
+		t.Errorf("a hashed read outside a loop: %v", err)
+	}
+	p.Read(1, 40, 2)
+	p.Loop(0, 4, 9)
+	if p.Ops[0].Stride != 7 || p.Ops[1].Stride != 9 {
+		t.Errorf("Loop over a hashed head gave strides %d and %d, want span 7 kept and stride 9",
+			p.Ops[0].Stride, p.Ops[1].Stride)
+	}
+}
+
 // TestAppendKeepsRunsAndLoops: a program appended to another accesses
 // its own pages, in order, after the first's, and its loop still repeats
 // its own body.
@@ -347,7 +468,9 @@ func runLoopCase(t *testing.T, c loopCase, prog Program) loopRun {
 // runs exactly as the same program with the body written out pass by
 // pass: the same page stream, and on two fresh devices the same end
 // time, engine event count, device digest, statistics and fault-buffer
-// batches, record for record.
+// batches, record for record. Each input is also read as a hashed case,
+// a hashed read alone or at the head of a body, checked against twins
+// whose pages a sim.RNG draws.
 func FuzzLoopMatchesUnrolled(f *testing.F) {
 	f.Add([]byte{3, 2, 0, 0, 2, 0, 5, 4, 0x41, 3, 0})
 	f.Add([]byte{5, 8, 3, 0x0f, 0xc3, 2, 4, 0, 0x80, 1, 0x04, 3, 3, 6, 0xc2, 2, 1})
@@ -355,23 +478,37 @@ func FuzzLoopMatchesUnrolled(f *testing.F) {
 	// Per-op strides after a lead read: a read striding 12, the math, a
 	// write striding 0 and a prefetch striding 7, over four passes.
 	f.Add([]byte{3, 0x80 | 5, 2, 0x0f, 0x43, 0x00, 0x81, 0x04, 0x05, 0x03, 0x03, 0x01, 0x42, 0x02, 0x03, 12, 1, 0, 7})
+	// A hashed read alone, 300 passes over 512 pages (Random's shape),
+	// seed 11, in four blocks.
+	f.Add([]byte{0x00, 0x02, 0x00, 0x2a, 0x01, 0x00, 11, 0, 0, 0, 0, 0, 0, 0, 2, 3, 3, 0, 0x80, 0, 0, 1, 0})
+	// A hashed read heading a read, the math and a write striding 5,
+	// 40 passes over 2^20 pages, a seed near 2^64.
+	f.Add([]byte{0xff, 0xff, 0x0f, 38, 0, 0x01, 0xf0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+		2, 5, 1, 0x0f, 0x02, 0x00, 0x05, 0x03, 0x03, 0x01, 0x42})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		c, ok := decodeLoopCase(data)
-		if !ok {
-			return
+		if c, ok := decodeLoopCase(data); ok {
+			checkTwins(t, c, c.build(true), c.build(false))
 		}
-		looped, unrolled := c.build(true), c.build(false)
-		if got, want := looped.AppendAccesses(nil), unrolled.AppendAccesses(nil); !slices.Equal(got, want) {
-			t.Fatalf("looped pages %v, unrolled %v", got, want)
-		}
-		if got, want := looped.Accesses(), unrolled.Accesses(); got != want {
-			t.Fatalf("looped program makes %d accesses, unrolled %d", got, want)
-		}
-		a, b := runLoopCase(t, c, looped), runLoopCase(t, c, unrolled)
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("looped run differs from unrolled:\n%+v\n%+v", a, b)
+		if h, ok := decodeHashedCase(data); ok {
+			checkTwins(t, h.around, h.build(true), h.build(false))
 		}
 	})
+}
+
+// checkTwins fails t unless looped and unrolled expand to the same pages
+// and run alike on two fresh devices.
+func checkTwins(t *testing.T, c loopCase, looped, unrolled Program) {
+	t.Helper()
+	if got, want := looped.AppendAccesses(nil), unrolled.AppendAccesses(nil); !slices.Equal(got, want) {
+		t.Fatalf("looped pages %v, unrolled %v", got, want)
+	}
+	if got, want := looped.Accesses(), unrolled.Accesses(); got != want {
+		t.Fatalf("looped program makes %d accesses, unrolled %d", got, want)
+	}
+	a, b := runLoopCase(t, c, looped), runLoopCase(t, c, unrolled)
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("looped run differs from unrolled:\n%+v\n%+v", a, b)
+	}
 }
 
 // oracleTable is the pending-fault table the µTLB used before faultTable:

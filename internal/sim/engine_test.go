@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -389,6 +390,20 @@ func TestRNGDeterminism(t *testing.T) {
 	}
 	if same > 2 {
 		t.Fatalf("different-seed RNGs matched %d/1000 draws", same)
+	}
+}
+
+// TestDrawMatchesRNG: draw i of the pure function is the (i+1)-th
+// Uint64 of a generator with the same seed, for seeds near 0 and near
+// 2^64-1, where the state wraps within the first draws.
+func TestDrawMatchesRNG(t *testing.T) {
+	for _, seed := range []uint64{0, 1, 11, 42, math.MaxUint64 - golden, math.MaxUint64 - 1, math.MaxUint64} {
+		r := NewRNG(seed)
+		for i := uint64(0); i < 1000; i++ {
+			if got, want := Draw(seed, i), r.Uint64(); got != want {
+				t.Fatalf("seed %#x: Draw(seed, %d) = %#x, RNG draw %#x", seed, i, got, want)
+			}
+		}
 	}
 }
 

@@ -10,10 +10,26 @@ type RNG struct {
 // NewRNG returns a generator seeded with seed.
 func NewRNG(seed uint64) *RNG { return &RNG{state: seed} }
 
+// golden is SplitMix64's state increment, 2^64 divided by the golden
+// ratio.
+const golden = 0x9e3779b97f4a7c15
+
 // Uint64 returns the next 64 pseudo-random bits.
 func (r *RNG) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
+	r.state += golden
+	return mix(r.state)
+}
+
+// Draw returns draw i of a generator seeded with seed: the value the
+// (i+1)-th Uint64 call of NewRNG(seed) returns. SplitMix64's state after
+// i+1 calls is seed + (i+1)·golden, so any draw is a pure function of
+// its index, and a looped program can compute pass i's draw without
+// holding a generator.
+func Draw(seed, i uint64) uint64 { return mix(seed + (i+1)*golden) }
+
+// mix is SplitMix64's output function: it scrambles a state into 64
+// pseudo-random bits.
+func mix(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)

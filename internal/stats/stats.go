@@ -1,6 +1,13 @@
 // Package stats provides the small statistical toolkit the experiment
 // harness uses to turn batch telemetry into the paper's tables and figures:
 // summary statistics, least-squares fits, histograms, and percentiles.
+//
+// Every product that feeds an add or subtract is wrapped in an explicit
+// float64(...) conversion. The conversion rounds the product, which
+// forbids the compiler from fusing the two into one multiply-add: arm64,
+// ppc64le, s390x and riscv64 builds would otherwise round once where
+// amd64 rounds twice, and print different digits. scripts/fmacheck.sh
+// checks the compiled code.
 package stats
 
 import (
@@ -38,7 +45,7 @@ func Summarize(xs []float64) Summary {
 	var ss float64
 	for _, x := range xs {
 		d := x - s.Mean
-		ss += d * d
+		ss += float64(d * d)
 	}
 	// Population standard deviation: the paper reports spread over the
 	// full set of observed batches, not a sample estimate.
@@ -82,23 +89,23 @@ func FitLine(xs, ys []float64) LinearFit {
 	for i := range xs {
 		sx += xs[i]
 		sy += ys[i]
-		sxx += xs[i] * xs[i]
-		sxy += xs[i] * ys[i]
-		syy += ys[i] * ys[i]
+		sxx += float64(xs[i] * xs[i])
+		sxy += float64(xs[i] * ys[i])
+		syy += float64(ys[i] * ys[i])
 	}
-	den := n*sxx - sx*sx
+	den := float64(n*sxx) - float64(sx*sx)
 	if den == 0 {
 		return LinearFit{}
 	}
 	f := LinearFit{}
-	f.Slope = (n*sxy - sx*sy) / den
-	f.Intercept = (sy - f.Slope*sx) / n
+	f.Slope = (float64(n*sxy) - float64(sx*sy)) / den
+	f.Intercept = (sy - float64(f.Slope*sx)) / n
 	ssTot := syy - sy*sy/n
 	if ssTot > 0 {
 		var ssRes float64
 		for i := range xs {
-			r := ys[i] - (f.Slope*xs[i] + f.Intercept)
-			ssRes += r * r
+			r := ys[i] - (float64(f.Slope*xs[i]) + f.Intercept)
+			ssRes += float64(r * r)
 		}
 		f.R2 = 1 - ssRes/ssTot
 	}
@@ -128,25 +135,35 @@ func FitPlane(x1, x2, ys []float64) Fit2 {
 		s1 += x1[i]
 		s2 += x2[i]
 		sy += ys[i]
-		s11 += x1[i] * x1[i]
-		s22 += x2[i] * x2[i]
-		s12 += x1[i] * x2[i]
-		s1y += x1[i] * ys[i]
-		s2y += x2[i] * ys[i]
+		s11 += float64(x1[i] * x1[i])
+		s22 += float64(x2[i] * x2[i])
+		s12 += float64(x1[i] * x2[i])
+		s1y += float64(x1[i] * ys[i])
+		s2y += float64(x2[i] * ys[i])
 	}
 	// Solve the 3x3 normal equations via Cramer's rule:
 	// | s11 s12 s1 | |B1|   |s1y|
 	// | s12 s22 s2 | |B2| = |s2y|
 	// | s1  s2  n  | |I |   |sy |
-	det := s11*(s22*n-s2*s2) - s12*(s12*n-s2*s1) + s1*(s12*s2-s22*s1)
+	det := det3(s11, s12, s1, s12, s22, s2, s1, s2, n)
 	if det == 0 {
 		return Fit2{}
 	}
-	d1 := s1y*(s22*n-s2*s2) - s12*(s2y*n-s2*sy) + s1*(s2y*s2-s22*sy)
-	d2 := s11*(s2y*n-s2*sy) - s1y*(s12*n-s2*s1) + s1*(s12*sy-s2y*s1)
-	d3 := s11*(s22*sy-s2*s2y) - s12*(s12*sy-s1*s2y) + s1y*(s12*s2-s22*s1)
+	d1 := det3(s1y, s12, s1, s2y, s22, s2, sy, s2, n)
+	d2 := det3(s11, s1y, s1, s12, s2y, s2, s1, sy, n)
+	d3 := det3(s11, s12, s1y, s12, s22, s2y, s1, s2, sy)
 	return Fit2{B1: d1 / det, B2: d2 / det, Intercept: d3 / det}
 }
+
+// det3 returns the determinant of the 3x3 matrix with rows (a b c),
+// (d e f) and (g h i), expanded along the first row.
+func det3(a, b, c, d, e, f, g, h, i float64) float64 {
+	return float64(a*det2(e, f, h, i)) - float64(b*det2(d, f, g, i)) + float64(c*det2(d, e, g, h))
+}
+
+// det2 returns the determinant a·d − b·c of the 2x2 matrix with rows
+// (a b) and (c d).
+func det2(a, b, c, d float64) float64 { return float64(a*d) - float64(b*c) }
 
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
 // interpolation between closest ranks. It returns 0 for empty input.
@@ -162,14 +179,14 @@ func Percentile(xs []float64, p float64) float64 {
 	if p >= 100 {
 		return sorted[len(sorted)-1]
 	}
-	rank := p / 100 * float64(len(sorted)-1)
+	rank := float64(p / 100 * float64(len(sorted)-1))
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
 	if lo == hi {
 		return sorted[lo]
 	}
 	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return float64(sorted[lo]*(1-frac)) + float64(sorted[hi]*frac)
 }
 
 // GroupBy buckets values by an integer key, preserving insertion order of

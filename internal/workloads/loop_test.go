@@ -402,8 +402,9 @@ func TestGEMMProgramFixedSize(t *testing.T) {
 // TestProgramsFixedSize: with repeated chunks folded into loops, HPGMG's
 // block programs, smoothing and transfer alike, hold at most 10 ops at
 // every fine-grid size; an FFT block has the same ops and runs at 2^20
-// elements as at 2^24; and a Gauss-Seidel band is at most 8 ops: a read
-// loop, its partial chunk, a write loop and its partial chunk.
+// elements as at 2^24; a Gauss-Seidel band is at most 8 ops: a read
+// loop, its partial chunk, a write loop and its partial chunk; and a
+// Random block has the same ops and runs at 100 accesses as at 10,000.
 func TestProgramsFixedSize(t *testing.T) {
 	for _, mb := range []uint64{16, 256, 1024} {
 		w := NewHPGMG(mb<<20, 32)
@@ -442,6 +443,15 @@ func TestProgramsFixedSize(t *testing.T) {
 				t.Errorf("gauss-seidel %d² stripe %d: %d ops over %d bands, want at most 8 a band", n, b, ops, own)
 			}
 		}
+	}
+	randomBlock := func(accesses int) gpu.Program {
+		w := NewRandom(64<<20, 4, accesses, 11)
+		return w.Phases(fakeBases(w.Allocs()))[0].Kernel.BlockProgram(1)[0]
+	}
+	small, large := randomBlock(100), randomBlock(10000)
+	if len(small.Ops) != len(large.Ops) || len(small.Runs) != len(large.Runs) {
+		t.Errorf("random block: %d ops over %d runs at 100 accesses, %d over %d at 10,000",
+			len(small.Ops), len(small.Runs), len(large.Ops), len(large.Runs))
 	}
 }
 
@@ -618,6 +628,54 @@ func BenchmarkBlockPrograms(b *testing.B) {
 			for _, ph := range phases {
 				for blk := 0; blk < ph.Kernel.NumBlocks; blk++ {
 					ph.Kernel.BlockProgram(blk)
+				}
+			}
+		}
+	})
+}
+
+// randomOracle builds block b of w as Random.Phases did before hashed
+// loops: one single-page read per access, its page drawn from a sim.RNG
+// seeded with the block's seed. It survives as the oracle the hashed
+// loop is checked against.
+func randomOracle(w *Random, bases []mem.Addr, b int) gpu.Program {
+	first := mem.PageOf(bases[0])
+	totalPages := w.Bytes / mem.PageSize
+	rng := sim.NewRNG(w.Seed + uint64(b)*0x9e37)
+	prog := gpu.NewProgram(w.AccessesPerBlk, w.AccessesPerBlk)
+	for range w.AccessesPerBlk {
+		prog.Read(0, first+mem.PageID(rng.Uint64n(totalPages)), 1)
+	}
+	return prog
+}
+
+// FuzzRandomMatchesRNG: every block of a Random workload, one hashed read
+// looped over the block's accesses, reads the pages the per-access
+// sim.RNG oracle draws, in the oracle's order, into the oracle's
+// register, for arrays of one page to 2^32-1 pages with or without a
+// partial page, 1 to 64 blocks, 0 to 2,047 accesses and any seed.
+func FuzzRandomMatchesRNG(f *testing.F) {
+	f.Add(uint64(512<<20), uint16(160), uint16(300), uint64(11)) // the random-oversub input
+	f.Add(uint64(32<<20), uint16(40), uint16(100), uint64(11))   // the batch-log golden's
+	f.Add(uint64(mem.PageSize), uint16(3), uint16(7), uint64(math.MaxUint64))
+	f.Add(uint64(5*mem.PageSize+1), uint16(1), uint16(0), uint64(0))
+	f.Add(uint64(math.MaxUint64), uint16(2), uint16(2047), uint64(math.MaxUint64-0x9e37))
+	f.Fuzz(func(t *testing.T, bytes uint64, blocks, accesses uint16, seed uint64) {
+		pages := max(1, bytes/mem.PageSize%(math.MaxUint32+1))
+		w := NewRandom(pages*mem.PageSize+bytes%mem.PageSize, 1+int(blocks%64), int(accesses%2048), seed)
+		bases := fakeBases(w.Allocs())
+		k := w.Phases(bases)[0].Kernel
+		for b := 0; b < w.Blocks; b++ {
+			got, want := k.BlockProgram(b)[0], randomOracle(w, bases, b)
+			if g, o := got.AppendAccesses(nil), want.AppendAccesses(nil); !slices.Equal(g, o) {
+				t.Fatalf("%d pages, seed %#x, block %d: pages %v, oracle %v", pages, seed, b, g, o)
+			}
+			if g, o := got.Accesses(), want.Accesses(); g != o {
+				t.Fatalf("%d pages, seed %#x, block %d: %d accesses, oracle %d", pages, seed, b, g, o)
+			}
+			for _, op := range got.Ops {
+				if op.Kind != gpu.OpLoop && (op.Kind != gpu.OpRead || op.Dst != 0) {
+					t.Fatalf("block %d: op %+v, want reads into register 0", b, op)
 				}
 			}
 		}

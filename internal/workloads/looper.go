@@ -70,7 +70,7 @@ func (l *looper) extends() bool {
 		// Field by field, as the builders store them: a wide compare of
 		// ops just built stalls on those narrow stores.
 		a, b := &h.Ops[i], &xops[i]
-		if a.Kind != b.Kind || a.Dst != b.Dst || a.Lo != b.Lo || a.Hi != b.Hi ||
+		if a.Kind != b.Kind || a.Dst != b.Dst || a.Hashed != b.Hashed || a.Lo != b.Lo || a.Hi != b.Hi ||
 			a.Stride != b.Stride || a.Deps != b.Deps || a.Dur != b.Dur {
 			return false
 		}

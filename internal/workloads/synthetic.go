@@ -174,10 +174,12 @@ func (w *Random) Phases(bases []mem.Addr) []Phase {
 	return []Phase{{
 		Name: "random-read",
 		Kernel: gpu.Kernel{NumBlocks: w.Blocks, BlockProgram: func(b int) []gpu.Program {
-			rng := sim.NewRNG(seed + uint64(b)*0x9e37)
-			prog := gpu.NewProgram(w.AccessesPerBlk, w.AccessesPerBlk)
-			for i := 0; i < w.AccessesPerBlk; i++ {
-				prog.Read(0, first+mem.PageID(rng.Uint64n(totalPages)), 1)
+			// One hashed read looped over the block's accesses: access
+			// i reads the page draw i of the block's seed names, as a
+			// sim.RNG seeded alike would draw it.
+			prog := gpu.NewProgram(2, 1)
+			if w.AccessesPerBlk > 0 {
+				prog.ReadHashed(0, first, totalPages, seed+uint64(b)*0x9e37, w.AccessesPerBlk)
 			}
 			return []gpu.Program{prog}
 		}},

@@ -458,7 +458,8 @@ func TestVecAddCoalescedShape(t *testing.T) {
 // generator's looper in storage of their exact size, and hold no per-op
 // page lists, so a block costs the same few allocations however many
 // chunks it sweeps. Repeated chunks are looped passes, so a Stream
-// block's slices are as long at 1 GiB as at 64 MiB.
+// block's slices are as long at 1 GiB as at 64 MiB, and a Random block's
+// accesses are one hashed loop that keeps no generator.
 func TestBlockProgramAllocs(t *testing.T) {
 	phase := func(w Workload, name string) gpu.Kernel {
 		for _, ph := range w.Phases(fakeBases(w.Allocs())) {
@@ -474,13 +475,14 @@ func TestBlockProgramAllocs(t *testing.T) {
 		phase string
 		want  float64 // ops + runs per program, plus the []Program
 	}{
-		{NewStream(64<<20, 24), "triad", 5},      // lead warp and shared shadow program
-		{NewHPGMG(64<<20, 32), "smooth-down", 3}, // one smoothing warp
-		{NewHPGMG(64<<20, 32), "restrict", 3},    // one transfer warp
-		{NewHPGMG(64<<20, 32), "prolong", 3},     // one transfer warp
-		{NewFFT(1<<22, 16), "fft-pass", 3},       // one butterfly warp
-		{NewGaussSeidel(4096, 1), "sweep", 3},    // one stripe of bands
-		{NewSGEMM(2048), "sgemm", 3},             // one tile
+		{NewStream(64<<20, 24), "triad", 5},                  // lead warp and shared shadow program
+		{NewHPGMG(64<<20, 32), "smooth-down", 3},             // one smoothing warp
+		{NewHPGMG(64<<20, 32), "restrict", 3},                // one transfer warp
+		{NewHPGMG(64<<20, 32), "prolong", 3},                 // one transfer warp
+		{NewFFT(1<<22, 16), "fft-pass", 3},                   // one butterfly warp
+		{NewGaussSeidel(4096, 1), "sweep", 3},                // one stripe of bands
+		{NewSGEMM(2048), "sgemm", 3},                         // one tile
+		{NewRandom(512<<20, 160, 300, 11), "random-read", 3}, // one hashed loop
 	} {
 		k := phase(c.w, c.phase)
 		if got := testing.AllocsPerRun(20, func() { k.BlockProgram(0) }); got != c.want {

@@ -1,10 +1,12 @@
 #!/bin/sh
-# Full verification gate: vet, build, the test suite under the race
-# detector, and audited end-to-end runs of the paper's reference
-# workloads. Run from the repository root (or via `make check`).
+# Full verification gate: vet, the structural lint, the fused multiply-add
+# gate, build, the test suite under the race detector, and audited
+# end-to-end runs of the paper's reference workloads. Run from the
+# repository root (or via `make check`).
 set -eux
 go vet ./...
 ./scripts/lint.sh
+./scripts/fmacheck.sh
 go build ./...
 go test -race ./...
 
